@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
 """twohom benchmark: one seeded workload per run, every metric by name.
 
-    python3 bench/run.py --workload derive-z --seed 1 --seconds 15 --trace 0
+    python3 bench/run.py --workload derive-z --seed 1 --seconds 12 --trace 0
 
 Run from the repository root; the library is imported from ``src/``.  Each
 workload is a closed loop with one client (one process, no threads): the
 next query starts when the previous answer is back.  Only the library call
 is timed; every answer is checked by an oracle outside the timed region.
 
-``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs the same
-plan twice, untraced and then traced, checks that both give the same answer
-digest, and prints the per-layer metrics (spans around each layer's public
-functions, timed from this directory; nothing under ``src/`` changes).
+Times are scaled to a reference machine speed measured by a probe run
+around every query (see ``at_reference_speed``).
+
+``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` runs a plan of
+half as many cycles twice, untraced and then traced, checks that both give
+the same answer digest, and prints the per-layer metrics (spans around each
+layer's public functions, timed from this directory; nothing under ``src/``
+changes).
 
 The last stdout line is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the lines before it repeat the
 metrics for people, with the tail percentile, the answer digest and the run
-metadata.  Results and spans are also written to ``.bench_out/``.
+metadata.  A traced run also writes its spans to ``.bench_out/``.
 """
 
 from __future__ import annotations
@@ -28,12 +32,13 @@ import json
 import math
 import os
 import resource
+import signal
 import statistics
 import subprocess
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from time import perf_counter, sleep
+from time import perf_counter
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -47,21 +52,23 @@ from tracer import Tracer  # noqa: E402
 # How many seconds of ``--seconds`` one cycle is worth: ``--seconds S`` buys
 # round(S / cycle) whole cycles, so a plan depends only on the arguments,
 # never on how fast the code under test is.  Chosen on the reference machine
-# (2 vCPU x86-64, Python 3.11) so every stratum gets 15 to 38 samples while
-# a run's wall time stays under about 2 S; snf-dense's sympy oracle takes
-# three times as long as its queries.
+# (2 vCPU x86-64, Python 3.11) so that one pass, oracle checks included,
+# takes about S seconds at reference speed (see ``probe``).  A traced run
+# splits the cycles between its untraced and traced passes.
 CYCLE_SECONDS = {
-    "derive-z": 0.6,
-    "derive-zmod": 1.0,
-    "snf-dense": 0.6,
-    "cli-small": 0.4,
+    "derive-z": 0.5,
+    "derive-zmod": 0.8,
+    "snf-dense": 0.32,
+    "cli-small": 0.3,
 }
 MIN_CYCLES = 2
-SETUP_REPEATS = 5
-TAIL_BEYOND = 10            # samples above the reported tail percentile
-TAIL_LEVELS = (50, 75)      # p90 and above sit among exploding inputs
-TIME_LIMIT_S = 150          # start no query after this, so a run ends within 180 s
-QUIET_RATIO = 1.25
+SETUP_REPEATS = 7
+TAIL_BEYOND = 10            # samples at least, beyond the reported tail
+TAIL_LEVELS = (50, 75, 90)  # p95 and above spread 0.10 to 0.15 across seeds
+                            # on derive-z, p90 0.04 to 0.08 (bench/README.md)
+TIME_LIMIT_S = 140          # start no query after this, so a run ends within 180 s
+QUERY_LIMIT_S = 20          # stop a query still running after this; it fails
+REFERENCE_PROBE_S = 0.4e-3  # probe() on the reference machine when it is quiet
 
 WORKLOADS = {
     "derive-z": workloads.Derive(None, 6),
@@ -113,40 +120,37 @@ PER_LAYER = (
 
 
 # ---------------------------------------------------------------------------
-# a quiet machine
+# machine speed
 # ---------------------------------------------------------------------------
 
 def probe() -> float:
-    """Seconds for a fixed pure-Python loop (about 0.6 ms, no twohom code)."""
+    """Seconds for a fixed piece of pure-Python work (no twohom code) in the
+    style of the library's: int arithmetic, small object-dtype numpy
+    products, lists and dicts; about 0.4 ms on the reference machine."""
+    import numpy as np
+
     t = perf_counter()
+    a = np.array([[i * j + 1 for j in range(6)] for i in range(6)], dtype=object)
     x = 1
-    for i in range(4000):
+    for i in range(1500):
         x = (x * 1103515245 + i) % (1 << 61)
+    for _ in range(5):
+        a = a.dot(a) % 1000003
+    d = {i: [i] * 3 for i in range(300)}
+    del d
     return perf_counter() - t
 
 
-class Quiet:
-    """Starts timed work only while the probe runs within QUIET_RATIO of its
-    fastest time in the run.  On a shared machine other tenants' load comes
-    in bursts of a second or more, during which the same query runs up to
-    2x slower; measured on the reference machine, the probe was slow 24% of
-    the time and its time correlated 0.84 with a query's.  Waiting stops
-    after ``budget_s`` seconds in total, so a run stays bounded."""
+def at_reference_speed(seconds: float, before: float, after: float) -> float:
+    """``seconds`` scaled to the reference machine's speed, using the probes
+    run just before and just after the timed work.
 
-    def __init__(self, budget_s: float):
-        self.budget_s = budget_s
-        self.waited_s = 0.0
-        self.best = min(probe() for _ in range(20)) if budget_s > 0 else 0.0
-
-    def wait(self) -> None:
-        t = perf_counter()
-        while self.waited_s + (perf_counter() - t) < self.budget_s:
-            r = probe()
-            self.best = min(self.best, r)
-            if r <= QUIET_RATIO * self.best:
-                break
-            sleep(0.02)
-        self.waited_s += perf_counter() - t
+    On a shared VM the CPU's speed drifts by up to 2x in phases of one to
+    tens of seconds, uniformly over the code (process CPU time drifts with
+    wall time, so it is not time lost to other processes).  Scaled times are what make
+    runs at different moments comparable; bench/README.md gives the spreads
+    with and without scaling."""
+    return seconds * REFERENCE_PROBE_S / ((before + after) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +191,19 @@ def generate(wl, seed: int, cycles: int, path: Path) -> list:
 
 
 def setup(wl, seed: int, cycles: int, path: Path):
-    """Median import and input-generation times over SETUP_REPEATS tries."""
+    """Median import and input-generation times over SETUP_REPEATS tries,
+    each scaled to reference speed."""
     imports, gens = [], []
-    quiet = Quiet(budget_s=1.0)
+    before = probe()
     for _ in range(SETUP_REPEATS):
-        quiet.wait()
-        imports.append(time_import())
+        t = time_import()
+        after = probe()
+        imports.append(at_reference_speed(t, before, after))
         t = perf_counter()
         inputs = generate(wl, seed, cycles, path)
-        gens.append(perf_counter() - t)
+        t = perf_counter() - t
+        before = probe()
+        gens.append(at_reference_speed(t, after, before))
     return inputs, statistics.median(imports), statistics.median(gens)
 
 
@@ -226,14 +234,13 @@ class Pass:
     """One pass over the plan: per-query times, failures, digest, bits."""
 
     def __init__(self):
-        self.times: list = []
+        self.times: list = []      # wall seconds of each query
+        self.probes: list = []     # probe() before the first query and after each
         self.strata: list = []     # the stratum of each timed query
-        self.bits: list = []
+        self.bits: dict = {}       # stratum -> largest entry of each answer, in bits
         self.failed = 0
-        self.max_bits = 0
         self.digest = hashlib.sha256()
         self.stdout_bytes = 0
-        self.quiet_wait_s = 0.0
         self.errors: list = []
 
     def fail(self, k: int, why: str) -> None:
@@ -243,26 +250,51 @@ class Pass:
             self.errors.append(f"query {k}: {why}")
 
 
-def measure(wl, inputs, tracer=None, deadline=None, quiet_budget_s=0.0) -> Pass:
-    """Run every query; time only the library call; check outside it."""
+class QueryTimeout(BaseException):
+    """Raised in a query that runs past QUERY_LIMIT_S.  A BaseException, so
+    that no ``except Exception`` inside the library swallows it."""
+
+
+def _stop_query(signum, frame):
+    raise QueryTimeout(f"no answer within {QUERY_LIMIT_S} s")
+
+
+def measure(wl, inputs, tracer=None, deadline=None) -> Pass:
+    """Run every query; time only the library call; check outside it.
+
+    Some inputs make the coefficients explode (ROADMAP item 2), and one
+    such query can run for minutes; QUERY_LIMIT_S stops it, and it counts
+    as failed, so that the run still ends within its time limit."""
+    previous = signal.signal(signal.SIGALRM, _stop_query)
+    try:
+        return _measure(wl, inputs, tracer, deadline)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _measure(wl, inputs, tracer, deadline) -> Pass:
     out = Pass()
-    quiet = Quiet(quiet_budget_s)
+    out.probes.append(probe())
     for k, raw in enumerate(inputs):
         if deadline is not None and perf_counter() > deadline:
             out.errors.append(f"time limit reached after {k} of {len(inputs)} queries")
             out.failed += len(inputs) - k
             break
         gc.collect()      # no query pays for collecting an earlier one's garbage
-        quiet.wait()
         with tracer.span("query") if tracer else nullcontext():
             t0 = perf_counter()
+            signal.setitimer(signal.ITIMER_REAL, QUERY_LIMIT_S)
             try:
                 answer = wl.query(raw)
-            except Exception as exc:  # a failed query is counted, not fatal
+            except (Exception, QueryTimeout) as exc:  # counted, not fatal
                 answer = exc
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
             out.times.append(perf_counter() - t0)
+        out.probes.append(probe())
         out.strata.append(raw["stratum"])
-        if isinstance(answer, Exception):
+        if isinstance(answer, (Exception, QueryTimeout)):
             out.fail(k, f"raised {answer!r}")
             continue
         if isinstance(wl, workloads.CliSmall):
@@ -278,20 +310,24 @@ def measure(wl, inputs, tracer=None, deadline=None, quiet_budget_s=0.0) -> Pass:
             out.fail(k, "answer rejected by the oracle")
             continue
         _feed(out.digest, canon)
-        out.max_bits = max(out.max_bits, bits)
-        out.bits.append(bits)
-    out.quiet_wait_s = quiet.waited_s
+        out.bits.setdefault(raw["stratum"], []).append(bits)
     return out
+
+
+def scaled_times(run: Pass) -> list:
+    """Each query's time at reference speed (see ``at_reference_speed``)."""
+    p = run.probes
+    return [at_reference_speed(t, p[k], p[k + 1]) for k, t in enumerate(run.times)]
 
 
 def tail(times):
     """(value, percentile, n): the highest of TAIL_LEVELS whose nearest-rank
-    value has at least TAIL_BEYOND samples above it (else the median)."""
+    value has at least TAIL_BEYOND samples beyond it (else the median)."""
     s = sorted(times)
     n = len(s)
-    level, rank = 50.0, max(1, math.ceil(n / 2))
+    level, rank = 50, max(1, math.ceil(n / 2))
     for p in TAIL_LEVELS:
-        r = max(1, math.ceil(p / 100 * n))
+        r = max(1, math.ceil(p * n / 100))
         if n - r >= TAIL_BEYOND:
             level, rank = p, r
     return s[rank - 1], level, n
@@ -301,35 +337,53 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _trimmed(values):
-    """All but the TAIL_BEYOND largest values (at least one value)."""
-    return sorted(values)[:max(1, len(values) - TAIL_BEYOND)]
-
-
-def stratified_p50(run: Pass) -> float:
+def stratified_p50(strata, times) -> float:
     """Geometric mean over the strata (sizes or commands) of each stratum's
     median time.  The pooled median of a size mix falls between the sizes'
     clusters and jumps between them from seed to seed (cli-small: spread
     0.19 across seeds against 0.06 for this)."""
     by = {}
-    for stratum, t in zip(run.strata, run.times):
+    for stratum, t in zip(strata, times):
         by.setdefault(stratum, []).append(t)
     return math.exp(statistics.mean(math.log(statistics.median(v))
                                     for v in by.values()))
 
 
+def cycle_throughput(strata, times) -> float:
+    """Median over the plan's cycles (one query of every stratum each) of
+    the cycle's queries per second.  Every sample counts, but a single input
+    whose coefficients explode slows one cycle only: on derive-zmod with
+    sizes up to g = 20, where one query in a run took 94x the median, the
+    plain queries-over-total-time spread 0.40 across six seeds, against 0.13
+    for this.  If
+    the slowest 5% of inputs got 10x slower, about half the cycles of 11
+    to 13 queries would hold one, and this median would fall with them."""
+    k = len(set(strata))
+    cycles = [times[i:i + k] for i in range(0, len(times) - k + 1, k)] or [times]
+    return statistics.median(len(c) / sum(c) for c in cycles)
+
+
+def entry_bits(run: Pass) -> float:
+    """Geometric mean over the strata of the mean, over a stratum's answers,
+    of each answer's largest entry in bits; strata whose answers hold no
+    integer but 0 (CLI verdicts) are left out.  Every answer counts, but
+    the largest sizes, where coefficients explode, do not outweigh the
+    rest: across ten seeds of snf-dense this spread 0.07, a plain mean over
+    the answers 0.19, and the largest entry of the run 0.98."""
+    means = [statistics.mean(v) for v in run.bits.values()]
+    logs = [math.log(m) for m in means if m > 0]
+    return math.exp(statistics.mean(logs)) if logs else 0.0
+
+
 def end_to_end(run: Pass, setup_s: float) -> dict:
-    """Every statistic is a median, a rank or a trimmed mean: a single input
-    whose coefficients explode can take many times the median, so a plain
-    mean or maximum over a run would be decided by whether a seed drew one."""
-    value, _, _ = tail(run.times)
-    body = _trimmed(run.times)
+    """Times are at reference speed."""
+    times = scaled_times(run)
     return {
-        "query_p50_ms": stratified_p50(run) * 1e3,
-        "query_tail_ms": value * 1e3,
-        "throughput_qps": len(body) / sum(body),
+        "query_p50_ms": stratified_p50(run.strata, times) * 1e3,
+        "query_tail_ms": tail(times)[0] * 1e3,
+        "throughput_qps": cycle_throughput(run.strata, times),
         "setup_s": setup_s,
-        "max_entry_bits": statistics.mean(_trimmed(run.bits)) if run.bits else 0.0,
+        "max_entry_bits": entry_bits(run),
     }
 
 
@@ -365,8 +419,9 @@ def per_layer(tracer: Tracer, traced: Pass, untraced: Pass,
         "cli.stdout_bytes": traced.stdout_bytes,
         "setup.import_s": import_s,
         "setup.generate_s": generate_s,
-        "trace.overhead_ratio": ratio(stratified_p50(traced),
-                                      stratified_p50(untraced)),
+        "trace.overhead_ratio": ratio(
+            stratified_p50(traced.strata, scaled_times(traced)),
+            stratified_p50(untraced.strata, scaled_times(untraced))),
     })
     return out
 
@@ -376,21 +431,13 @@ def per_layer(tracer: Tracer, traced: Pass, untraced: Pass,
 # ---------------------------------------------------------------------------
 
 def git_commit() -> str:
-    """HEAD of this checkout, read from .git without running git."""
-    git = ROOT / ".git"
+    """HEAD of this checkout, or "unknown" outside a git checkout."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown (not a git checkout)"
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
 def metadata(seed: int, cycles: int, n_queries: int) -> dict:
@@ -423,12 +470,19 @@ def report_lines(values: dict, units: dict, untraced: Pass, attempted: int,
     for name, unit in units.items():
         line = f"{name} = {_fmt(values[name])} {unit}"
         if name == "query_tail_ms":
-            line += f"  (p{pct:g} of {n} queries, {n - math.ceil(pct / 100 * n)} beyond)"
+            line += f"  (p{pct} of {n} queries, {n - math.ceil(pct * n / 100)} beyond)"
         lines.append(line)
+    wall = untraced.times
+    if wall:
+        lines.append(f"wall-clock query_p50_ms = "
+                     f"{stratified_p50(untraced.strata, wall) * 1e3!r} ms, "
+                     f"machine speed = {REFERENCE_PROBE_S / statistics.median(untraced.probes)!r}"
+                     " x reference (not gated)")
     lines.append(f"failed_ratio = {failed / attempted!r} ({failed} of {attempted})")
-    lines.append(f"largest entry of any answer = {untraced.max_bits} bits (not gated)")
-    lines.append(f"peak RSS = {peak_rss_mb()!r} MB (not gated)")
-    lines.append(f"waited for a quiet machine = {untraced.quiet_wait_s!r} s")
+    lines.append(f"largest entry of any answer = "
+                 f"{max(map(max, untraced.bits.values()), default=0)} bits"
+                 " (not gated)")
+    lines.append(f"peak_rss_mb = {peak_rss_mb()!r} MB (not gated)")
     lines.append(f"answer_digest = {digest}")
     lines.append(f"meta = {json.dumps(meta, sort_keys=True)}")
     return lines
@@ -449,20 +503,23 @@ def main(argv=None) -> int:
         return 1
 
     wl = WORKLOADS[args.workload]
-    cycles = max(MIN_CYCLES, round(args.seconds / CYCLE_SECONDS[args.workload]))
+    cycles = round(args.seconds / CYCLE_SECONDS[args.workload])
+    if args.trace:        # two passes share the time of one
+        cycles //= 2
+    cycles = max(MIN_CYCLES, cycles)
     OUT.mkdir(exist_ok=True)
     ws_path = OUT / f"workspace-{args.workload}-{os.getpid()}.json"
     try:
         inputs, import_s, generate_s = setup(wl, args.seed, cycles, ws_path)
+        gc.collect()
+        gc.freeze()       # keeps gc.collect() before each query cheap
         deadline = started + TIME_LIMIT_S
-        wait_s = args.seconds / 8     # longest total wait for quiet, per pass
-        untraced = measure(wl, inputs, deadline=deadline, quiet_budget_s=wait_s)
+        untraced = measure(wl, inputs, deadline=deadline)
         passes = [untraced]
-        tracer = None
         if args.trace:
             tracer = Tracer()
             with tracer.installed():
-                traced = measure(wl, inputs, tracer, deadline, wait_s)
+                traced = measure(wl, inputs, tracer, deadline)
             passes.append(traced)
     finally:
         ws_path.unlink(missing_ok=True)
@@ -486,17 +543,6 @@ def main(argv=None) -> int:
         units = dict(END_TO_END)
     metrics = {name: {"value": values[name], "unit": units[name]} for name in units}
     meta = metadata(args.seed, cycles, len(inputs))
-    _, pct, n = tail(untraced.times)
-    report = {"workload": args.workload, "trace": args.trace, "meta": meta,
-              "answer_digest": digests[0], "failed_ratio": failed / attempted,
-              "query_tail_percentile": pct, "query_samples": n,
-              "correct": correct, "attempted": attempted, "failed": failed,
-              "peak_rss_mb": peak_rss_mb(), "largest_entry_bits": untraced.max_bits,
-              "quiet_wait_s": [r.quiet_wait_s for r in passes],
-              "metrics": metrics, "times": untraced.times, "bits": untraced.bits}
-    (OUT / f"result-{args.workload}-trace{args.trace}.json").write_text(
-        json.dumps(report, indent=1, sort_keys=True))
-
     for line in report_lines(values, units, untraced, attempted, failed,
                              digests[0], meta):
         print(line)

@@ -134,6 +134,36 @@ def test_no_two_queries_share_a_memoizing_instance(name, tmp_path, monkeypatch):
     assert keep and not shared, shared[:5]
 
 
+def test_tail_has_ten_samples_beyond_it():
+    times = [float(i) for i in range(1, 101)]
+    assert run.tail(times) == (90.0, 90, 100)
+    assert run.tail(times[:40]) == (30.0, 75, 40)     # p90 has 4 beyond
+    assert run.tail([3.0, 1.0, 2.0]) == (2.0, 50, 3)   # too few: the median
+
+
+def test_a_query_past_the_time_limit_is_stopped_and_fails(monkeypatch):
+    class Endless:
+        def query(self, raw):
+            while True:
+                pass
+
+    monkeypatch.setattr(run, "QUERY_LIMIT_S", 0.05)
+    done = run.measure(Endless(), [{"stratum": 1}])
+    assert done.failed == 1 and "QueryTimeout" in done.errors[0]
+
+
+def test_cycle_throughput_is_the_median_cycle():
+    strata = ["a", "b"] * 3
+    times = [0.5, 0.5, 1.0, 1.0, 0.25, 0.25]     # cycles: 1 s, 2 s, 0.5 s
+    assert run.cycle_throughput(strata, times) == 2.0
+
+
+def test_scaled_time_is_wall_time_at_reference_speed():
+    ref = run.REFERENCE_PROBE_S
+    assert run.at_reference_speed(0.01, ref, ref) == pytest.approx(0.01)
+    assert run.at_reference_speed(0.02, 2 * ref, 2 * ref) == pytest.approx(0.01)
+
+
 def test_closed_form_tor_matches_classical_oracle():
     tor = workloads.TorOracle()
     for orders in ([2], [6], [4, 6], [3, 5], [12]):

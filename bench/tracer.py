@@ -103,10 +103,8 @@ class Tracer:
         self.names: list = []
         self._ids: dict = {}
         self.name_id = array("i")
-        self.cover_start = array("d")  # before the wrapper's own bookkeeping
         self.start = array("d")
         self.end = array("d")
-        self.done = array("d")         # after the wrapper's own bookkeeping
         self.parent = array("i")
         self._stack: list = []
         self.counters: Counter = Counter()
@@ -120,36 +118,31 @@ class Tracer:
         if value > self.maxes.get(key, 0):
             self.maxes[key] = value
 
-    def _open(self, name: str, t_cover: float) -> int:
+    def _open(self, name: str) -> int:
         nid = self._ids.get(name)
         if nid is None:
             nid = self._ids[name] = len(self.names)
             self.names.append(name)
         idx = len(self.start)
         self.name_id.append(nid)
-        self.cover_start.append(t_cover)
         self.parent.append(self._stack[-1] if self._stack else -1)
-        self.start.append(0.0)
         self.end.append(0.0)
-        self.done.append(0.0)
         self._stack.append(idx)
+        self.start.append(perf_counter())
         return idx
 
-    def _close(self, idx: int, t_end: float) -> None:
-        self.end[idx] = t_end
+    def _close(self, idx: int) -> None:
+        self.end[idx] = perf_counter()
         self._stack.pop()
 
     @contextmanager
     def span(self, name: str):
         """A span opened by the benchmark itself, e.g. around one query."""
-        t = perf_counter()
-        idx = self._open(name, t)
-        self.start[idx] = perf_counter()
+        idx = self._open(name)
         try:
             yield
         finally:
-            self._close(idx, perf_counter())
-            self.done[idx] = perf_counter()
+            self._close(idx)
 
     @contextmanager
     def pause(self):
@@ -166,20 +159,13 @@ class Tracer:
         def traced(*args, **kwargs):
             if tracer.paused:
                 return fn(*args, **kwargs)
-            t_cover = perf_counter()
             pre = _before(name, args)
-            idx = tracer._open(name, t_cover)
-            t0 = perf_counter()
-            tracer.start[idx] = t0
-            ok = False
+            idx = tracer._open(name)
             try:
                 out = fn(*args, **kwargs)
-                ok = True
             finally:           # a call that raises still closes its span
-                tracer._close(idx, perf_counter())
-                if ok:
-                    _after(tracer, name, out, pre)
-                tracer.done[idx] = perf_counter()
+                tracer._close(idx)
+            _after(tracer, name, out, pre)
             return out
 
         traced.__wrapped__ = fn
@@ -223,18 +209,17 @@ class Tracer:
     # -- results ------------------------------------------------------------
 
     def self_times(self) -> dict:
-        """Total self time per span name: duration minus the part of it
-        covered by child spans (including the children's bookkeeping)."""
-        n = len(self.start)
-        child = [0.0] * n
-        for i in range(n):
-            p = self.parent[i]
+        """Total self time per span name: duration minus the durations of
+        its child spans.  A child's bookkeeping outside its own interval
+        (reading counters) counts as the parent's time."""
+        self_s = [e - s for s, e in zip(self.start, self.end)]
+        for i, p in enumerate(self.parent):
             if p >= 0:
-                child[p] += self.done[i] - self.cover_start[i]
+                self_s[p] -= self.end[i] - self.start[i]
         out: dict = {}
-        for i in range(n):
-            nm = self.names[self.name_id[i]]
-            out[nm] = out.get(nm, 0.0) + (self.end[i] - self.start[i]) - child[i]
+        for nid, t in zip(self.name_id, self_s):
+            nm = self.names[nid]
+            out[nm] = out.get(nm, 0.0) + t
         return out
 
     def calls(self) -> Counter:
@@ -248,10 +233,8 @@ class Tracer:
             path,
             names=np.array(self.names, dtype=str),
             name_id=np.frombuffer(self.name_id, dtype=np.int32),
-            cover_start=np.frombuffer(self.cover_start, dtype=np.float64),
             start=np.frombuffer(self.start, dtype=np.float64),
             end=np.frombuffer(self.end, dtype=np.float64),
-            done=np.frombuffer(self.done, dtype=np.float64),
             parent=np.frombuffer(self.parent, dtype=np.int32),
             counter_names=np.array(sorted(self.counters), dtype=str),
             counter_values=np.array([self.counters[k] for k in

@@ -21,14 +21,19 @@ import json
 import random
 from math import gcd
 
+from sympy import ZZ as SZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors as sympy_invariants
+
 from tracer import max_bits
 
 # ---------------------------------------------------------------------------
 # derive-z / derive-zmod: resolution -> homology -> relative kernel -> SNF
 # ---------------------------------------------------------------------------
 
-DERIVE_SIZES = list(range(8, 21))   # generators of M0; at g >= 22 single
-                                    # inputs ran for minutes (bench/README.md)
+DERIVE_SIZES = list(range(8, 20))   # generators of M0; single inputs with
+                                    # g = 20 ran for seconds to minutes
+                                    # (bench/README.md)
 DERIVE_DEPTH = 3
 DERIVE_DEGREES = range(3)           # pi-profiles of L_0 .. L_2
 
@@ -123,49 +128,64 @@ class SnfDense:
         return d, u, v, inv, k, x
 
     def check(self, raw, answer):
-        """U A V = D, |det U| = |det V| = 1, divisibility chain, invariant
-        factors equal to sympy's; W K = 0 with K of full rank and saturated;
+        """U A V = D with D diagonal, invariant factors equal to sympy's,
+        |det U| = |det V| = 1; W K = 0 with K of full rank and saturated;
         W X = B.  Exact arithmetic in sympy, no twohom code."""
-        from sympy import ZZ as SZZ
-        from sympy.polys.matrices import DomainMatrix
-        from sympy.polys.matrices.normalforms import invariant_factors
-
-        def dm(rows, shape):
-            return DomainMatrix([list(r) for r in rows], shape, SZZ)
-
         d, u, v, inv, k, x = answer
         n = raw["n"]
-        a = dm(raw["a"], (n, n))
-        D, U, V = (dm(m.tolists(), m.shape) for m in (d, u, v))
+        a = _dm(raw["a"], (n, n))
+        D, U, V = (_dm(m.tolists(), m.shape) for m in (d, u, v))
         diag = [d.entry(i, i) for i in range(n)]
-        want = [int(f) for f in invariant_factors(a)]
+        want = [int(f) for f in sympy_invariants(a)]
+        rank = sum(1 for f in want if f != 0)
+        # For nonsingular A, U A V = D and |det D| = |det A| (the product of
+        # the invariant factors) already force det U * det V = +-1.
         ok = (U * a * V == D
               and all(d.entry(i, j) == 0 for i in range(n) for j in range(n) if i != j)
-              and U.det() in (1, -1) and V.det() in (1, -1)
-              and diag == want)
-        rank = sum(1 for f in want if f != 0)
+              and diag == want
+              and (rank == n or (U.det() in (1, -1) and V.det() in (1, -1))))
         ok = ok and inv == sorted(f for f in want if f not in (0, 1)) + [0] * (n - rank)
-        w = dm(raw["w"], (n, 2 * n))
-        w_rank = sum(1 for f in invariant_factors(w) if f != 0)
+        w = _dm(raw["w"], (n, 2 * n))
+        w_rank = sum(1 for f in sympy_invariants(w) if f != 0)
         if k.cols:
-            K = dm(k.tolists(), k.shape)
-            # all k.cols invariant factors 1: full column rank and saturated
-            ok = (ok and (w * K).is_zero_matrix
-                  and [int(f) for f in invariant_factors(K)] == [1] * k.cols)
+            K = _dm(k.tolists(), k.shape)
+            ok = ok and (w * K).is_zero_matrix and _saturated(K)
         ok = ok and k.cols == 2 * n - w_rank
         ok = (ok and x is not None
-              and w * dm(x.tolists(), x.shape) == dm(raw["b"], (n, SNF_RHS_COLS)))
+              and w * _dm(x.tolists(), x.shape) == _dm(raw["b"], (n, SNF_RHS_COLS)))
         bits = max_bits(d, u, v, k, *([x] if x is not None else []))
         return ok, [diag, inv, k.cols, x is not None], bits
+
+
+def _dm(rows, shape):
+    return DomainMatrix([list(r) for r in rows], shape, SZZ)
+
+
+def _saturated(K, tries: int = 8) -> bool:
+    """K (rows >= cols) has full column rank and is saturated iff the gcd of
+    its maximal minors is 1.  A few minors usually prove it; otherwise all
+    invariant factors of K must be 1 (sympy's Smith form, which is slower)."""
+    m, c = K.shape
+    rng = random.Random(m * 1000 + c)
+    g = 0
+    for t in range(tries):
+        rows = list(range(m - c, m)) if t == 0 else sorted(rng.sample(range(m), c))
+        g = gcd(g, int(K.extract(rows, list(range(c))).det()))
+        if g == 1:
+            return True
+    return [int(f) for f in sympy_invariants(K)] == [1] * c
 
 
 # ---------------------------------------------------------------------------
 # cli-small: the CLI on a generated workspace of tiny objects
 # ---------------------------------------------------------------------------
 
-CLI_EXTENSIONS = 5          # the last two are split
-CLI_COEFFS = 3              # tensor functors - (x) Z/k
-CLI_COMPLEXES = 3           # [Z --k--> Z] in degrees 1, 0
+# The workspace holds the same numbers for every seed, so every run does the
+# same work; the seed shuffles the extensions' orders (which are split, which
+# are resolved) and draws the commands.
+CLI_ORDERS = [(2, 3), (3, 4), (6, 2), (4, 6), (5, 3)]  # (m, n); the last two split
+CLI_COEFFS = [3, 4, 6]      # tensor functors - (x) Z/k
+CLI_MULS = [2, 5, 9]        # complexes [Z --k--> Z] in degrees 1, 0
 CLI_RESOLUTIONS = 2         # eagerly resolved at every load
 CLI_MIX = ["longseq1", "longseq2", "longseq3", "check-extension",
            "check-longseq", "derive", "relkernel", "relcokernel", "homology",
@@ -193,9 +213,9 @@ def cli_workspace(rng: random.Random):
     objs = {}
     orders = {}
     exts = []
-    for j in range(CLI_EXTENSIONS):
-        m, n = rng.randint(2, 6), rng.randint(2, 6)
-        split = j >= CLI_EXTENSIONS - 2
+    pairs = rng.sample(CLI_ORDERS, len(CLI_ORDERS))
+    for j, (m, n) in enumerate(pairs):
+        split = j >= len(pairs) - 2
         e = f"e{j}"
         parts = {"A": [m], "B": [m, n] if split else [m * n], "C": [n]}
         for x, o in parts.items():
@@ -208,21 +228,19 @@ def cli_workspace(rng: random.Random):
         objs[f"{e}_phi"] = {"type": "twomor", "from": f"{e}_GF", "to": "zero", "s": []}
         objs[e] = {"type": "extension", "F": f"{e}_F", "phi": f"{e}_phi", "G": f"{e}_G"}
         exts.append(e)
-    coeffs = rng.sample([2, 3, 4, 5, 6, 8, 9], CLI_COEFFS)
+    coeffs = CLI_COEFFS
     for k in coeffs:
         objs[f"N{k}"] = _module([k])
         orders[f"N{k}"] = [k]
         objs[f"T{k}"] = {"type": "functor", "kind": "tensor", "module": f"N{k}"}
     objs["Zfree"] = {"type": "twomodule", "M1": {"gens": 0, "relations": []},
                      "M0": {"gens": 1, "relations": [[]]}, "d": []}
-    muls = []
-    for j in range(CLI_COMPLEXES):
-        k = rng.randint(2, 9)
+    muls = CLI_MULS
+    for j, k in enumerate(muls):
         objs[f"mul{j}"] = _onemor("Zfree", "Zfree", [[k]])
         objs[f"K{j}"] = {"type": "complex",
                          "items": [{"module": "Zfree"},
                                    {"module": "Zfree", "diff": f"mul{j}"}]}
-        muls.append(k)
     for j in range(CLI_RESOLUTIONS):
         objs[f"R{j}"] = {"type": "resolution", "of": f"e{j}_A", "depth": 2}
     doc = {"format": 1, "ring": {"kind": "Z"}, "objects": objs}
