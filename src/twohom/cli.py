@@ -34,6 +34,7 @@ from .twomod import (
     pi0_mor,
     pi1_mor,
     pi_profile,
+    plain_kernel,
     relative_cokernel,
     relative_kernel,
 )
@@ -323,13 +324,7 @@ def _ser_object(ws: Workspace, name: str, obj):
     if isinstance(obj, TwoMor):
         return {"type": "twomor", "from": raw.get("from"),
                 "to": raw.get("to"), "s": _ser_matrix(obj.s.mat)}
-    if isinstance(obj, Complex2):
-        return dict(raw)
-    if isinstance(obj, FunctorSpec):
-        return dict(raw)
-    if isinstance(obj, Resolution):
-        return dict(raw)
-    if isinstance(obj, tuple):
+    if isinstance(obj, (Complex2, FunctorSpec, Resolution, tuple)):
         return dict(raw)
     raise ValidationFailure(f"cannot serialize {name!r}")
 
@@ -378,21 +373,11 @@ def _cmd_snf(ws: Workspace, args) -> int:
     return 0
 
 
-def _kernel_pair(ws, args):
-    f = ws.get(args.F, OneMor)
-    zero = TwoModule.zero(ws.ring)
-    g = OneMor.zero(f.dst, zero)
-    from .twomod import zero_null_homotopy
-    phi = zero_null_homotopy(compose(f, g))
-    return f, phi, g
-
-
 def _cmd_kernel(ws: Workspace, args) -> int:
-    f, phi, g = _kernel_pair(ws, args)
-    res = relative_kernel(f, phi, g)
-    _emit({"command": "kernel", "of": args.F, **_pi_report(res.K)},
-          [f"Ker({args.F}): pi0 = {format_invariants(pi_profile(res.K)[0])},"
-           f" pi1 = {format_invariants(pi_profile(res.K)[1])}"], args)
+    rep = _pi_report(plain_kernel(ws.get(args.F, OneMor)).K)
+    _emit({"command": "kernel", "of": args.F, **rep},
+          [f"Ker({args.F}): pi0 = {rep['pi0_name']}, pi1 = {rep['pi1_name']}"],
+          args)
     return 0
 
 
@@ -402,9 +387,9 @@ def _cmd_cokernel(ws: Workspace, args) -> int:
     z = OneMor.zero(zero, f.src)
     from .twomod import zero_null_homotopy
     phi = zero_null_homotopy(compose(z, f))
-    res = relative_cokernel(z, phi, f)
-    _emit({"command": "cokernel", "of": args.F, **_pi_report(res.Q)},
-          [f"Coker({args.F}): {_pi_report(res.Q)['pi0_name']}"], args)
+    rep = _pi_report(relative_cokernel(z, phi, f).Q)
+    _emit({"command": "cokernel", "of": args.F, **rep},
+          [f"Coker({args.F}): {rep['pi0_name']}"], args)
     return 0
 
 
@@ -417,27 +402,27 @@ def _rel_triple(ws, args):
 
 def _cmd_relkernel(ws: Workspace, args) -> int:
     f, phi, g = _rel_triple(ws, args)
-    res = relative_kernel(f, phi, g)
-    _emit({"command": "relkernel", **_pi_report(res.K)},
-          [f"Ker({args.F}, {args.phi}): {_pi_report(res.K)['pi0_name']}"], args)
+    rep = _pi_report(relative_kernel(f, phi, g).K)
+    _emit({"command": "relkernel", **rep},
+          [f"Ker({args.F}, {args.phi}): {rep['pi0_name']}"], args)
     return 0
 
 
 def _cmd_relcokernel(ws: Workspace, args) -> int:
     f, phi, g = _rel_triple(ws, args)
-    res = relative_cokernel(f, phi, g)
-    _emit({"command": "relcokernel", **_pi_report(res.Q)},
-          [f"Coker({args.phi}, {args.G}): {_pi_report(res.Q)['pi0_name']}"], args)
+    rep = _pi_report(relative_cokernel(f, phi, g).Q)
+    _emit({"command": "relcokernel", **rep},
+          [f"Coker({args.phi}, {args.G}): {rep['pi0_name']}"], args)
     return 0
 
 
 def _cmd_homology(ws: Workspace, args) -> int:
     c = ws.get(args.complex, Complex2)
-    h = homology(c, args.n)
+    rep = _pi_report(homology(c, args.n).module)
     _emit({"command": "homology", "complex": args.complex, "degree": args.n,
-           **_pi_report(h.module)},
-          [f"H_{args.n}: pi0 = {_pi_report(h.module)['pi0_name']}, "
-           f"pi1 = {_pi_report(h.module)['pi1_name']}"], args)
+           **rep},
+          [f"H_{args.n}: pi0 = {rep['pi0_name']}, pi1 = {rep['pi1_name']}"],
+          args)
     return 0
 
 
@@ -572,24 +557,28 @@ def _cmd_oracle(ws: Workspace, args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = selftest.run_all(args.seed)
-    ok_all = all(ok for _, ok, _ in results)
+    ok_all = all(ok for _, ok, _, _ in results)
     rep = {"command": "selftest", "seed": args.seed,
            "passed": ok_all,
            "suites": [{"name": n, "ok": ok, "detail": d}
-                      for n, ok, d in results]}
+                      for n, ok, d, _ in results]}
     sys.stdout.write(json.dumps(rep, sort_keys=True,
                                 separators=(",", ":")) + "\n")
-    for n, ok, d in results:
-        sys.stderr.write(f"{'PASS' if ok else 'FAIL'} {n}: {d}\n")
+    for n, ok, d, secs in results:
+        sys.stderr.write(f"{'PASS' if ok else 'FAIL'} {n}: {d} ({secs:.2f}s)\n")
     return 0 if ok_all else 1
 
 
 def _degrees(text: str):
+    """Parse ``a..b`` with 0 <= a <= b; argparse exits 2 otherwise."""
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
-    except ValueError as exc:
-        raise ParseFailure(f"bad degree range {text!r} (want a..b)") from exc
+        lo, hi = (int(x) for x in text.split(".."))
+        if 0 <= lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad degree range {text!r} (want a..b with 0 <= a <= b)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from .exactlin import Matrix, ZZ, block, hstack, kernel_basis, solve_many, vstack
+from .exactlin import (Matrix, ZZ, block, block_diag, hstack, kernel_basis,
+                       kron, solve_many, unvec, vec, vstack)
 from .fpmod import (
     FPModule,
     InvalidMorphism,
@@ -149,72 +148,31 @@ def solve_two_cell(frm: OneMor, to: OneMor,
     """
     ring = frm.src.ring
     X, Y = frm.src, frm.dst
-    g0, g1 = X.M0.gens, X.M1.gens
     m1 = Y.M1.gens
-    extra = extra or []
-    blocks = []
-    rhs_parts = []
-    slack_specs = []
 
     def eye(n):
         return Matrix.identity(ring, n)
 
-    def kr(a: Matrix, b: Matrix) -> Matrix:
-        from .exactlin import kron
-        return kron(a, b)
-
-    # (1) degree-0:  d_Y * s[:, j] + rel0 * z = (to.f0 - frm.f0)[:, j]
-    blocks.append(kr(eye(g0), Y.d.mat))
-    rhs_parts.append(_vec(to.f0.mat - frm.f0.mat))
-    slack_specs.append((g0, Y.M0.rel))
-    # (2) degree-1:  s * d_X = to.f1 - frm.f1  (mod rel1)
-    blocks.append(kr(X.d.mat.transpose(), eye(m1)))
-    rhs_parts.append(_vec(to.f1.mat - frm.f1.mat))
-    slack_specs.append((g1, Y.M1.rel))
-    # (3) side conditions s * g = r (mod rel1)
-    for g, r in extra:
-        blocks.append(kr(g.mat.transpose(), eye(m1)))
-        rhs_parts.append(_vec(r.mat))
-        slack_specs.append((g.src.gens, Y.M1.rel))
-
-    # place each slack block on its own column strip
-    n_unknowns = m1 * g0
-    col_offsets = []
-    off = n_unknowns
-    for cnt, rel in slack_specs:
-        col_offsets.append(off)
-        off += cnt * rel.cols
-    total_cols = off
-    rows_total = sum(b.rows for b in blocks)
-    arr = np.zeros((rows_total, total_cols), dtype=object)
-    r_at = 0
-    for bi, b in enumerate(blocks):
-        arr[r_at:r_at + b.rows, :n_unknowns] = b.arr
-        cnt, rel = slack_specs[bi]
-        if rel.cols and cnt:
-            slab = kr(eye(cnt), rel)
-            arr[r_at:r_at + b.rows, col_offsets[bi]:col_offsets[bi] + slab.cols] = slab.arr
-        r_at += b.rows
-    big = Matrix(ring, rows_total, total_cols, arr)
-    rhs = vstack(rhs_parts) if rhs_parts else Matrix.zeros(ring, 0, 1)
-    sol = solve_many(big, rhs)
+    # one row band per equation: (coefficients of vec(s), rhs, slack
+    # count, relations the slack ranges over)
+    bands = [
+        # degree 0:  d_Y * s = to.f0 - frm.f0  (mod rel0)
+        (kron(eye(X.M0.gens), Y.d.mat), to.f0.mat - frm.f0.mat,
+         X.M0.gens, Y.M0.rel),
+        # degree 1:  s * d_X = to.f1 - frm.f1  (mod rel1)
+        (kron(X.d.mat.transpose(), eye(m1)), to.f1.mat - frm.f1.mat,
+         X.M1.gens, Y.M1.rel),
+    ]
+    # side conditions s * g = r (mod rel1)
+    bands += [(kron(g.mat.transpose(), eye(m1)), r.mat, g.src.gens, Y.M1.rel)
+              for g, r in extra or []]
+    big = hstack([vstack([eq for eq, _, _, _ in bands]),
+                  block_diag([kron(eye(cnt), rel) for _, _, cnt, rel in bands])])
+    sol = solve_many(big, vstack([vec(rhs) for _, rhs, _, _ in bands]))
     if sol is None:
         return None
-    s_arr = np.zeros((m1, g0), dtype=object)
-    for j in range(g0):
-        for i in range(m1):
-            s_arr[i, j] = sol.entry(j * m1 + i, 0)
-    s = ModMor(X.M0, Y.M1, Matrix(ring, m1, g0, s_arr), check=False)
+    s = ModMor(X.M0, Y.M1, unvec(sol, m1, X.M0.gens), check=False)
     return TwoMor(frm, to, s)
-
-
-def _vec(m: Matrix) -> Matrix:
-    """Column-major vectorization as a single column."""
-    arr = np.zeros((m.rows * m.cols, 1), dtype=object)
-    for j in range(m.cols):
-        for i in range(m.rows):
-            arr[j * m.rows + i, 0] = m.entry(i, j)
-    return Matrix(m.ring, m.rows * m.cols, 1, arr)
 
 
 def find_null_homotopy(w: OneMor) -> Optional[TwoMor]:
@@ -386,31 +344,22 @@ class LongSeq:
     entries: List[LongSeqEntry]
     maps: List[Tuple[str, OneMor]]       # maps[k]: entries[k] -> entries[k+1]
     cells: List[TwoMor]                  # cells[k]: maps[k+1]∘maps[k] => 0
-    endpoint_report: Dict[str, bool]
+
+
+def _corner(m: Matrix, rows: int, cols: int) -> Matrix:
+    """The top-right rows x cols block of m."""
+    if not (rows and cols):
+        return Matrix.zeros(m.ring, rows, cols)
+    return Matrix(m.ring, rows, cols, m.arr[:rows, m.cols - cols:])
 
 
 def _blocks_of_k(tk: Complex2, tp: Complex2, tq: Complex2, n: int
                  ) -> Tuple[Matrix, Matrix, Matrix]:
     """(h_n.f0, h_n.f1, t_n) off-diagonal blocks of the split complex."""
-    ring = tk.ring
-    gp0 = tp.module(n - 1).M0.gens
-    gq0 = tq.module(n).M0.gens
-    m = tk.diff(n).f0.mat
-    h_f0 = Matrix(ring, gp0, gq0,
-                  m.arr[:gp0, m.cols - gq0:] if gp0 and gq0 else
-                  np.zeros((gp0, gq0), dtype=object))
-    gp1 = tp.module(n - 1).M1.gens
-    gq1 = tq.module(n).M1.gens
-    m1 = tk.diff(n).f1.mat
-    h_f1 = Matrix(ring, gp1, gq1,
-                  m1.arr[:gp1, m1.cols - gq1:] if gp1 and gq1 else
-                  np.zeros((gp1, gq1), dtype=object))
-    gpm1 = tp.module(n - 2).M1.gens
-    a = tk.alpha_s(n).mat
-    t_n = Matrix(ring, gpm1, gq0,
-                 a.arr[:gpm1, a.cols - gq0:] if gpm1 and gq0 else
-                 np.zeros((gpm1, gq0), dtype=object))
-    return h_f0, h_f1, t_n
+    p, q = tp.module(n - 1), tq.module(n)
+    return (_corner(tk.diff(n).f0.mat, p.M0.gens, q.M0.gens),
+            _corner(tk.diff(n).f1.mat, p.M1.gens, q.M1.gens),
+            _corner(tk.alpha_s(n).mat, tp.module(n - 2).M1.gens, q.M0.gens))
 
 
 def _connecting(tk: Complex2, tp: Complex2, tq: Complex2, i: int) -> OneMor:
@@ -438,6 +387,18 @@ def _connecting(tk: Complex2, tp: Complex2, tq: Complex2, i: int) -> OneMor:
     ])
     f1 = ModMor(hq.module.M1, hp.module.M1, blk1)
     return OneMor(hq.module, hp.module, f1, f0)
+
+
+def _null_cell(comp: OneMor, s: ModMor, what: str) -> TwoMor:
+    """The null homotopy of comp carried by s when s is one, else one found
+    by solving."""
+    try:
+        return null_homotopy(comp, s)
+    except InvalidMorphism:
+        found = find_null_homotopy(comp)
+        if found is None:
+            raise ResolutionError(f"no null homotopy for {what}")
+        return found
 
 
 def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
@@ -484,24 +445,12 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         gk0 = tk.module(i).M0.gens
         gp1 = tp.module(i - 1).M1.gens
         gk1 = tk.module(i - 1).M1.gens
-        blk = block([
-            [hstack([Matrix.identity(ring, gp0),
-                     Matrix.zeros(ring, gp0, gk0 - gp0)]),
-             Matrix.zeros(ring, gp0, gk1)],
-            [Matrix.zeros(ring, gp1, gk0),
-             hstack([Matrix.identity(ring, gp1),
-                     Matrix.zeros(ring, gp1, gk1 - gp1)])],
-        ])
+        # onto the P-coordinates of both parts of the ambient pair
+        blk = block_diag([_corner(Matrix.identity(ring, gk0), gp0, gk0),
+                          _corner(Matrix.identity(ring, gk1), gp1, gk1)])
         s = mcompose(hk.kernel.incl,
                      ModMor(hk.kernel.incl.dst, hp.module.M1, blk, check=False))
-        comp = compose(v[i], delta[i])
-        try:
-            return null_homotopy(comp, s)
-        except InvalidMorphism:
-            found = find_null_homotopy(comp)
-            if found is None:
-                raise ResolutionError(f"no null homotopy for delta∘v at {i}")
-            return found
+        return _null_cell(compose(v[i], delta[i]), s, f"delta∘v at {i}")
 
     def ud_cell(i: int) -> TwoMor:
         hq = tq.homology(i)
@@ -510,24 +459,12 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         gk0 = tk.module(i).M0.gens
         gq1 = tq.module(i - 1).M1.gens
         gk1 = tk.module(i - 1).M1.gens
-        blk = block([
-            [vstack([Matrix.zeros(ring, gk0 - gq0, gq0),
-                     -Matrix.identity(ring, gq0)]),
-             Matrix.zeros(ring, gk0, gq1)],
-            [Matrix.zeros(ring, gk1, gq0),
-             vstack([Matrix.zeros(ring, gk1 - gq1, gq1),
-                     -Matrix.identity(ring, gq1)])],
-        ])
+        # minus the inclusion of the Q-coordinates
+        blk = -block_diag([_corner(Matrix.identity(ring, gk0), gk0, gq0),
+                           _corner(Matrix.identity(ring, gk1), gk1, gq1)])
         s = mcompose(hq.kernel.incl,
                      ModMor(hq.kernel.incl.dst, hk.module.M1, blk, check=False))
-        comp = compose(delta[i], u[i - 1])
-        try:
-            return null_homotopy(comp, s)
-        except InvalidMorphism:
-            found = find_null_homotopy(comp)
-            if found is None:
-                raise ResolutionError(f"no null homotopy for u∘delta at {i}")
-            return found
+        return _null_cell(compose(delta[i], u[i - 1]), s, f"u∘delta at {i}")
 
     for i in range(depth, -1, -1):
         entries.append(LongSeqEntry("A", i, tp.homology(i)))
@@ -541,11 +478,7 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
             cells.append(dv_cell(i))
             cells.append(ud_cell(i))
 
-    endpoint = {
-        "left_truncated_at": True,
-        "right_end_asserted": False,
-    }
-    return LongSeq(t, depth, entries, maps, cells, endpoint)
+    return LongSeq(t, depth, entries, maps, cells)
 
 
 def check_long_sequence(seq: LongSeq, detail: Optional[list] = None) -> bool:

@@ -273,6 +273,18 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
     return vstack([hstack(row) for row in rows_of_blocks])
 
 
+def vec(m: Matrix) -> Matrix:
+    """Column-major vectorization as a single column."""
+    return Matrix(m.ring, m.rows * m.cols, 1, m.arr.T.reshape(-1, 1))
+
+
+def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
+    """Inverse of ``vec``: the first rows*cols entries of column v, read
+    column-major into a rows x cols matrix."""
+    return Matrix(v.ring, rows, cols,
+                  v.arr[:rows * cols, 0].reshape((cols, rows)).T)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.ring != b.ring:
         raise DimensionMismatch("ring mismatch in kron")
@@ -331,27 +343,10 @@ def _row_op_2x2(A, U, i, j, s, t, u, v, mod=None):
             M[j, :] %= mod
 
 
-def _col_op_2x2(A, V, i, j, s, t, u, v, mod=None):
-    for M in (A, V):
-        ci = M[:, i].copy()
-        cj = M[:, j].copy()
-        M[:, i] = s * ci + t * cj
-        M[:, j] = u * ci + v * cj
-        if mod is not None:
-            M[:, i] %= mod
-            M[:, j] %= mod
-
-
 def _swap_rows(A, U, i, j):
     if i != j:
         A[[i, j], :] = A[[j, i], :]
         U[[i, j], :] = U[[j, i], :]
-
-
-def _swap_cols(A, V, i, j):
-    if i != j:
-        A[:, [i, j]] = A[:, [j, i]]
-        V[:, [i, j]] = V[:, [j, i]]
 
 
 def _measure(x: int, n: Optional[int]) -> int:
@@ -428,6 +423,26 @@ def hnf(A: Matrix):
     return res
 
 
+def _clear_below(D, U, t, n):
+    """Clear column t below the pivot D[t, t] by row operations, applied
+    to U as well.  On the transposed views D.T, V.T this clears row t by
+    column operations."""
+    for i in range(t + 1, D.shape[0]):
+        if D[i, t] == 0:
+            continue
+        a, b = D[t, t], D[i, t]
+        if b % a == 0:
+            q = b // a
+            D[i, :] -= q * D[t, :]
+            U[i, :] -= q * U[t, :]
+            if n is not None:
+                D[i, :] %= n
+                U[i, :] %= n
+        else:
+            g, s, tt = _xgcd(a, b)
+            _row_op_2x2(D, U, t, i, s, tt, -(b // g), a // g, mod=n)
+
+
 def snf(A: Matrix):
     """Smith normal form.  Returns (D, U, V) with D = U @ A @ V."""
     if A._snf is not None:
@@ -454,38 +469,10 @@ def snf(A: Matrix):
         if pivot is None:
             break
         _swap_rows(D, U, t, pivot[0])
-        _swap_cols(D, V, t, pivot[1])
+        _swap_rows(D.T, V.T, t, pivot[1])
         while True:
-            # clear column t
-            for i in range(t + 1, rows):
-                if D[i, t] == 0:
-                    continue
-                a, b = D[t, t], D[i, t]
-                if b % a == 0:
-                    q = b // a
-                    D[i, :] -= q * D[t, :]
-                    U[i, :] -= q * U[t, :]
-                    if n is not None:
-                        D[i, :] %= n
-                        U[i, :] %= n
-                else:
-                    g, s, tt = _xgcd(a, b)
-                    _row_op_2x2(D, U, t, i, s, tt, -(b // g), a // g, mod=n)
-            # clear row t
-            for j in range(t + 1, cols):
-                if D[t, j] == 0:
-                    continue
-                a, b = D[t, t], D[t, j]
-                if b % a == 0:
-                    q = b // a
-                    D[:, j] -= q * D[:, t]
-                    V[:, j] -= q * V[:, t]
-                    if n is not None:
-                        D[:, j] %= n
-                        V[:, j] %= n
-                else:
-                    g, s, tt = _xgcd(a, b)
-                    _col_op_2x2(D, V, t, j, s, tt, -(b // g), a // g, mod=n)
+            _clear_below(D, U, t, n)
+            _clear_below(D.T, V.T, t, n)  # row t, by column operations
             if all(D[i, t] == 0 for i in range(t + 1, rows)):
                 break
         # fold in any entry the pivot does not divide, then redo
@@ -583,12 +570,17 @@ def _solve_z_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
     return X
 
 
-def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
-    """Exact solve of A X = B over the ring; None when no solution exists.
+def zmod_lift(A: Matrix) -> Matrix:
+    """The Z-matrix [A | n*I] for A over Z/n: its column span over Z,
+    reduced mod n, is the column span of A.  Every Z/n solve, kernel and
+    invariant-factor computation runs on this lift, per the one-engine
+    design."""
+    return hstack([Matrix(ZZ, A.rows, A.cols, A.arr),
+                   Matrix.identity(ZZ, A.rows).scale(A.ring.n)])
 
-    Over Z/n this is Z-solving of the system augmented with n*I, per the
-    one-engine design.
-    """
+
+def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
+    """Exact solve of A X = B over the ring; None when no solution exists."""
     if A.rows != B.rows:
         raise DimensionMismatch("solve: row mismatch")
     if A.ring != B.ring:
@@ -597,11 +589,7 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
         return Matrix.zeros(A.ring, A.cols, 0)
     if not A.ring.is_modular:
         return _solve_z_many(A, B)
-    n = A.ring.n
-    A_lift = Matrix(ZZ, A.rows, A.cols, A.arr)
-    aug = hstack([A_lift, Matrix.identity(ZZ, A.rows).scale(n)])
-    B_lift = Matrix(ZZ, B.rows, B.cols, B.arr)
-    X = _solve_z_many(aug, B_lift)
+    X = _solve_z_many(zmod_lift(A), Matrix(ZZ, B.rows, B.cols, B.arr))
     if X is None:
         return None
     return Matrix(A.ring, A.cols, B.cols, X.arr[:A.cols, :])
@@ -631,9 +619,7 @@ def kernel_basis(A: Matrix) -> Matrix:
     if not A.ring.is_modular:
         return _kernel_z(A)
     n = A.ring.n
-    A_lift = Matrix(ZZ, A.rows, A.cols, A.arr)
-    aug = hstack([A_lift, Matrix.identity(ZZ, A.rows).scale(n)])
-    K = _kernel_z(aug)
+    K = _kernel_z(zmod_lift(A))
     cols = []
     seen = set()
     for j in range(K.cols):

@@ -22,7 +22,9 @@ from .exactlin import (
     kron,
     snf,
     solve_many,
+    unvec,
     vstack,
+    zmod_lift,
 )
 
 
@@ -265,13 +267,7 @@ def invariant_factors(m: FPModule) -> List[int]:
     list consists of the divisors > 1 of n appearing in the Z-level SNF
     of [rel | n*I] (a "free" Z/n rank shows up as the factor n).
     """
-    ring = m.ring
-    if ring.is_modular:
-        lifted = Matrix(RingSpec.Z(), m.gens, m.rel.cols, m.rel.arr)
-        work = hstack([lifted, Matrix.identity(RingSpec.Z(), m.gens).scale(ring.n)])
-    else:
-        work = m.rel
-    D, _, _ = snf(work)
+    D, _, _ = snf(zmod_lift(m.rel) if m.ring.is_modular else m.rel)
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
     factors = sorted((d for d in diag if d not in (0, 1)),
                      key=lambda d: (d,))
@@ -325,24 +321,10 @@ def hom_basis(src: FPModule, dst: FPModule) -> List[Matrix]:
     if n_t == 0:
         return []
     if src.rel.cols == 0:
-        out = []
-        for k in range(n_t):
-            arr = [0] * n_t
-            arr[k] = 1
-            out.append(_unvec(ring, arr, dst.gens, src.gens))
-        return out
-    lhs = hstack([kron(src.rel.transpose(), Matrix.identity(ring, dst.gens)),
-                  kron(Matrix.identity(ring, src.rel.cols), dst.rel)])
-    basis = kernel_basis(lhs)
-    out = []
-    for j in range(basis.cols):
-        flat = [basis.entry(k, j) for k in range(n_t)]
-        if any(flat):
-            out.append(_unvec(ring, flat, dst.gens, src.gens))
-    return out
-
-
-def _unvec(ring: RingSpec, flat, rows: int, cols: int) -> Matrix:
-    """Column-major entries -> Matrix."""
-    row_major = [flat[j * rows + i] for i in range(rows) for j in range(cols)]
-    return Matrix(ring, rows, cols, row_major)
+        basis = Matrix.identity(ring, n_t)
+    else:
+        basis = kernel_basis(hstack([
+            kron(src.rel.transpose(), Matrix.identity(ring, dst.gens)),
+            kron(Matrix.identity(ring, src.rel.cols), dst.rel)]))
+    mats = (unvec(basis.col(j), dst.gens, src.gens) for j in range(basis.cols))
+    return [t for t in mats if not t.is_zero()]

@@ -34,6 +34,8 @@ from .twomod import (
     is_extension,
     is_pi_trivial,
     null_homotopy,
+    oplus,
+    plain_kernel,
     relative_kernel,
     rk_factorize,
     whisker_right,
@@ -139,9 +141,40 @@ class Resolution:
         return Complex2(self.target.ring, mods, diffs, alphas)
 
 
-def _stage_kernel(prev_map: OneMor, prev_cell: TwoMor, below: OneMor
-                  ) -> RelKernelResult:
-    return relative_kernel(prev_map, prev_cell, below)
+def _kernel_at(res: Resolution, n: int, cell: TwoMor) -> RelKernelResult:
+    """Stage n: the kernel of F_n relative to cell: F_{n-1}∘F_n => 0."""
+    return relative_kernel(res.f(n), cell, res.f(n - 1) if n >= 2 else res.aug)
+
+
+def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
+    """The stage loop: stage n covers the relative kernel of F_{n-1}.
+
+    Once a stage kernel is pi-trivial the resolution has terminated and
+    every further stage is zero; ``zero`` asks for zero stages from the
+    start (padding), which leaves ``terminated`` as it was.
+    """
+    ring = res.target.ring
+    out = Resolution(res.target, list(res.modules), list(res.diffs), res.aug,
+                     res.aug_cell_s, list(res.kernels), list(res.witnesses),
+                     res.terminated)
+    zero = zero or res.terminated
+    for n in range(res.depth + 1, depth + 1):
+        prev_k = out.kernels[n - 1]
+        if zero:
+            pn = TwoModule.zero(ring)
+            cover = OneMor.zero(pn, prev_k.K)
+        else:
+            pn, cover = free_cover(prev_k.K)
+        out.modules.append(pn)
+        out.diffs.append(compose(cover, prev_k.e))
+        out.witnesses.append(cover)
+        cell = whisker_right(prev_k.eps, cover)  # F_{n-1}∘F_n => 0
+        if n == 1:
+            out.aug_cell_s = cell.s
+        out.kernels.append(_kernel_at(out, n, cell))
+        if not zero and is_pi_trivial(out.kernels[-1].K):
+            zero = out.terminated = True
+    return out
 
 
 def resolve(m: TwoModule, depth: int) -> Resolution:
@@ -153,43 +186,11 @@ def resolve(m: TwoModule, depth: int) -> Resolution:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    ring = m.ring
     p0, aug = free_cover(m)
-    modules = [p0]
-    diffs: List[OneMor] = []
-    zero_after = OneMor.zero(m, TwoModule.zero(ring))
-    k0 = relative_kernel(aug, zero_null_homotopy(compose(aug, zero_after)),
-                         zero_after)
-    kernels = [k0]
-    witnesses: List[OneMor] = []
-    aug_cell_s = ModMor.zero(FPModule.zero(ring), m.M1)
-    terminated = False
-    for n in range(1, depth + 1):
-        prev_k = kernels[n - 1]
-        if is_pi_trivial(prev_k.K):
-            terminated = True
-        if terminated:
-            pn = TwoModule.zero(ring)
-            cover = OneMor.zero(pn, prev_k.K)
-        else:
-            pn, cover = free_cover(prev_k.K)
-        fn = compose(cover, prev_k.e)
-        modules.append(pn)
-        diffs.append(fn)
-        witnesses.append(cover)
-        cell = whisker_right(prev_k.eps, cover)  # F_{n-1}∘F_n => 0
-        if n == 1:
-            aug_cell_s = cell.s
-        below = diffs[n - 2] if n >= 2 else aug
-        kernels.append(relative_kernel(fn, cell, below))
-    if depth >= 1 and not modules[1].is_free():
-        raise AssertionError("covers are free by construction")
-    if not terminated and kernels and is_pi_trivial(kernels[-1].K):
-        terminated = True
-    if depth == 0:
-        aug_cell_s = ModMor.zero(FPModule.zero(ring), m.M1)
-    return Resolution(m, modules, diffs, aug, aug_cell_s, kernels, witnesses,
-                      terminated)
+    k0 = plain_kernel(aug)
+    base = Resolution(m, [p0], [], aug, ModMor.zero(FPModule.zero(m.ring), m.M1),
+                      [k0], [], is_pi_trivial(k0.K))
+    return _extend(base, depth)
 
 
 def assemble_resolution(target: TwoModule, modules: List[TwoModule],
@@ -200,20 +201,14 @@ def assemble_resolution(target: TwoModule, modules: List[TwoModule],
     The witness at stage n is the canonical factorization of F_{n+1}
     through the stage-n relative kernel.
     """
-    ring = target.ring
-    res = Resolution(target, modules, diffs, aug, aug_cell_s, [], [], False)
-    zero_after = OneMor.zero(target, TwoModule.zero(ring))
-    kernels = [relative_kernel(aug, zero_null_homotopy(compose(aug, zero_after)),
-                               zero_after)]
-    witnesses = []
+    res = Resolution(target, modules, diffs, aug, aug_cell_s,
+                     [plain_kernel(aug)], [], False)
     for n in range(1, res.depth + 1):
-        w, _ = rk_factorize(kernels[n - 1], res.f(n), res.cell(n))
-        witnesses.append(w)
-        below = res.f(n - 1) if n >= 2 else aug
-        kernels.append(relative_kernel(res.f(n), res.cell(n), below))
-    res.kernels = kernels
-    res.witnesses = witnesses
-    res.terminated = is_pi_trivial(kernels[-1].K)
+        cell = res.cell(n)
+        w, _ = rk_factorize(res.kernels[n - 1], res.f(n), cell)
+        res.witnesses.append(w)
+        res.kernels.append(_kernel_at(res, n, cell))
+    res.terminated = is_pi_trivial(res.kernels[-1].K)
     return res
 
 
@@ -221,24 +216,7 @@ def pad_resolution(res: Resolution, depth: int) -> Resolution:
     """Extend with zero stages up to the requested depth."""
     if depth <= res.depth:
         return res
-    ring = res.target.ring
-    modules = list(res.modules)
-    diffs = list(res.diffs)
-    kernels = list(res.kernels)
-    witnesses = list(res.witnesses)
-    for n in range(res.depth + 1, depth + 1):
-        prev_k = kernels[n - 1]
-        pn = TwoModule.zero(ring)
-        cover = OneMor.zero(pn, prev_k.K)
-        fn = compose(cover, prev_k.e)
-        modules.append(pn)
-        diffs.append(fn)
-        witnesses.append(cover)
-        below = diffs[n - 2] if n >= 2 else res.aug
-        kernels.append(relative_kernel(fn, whisker_right(prev_k.eps, cover),
-                                       below))
-    return Resolution(res.target, modules, diffs, res.aug, res.aug_cell_s,
-                      kernels, witnesses, res.terminated)
+    return _extend(res, depth, zero=True)
 
 
 def validate_resolution(res: Resolution) -> Tuple[bool, str]:
@@ -430,41 +408,15 @@ def product_resolution(res_a: Resolution, res_b: Resolution
     depth = max(res_a.depth, res_b.depth)
     res_a = pad_resolution(res_a, depth)
     res_b = pad_resolution(res_b, depth)
-    ring = res_a.target.ring
     target_bp = biproduct(res_a.target, res_b.target)
-    stage_bp = [biproduct(res_a.module(n), res_b.module(n))
-                for n in range(depth + 1)]
-    modules = [bp.total for bp in stage_bp]
-    diffs = []
-    for n in range(1, depth + 1):
-        fa, fb = res_a.f(n), res_b.f(n)
-        d = OneMor(modules[n], modules[n - 1],
-                   ModMor(modules[n].M1, modules[n - 1].M1,
-                          block([[fa.f1.mat, Matrix.zeros(ring, fa.dst.M1.gens, fb.src.M1.gens)],
-                                 [Matrix.zeros(ring, fb.dst.M1.gens, fa.src.M1.gens), fb.f1.mat]]),
-                          check=False),
-                   ModMor(modules[n].M0, modules[n - 1].M0,
-                          block([[fa.f0.mat, Matrix.zeros(ring, fa.dst.M0.gens, fb.src.M0.gens)],
-                                 [Matrix.zeros(ring, fb.dst.M0.gens, fa.src.M0.gens), fb.f0.mat]]),
-                          check=False), check=False)
-        diffs.append(d)
-    aug = OneMor(modules[0], target_bp.total,
-                 ModMor(modules[0].M1, target_bp.total.M1,
-                        block([[res_a.aug.f1.mat, Matrix.zeros(ring, res_a.target.M1.gens, res_b.module(0).M1.gens)],
-                               [Matrix.zeros(ring, res_b.target.M1.gens, res_a.module(0).M1.gens), res_b.aug.f1.mat]]),
-                        check=False),
-                 ModMor(modules[0].M0, target_bp.total.M0,
-                        block([[res_a.aug.f0.mat, Matrix.zeros(ring, res_a.target.M0.gens, res_b.module(0).M0.gens)],
-                               [Matrix.zeros(ring, res_b.target.M0.gens, res_a.module(0).M0.gens), res_b.aug.f0.mat]]),
-                        check=False), check=False)
-    if depth >= 1:
-        cell = block([[res_a.aug_cell_s.mat,
-                       Matrix.zeros(ring, res_a.target.M1.gens, res_b.module(1).M0.gens)],
-                      [Matrix.zeros(ring, res_b.target.M1.gens, res_a.module(1).M0.gens),
-                       res_b.aug_cell_s.mat]])
-        cell_mor = ModMor(modules[1].M0, target_bp.total.M1, cell, check=False)
-    else:
-        cell_mor = ModMor.zero(FPModule.zero(ring), target_bp.total.M1)
+    modules = [biproduct(res_a.module(n), res_b.module(n)).total
+               for n in range(depth + 1)]
+    diffs = [oplus(res_a.f(n), res_b.f(n), modules[n], modules[n - 1])
+             for n in range(1, depth + 1)]
+    aug = oplus(res_a.aug, res_b.aug, modules[0], target_bp.total)
+    cell_src = modules[1].M0 if depth >= 1 else FPModule.zero(res_a.target.ring)
+    cell_mor = oplus(res_a.aug_cell_s, res_b.aug_cell_s, cell_src,
+                     target_bp.total.M1)
     res = assemble_resolution(target_bp.total, modules, diffs, aug, cell_mor)
     return res, target_bp
 

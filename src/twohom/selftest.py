@@ -27,9 +27,8 @@ from .twomod import (
     relative_cokernel,
     relative_kernel,
     rc_factorize,
-    rc_unique_cell,
     rk_factorize,
-    rk_unique_cell,
+    unique_cell,
 )
 from .complex2 import (
     Complex2,
@@ -90,8 +89,11 @@ def suite_normal_forms(seed: int = 0, cases: int = 200) -> Result:
         h, uh = hnf(a)
         if uh @ a != h or abs(det(uh)) != 1:
             return ("normal-forms", False, "HNF identity broken")
-    dt = time.time() - t0
-    return ("normal-forms", dt < 5.0, f"{cases} cases in {dt:.2f}s")
+    # no elapsed time in the detail, so the report stays byte-stable;
+    # run_all times every suite and the CLI prints that on stderr
+    if time.time() - t0 >= 5.0:
+        return ("normal-forms", False, f"{cases} cases, over 5s")
+    return ("normal-forms", True, f"{cases} cases")
 
 
 def _random_hom(rng: random.Random, src: FPModule, dst: FPModule) -> ModMor:
@@ -148,7 +150,7 @@ def suite_universal_properties(seed: int = 0, cases: int = 100) -> Result:
                     fac1[0].f1 + mcompose(res.module(2).d, t),
                     fac1[0].f0 + mcompose(t, rk.K.d))
         psi2 = TwoMor(compose(e2, rk.e), e_mor, fac1[1].s - t)
-        unique = rk_unique_cell(rk, fac1, (e2, psi2))
+        unique = unique_cell(fac1, (e2, psi2))
         if not equal_mor(unique.s, t):
             return ("universal-properties", False, "rk uniqueness cell wrong")
         # relative-cokernel diagram on the same stages
@@ -172,7 +174,7 @@ def suite_universal_properties(seed: int = 0, cases: int = 100) -> Result:
                      fac_c1[0].f1 + mcompose(rc.Q.d, tq),
                      fac_c1[0].f0 + mcompose(tq, rc.p.dst.d))
         psi2c = TwoMor(compose(rc.p, e2c), rc.p, fac_c1[1].s - tq)
-        unique_c = rc_unique_cell(rc, fac_c1, (e2c, psi2c))
+        unique_c = unique_cell(fac_c1, (e2c, psi2c))
         if not equal_mor(unique_c.s, tq):
             return ("universal-properties", False, "rc uniqueness cell wrong")
         done += 1
@@ -357,12 +359,14 @@ SUITES: List[Tuple[str, Callable[..., Result]]] = [
 ]
 
 
-def run_all(seed: int = 0) -> List[Result]:
+def run_all(seed: int = 0) -> List[Tuple[str, bool, str, float]]:
+    """(label, passed, detail, seconds) for every suite."""
     out = []
     for label, fn in SUITES:
+        t0 = time.time()
         try:
             _, ok, detail = fn(seed=seed)
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"exception: {exc!r}"
-        out.append((label, ok, detail))
+        out.append((label, ok, detail, time.time() - t0))
     return out

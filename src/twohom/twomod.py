@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .exactlin import DimensionMismatch, Matrix, RingSpec, block, hstack, vstack
+from .exactlin import (DimensionMismatch, Matrix, RingSpec, block, block_diag,
+                       hstack, vstack)
 from .fpmod import (
     FPModule,
     InvalidMorphism,
@@ -301,16 +302,23 @@ class BiproductResult:
     proj2: OneMor
 
 
+def oplus(f: ModMor | OneMor, g: ModMor | OneMor, src, dst) -> ModMor | OneMor:
+    """The direct sum f (+) g: src -> dst of two module maps or two
+    1-morphisms, where src and dst are the direct sums of their sources
+    and of their targets: block diagonal in every component."""
+    if isinstance(f, OneMor):
+        return OneMor(src, dst, oplus(f.f1, g.f1, src.M1, dst.M1),
+                      oplus(f.f0, g.f0, src.M0, dst.M0), check=False)
+    return ModMor(src, dst, block_diag([f.mat, g.mat]), check=False)
+
+
 def biproduct(a: TwoModule, b: TwoModule) -> BiproductResult:
     """Degreewise direct sum with the canonical injections/projections."""
     if a.ring != b.ring:
         raise DimensionMismatch("biproduct over different rings")
     s1, i1a, i1b, p1a, p1b = direct_sum(a.M1, b.M1)
     s0, i0a, i0b, p0a, p0b = direct_sum(a.M0, b.M0)
-    d = ModMor(s1, s0, block([[a.d.mat, Matrix.zeros(a.ring, a.M0.gens, b.M1.gens)],
-                              [Matrix.zeros(a.ring, b.M0.gens, a.M1.gens), b.d.mat]]),
-               check=False)
-    total = TwoModule(s1, s0, d, check=False)
+    total = TwoModule(s1, s0, oplus(a.d, b.d, s1, s0), check=False)
     return BiproductResult(
         total,
         OneMor(a, total, i1a, i0a, check=False),
@@ -374,6 +382,13 @@ def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor) -> RelKernelResult:
     return RelKernelResult(K, e, eps, incl, to_a, to_b, F, phi, G)
 
 
+def plain_kernel(G: OneMor) -> RelKernelResult:
+    """The kernel of G: its relative kernel against the zero map out of
+    G.dst, along the zero cell."""
+    H = OneMor.zero(G.dst, TwoModule.zero(G.dst.ring))
+    return relative_kernel(G, zero_null_homotopy(compose(G, H)), H)
+
+
 def rk_compatible(res: RelKernelResult, E: OneMor, psi: TwoMor) -> bool:
     """Is psi: F∘E => 0 compatible with the defining cell phi?"""
     lhs = whisker_left(res.G, psi).s          # G.f1 ∘ psi.s
@@ -403,10 +418,10 @@ def rk_factorize(res: RelKernelResult, E: OneMor, psi: TwoMor
     return eprime, psiprime
 
 
-def rk_unique_cell(res: RelKernelResult,
-                   fac1: Tuple[OneMor, TwoMor],
-                   fac2: Tuple[OneMor, TwoMor]) -> TwoMor:
-    """The unique 2-morphism between two factorizations of the same (E, psi)."""
+def unique_cell(fac1: Tuple[OneMor, TwoMor],
+                fac2: Tuple[OneMor, TwoMor]) -> TwoMor:
+    """The unique 2-morphism between two factorizations of the same
+    (E, psi) through a relative kernel or a relative cokernel."""
     (e1, psi1), (e2, psi2) = fac1, fac2
     return TwoMor(e1, e2, psi1.s - psi2.s)
 
@@ -486,13 +501,6 @@ def rc_factorize(res: RelCokernelResult, E: OneMor, psi: TwoMor
     return eprime, psiprime
 
 
-def rc_unique_cell(res: RelCokernelResult,
-                   fac1: Tuple[OneMor, TwoMor],
-                   fac2: Tuple[OneMor, TwoMor]) -> TwoMor:
-    (e1, psi1), (e2, psi2) = fac1, fac2
-    return TwoMor(e1, e2, psi1.s - psi2.s)
-
-
 # ---------------------------------------------------------------------------
 # exactness
 # ---------------------------------------------------------------------------
@@ -507,12 +515,10 @@ def comparison_into_kernel(F: OneMor, phi: TwoMor, G: OneMor,
     the canonical cell).
     """
     if H is None:
-        zero = TwoModule.zero(G.dst.ring)
-        H = OneMor.zero(G.dst, zero)
-        psi_next = zero_null_homotopy(compose(G, H))
-    elif psi_next is None:
-        psi_next = zero_null_homotopy(compose(G, H))
-    res = relative_kernel(G, psi_next, H)
+        res = plain_kernel(G)
+    else:
+        res = relative_kernel(G, psi_next or zero_null_homotopy(compose(G, H)),
+                              H)
     cmp_mor, _ = rk_factorize(res, F, phi)
     return cmp_mor, res
 

@@ -141,11 +141,14 @@ def test_criterion_9_exactness_implies_vanishing():
 
 
 def test_criterion_10_cli_selftest_and_determinism():
-    proc = subprocess.run([sys.executable, "-m", "twohom.cli", "selftest",
-                           "--seed", "0"], capture_output=True, text=True)
+    selftests = [subprocess.run([sys.executable, "-m", "twohom.cli", "selftest",
+                                 "--seed", "0"], capture_output=True)
+                 for _ in range(2)]
+    proc = selftests[0]
     ok = proc.returncode == 0
     rep = json.loads(proc.stdout) if proc.stdout else {}
     ok = ok and rep.get("passed") is True
+    ok = ok and selftests[0].stdout == selftests[1].stdout
 
     def run(args):
         return subprocess.run([sys.executable, "-m", "twohom.cli", *args],
@@ -158,4 +161,5 @@ def test_criterion_10_cli_selftest_and_determinism():
     l1 = run(["longseq", CATALOG_DOC, "T2", "ext", "--depth", "1"])
     l2 = run(["longseq", CATALOG_DOC, "T2", "ext", "--depth", "1"])
     ok = ok and d1 == d2 and l1 == l2 and d1 and l1
-    _report(10, ok, "selftest exit 0; derive/longseq byte-identical reruns")
+    _report(10, ok, "selftest exit 0; selftest/derive/longseq byte-identical"
+                    " reruns")

@@ -193,6 +193,14 @@ class TestExitCodes:
         assert code == 1
         assert "nonexistent" in err
 
+    @pytest.mark.parametrize("degrees", ["3..1", "-1..2", "1..x", "0..1..2"])
+    def test_bad_degree_range_is_2(self, degrees, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["derive", CATALOG, "T2", "Zmod2", f"--degrees={degrees}"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "bad degree range" in err
+
 
 class TestDeterminism:
     def test_derive_byte_identical(self):

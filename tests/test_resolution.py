@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twohom import catalog
-from twohom.exactlin import Matrix, ZZ
+from twohom.exactlin import Matrix, RingSpec, ZZ
 from twohom.fpmod import FPModule, ModMor
 from twohom.twomod import (
     OneMor,
@@ -27,6 +27,7 @@ from twohom.resolution import (
     homotopy_between_lifts,
     horseshoe,
     lift_through,
+    pad_resolution,
     perturb_lift,
     product_resolution,
     resolve,
@@ -128,6 +129,69 @@ class TestResolve:
             t = OneMor(p, tgt, ModMor.zero(p.M1, tgt.M1),
                        ModMor(p.M0, tgt.M0, t0, check=False))
             lift_through(p, t, f)
+
+
+def _stage_loop_inputs():
+    """The catalog 2-modules and seeded small 2-modules over Z and Z/12."""
+    mods = [m for _, m, _ in catalog.pi_catalog()]
+    rng = random.Random(43)
+    for ring in (ZZ, RingSpec.Zmod(12)):
+        for _ in range(4):
+            g0, rc, g1 = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+            m0 = FPModule(ring, g0, Matrix(ring, g0, rc, [
+                rng.randint(-4, 4) for _ in range(g0 * rc)]))
+            m1 = FPModule.free(ring, g1)
+            d = ModMor(m1, m0, Matrix(ring, g0, g1, [
+                rng.randint(-4, 4) for _ in range(g0 * g1)]), check=False)
+            mods.append(TwoModule(m1, m0, d, check=False))
+    return mods
+
+
+def _stages(res, depth):
+    """Every matrix of stages 0..depth of res: augmentation (and its cell
+    from depth 1 on), modules, differentials, witnesses, stage kernels."""
+    out = [res.aug.f1.mat, res.aug.f0.mat]
+    if depth >= 1:
+        out.append(res.aug_cell_s.mat)
+    for n in range(depth + 1):
+        p, k = res.modules[n], res.kernels[n]
+        out += [p.M1.rel, p.M0.rel, p.d.mat, k.K.M1.rel, k.K.M0.rel,
+                k.K.d.mat, k.incl.mat, k.e.f0.mat, k.eps.s.mat]
+        if n >= 1:
+            f, w = res.diffs[n - 1], res.witnesses[n - 1]
+            out += [f.f1.mat, f.f0.mat, w.f1.mat, w.f0.mat]
+    return out
+
+
+class TestStageLoop:
+    """resolve and pad_resolution run one stage loop."""
+
+    DEPTH = 3
+
+    def test_shallow_resolution_is_a_prefix(self):
+        for m in _stage_loop_inputs():
+            full = resolve(m, self.DEPTH)
+            for d in range(self.DEPTH):
+                part = resolve(m, d)
+                assert part.depth == d
+                assert _stages(part, d) == _stages(full, d), (m, d)
+                assert not part.terminated or full.terminated
+            # depth 0 has no stage 1, so its augmentation cell is zero
+            assert resolve(m, 0).aug_cell_s.mat.is_zero()
+
+    def test_padding_a_terminated_resolution_is_resolving_deeper(self):
+        padded = 0
+        for m in _stage_loop_inputs():
+            full = resolve(m, self.DEPTH)
+            for d in range(self.DEPTH):
+                res = resolve(m, d)
+                if not res.terminated:
+                    continue
+                pad = pad_resolution(res, self.DEPTH)
+                assert pad.depth == self.DEPTH and pad.terminated
+                assert _stages(pad, self.DEPTH) == _stages(full, self.DEPTH)
+                padded += 1
+        assert padded > 0
 
 
 class TestCompare:
