@@ -37,6 +37,7 @@ from .twomod import (
     plain_kernel,
     relative_cokernel,
     relative_kernel,
+    zero_null_homotopy,
 )
 from .complex2 import Complex2, homology, validate_complex
 from .resolution import (
@@ -51,9 +52,9 @@ from .resolution import (
 from .complex2 import validate_chain_homotopy
 from .derived import (
     FunctorSpec,
-    apply,
     check_long_sequence,
     classical_tor_oracle,
+    derived_complex,
     long_sequence,
 )
 from . import selftest
@@ -385,7 +386,6 @@ def _cmd_cokernel(ws: Workspace, args) -> int:
     f = ws.get(args.F, OneMor)
     zero = TwoModule.zero(ws.ring)
     z = OneMor.zero(zero, f.src)
-    from .twomod import zero_null_homotopy
     phi = zero_null_homotopy(compose(z, f))
     rep = _pi_report(relative_cokernel(z, phi, f).Q)
     _emit({"command": "cokernel", "of": args.F, **rep},
@@ -461,13 +461,10 @@ def _cmd_derive(ws: Workspace, args) -> int:
     t = ws.get(args.functor, FunctorSpec)
     m = ws.get(args.object, TwoModule)
     lo, hi = args.degrees
-    depth = args.depth if args.depth is not None else max(hi, 2)
-    res = resolve(m, depth)
-    tc = apply(t, res.complex())
-    table = {}
-    for i in range(lo, hi + 1):
-        h = tc.homology(i)
-        table[str(i)] = _pi_report(h.module)
+    depth = args.depth if args.depth is not None else hi + 2
+    _, tc = derived_complex(t, m, hi, depth)
+    table = {str(i): _pi_report(tc.homology(i).module)
+             for i in range(lo, hi + 1)}
     rep = {"command": "derive", "functor": args.functor, "object": args.object,
            "degrees": table}
     _emit(rep, [f"L_{i}: pi0 = {v['pi0_name']}, pi1 = {v['pi1_name']}"

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from .exactlin import DimensionMismatch, Matrix, RingSpec, block
 from .fpmod import (
     FPModule,
+    InvalidMorphism,
     ModMor,
     cokernel,
     compose as mcompose,
@@ -42,6 +43,7 @@ from .twomod import (
     TwoMor,
     compose,
     null_homotopy,
+    pi_profile,
     relative_cokernel,
     relative_kernel,
     rk_factorize,
@@ -107,8 +109,6 @@ class Complex2:
 
 def validate_complex(c: Complex2) -> Tuple[bool, str]:
     """All cells are null homotopies of their composites and cohere."""
-    from .fpmod import InvalidMorphism
-
     for n in range(2, c.length + 1):
         try:
             c.alpha(n, check=True)
@@ -178,8 +178,6 @@ def compose_chain(f: ChainMor, g: ChainMor) -> ChainMor:
 
 
 def validate_chain_mor(m: ChainMor) -> Tuple[bool, str]:
-    from .fpmod import InvalidMorphism
-
     top = m.max_index() + 1
     for n in range(top + 1):
         try:
@@ -232,8 +230,6 @@ class ChainHomotopy:
 
 
 def validate_chain_homotopy(h: ChainHomotopy) -> Tuple[bool, str]:
-    from .fpmod import InvalidMorphism
-
     top = h.max_index() + 1
     for n in range(top + 1):
         try:
@@ -272,7 +268,6 @@ class HomologyData:
 
     @property
     def pi(self) -> Tuple[List[int], List[int]]:
-        from .twomod import pi_profile
         return pi_profile(self.module)
 
 
@@ -288,56 +283,46 @@ def homology(c: Complex2, n: int) -> HomologyData:
     return c.homology(n)
 
 
-def induced(m: ChainMor, n: int,
-            hsrc: Optional[HomologyData] = None,
-            hdst: Optional[HomologyData] = None) -> OneMor:
+def pair_block(f0: Matrix, s: Matrix, f1: Matrix) -> Matrix:
+    """The block [[f0, 0], [s, f1]] acting on pairs (a, b)."""
+    return block([[f0, Matrix.zeros(f0.ring, f0.rows, f1.cols)], [s, f1]])
+
+
+def kernel_cell(hsrc: HomologyData, dst: FPModule, blk: Matrix) -> ModMor:
+    """A pair block restricted to the source's relative kernel."""
+    amb = hsrc.kernel.incl.dst
+    return mcompose(hsrc.kernel.incl, ModMor(amb, dst, blk, check=False))
+
+
+def homology_map(hsrc: HomologyData, hdst: HomologyData,
+                 b0: Matrix, b1: Matrix) -> OneMor:
+    """The 1-morphism between homology 2-modules given by pair blocks: b0
+    restricted to Ker(L_n, alpha_n) of the source and factored through the
+    target's, b1 (the block one degree up) acting on classes."""
+    f0 = factor_through(hdst.kernel.incl,
+                        kernel_cell(hsrc, hdst.kernel.incl.dst, b0))
+    f1 = ModMor(hsrc.module.M1, hdst.module.M1, b1)
+    return OneMor(hsrc.module, hdst.module, f1, f0)
+
+
+def induced(m: ChainMor, n: int) -> OneMor:
     """The morphism H_n(src) -> H_n(dst) induced by a chain morphism.
 
     Degree 0 sends a pair (a, b) to (F_n.f0 a, F_{n-1}.f1 b - lambda_n.s a);
     degree 1 acts on classes by the analogous block with lambda_{n+1}.
     """
-    hsrc = hsrc or m.src.homology(n)
-    hdst = hdst or m.dst.homology(n)
-    ring = m.src.ring
-    A, B = m.src, m.dst
-    b0 = block([
-        [m.f(n).f0.mat,
-         Matrix.zeros(ring, B.module(n).M0.gens, A.module(n - 1).M1.gens)],
-        [-m.lam_s(n).mat, m.f(n - 1).f1.mat],
-    ])
-    amb_src = hsrc.kernel.incl.dst
-    amb_dst = hdst.kernel.incl.dst
-    f0 = factor_through(hdst.kernel.incl,
-                        mcompose(hsrc.kernel.incl,
-                                 ModMor(amb_src, amb_dst, b0, check=False)))
-    b1 = block([
-        [m.f(n + 1).f0.mat,
-         Matrix.zeros(ring, B.module(n + 1).M0.gens, A.module(n).M1.gens)],
-        [-m.lam_s(n + 1).mat, m.f(n).f1.mat],
-    ])
-    f1 = ModMor(hsrc.module.M1, hdst.module.M1, b1)
-    return OneMor(hsrc.module, hdst.module, f1, f0)
+    def blk(k):
+        return pair_block(m.f(k).f0.mat, -m.lam_s(k).mat, m.f(k - 1).f1.mat)
+
+    return homology_map(m.src.homology(n), m.dst.homology(n), blk(n), blk(n + 1))
 
 
-def homotopy_equiv_witness(h: ChainHomotopy, n: int,
-                           hsrc: Optional[HomologyData] = None,
-                           hdst: Optional[HomologyData] = None) -> TwoMor:
+def homotopy_equiv_witness(h: ChainHomotopy, n: int) -> TwoMor:
     """A 2-morphism between the maps induced on homology by 2-chain
     homotopic chain morphisms; its existence is mandatory."""
-    hsrc = hsrc or h.m.src.homology(n)
-    hdst = hdst or h.m.dst.homology(n)
-    ring = h.m.src.ring
-    A, B = h.m.src, h.m.dst
-    blk = block([
-        [-h.h(n).f0.mat,
-         Matrix.zeros(ring, B.module(n + 1).M0.gens, A.module(n - 1).M1.gens)],
-        [h.tau_s(n).mat, h.h(n - 1).f1.mat],
-    ])
-    amb_src = hsrc.kernel.incl.dst
-    s = mcompose(hsrc.kernel.incl,
-                 ModMor(amb_src, hdst.module.M1, blk, check=False))
-    return TwoMor(induced(h.m, n, hsrc, hdst),
-                  induced(h.mp, n, hsrc, hdst), s)
+    blk = pair_block(-h.h(n).f0.mat, h.tau_s(n).mat, h.h(n - 1).f1.mat)
+    s = kernel_cell(h.m.src.homology(n), h.m.dst.homology(n).module.M1, blk)
+    return TwoMor(induced(h.m, n), induced(h.mp, n), s)
 
 
 # ---------------------------------------------------------------------------

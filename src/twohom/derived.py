@@ -13,14 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .exactlin import (Matrix, ZZ, block, block_diag, hstack, kernel_basis,
+from .exactlin import (Matrix, ZZ, block_diag, hstack, kernel_basis,
                        kron, solve_many, unvec, vec, vstack)
 from .fpmod import (
     FPModule,
     InvalidMorphism,
     ModMor,
     cokernel,
-    compose as mcompose,
     equal_mor,
     factor_through,
     invariant_factors,
@@ -42,14 +41,19 @@ from .twomod import (
     null_homotopy,
     pi0_mor,
     pi1_mor,
+    pi_profile,
     relative_cokernel,
+    relative_kernel,
 )
 from .complex2 import (
     ChainHomotopy,
     ChainMor,
     Complex2,
     HomologyData,
+    homology_map,
     induced,
+    kernel_cell,
+    pair_block,
 )
 from .resolution import Resolution, ResolutionError, compare, horseshoe, resolve
 
@@ -193,17 +197,31 @@ class DerivedResult:
 
     @property
     def pi(self):
-        from .twomod import pi_profile
         return pi_profile(self.module)
+
+
+def derived_complex(t: FunctorSpec, m: TwoModule, top: int, depth: int,
+                    res: Optional[Resolution] = None
+                    ) -> Tuple[Resolution, Complex2]:
+    """T applied to a projective resolution of m, deep enough for L_i T
+    with i <= top.
+
+    pi0 of L_i reads stage i+1 and pi1 reads stage i+2, so a resolution
+    that has not terminated needs depth top + 2; one that has terminated
+    needs depth top.
+    """
+    if top <= depth:
+        res = res or resolve(m, depth)
+        if res.terminated or top + 2 <= res.depth:
+            return res, apply(t, res.complex())
+    raise ValueError(f"L_{top} needs a resolution of depth {top + 2} "
+                     f"({top} if it terminates by then), got depth {depth}")
 
 
 def derive(t: FunctorSpec, m: TwoModule, i: int, depth: int,
            res: Optional[Resolution] = None) -> DerivedResult:
     """L_i T (m): homology at i of T applied to a projective resolution."""
-    if i > depth:
-        raise ValueError("need i <= depth")
-    res = res or resolve(m, depth)
-    tc = apply(t, res.complex())
+    res, tc = derived_complex(t, m, i, depth, res)
     h = tc.homology(i)
     return DerivedResult(h.module, t, i, res, h)
 
@@ -241,15 +259,14 @@ def resolution_independence(t: FunctorSpec, m: TwoModule,
     tc2 = apply(t, res2.complex())
     ch12 = apply_chain_mor(t, c12.as_chain_mor(), tc1, tc2)
     ch21 = apply_chain_mor(t, c21.as_chain_mor(), tc2, tc1)
-    w12 = induced(ch12, i, tc1.homology(i), tc2.homology(i))
-    w21 = induced(ch21, i, tc2.homology(i), tc1.homology(i))
+    w12 = induced(ch12, i)
+    w21 = induced(ch21, i)
     r11 = compose(w12, w21)
     r22 = compose(w21, w12)
     pi0_ok = (equal_mor(pi0_mor(r11), ModMor.identity(pi0_mor(r11).src))
               and equal_mor(pi0_mor(r22), ModMor.identity(pi0_mor(r22).src)))
     pi1_ok = (equal_mor(pi1_mor(r11), ModMor.identity(pi1_mor(r11).src))
               and equal_mor(pi1_mor(r22), ModMor.identity(pi1_mor(r22).src)))
-    from .twomod import pi_profile
     inv_ok = pi_profile(tc1.homology(i).module) == pi_profile(tc2.homology(i).module)
     return IndependenceWitness(w12, w21, pi0_ok, pi1_ok, inv_ok)
 
@@ -287,7 +304,6 @@ def is_right_relative_two_exact(t: FunctorSpec, F: OneMor, phi: TwoMor,
 def exactness_at_a_spot(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor
                         ) -> bool:
     """Left-edge condition after applying t: Ker(T(F), T(phi)) pi-trivial."""
-    from .twomod import relative_kernel
     tf, tg = apply(t, F), apply(t, G)
     tphi = apply(t, phi)
     return is_pi_trivial(relative_kernel(tf, tphi, tg).K)
@@ -353,40 +369,22 @@ def _corner(m: Matrix, rows: int, cols: int) -> Matrix:
     return Matrix(m.ring, rows, cols, m.arr[:rows, m.cols - cols:])
 
 
-def _blocks_of_k(tk: Complex2, tp: Complex2, tq: Complex2, n: int
-                 ) -> Tuple[Matrix, Matrix, Matrix]:
-    """(h_n.f0, h_n.f1, t_n) off-diagonal blocks of the split complex."""
-    p, q = tp.module(n - 1), tq.module(n)
-    return (_corner(tk.diff(n).f0.mat, p.M0.gens, q.M0.gens),
-            _corner(tk.diff(n).f1.mat, p.M1.gens, q.M1.gens),
-            _corner(tk.alpha_s(n).mat, tp.module(n - 2).M1.gens, q.M0.gens))
+def _zigzag_block(tk: Complex2, tp: Complex2, tq: Complex2, n: int) -> Matrix:
+    """The pair block (q, b) |-> (h_n q, t_n q - h_{n-1}.f1 b) built from the
+    off-diagonal blocks h, t of the split complex TK."""
+    p1 = tp.module(n - 2).M1.gens
+    q0 = tq.module(n).M0.gens
+    return pair_block(_corner(tk.diff(n).f0.mat, tp.module(n - 1).M0.gens, q0),
+                      _corner(tk.alpha_s(n).mat, p1, q0),
+                      -_corner(tk.diff(n - 1).f1.mat, p1, tq.module(n - 1).M1.gens))
 
 
 def _connecting(tk: Complex2, tp: Complex2, tq: Complex2, i: int) -> OneMor:
-    """The matrix-level zig-zag delta_i: H_i(TQ) -> H_{i-1}(TP)."""
-    ring = tk.ring
-    hq = tq.homology(i)
-    hp = tp.homology(i - 1)
-    h_f0, h_f1, t_i = _blocks_of_k(tk, tp, tq, i)
-    hm1_f0, hm1_f1, _ = _blocks_of_k(tk, tp, tq, i - 1)
-    # degree 0: (q, b) |-> (h_i q, t_i q - h_{i-1}.f1 b)
-    amb_q = hq.kernel.incl.dst
-    amb_p = hp.kernel.incl.dst
-    blk0 = block([
-        [h_f0, Matrix.zeros(ring, h_f0.rows, tq.module(i - 1).M1.gens)],
-        [t_i, -hm1_f1],
-    ])
-    f0 = factor_through(hp.kernel.incl,
-                        mcompose(hq.kernel.incl,
-                                 ModMor(amb_q, amb_p, blk0, check=False)))
-    # degree 1: (x, m) |-> (-h_{i+1} x, -t_{i+1} x + h_i.f1 m)
-    hp1_f0, hp1_f1, t_ip1 = _blocks_of_k(tk, tp, tq, i + 1)
-    blk1 = block([
-        [-hp1_f0, Matrix.zeros(ring, hp1_f0.rows, tq.module(i).M1.gens)],
-        [-t_ip1, h_f1],
-    ])
-    f1 = ModMor(hq.module.M1, hp.module.M1, blk1)
-    return OneMor(hq.module, hp.module, f1, f0)
+    """The matrix-level zig-zag delta_i: H_i(TQ) -> H_{i-1}(TP); its degree-1
+    block is minus its degree-0 block at i+1."""
+    return homology_map(tq.homology(i), tp.homology(i - 1),
+                        _zigzag_block(tk, tp, tq, i),
+                        -_zigzag_block(tk, tp, tq, i + 1))
 
 
 def _null_cell(comp: OneMor, s: ModMor, what: str) -> TwoMor:
@@ -429,8 +427,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
     v: Dict[int, OneMor] = {}
     delta: Dict[int, OneMor] = {}
     for i in range(depth, -1, -1):
-        u[i] = induced(ti, i, tp.homology(i), tk.homology(i))
-        v[i] = induced(tpr, i, tk.homology(i), tq.homology(i))
+        u[i] = induced(ti, i)
+        v[i] = induced(tpr, i)
     for i in range(depth, 0, -1):
         delta[i] = _connecting(tk, tp, tq, i)
 
@@ -448,9 +446,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         # onto the P-coordinates of both parts of the ambient pair
         blk = block_diag([_corner(Matrix.identity(ring, gk0), gp0, gk0),
                           _corner(Matrix.identity(ring, gk1), gp1, gk1)])
-        s = mcompose(hk.kernel.incl,
-                     ModMor(hk.kernel.incl.dst, hp.module.M1, blk, check=False))
-        return _null_cell(compose(v[i], delta[i]), s, f"delta∘v at {i}")
+        return _null_cell(compose(v[i], delta[i]),
+                          kernel_cell(hk, hp.module.M1, blk), f"delta∘v at {i}")
 
     def ud_cell(i: int) -> TwoMor:
         hq = tq.homology(i)
@@ -462,9 +459,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         # minus the inclusion of the Q-coordinates
         blk = -block_diag([_corner(Matrix.identity(ring, gk0), gk0, gq0),
                            _corner(Matrix.identity(ring, gk1), gk1, gq1)])
-        s = mcompose(hq.kernel.incl,
-                     ModMor(hq.kernel.incl.dst, hk.module.M1, blk, check=False))
-        return _null_cell(compose(delta[i], u[i - 1]), s, f"u∘delta at {i}")
+        return _null_cell(compose(delta[i], u[i - 1]),
+                          kernel_cell(hq, hk.module.M1, blk), f"u∘delta at {i}")
 
     for i in range(depth, -1, -1):
         entries.append(LongSeqEntry("A", i, tp.homology(i)))

@@ -368,21 +368,18 @@ def hnf(A: Matrix):
     for j in range(A.cols):
         if r >= A.rows:
             break
-        # clear below row r in column j
-        while True:
-            pivot = None
-            best = None
-            for i in range(r, A.rows):
-                x = H[i, j]
-                if x != 0:
-                    m = _measure(x, n)
-                    if best is None or m < best:
-                        best = m
-                        pivot = i
-            if pivot is None:
-                break
+        # clear below row r in column j; each update zeroes H[i, j] exactly
+        pivot = None
+        best = None
+        for i in range(r, A.rows):
+            x = H[i, j]
+            if x != 0:
+                m = _measure(x, n)
+                if best is None or m < best:
+                    best = m
+                    pivot = i
+        if pivot is not None:
             _swap_rows(H, U, r, pivot)
-            dirty = False
             for i in range(r + 1, A.rows):
                 if H[i, j] == 0:
                     continue
@@ -394,10 +391,6 @@ def hnf(A: Matrix):
                 else:
                     g, s, t = _xgcd(a, b)
                     _row_op_2x2(H, U, r, i, s, t, -(b // g), a // g, mod=n)
-                if H[i, j] != 0:
-                    dirty = True
-            if not dirty:
-                break
         if H[r, j] != 0:
             # normalize the pivot
             if n is None:

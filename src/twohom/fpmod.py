@@ -9,7 +9,7 @@ one primitive: exact solving against a relation matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .exactlin import (
     DimensionMismatch,
@@ -299,14 +299,6 @@ def is_exact_at(f: ModMor, g: ModMor) -> bool:
     K, incl = kernel(g)
     # every kernel generator must be an image element modulo relations
     return solve_many(hstack([f.mat, f.dst.rel]), incl.mat) is not None
-
-
-def image_in(f: ModMor, cols: Matrix) -> Optional[Matrix]:
-    """Preimages of the given columns under f (modulo relations), or None."""
-    sol = solve_many(hstack([f.mat, f.dst.rel]), cols)
-    if sol is None:
-        return None
-    return Matrix(f.src.ring, f.src.gens, cols.cols, sol.arr[: f.src.gens, :])
 
 
 def hom_basis(src: FPModule, dst: FPModule) -> List[Matrix]:

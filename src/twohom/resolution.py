@@ -11,7 +11,7 @@ chain algebra plus one nontrivial augmentation cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .exactlin import Matrix, block, hstack, solve_many, vstack
 from .fpmod import (
@@ -349,8 +349,7 @@ def homotopy_between_lifts(l1: ComparisonLift, l2: ComparisonLift
         if prev is not None:
             r = r - (prev.f0.mat @ res_src.f(n).f0.mat)
         target = res_dst.f(n + 1).f0.mat
-        sol = solve_many(target, Matrix(res_src.target.ring,
-                                        r.rows, r.cols, r.arr))
+        sol = solve_many(target, r)
         if sol is None:
             raise ResolutionError(
                 f"no chain homotopy at degree {n}: comparison uniqueness broken")
@@ -442,19 +441,18 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
     stage_bp = [biproduct(res_a.module(n), res_c.module(n))
                 for n in range(depth + 1)]
     modules = [bp.total for bp in stage_bp]
+    f_aug_a = mcompose(res_a.aug.f0, F.f0).mat  # P_0.M0 -> B.M0
     aug = OneMor(modules[0], B,
                  ModMor.zero(modules[0].M1, B.M1),
-                 ModMor(modules[0].M0, B.M0,
-                        hstack([mcompose(res_a.aug.f0,
-                                         F.f0).mat, ell.f0.mat]), check=False),
+                 ModMor(modules[0].M0, B.M0, hstack([f_aug_a, ell.f0.mat]),
+                        check=False),
                  check=False)
-    f_aug_a = mcompose(res_a.aug.f0, F.f0)  # P_0.M0 -> B.M0
-    hs: Dict[int, Matrix] = {}       # h_n.f0 : Q_n.M0 -> P_{n-1}.M0
-    cell_q: Optional[Matrix] = None  # s_1 : Q_1.M0 -> B.M1
+    cell_a = mcompose(res_a.aug_cell_s, F.f1).mat  # P_1.M0 -> B.M1
+    hs: Dict[int, Matrix] = {}  # h_n.f0 : Q_n.M0 -> P_{n-1}.M0
     diffs: List[OneMor] = []
     for n in range(1, depth + 1):
         pa, qa = res_a.module(n), res_c.module(n)
-        pb, qb = res_a.module(n - 1), res_c.module(n - 1)
+        n_h = res_a.module(n - 1).M0.gens
         nq = res_c.f(n).f0.mat
         if n == 1:
             # the Q-column (h, s) must land in Ker(aug_B) *and* lift the
@@ -462,62 +460,44 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
             #   f_aug_a h + d_B s + rel z1           = -(ell ∘ N_1)
             #   G.f1 s          + rel z2             = bC - sigma0 ∘ N_1
             # where bC is the C.M1-witness carried by res_c's stage cover.
-            rhs1 = -(ell.f0.mat @ nq)
             b_c = mcompose(res_c.witness(0).f0,
                            res_c.stage_kernel(0).to_b).mat
-            rhs2 = b_c - (sigma0.s.mat @ nq)
-            n_h = pb.M0.gens
-            n_s = B.M1.gens
             system = block([
-                [f_aug_a.mat, B.d.mat, B.M0.rel,
+                [f_aug_a, B.d.mat, B.M0.rel,
                  Matrix.zeros(ring, B.M0.gens, C.M1.rel.cols)],
                 [Matrix.zeros(ring, C.M1.gens, n_h), G.f1.mat,
                  Matrix.zeros(ring, C.M1.gens, B.M0.rel.cols), C.M1.rel],
             ])
-            sol = solve_many(system, vstack([rhs1, rhs2]))
-            if sol is None:
-                raise ResolutionError("horseshoe stage-1 solve failed")
-            h = Matrix(ring, n_h, qa.M0.gens, sol.arr[:n_h, :])
-            cell_q = Matrix(ring, n_s, qa.M0.gens,
-                            sol.arr[n_h: n_h + n_s, :])
+            rhs = vstack([-(ell.f0.mat @ nq), b_c - (sigma0.s.mat @ nq)])
         else:
+            # Q-column of d_{n-1}∘d_n = 0:  N'_{n-1} h_n = -(h_{n-1} N_n)
+            system = res_a.f(n - 1).f0.mat
             rhs = -(hs[n - 1] @ nq)
             if n == 2:
                 # also keep the augmentation cell compatible:
                 # (F.f1 ∘ cellA.s) * h + s_1 * N_2 = 0 (mod B.M1 relations)
-                top = res_a.f(n - 1).f0.mat
-                cell_rows = mcompose(res_a.aug_cell_s, F.f1).mat
-                sys_mat = vstack([top, cell_rows])
-                slack = vstack([Matrix.zeros(ring, top.rows, B.M1.rel.cols),
-                                B.M1.rel])
-                rhs2 = vstack([Matrix(ring, rhs.rows, rhs.cols, rhs.arr),
-                               -(cell_q @ nq) if cell_q is not None else
-                               Matrix.zeros(ring, B.M1.gens, qa.M0.gens)])
-                sol = solve_many(hstack([sys_mat, slack]), rhs2)
-                if sol is None:
-                    raise ResolutionError("horseshoe stage-2 solve failed")
-                h = Matrix(ring, pb.M0.gens, qa.M0.gens,
-                           sol.arr[: pb.M0.gens, :])
-            else:
-                sol = solve_many(res_a.f(n - 1).f0.mat,
-                                 Matrix(ring, rhs.rows, rhs.cols, rhs.arr))
-                if sol is None:
-                    raise ResolutionError(f"horseshoe stage-{n} solve failed")
-                h = sol
-        hs[n] = h
+                system = hstack([
+                    vstack([system, cell_a]),
+                    vstack([Matrix.zeros(ring, system.rows, B.M1.rel.cols),
+                            B.M1.rel])])
+                rhs = vstack([rhs, -(cell_q @ nq)])
+        sol = solve_many(system, rhs)
+        if sol is None:
+            raise ResolutionError(f"horseshoe stage-{n} solve failed")
+        hs[n] = Matrix(ring, n_h, qa.M0.gens, sol.arr[:n_h, :])
+        if n == 1:
+            cell_q = Matrix(ring, B.M1.gens, qa.M0.gens,  # s_1 : Q_1.M0 -> B.M1
+                            sol.arr[n_h: n_h + B.M1.gens, :])
         d = OneMor(modules[n], modules[n - 1],
                    ModMor.zero(modules[n].M1, modules[n - 1].M1),
                    ModMor(modules[n].M0, modules[n - 1].M0,
-                          block([[res_a.f(n).f0.mat, h],
-                                 [Matrix.zeros(ring, qb.M0.gens, pa.M0.gens),
-                                  res_c.f(n).f0.mat]]), check=False),
+                          block([[res_a.f(n).f0.mat, hs[n]],
+                                 [Matrix.zeros(ring, nq.rows, pa.M0.gens),
+                                  nq]]), check=False),
                    check=False)
         diffs.append(d)
     if depth >= 1:
-        pa_cell = mcompose(res_a.aug_cell_s, F.f1).mat
-        qcell = cell_q if cell_q is not None else Matrix.zeros(
-            ring, B.M1.gens, res_c.module(1).M0.gens)
-        aug_cell = ModMor(modules[1].M0, B.M1, hstack([pa_cell, qcell]),
+        aug_cell = ModMor(modules[1].M0, B.M1, hstack([cell_a, cell_q]),
                           check=False)
     else:
         aug_cell = ModMor.zero(FPModule.zero(ring), B.M1)

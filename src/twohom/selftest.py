@@ -15,6 +15,8 @@ from .fpmod import (
     ModMor,
     compose as mcompose,
     equal_mor,
+    hom_basis,
+    is_iso,
 )
 from .twomod import (
     OneMor,
@@ -26,7 +28,9 @@ from .twomod import (
     pi_profile,
     relative_cokernel,
     relative_kernel,
+    rc_compatible,
     rc_factorize,
+    rk_compatible,
     rk_factorize,
     unique_cell,
 )
@@ -98,7 +102,6 @@ def suite_normal_forms(seed: int = 0, cases: int = 200) -> Result:
 
 def _random_hom(rng: random.Random, src: FPModule, dst: FPModule) -> ModMor:
     """Random valid morphism: a small combination of hom_basis generators."""
-    from .fpmod import hom_basis
     basis = hom_basis(src, dst)
     mat = Matrix.zeros(ZZ, dst.gens, src.gens)
     for b in basis:
@@ -132,7 +135,6 @@ def suite_universal_properties(seed: int = 0, cases: int = 100) -> Result:
         rk = relative_kernel(f1, phi, aug)
         # eps is a valid 2-morphism and satisfies the compatibility diagram
         TwoMor(rk.eps.frm, rk.eps.to, rk.eps.s)
-        from .twomod import rc_compatible, rk_compatible
         if not rk_compatible(rk, rk.e, rk.eps):
             return ("universal-properties", False, "eps incompatible with phi")
         e_mor, psi = res.f(2), res.cell(2)
@@ -313,7 +315,6 @@ def suite_long_sequence() -> Result:
             ("A", 0, ([2], [])), ("B", 0, ([2], [])), ("C", 0, ([2], [2]))]
     if pis != want:
         return ("long-sequence", False, f"objects {pis}")
-    from .fpmod import is_iso
     by_name = dict(seq.maps)
     if not is_iso(pi0_mor(by_name["delta_1"])):
         return ("long-sequence", False, "delta_1 not a pi0-iso")

@@ -87,10 +87,6 @@ class TwoModule:
         return (self.M1 == other.M1 and self.M0 == other.M0
                 and self.d.mat == other.d.mat)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __repr__(self):
         return (f"TwoModule([{self.M1.gens} gens] -> [{self.M0.gens} gens],"
                 f" pi0={invariant_factors(pi0(self))}, pi1={invariant_factors(pi1(self))})")

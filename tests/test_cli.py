@@ -149,6 +149,26 @@ class TestCommands:
         assert rep["degrees"]["0"]["pi0"] == [2]
         assert rep["degrees"]["1"]["pi0"] == [2]
 
+    def test_derive_default_depth_reads_far_enough(self, tmp_path):
+        # over Z/4 the resolution of Z/2 never terminates; L_1 = 0
+        doc = {"format": 1, "ring": {"kind": "Zmod", "n": 4}, "objects": {
+            "M": {"type": "twomodule", "M1": {"gens": 0, "relations": []},
+                  "M0": {"gens": 1, "relations": [[2]]}, "d": []},
+            "Tid": {"type": "functor", "kind": "identity"}}}
+        p = tmp_path / "z4.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run_cli("derive", str(p), "Tid", "M", "--degrees", "0..1")
+        assert code == 0
+        rep = json.loads(out)["degrees"]
+        assert (rep["0"]["pi0"], rep["0"]["pi1"]) == ([2], [])
+        assert (rep["1"]["pi0"], rep["1"]["pi1"]) == ([], [])
+
+    def test_derive_too_shallow_is_1(self):
+        code, out, err = run_cli("derive", CATALOG, "T2", "Zmod2",
+                                 "--degrees", "0..2", "--depth", "0")
+        assert code == 1 and out == ""
+        assert "L_2 needs a resolution of depth 4" in err
+
     def test_longseq(self):
         code, out, _ = run_cli("longseq", CATALOG, "T2", "ext", "--depth", "1")
         rep = json.loads(out)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twohom import catalog
-from twohom.exactlin import Matrix, ZZ
+from twohom.exactlin import Matrix, RingSpec, ZZ
 from twohom.fpmod import FPModule, ModMor, is_iso
 from twohom.twomod import (
     OneMor,
@@ -134,6 +134,33 @@ class TestDerive:
     def test_degree_bound(self):
         with pytest.raises(ValueError):
             derive(T2, catalog.z_mod(2), 3, 2)
+
+
+class TestDeriveDepthRule:
+    """Over Z/4 the resolution of [0 -> Z/2] never terminates, so L_i needs
+    stage i+2: pi0 of L_i reads stage i+1 and pi1 reads stage i+2."""
+
+    R4 = RingSpec.Zmod(4)
+
+    def _z2(self):
+        return TwoModule.discrete(FPModule.cyclic(self.R4, 2))
+
+    def test_identity(self):
+        m = self._z2()
+        assert derive(TI, m, 0, 2).pi == ([2], [])
+        assert derive(TI, m, 1, 3).pi == ([], [])
+
+    def test_tensor_z2(self):
+        t = FunctorSpec.tensor_with(FPModule.cyclic(self.R4, 2))
+        for i in range(3):
+            assert derive(t, self._z2(), i, i + 2).pi == ([2], [2]), i
+
+    def test_too_shallow_raises(self):
+        t = FunctorSpec.tensor_with(FPModule.cyclic(self.R4, 2))
+        for functor in (TI, t):
+            for i in range(3):
+                with pytest.raises(ValueError, match=f"L_{i} needs .* depth {i + 2}"):
+                    derive(functor, self._z2(), i, i + 1)
 
 
 class TestDeriveMor:
@@ -345,6 +372,81 @@ class TestLongSequence:
             want = classical_tor_oracle(FPModule.cyclic(ZZ, 2),
                                         FPModule.cyclic(ZZ, n), 1)
             assert pi_profile(c1.homology.module)[0] == want
+
+
+def _cyclic_extension(m: int, n: int, split: bool):
+    """Z/m -> Z/mn -> Z/n (multiply by n, reduce), or the split
+    Z/m -> Z/m (+) Z/n -> Z/n, as discrete 2-modules over Z."""
+    a, c = FPModule.cyclic(ZZ, m), FPModule.cyclic(ZZ, n)
+    if split:
+        b = FPModule(ZZ, 2, Matrix.from_rows(ZZ, [[m, 0], [0, n]]))
+        f0, g0 = [[1], [0]], [[0, 1]]
+    else:
+        b = FPModule.cyclic(ZZ, m * n)
+        f0, g0 = [[n]], [[1]]
+    A, B, C = (TwoModule.discrete(x) for x in (a, b, c))
+    f = OneMor(A, B, ModMor.zero(A.M1, B.M1),
+               ModMor(a, b, Matrix.from_rows(ZZ, f0)))
+    g = OneMor(B, C, ModMor.zero(B.M1, C.M1),
+               ModMor(b, c, Matrix.from_rows(ZZ, g0)))
+    return (a, b, c), (f, zero_null_homotopy(compose(f, g)), g)
+
+
+@pytest.mark.parametrize("m,n,split", [(2, 2, False), (2, 3, False),
+                                       (4, 2, False), (2, 4, False),
+                                       (2, 2, True), (3, 2, True)])
+def test_long_sequence_matches_classical_tor(m, n, split):
+    """Every spot of the depth-2 long sequence of a cyclic extension is its
+    classical Tor window, and the sequence is 2-exact; depth 2 resolves to
+    depth 4, so every horseshoe stage and the connecting maps run."""
+    mods, (f, phi, g) = _cyclic_extension(m, n, split)
+    for k in (2, 3, 4, 6):
+        zk = FPModule.cyclic(ZZ, k)
+        seq = long_sequence(FunctorSpec.tensor_with(zk), f, phi, g, 2)
+        assert check_long_sequence(seq), k
+        for e in seq.entries:
+            x = mods["ABC".index(e.label)]
+            want = (classical_tor_oracle(x, zk, e.degree),
+                    classical_tor_oracle(x, zk, e.degree + 1))
+            assert e.homology.pi == want, (k, e.label, e.degree)
+
+
+@pytest.mark.parametrize("n", [9, 27])
+def test_long_sequence_over_zmod_runs_every_horseshoe_stage(n, monkeypatch):
+    """Z/3 --3--> Z/9 --> Z/3 over Z/n: Z/3 has a periodic resolution
+    (Z/n --3--> Z/n --n/3--> Z/n ...), so every horseshoe stage has a
+    nonzero off-diagonal block, and the odd modulus makes signs visible.
+    With T = - (x) Z/3, Tor_i(Z/3, Z/3) = Z/3 for all i, and Tor_i(Z/9, Z/3)
+    is Z/3 for all i over Z/27 but only for i = 0 over Z/9, where Z/9 is
+    free."""
+    from twohom.complex2 import validate_chain_mor
+    from twohom.resolution import horseshoe, validate_resolution
+    import twohom.derived as derived
+
+    ring = RingSpec.Zmod(n)
+    a, b = FPModule.cyclic(ring, 3), FPModule.cyclic(ring, 0 if n == 9 else 9)
+    A, B = TwoModule.discrete(a), TwoModule.discrete(b)
+    f = OneMor(A, B, ModMor.zero(A.M1, B.M1),
+               ModMor(a, b, Matrix.from_rows(ring, [[3]])))
+    g = OneMor(B, A, ModMor.zero(B.M1, A.M1),
+               ModMor(b, a, Matrix.from_rows(ring, [[1]])))
+    phi = zero_null_homotopy(compose(f, g))
+    res_b, i_mor, p_mor = horseshoe(f, phi, g, resolve(A, 4), resolve(A, 4))
+    assert all(not res_b.f(k).f0.mat.is_zero() for k in range(1, 5))
+    for ok, why in (validate_resolution(res_b), validate_chain_mor(i_mor),
+                    validate_chain_mor(p_mor)):
+        assert ok, why
+
+    # the stored cells are the canonical ones: no cell is found by solving
+    monkeypatch.setattr(derived, "find_null_homotopy", None)
+    t = FunctorSpec.tensor_with(FPModule.cyclic(ring, 3))
+    seq = long_sequence(t, f, phi, g, 2)
+    assert check_long_sequence(seq)
+    tor_b = {9: [[3], [], [], []], 27: [[3]] * 4}[n]
+    for e in seq.entries:
+        i = e.degree
+        want = ([3], [3]) if e.label != "B" else (tor_b[i], tor_b[i + 1])
+        assert e.homology.pi == want, (e.label, i)
 
 
 def test_lemma1_functor_image_of_homotopy():
