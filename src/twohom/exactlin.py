@@ -5,7 +5,9 @@ functors) reduces to the four primitives in this module: Hermite form,
 Smith form, exact linear solving and kernel generation.  Entries are
 Python ints held in object-dtype numpy arrays, so intermediate values
 never overflow; over Z/n entries are kept as canonical representatives
-in [0, n).
+in [0, n).  One engine serves both rings: solving and kernels read the
+Smith form computed over the ring itself (Z/n is a principal ideal ring),
+so nothing is lifted to Z and Z/n entries stay below n.
 
 Conventions (fixed so that outputs are bit-reproducible):
 
@@ -108,10 +110,7 @@ class Matrix:
                 for j in range(cols):
                     arr[i, j] = int(flat[i * cols + j])
         if ring.is_modular:
-            n = ring.n
-            for i in range(rows):
-                for j in range(cols):
-                    arr[i, j] = arr[i, j] % n
+            arr = arr % ring.n
         arr.setflags(write=False)
         self._arr = arr
         self._hash = None
@@ -542,8 +541,17 @@ def is_invertible(A: Matrix) -> bool:
 # solving and kernels
 # ---------------------------------------------------------------------------
 
-def _solve_z_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
-    """All-columns solve of A X = B over Z, or None."""
+def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
+    """Exact solve of A X = B over the ring; None when no solution exists.
+
+    With D = U A V, the system is D Y = U B and X = V Y.  Over Z/n every
+    nonzero d_i divides n, so d_i y = c is solvable iff d_i | c."""
+    if A.rows != B.rows:
+        raise DimensionMismatch("solve: row mismatch")
+    if A.ring != B.ring:
+        raise DimensionMismatch("solve: ring mismatch")
+    if B.cols == 0:
+        return Matrix.zeros(A.ring, A.cols, 0)
     D, U, V = snf(A)
     Y = U @ B
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
@@ -559,33 +567,7 @@ def _solve_z_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
                 if y % d != 0:
                     return None
                 Xp[i, c] = y // d
-    X = V @ Matrix(ZZ, A.cols, B.cols, Xp)
-    return X
-
-
-def zmod_lift(A: Matrix) -> Matrix:
-    """The Z-matrix [A | n*I] for A over Z/n: its column span over Z,
-    reduced mod n, is the column span of A.  Every Z/n solve, kernel and
-    invariant-factor computation runs on this lift, per the one-engine
-    design."""
-    return hstack([Matrix(ZZ, A.rows, A.cols, A.arr),
-                   Matrix.identity(ZZ, A.rows).scale(A.ring.n)])
-
-
-def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
-    """Exact solve of A X = B over the ring; None when no solution exists."""
-    if A.rows != B.rows:
-        raise DimensionMismatch("solve: row mismatch")
-    if A.ring != B.ring:
-        raise DimensionMismatch("solve: ring mismatch")
-    if B.cols == 0:
-        return Matrix.zeros(A.ring, A.cols, 0)
-    if not A.ring.is_modular:
-        return _solve_z_many(A, B)
-    X = _solve_z_many(zmod_lift(A), Matrix(ZZ, B.rows, B.cols, B.arr))
-    if X is None:
-        return None
-    return Matrix(A.ring, A.cols, B.cols, X.arr[:A.cols, :])
+    return V @ Matrix(A.ring, A.cols, B.cols, Xp)
 
 
 def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -595,35 +577,19 @@ def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
     return solve_many(A, b)
 
 
-def _kernel_z(A: Matrix) -> Matrix:
-    D, U, V = snf(A)
-    diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
-    free = [j for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
-    if not free:
-        return Matrix.zeros(ZZ, A.cols, 0)
-    arr = np.empty((A.cols, len(free)), dtype=object)
-    for k, j in enumerate(free):
-        arr[:, k] = V.arr[:, j]
-    return Matrix(ZZ, A.cols, len(free), arr)
-
-
 def kernel_basis(A: Matrix) -> Matrix:
-    """Columns generating all solutions of A x = 0 over the ring."""
-    if not A.ring.is_modular:
-        return _kernel_z(A)
-    n = A.ring.n
-    K = _kernel_z(zmod_lift(A))
-    cols = []
-    seen = set()
-    for j in range(K.cols):
-        col = tuple(int(K.entry(i, j)) % n for i in range(A.cols))
-        if any(col) and col not in seen:
-            seen.add(col)
-            cols.append(col)
-    if not cols:
-        return Matrix.zeros(A.ring, A.cols, 0)
-    arr = np.empty((A.cols, len(cols)), dtype=object)
-    for k, col in enumerate(cols):
-        for i in range(A.cols):
-            arr[i, k] = col[i]
-    return Matrix(A.ring, A.cols, len(cols), arr)
+    """Columns generating all solutions of A x = 0 over the ring.
+
+    With D = U A V: the columns V[:, j] with d_j = 0 or j past the
+    diagonal, and over Z/n also (n // d_j) V[:, j] for each d_j not in
+    {0, 1}.  V is invertible, so no column is zero."""
+    D, _, V = snf(A)
+    diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
+    scales = [(j, 1) for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
+    if A.ring.is_modular:
+        scales += [(j, A.ring.n // d) for j, d in enumerate(diag)
+                   if d not in (0, 1)]
+    arr = np.empty((A.cols, len(scales)), dtype=object)
+    for k, (j, q) in enumerate(scales):
+        arr[:, k] = V.arr[:, j] * q
+    return Matrix(A.ring, A.cols, len(scales), arr)

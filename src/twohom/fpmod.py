@@ -24,7 +24,6 @@ from .exactlin import (
     solve_many,
     unvec,
     vstack,
-    zmod_lift,
 )
 
 
@@ -263,17 +262,17 @@ def normal_form_presentation(m: FPModule) -> FPModule:
 def invariant_factors(m: FPModule) -> List[int]:
     """SNF-canonical invariant factor list; 0 denotes a free rank.
 
-    Two modules are isomorphic iff the lists are equal.  Over Z/n the
-    list consists of the divisors > 1 of n appearing in the Z-level SNF
-    of [rel | n*I] (a "free" Z/n rank shows up as the factor n).
+    Two modules are isomorphic iff the lists are equal.  The list is the
+    d_i not in {0, 1} of the Smith form of the relations, computed over
+    the base ring itself, followed by one entry per generator beyond the
+    rank: 0 over Z, and n over Z/n, where a free rank is the factor n.
     """
-    D, _, _ = snf(zmod_lift(m.rel) if m.ring.is_modular else m.rel)
+    D, _, _ = snf(m.rel)
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
-    factors = sorted((d for d in diag if d not in (0, 1)),
-                     key=lambda d: (d,))
-    # divisibility chain makes plain sorting canonical
     free = m.gens - sum(1 for d in diag if d != 0)
-    return factors + [0] * free
+    # divisibility chain makes plain sorting canonical
+    return (sorted(d for d in diag if d not in (0, 1))
+            + [m.ring.n if m.ring.is_modular else 0] * free)
 
 
 def is_epi(f: ModMor) -> bool:

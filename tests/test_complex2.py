@@ -2,7 +2,7 @@ import random
 
 
 from twohom import catalog
-from twohom.exactlin import Matrix, ZZ, kernel_basis
+from twohom.exactlin import Matrix, RingSpec, ZZ, kernel_basis
 from twohom.fpmod import FPModule, ModMor, invariant_factors
 from twohom.twomod import (
     OneMor,
@@ -332,6 +332,39 @@ class TestNonStrictData:
         assert ok, why
         for n in (0, 1):
             homotopy_equiv_witness(h, n)  # validates on construction
+
+    def test_lambda_acts_on_relative_kernel_pairs(self):
+        # C = [Z --0--> (Z -1-> Z)] and D = [Z --1--> (Z -1-> Z)], in degrees
+        # 1 and 0.  The levelwise identities are a chain morphism C -> D
+        # only with the cell lambda_1 = 1, and D -> C only with -1.  Ker(L_1)
+        # of C is the pairs (a, 0), sent to (a, -lambda a) = (a, -a), which
+        # lies in D's Ker(L_1) = {(a, b) : a + b = 0}; with the other sign
+        # the pair leaves the relative kernel and nothing factors.
+        from twohom.twomod import compose as tcompose, one_mor_equal
+        for ring in (ZZ, RingSpec.Zmod(6)):
+            one = FPModule.free(ring, 1)
+            a = TwoModule.free(ring, 1)
+            b = TwoModule(one, one, ModMor(one, one, Matrix.identity(ring, 1)))
+
+            def cx(k):
+                ell = OneMor(a, b, ModMor.zero(a.M1, b.M1),
+                             ModMor(a.M0, b.M0, Matrix.from_rows(ring, [[k]])))
+                return Complex2.strict(ring, [b, a], [ell])
+
+            c, d = cx(0), cx(1)
+            ids = {0: OneMor.identity(b), 1: OneMor.identity(a)}
+            cell = ModMor(a.M0, b.M1, Matrix.identity(ring, 1))
+            f = ChainMor(c, d, ids, {1: cell})
+            g = ChainMor(d, c, ids, {1: -cell})
+            for m in (f, g):
+                ok, why = validate_chain_mor(m)
+                assert ok, why
+            fg = compose_chain(f, g)
+            assert fg.lam_s(1).mat.is_zero()
+            # functoriality through the twisted pairs: H_1(fg) = H_1(g) H_1(f)
+            u, v = induced(f, 1), induced(g, 1)
+            assert is_equivalence(u) and is_equivalence(v)
+            assert one_mor_equal(induced(fg, 1), tcompose(u, v))
 
 
 class TestFunctorImage:

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,10 +20,30 @@ from twohom.exactlin import (
     solve,
     solve_many,
 )
+from twohom.fpmod import FPModule, invariant_factors
 
 
 def mat(rows, ring=ZZ):
     return Matrix.from_rows(ring, rows)
+
+
+def random_zmod(rng, n, rows, cols):
+    """Each entry a random multiple of a random divisor of n, so that
+    torsion (Smith entries other than 0 and 1) is common."""
+    divisors = [g for g in range(1, n + 1) if n % g == 0]
+    return Matrix(RingSpec.Zmod(n), rows, cols,
+                  [rng.randrange(0, n, rng.choice(divisors))
+                   for _ in range(rows * cols)])
+
+
+def all_columns(n, c):
+    """Every vector of (Z/n)^c, one per row."""
+    return np.array(list(itertools.product(range(n), repeat=c)),
+                    dtype=object).reshape(-1, c)
+
+
+# the exhaustive mod-n tests: every n up to 8, then two with square factors
+EXHAUSTIVE_NS = [*range(2, 10), 12]
 
 
 class TestHNF:
@@ -131,22 +152,18 @@ class TestSolve:
 
     def test_soundness_and_enumeration_mod_n(self):
         rng = random.Random(3)
-        for _ in range(40):
-            n = rng.randint(2, 6)
-            rn = RingSpec.Zmod(n)
-            r, c = rng.randint(1, 3), rng.randint(1, 3)
-            a = Matrix(rn, r, c, [rng.randint(0, n - 1) for _ in range(r * c)])
-            b = Matrix(rn, r, 1, [rng.randint(0, n - 1) for _ in range(r)])
-            x = solve(a, b)
-            brute = None
-            for cand in itertools.product(range(n), repeat=c):
-                if (a @ Matrix.column(rn, list(cand))) == b:
-                    brute = cand
-                    break
-            if x is None:
-                assert brute is None
-            else:
-                assert a @ x == b
+        for n in EXHAUSTIVE_NS:
+            for _ in range(10):
+                r, c = rng.randint(1, 3), rng.randint(1, 3)
+                a = random_zmod(rng, n, r, c)
+                b = (random_zmod(rng, n, r, 1) if rng.random() < 0.5
+                     else a @ random_zmod(rng, n, c, 1))
+                x = solve(a, b)
+                images = (all_columns(n, c) @ a.arr.T) % n
+                if x is None:
+                    assert not (images == b.arr.T).all(axis=1).any()
+                else:
+                    assert a @ x == b
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -171,17 +188,66 @@ class TestKernel:
 
     def test_completeness_exhaustive_mod_n(self):
         rng = random.Random(4)
-        for n in range(2, 9):
+        for n in EXHAUSTIVE_NS:
             rn = RingSpec.Zmod(n)
-            for _ in range(8):
-                r, c = rng.randint(1, 2), rng.randint(1, 3)
-                a = Matrix(rn, r, c,
-                           [rng.randint(0, n - 1) for _ in range(r * c)])
+            for _ in range(12):
+                r, c = rng.randint(1, 3), rng.randint(1, 3)
+                a = random_zmod(rng, n, r, c)
                 k = kernel_basis(a)
-                for cand in itertools.product(range(n), repeat=c):
-                    col = Matrix.column(rn, list(cand))
-                    if (a @ col).is_zero():
-                        assert solve_many(k, col) is not None
+                assert (a @ k).is_zero()
+                cands = all_columns(n, c)
+                for cand in cands[((cands @ a.arr.T) % n == 0).all(axis=1)]:
+                    assert solve_many(k, Matrix(rn, c, 1, cand)) is not None
+
+
+ZMOD_NS = [2, 4, 6, 8, 9, 12, 36]
+
+
+@st.composite
+def zmod_matrices(draw, min_cols=1):
+    n = draw(st.sampled_from(ZMOD_NS))
+    r, c = draw(st.integers(1, 5)), draw(st.integers(min_cols, 5))
+    entries = draw(st.lists(st.integers(0, n - 1),
+                            min_size=r * c, max_size=r * c))
+    return Matrix(RingSpec.Zmod(n), r, c, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(zmod_matrices())
+def test_snf_properties_zmod_hypothesis(a):
+    n = a.ring.n
+    d, u, v = snf(a)
+    assert u @ a @ v == d
+    assert is_invertible(u) and is_invertible(v)
+    assert all(d.entry(i, j) == 0 for i in range(d.rows)
+               for j in range(d.cols) if i != j)
+    diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
+    nonzero = [x for x in diag if x]
+    assert diag[:len(nonzero)] == nonzero          # zeros come last
+    assert all(x < n and n % x == 0 for x in nonzero)
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:]))
+
+
+def test_invariant_factors_zmod_match_sympy_lift():
+    """Over Z/n the module Z/n^r / im(A) is the Z-module Z^r / im[A | nI],
+    so sympy's invariant factors of that lift, 1s dropped, must agree."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ as SZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors as sym_inv
+
+    @settings(max_examples=150, deadline=None)
+    @given(zmod_matrices(min_cols=0))
+    def check(a):
+        n, r = a.ring.n, a.rows
+        lift = [[SZZ(x) for x in a.arr[i]] + [SZZ(n if i == j else 0)
+                                              for j in range(r)]
+                for i in range(r)]
+        want = [int(f) for f in sym_inv(DomainMatrix(lift, (r, a.cols + r), SZZ))
+                if f != 1]
+        assert invariant_factors(FPModule(a.ring, r, a)) == want
+
+    check()
 
 
 def test_kron_block_shapes():

@@ -300,6 +300,33 @@ class TestHorseshoe:
         comp = compose_chain(i_mor, p_mor)
         assert all(comp.f(n).f0.mat.is_zero() for n in range(4))
 
+    def test_stage_two_keeps_the_augmentation_cell(self):
+        # [Z/p -> 0] -> [Z/n -p-> Z/n] -> [0 -> Z/p] over Z/n with n = p^2 or
+        # p^3: A's augmentation cell is nonzero, B has a degree-1 generator
+        # and C's resolution never stops, so the stage-2 solve must also
+        # keep B's augmentation cell compatible with d_1 d_2
+        for n, p in ((4, 2), (9, 3), (27, 3)):
+            r = RingSpec.Zmod(n)
+            zp = FPModule(r, 1, Matrix.from_rows(r, [[p]]))
+            one, zero = FPModule.free(r, 1), FPModule.zero(r)
+            a = TwoModule(zp, zero, ModMor.zero(zp, zero))
+            b = TwoModule(one, one, ModMor(one, one, Matrix.from_rows(r, [[p]])))
+            c = TwoModule.discrete(zp)
+            f = OneMor(a, b, ModMor(zp, one, Matrix.from_rows(r, [[n // p]])),
+                       ModMor.zero(zero, one))
+            g = OneMor(b, c, ModMor.zero(one, c.M1),
+                       ModMor(one, zp, Matrix.from_rows(r, [[1]])))
+            phi = zero_null_homotopy(compose(f, g))
+            res_a, res_c = resolve(a, 3), resolve(c, 3)
+            assert not res_a.aug_cell_s.mat.is_zero()
+            assert res_c.module(2).M0.gens > 0
+            res_b, i_mor, p_mor = horseshoe(f, phi, g, res_a, res_c)
+            for ok, why in (validate_resolution(res_b),
+                            validate_chain_mor(i_mor),
+                            validate_chain_mor(p_mor)):
+                assert ok, (n, why)
+            assert pi_profile(res_b.target) == ([p], [p])
+
     def test_zero_first_leg(self):
         zf = catalog.z_free()
         zero = TwoModule.zero(ZZ)
