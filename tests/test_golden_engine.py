@@ -1,0 +1,106 @@
+"""Pinned elimination engine: ``snf`` (D, U, V), ``hnf`` (H, U),
+``kernel_basis`` and ``solve_many`` on seeded matrices over Z, Z/6, Z/8,
+Z/9 and Z/12 must give the same entries, in the same order, as when
+``golden_engine.json`` was written.
+
+``golden_engine.json`` holds the number of cases and one sha256 over every
+output.  Shapes run up to 9x9 and include 0x0, 0xk, kx0 and all-zero
+inputs.  Regenerate it, only when an engine output is meant to change,
+from the repository root with
+
+    PYTHONPATH=src python tests/test_golden_engine.py
+
+and say in the change description which outputs changed and why.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+from twohom.exactlin import (ZZ, Matrix, RingSpec, hnf, kernel_basis, snf,
+                             solve_many)
+
+GOLDEN = Path(__file__).with_name("golden_engine.json")
+RINGS = [ZZ, *(RingSpec.Zmod(n) for n in (6, 8, 9, 12))]
+EMPTY_SHAPES = [(0, 0), (0, 1), (0, 5), (1, 0), (5, 0), (9, 0), (0, 9)]
+
+
+def _entry(rng, ring):
+    """Small entries over Z; over Z/n a multiple of a divisor of n, so
+    that torsion in the Smith form is common."""
+    if not ring.is_modular:
+        return rng.randint(-9, 9)
+    n = ring.n
+    return rng.randrange(0, n, rng.choice([g for g in range(1, n) if n % g == 0]))
+
+
+def cases(seed=20261018, per_ring=200):
+    """(A, B) pairs: every empty shape and an all-zero matrix per ring,
+    then random matrices, sparse ones and products of a thin pair
+    (low rank).  B is A times a random matrix or random, so both
+    solvable and unsolvable systems occur."""
+    rng = random.Random(seed)
+    out = []
+    for ring in RINGS:
+        shapes = EMPTY_SHAPES + [(rng.randint(1, 9), rng.randint(1, 9))]
+        mats = [Matrix.zeros(ring, r, c) for r, c in shapes]
+        for k in range(per_ring):
+            r, c = rng.randint(1, 9), rng.randint(1, 9)
+            kind = k % 3
+            if kind == 0:
+                vals = [_entry(rng, ring) for _ in range(r * c)]
+            elif kind == 1:
+                vals = [_entry(rng, ring) if rng.random() < 0.3 else 0
+                        for _ in range(r * c)]
+            else:
+                w = rng.randint(1, 3)
+                left = Matrix(ring, r, w, [_entry(rng, ring) for _ in range(r * w)])
+                right = Matrix(ring, w, c, [_entry(rng, ring) for _ in range(w * c)])
+                vals = (left @ right).arr.flat
+            mats.append(Matrix(ring, r, c, list(vals)))
+        for a in mats:
+            k = rng.randint(0, 3)
+            if rng.random() < 0.5:
+                x = Matrix(ring, a.cols, k, [_entry(rng, ring)
+                                             for _ in range(a.cols * k)])
+                b = a @ x
+            else:
+                b = Matrix(ring, a.rows, k, [_entry(rng, ring)
+                                             for _ in range(a.rows * k)])
+            out.append((a, b))
+    return out
+
+
+def _feed(h, m):
+    h.update(f"{m.rows}x{m.cols}:{m.tolists()};".encode())
+
+
+def engine_digest():
+    """(number of cases, sha256 of every engine output in case order)."""
+    h = hashlib.sha256()
+    todo = cases()
+    for a, b in todo:
+        h.update(f"{a.ring}|".encode())
+        for m in (*snf(a), *hnf(a), kernel_basis(a)):
+            _feed(h, m)
+        x = solve_many(a, b)
+        if x is None:
+            h.update(b"none;")
+        else:
+            _feed(h, x)
+    return len(todo), h.hexdigest()
+
+
+def test_engine_outputs_match_golden():
+    golden = json.loads(GOLDEN.read_text())
+    count, sha = engine_digest()
+    assert count == golden["cases"]
+    assert sha == golden["sha256"]
+
+
+if __name__ == "__main__":
+    count, sha = engine_digest()
+    GOLDEN.write_text(json.dumps({"cases": count, "sha256": sha},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote the digest of {count} cases to {GOLDEN}")
