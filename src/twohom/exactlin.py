@@ -2,12 +2,14 @@
 
 Everything downstream (presented modules, 2-modules, homology, derived
 functors) reduces to the four primitives in this module: Hermite form,
-Smith form, exact linear solving and kernel generation.  Entries are
-Python ints held in object-dtype numpy arrays, so intermediate values
-never overflow; over Z/n entries are kept as canonical representatives
-in [0, n).  One engine serves both rings: solving and kernels read the
-Smith form computed over the ring itself (Z/n is a principal ideal ring),
-so nothing is lifted to Z and Z/n entries stay below n.
+Smith form, exact linear solving and kernel generation.  A ``Matrix``
+stores Python ints in an object-dtype numpy array; the Hermite and Smith
+elimination converts it once to lists of rows of Python ints and back, so
+no value ever overflows.  Over Z/n entries are kept as canonical
+representatives in [0, n).  One engine serves both rings: solving and
+kernels read the Smith form computed over the ring itself (Z/n is a
+principal ideal ring), so nothing is lifted to Z and Z/n entries stay
+below n.
 
 Conventions (fixed so that outputs are bit-reproducible):
 
@@ -206,7 +208,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.ring == other.ring and self.shape == other.shape
-                and all(a == b for a, b in zip(self._arr.flat, other._arr.flat)))
+                and self._arr.tolist() == other._arr.tolist())
 
     def __hash__(self):
         if self._hash is None:
@@ -330,29 +332,64 @@ def _unit_multiplier(x: int, n: int):
     raise AssertionError("no unit multiplier found")  # unreachable
 
 
-def _row_op_2x2(A, U, i, j, s, t, u, v, mod=None):
-    """Rows i, j of A (and U) <- (s*Ri + t*Rj, u*Ri + v*Rj)."""
-    for M in (A, U):
-        ri = M[i, :].copy()
-        rj = M[j, :].copy()
-        M[i, :] = s * ri + t * rj
-        M[j, :] = u * ri + v * rj
-        if mod is not None:
-            M[i, :] %= mod
-            M[j, :] %= mod
+def _pivot(M, r, c0, c1, n):
+    """(i, j) of the first nonzero entry of minimal size in rows r.. and
+    columns c0..c1-1 of M, read row by row, or None.  Size is |x| over Z,
+    gcd(x, n) over Z/n (entries lie in [0, n)); as no size is below 1,
+    a 1 ends the scan."""
+    best = pivot = None
+    for i in range(r, len(M)):
+        row = M[i]
+        for j in range(c0, c1):
+            x = row[j]
+            if x:
+                m = abs(x) if n is None else gcd(x, n)
+                if best is None or m < best:
+                    best, pivot = m, (i, j)
+                    if m == 1:
+                        return pivot
+    return pivot
 
 
-def _swap_rows(A, U, i, j):
-    if i != j:
-        A[[i, j], :] = A[[j, i], :]
-        U[[i, j], :] = U[[j, i], :]
-
-
-def _measure(x: int, n: Optional[int]) -> int:
-    """Pivot size: |x| over Z, gcd(x, n) over Z/n (0 maps to n)."""
+def _mix(x, y, s, t, u, v, n):
+    """Rows (s*x + t*y, u*x + v*y), reduced mod n unless n is None."""
     if n is None:
-        return abs(x)
-    return gcd(x % n, n) if x % n else n
+        return ([s * a + t * b for a, b in zip(x, y)],
+                [u * a + v * b for a, b in zip(x, y)])
+    return ([(s * a + t * b) % n for a, b in zip(x, y)],
+            [(u * a + v * b) % n for a, b in zip(x, y)])
+
+
+def _mix_cols(M, r, i, j, s, t, u, v, n):
+    """Columns i, j of rows r.. of M <- (s*Ci + t*Cj, u*Ci + v*Cj),
+    reduced mod n unless n is None."""
+    for row in M[r:]:
+        x, y = row[i], row[j]
+        if n is None:
+            row[i], row[j] = s * x + t * y, u * x + v * y
+        else:
+            row[i], row[j] = (s * x + t * y) % n, (u * x + v * y) % n
+
+
+def _sub(x, q, y, n):
+    """Row x - q*y, reduced mod n unless n is None.  Where y is 0 the
+    entry of x is kept: over Z/n it is already in [0, n)."""
+    if n is None:
+        return [a - q * b if b else a for a, b in zip(x, y)]
+    return [(a - q * b) % n if b else a for a, b in zip(x, y)]
+
+
+def _eye(m: int):
+    """The m x m identity as a list of rows."""
+    rows = [[0] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = 1
+    return rows
+
+
+def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
+    """Matrix from a list of row lists."""
+    return Matrix(ring, rows, cols, np.array(data, dtype=object))
 
 
 def hnf(A: Matrix):
@@ -361,144 +398,136 @@ def hnf(A: Matrix):
         return A._hnf
     ring = A.ring
     n = ring.n if ring.is_modular else None
-    H = A.arr.astype(object, copy=True)
-    U = Matrix.identity(ring, A.rows).arr.astype(object, copy=True)
+    rows = A.rows
+    H = A.arr.tolist()
+    U = _eye(rows)
     r = 0
     for j in range(A.cols):
-        if r >= A.rows:
+        if r >= rows:
             break
-        # clear below row r in column j; each update zeroes H[i, j] exactly
-        pivot = None
-        best = None
-        for i in range(r, A.rows):
-            x = H[i, j]
-            if x != 0:
-                m = _measure(x, n)
-                if best is None or m < best:
-                    best = m
-                    pivot = i
-        if pivot is not None:
-            _swap_rows(H, U, r, pivot)
-            for i in range(r + 1, A.rows):
-                if H[i, j] == 0:
-                    continue
-                a, b = H[r, j], H[i, j]
-                if n is None and b % a == 0:
-                    q = b // a
-                    H[i, :] -= q * H[r, :]
-                    U[i, :] -= q * U[r, :]
-                else:
-                    g, s, t = _xgcd(a, b)
-                    _row_op_2x2(H, U, r, i, s, t, -(b // g), a // g, mod=n)
-        if H[r, j] != 0:
-            # normalize the pivot
-            if n is None:
-                if H[r, j] < 0:
-                    H[r, :] = -H[r, :]
-                    U[r, :] = -U[r, :]
+        # clear below row r in column j; each update zeroes H[i][j] exactly
+        pivot = _pivot(H, r, j, j + 1, n)
+        if pivot is None:
+            continue
+        pivot = pivot[0]
+        H[r], H[pivot] = H[pivot], H[r]
+        U[r], U[pivot] = U[pivot], U[r]
+        for i in range(r + 1, rows):
+            b = H[i][j]
+            if b == 0:
+                continue
+            a = H[r][j]
+            if n is None and b % a == 0:
+                q = b // a
+                H[i] = _sub(H[i], q, H[r], None)
+                U[i] = _sub(U[i], q, U[r], None)
             else:
-                u, g = _unit_multiplier(H[r, j], n)
-                H[r, :] = (u * H[r, :]) % n
-                U[r, :] = (u * U[r, :]) % n
-            p = H[r, j]
-            for i in range(r):
-                q = H[i, j] // p
-                if q:
-                    H[i, :] -= q * H[r, :]
-                    U[i, :] -= q * U[r, :]
-                    if n is not None:
-                        H[i, :] %= n
-                        U[i, :] %= n
-            r += 1
-    res = (Matrix(ring, A.rows, A.cols, H), Matrix(ring, A.rows, A.rows, U))
+                g, s, t = _xgcd(a, b)
+                u, v = -(b // g), a // g
+                H[r], H[i] = _mix(H[r], H[i], s, t, u, v, n)
+                U[r], U[i] = _mix(U[r], U[i], s, t, u, v, n)
+        # normalize the pivot, then reduce the entries above it
+        if n is None:
+            if H[r][j] < 0:
+                H[r] = [-x for x in H[r]]
+                U[r] = [-x for x in U[r]]
+        else:
+            u, g = _unit_multiplier(H[r][j], n)
+            H[r] = [(u * x) % n for x in H[r]]
+            U[r] = [(u * x) % n for x in U[r]]
+        p = H[r][j]
+        for i in range(r):
+            q = H[i][j] // p
+            if q:
+                H[i] = _sub(H[i], q, H[r], n)
+                U[i] = _sub(U[i], q, U[r], n)
+        r += 1
+    res = (_matrix(ring, rows, A.cols, H), _matrix(ring, rows, rows, U))
     A._hnf = res
     return res
 
 
-def _clear_below(D, U, t, n):
-    """Clear column t below the pivot D[t, t] by row operations, applied
-    to U as well.  On the transposed views D.T, V.T this clears row t by
-    column operations."""
-    for i in range(t + 1, D.shape[0]):
-        if D[i, t] == 0:
-            continue
-        a, b = D[t, t], D[i, t]
-        if b % a == 0:
-            q = b // a
-            D[i, :] -= q * D[t, :]
-            U[i, :] -= q * U[t, :]
-            if n is not None:
-                D[i, :] %= n
-                U[i, :] %= n
-        else:
-            g, s, tt = _xgcd(a, b)
-            _row_op_2x2(D, U, t, i, s, tt, -(b // g), a // g, mod=n)
-
-
 def snf(A: Matrix):
-    """Smith normal form.  Returns (D, U, V) with D = U @ A @ V."""
+    """Smith normal form.  Returns (D, U, V) with D = U @ A @ V.
+
+    V is kept transposed (Vt) during elimination, so that a column
+    operation on D is a row operation on Vt."""
     if A._snf is not None:
         return A._snf
     ring = A.ring
     n = ring.n if ring.is_modular else None
-    D = A.arr.astype(object, copy=True)
-    U = Matrix.identity(ring, A.rows).arr.astype(object, copy=True)
-    V = Matrix.identity(ring, A.cols).arr.astype(object, copy=True)
     rows, cols = A.rows, A.cols
+    D = A.arr.tolist()
+    U = _eye(rows)
+    Vt = _eye(cols)
     t = 0
-    while True:
-        # find the pivot: first nonzero of minimal measure in D[t:, t:]
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = D[i, j]
-                if x != 0:
-                    m = _measure(x, n)
-                    if best is None or m < best:
-                        best = m
-                        pivot = (i, j)
+    while t < min(rows, cols):
+        # find the pivot: first nonzero of minimal size in D[t:][t:]
+        pivot = _pivot(D, t, t, cols, n)
         if pivot is None:
             break
-        _swap_rows(D, U, t, pivot[0])
-        _swap_rows(D.T, V.T, t, pivot[1])
+        pi, pj = pivot
+        D[t], D[pi] = D[pi], D[t]
+        U[t], U[pi] = U[pi], U[t]
+        for Dk in D:
+            Dk[t], Dk[pj] = Dk[pj], Dk[t]
+        Vt[t], Vt[pj] = Vt[pj], Vt[t]
         while True:
-            _clear_below(D, U, t, n)
-            _clear_below(D.T, V.T, t, n)  # row t, by column operations
-            if all(D[i, t] == 0 for i in range(t + 1, rows)):
+            # column t below the pivot, by row operations on D and U
+            for i in range(t + 1, rows):
+                b = D[i][t]
+                if b == 0:
+                    continue
+                a = D[t][t]
+                if b % a == 0:
+                    q = b // a
+                    D[i] = _sub(D[i], q, D[t], n)
+                    U[i] = _sub(U[i], q, U[t], n)
+                else:
+                    g, s, tt = _xgcd(a, b)
+                    u, v = -(b // g), a // g
+                    D[t], D[i] = _mix(D[t], D[i], s, tt, u, v, n)
+                    U[t], U[i] = _mix(U[t], U[i], s, tt, u, v, n)
+            # row t right of the pivot, by operations on columns t, j of D
+            # (zero above row t) and on rows t, j of Vt
+            for j in range(t + 1, cols):
+                b = D[t][j]
+                if b == 0:
+                    continue
+                a = D[t][t]
+                if b % a == 0:
+                    q = b // a
+                    _mix_cols(D, t, t, j, 1, 0, -q, 1, n)
+                    Vt[j] = _sub(Vt[j], q, Vt[t], n)
+                else:
+                    g, s, tt = _xgcd(a, b)
+                    u, v = -(b // g), a // g
+                    _mix_cols(D, t, t, j, s, tt, u, v, n)
+                    Vt[t], Vt[j] = _mix(Vt[t], Vt[j], s, tt, u, v, n)
+            if all(D[i][t] == 0 for i in range(t + 1, rows)):
                 break
         # fold in any entry the pivot does not divide, then redo
-        p = D[t, t]
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if D[i, j] % p != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        p = D[t][t]
+        offender = None if p in (1, -1) else next(
+            (i for i in range(t + 1, rows) if any(x % p for x in D[i][t + 1:])),
+            None)
         if offender is not None:
-            D[t, :] += D[offender, :]
-            U[t, :] += U[offender, :]
-            if n is not None:
-                D[t, :] %= n
-                U[t, :] %= n
+            D[t] = _sub(D[t], -1, D[offender], n)
+            U[t] = _sub(U[t], -1, U[offender], n)
             continue  # re-run elimination at the same t
         # normalize the pivot
         if n is None:
-            if D[t, t] < 0:
-                D[t, :] = -D[t, :]
-                U[t, :] = -U[t, :]
+            if D[t][t] < 0:
+                D[t] = [-x for x in D[t]]
+                U[t] = [-x for x in U[t]]
         else:
-            u, g = _unit_multiplier(D[t, t], n)
-            D[t, :] = (u * D[t, :]) % n
-            U[t, :] = (u * U[t, :]) % n
+            u, g = _unit_multiplier(D[t][t], n)
+            D[t] = [(u * x) % n for x in D[t]]
+            U[t] = [(u * x) % n for x in U[t]]
         t += 1
-        if t >= min(rows, cols):
-            break
-    res = (Matrix(ring, rows, cols, D),
-           Matrix(ring, rows, rows, U),
-           Matrix(ring, cols, cols, V))
+    res = (_matrix(ring, rows, cols, D),
+           _matrix(ring, rows, rows, U),
+           _matrix(ring, cols, cols, [list(c) for c in zip(*Vt)]))
     A._snf = res
     return res
 

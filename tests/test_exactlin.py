@@ -105,11 +105,16 @@ class TestSNF:
         assert u @ a @ v == d
 
     def test_empty_shapes(self):
-        for r, c in [(0, 0), (0, 3), (3, 0)]:
-            a = Matrix.zeros(ZZ, r, c)
-            d, u, v = snf(a)
-            assert d.shape == (r, c)
-            assert u @ a @ v == d
+        for ring in (ZZ, RingSpec.Zmod(12)):
+            for r, c in [(0, 0), (0, 3), (3, 0)]:
+                a = Matrix.zeros(ring, r, c)
+                d, u, v = snf(a)
+                assert d.shape == (r, c)
+                assert (u.shape, v.shape) == ((r, r), (c, c))
+                assert u @ a @ v == d
+                h, w = hnf(a)
+                assert h.shape == (r, c)
+                assert w @ a == h and w == Matrix.identity(ring, r)
 
     def test_bignum_growth_stays_exact(self):
         # Hilbert-like matrices force large intermediate entries
@@ -136,6 +141,39 @@ def test_snf_properties_hypothesis(rows):
         else:
             assert diag[i + 1] == 0
     assert all(x >= 0 for x in diag)
+
+
+@st.composite
+def hnf_inputs(draw):
+    n = draw(st.sampled_from([None, 4, 6, 9, 12]))
+    ring = ZZ if n is None else RingSpec.Zmod(n)
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lo, hi = (-9, 9) if n is None else (0, n - 1)
+    entries = draw(st.lists(st.integers(lo, hi), min_size=r * c,
+                            max_size=r * c))
+    return Matrix(ring, r, c, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hnf_inputs())
+def test_hnf_properties_hypothesis(a):
+    """H = U A with U invertible, H in row echelon form, and the module
+    docstring's pivot conventions: over Z pivots are positive, over Z/n
+    they divide n, and the entries above a pivot lie in [0, pivot)."""
+    h, u = hnf(a)
+    assert u @ a == h
+    assert is_invertible(u)
+    rows = h.tolists()
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    nonzero = [j for j in leads if j is not None]
+    assert leads[:len(nonzero)] == nonzero           # zero rows come last
+    assert nonzero == sorted(set(nonzero))           # strictly to the right
+    for i, j in enumerate(nonzero):
+        p = rows[i][j]
+        assert p > 0
+        if a.ring.is_modular:
+            assert a.ring.n % p == 0
+        assert all(0 <= rows[k][j] < p for k in range(i))
 
 
 class TestSolve:
