@@ -379,6 +379,19 @@ def _sub(x, q, y, n):
     return [(a - q * b) % n if b else a for a, b in zip(x, y)]
 
 
+def _normalize(M, U, r, j, n):
+    """Scale row r of M and of U by a unit so that the pivot M[r][j] is
+    positive over Z and gcd(pivot, n) over Z/n."""
+    if n is None:
+        if M[r][j] < 0:
+            M[r] = [-x for x in M[r]]
+            U[r] = [-x for x in U[r]]
+    else:
+        u, _ = _unit_multiplier(M[r][j], n)
+        M[r] = [(u * x) % n for x in M[r]]
+        U[r] = [(u * x) % n for x in U[r]]
+
+
 def _eye(m: int):
     """The m x m identity as a list of rows."""
     rows = [[0] * m for _ in range(m)]
@@ -409,9 +422,9 @@ def hnf(A: Matrix):
         pivot = _pivot(H, r, j, j + 1, n)
         if pivot is None:
             continue
-        pivot = pivot[0]
-        H[r], H[pivot] = H[pivot], H[r]
-        U[r], U[pivot] = U[pivot], U[r]
+        k = pivot[0]
+        H[r], H[k] = H[k], H[r]
+        U[r], U[k] = U[k], U[r]
         for i in range(r + 1, rows):
             b = H[i][j]
             if b == 0:
@@ -427,14 +440,7 @@ def hnf(A: Matrix):
                 H[r], H[i] = _mix(H[r], H[i], s, t, u, v, n)
                 U[r], U[i] = _mix(U[r], U[i], s, t, u, v, n)
         # normalize the pivot, then reduce the entries above it
-        if n is None:
-            if H[r][j] < 0:
-                H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
-        else:
-            u, g = _unit_multiplier(H[r][j], n)
-            H[r] = [(u * x) % n for x in H[r]]
-            U[r] = [(u * x) % n for x in U[r]]
+        _normalize(H, U, r, j, n)
         p = H[r][j]
         for i in range(r):
             q = H[i][j] // p
@@ -515,15 +521,7 @@ def snf(A: Matrix):
             D[t] = _sub(D[t], -1, D[offender], n)
             U[t] = _sub(U[t], -1, U[offender], n)
             continue  # re-run elimination at the same t
-        # normalize the pivot
-        if n is None:
-            if D[t][t] < 0:
-                D[t] = [-x for x in D[t]]
-                U[t] = [-x for x in U[t]]
-        else:
-            u, g = _unit_multiplier(D[t][t], n)
-            D[t] = [(u * x) % n for x in D[t]]
-            U[t] = [(u * x) % n for x in U[t]]
+        _normalize(D, U, t, t, n)
         t += 1
     res = (_matrix(ring, rows, cols, D),
            _matrix(ring, rows, rows, U),
