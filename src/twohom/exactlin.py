@@ -502,7 +502,7 @@ def snf(A: Matrix):
                     continue
                 a = D[t][t]
                 if b % a == 0:
-                    q = b // a
+                    q = b // a    # column j -= q * column t
                     _mix_cols(D, t, t, j, 1, 0, -q, 1, n)
                     Vt[j] = _sub(Vt[j], q, Vt[t], n)
                 else:
