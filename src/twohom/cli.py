@@ -79,13 +79,13 @@ class Workspace:
         self.objects = objects
         self.raw = raw
 
-    def get(self, name: str, kinds=None):
+    def get(self, name: str, kinds=None, where: str = "this command"):
         if name not in self.objects:
             raise ValidationFailure(f"unknown object {name!r}")
         obj = self.objects[name]
         if kinds is not None and not isinstance(obj, kinds):
             raise ValidationFailure(
-                f"object {name!r} has the wrong type for this command")
+                f"object {name!r} has the wrong type for {where}")
         return obj
 
 
@@ -100,6 +100,10 @@ def _as_int(x) -> int:
         except ValueError as exc:
             raise ParseFailure(f"bad integer {x!r}") from exc
     raise ParseFailure(f"bad integer {x!r}")
+
+
+def _opt_int(x) -> Optional[int]:
+    return None if x is None else _as_int(x)
 
 
 def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
@@ -155,82 +159,84 @@ def load_doc(doc: dict) -> Workspace:
     ws = Workspace(ring, {}, doc)
     resolving: List[str] = []
 
-    def build(name: str):
-        if name in ws.objects:
-            return ws.objects[name]
-        if name in resolving:
-            raise ParseFailure(f"cyclic reference through {name!r}")
-        if name not in raw_objects:
-            raise ValidationFailure(f"unknown object {name!r}")
-        resolving.append(name)
-        try:
-            obj = _build_object(ws, ring, name, raw_objects[name], build)
-        except (InvalidMorphism, DimensionMismatch, CompatibilityError) as exc:
-            raise ValidationFailure(f"object {name!r}: {exc}") from exc
-        resolving.pop()
-        ws.objects[name] = obj
-        return obj
+    def build(ref, kinds, where: str):
+        """The object that ``where`` names by ``ref``, of one of ``kinds``."""
+        if not isinstance(ref, str):
+            raise ParseFailure(f"{where}: object names are strings, got {ref!r}")
+        if ref not in ws.objects:
+            if ref in resolving:
+                raise ParseFailure(f"cyclic reference through {ref!r}")
+            if ref not in raw_objects:
+                raise ValidationFailure(f"unknown object {ref!r}")
+            resolving.append(ref)
+            try:
+                obj = _build_object(ring, ref, raw_objects[ref], build)
+            except (InvalidMorphism, DimensionMismatch, CompatibilityError) as exc:
+                raise ValidationFailure(f"object {ref!r}: {exc}") from exc
+            resolving.pop()
+            ws.objects[ref] = obj
+        return ws.get(ref, kinds, where)
 
     for name in raw_objects:
-        build(name)
+        build(name, None, "the document")
     return ws
 
 
-def _build_object(ws: Workspace, ring: RingSpec, name: str, spec, build):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ParseFailure(f"object {name!r}: needs a type field")
-    t = spec["type"]
+def _field(spec, key: str, where: str):
+    if not isinstance(spec, dict):
+        raise ParseFailure(f"{where}: expected a mapping, got "
+                           f"{type(spec).__name__}")
+    if key not in spec:
+        raise ParseFailure(f"{where}: missing field {key!r}")
+    return spec[key]
+
+
+def _build_object(ring: RingSpec, name: str, spec, build):
+    where = f"object {name!r}"
+    t = _field(spec, "type", where)
     if t == "matrix":
-        return _parse_matrix(ring, spec["entries"],
-                             spec.get("rows"), spec.get("cols"), name)
+        return _parse_matrix(ring, _field(spec, "entries", where),
+                             _opt_int(spec.get("rows")),
+                             _opt_int(spec.get("cols")), name)
     if t == "module":
-        gens = _as_int(spec["gens"])
-        cols = spec.get("relation_count")
-        rel = _parse_matrix(ring, spec.get("relations", []), rows=gens,
-                            cols=_as_int(cols) if cols is not None else None,
-                            where=name)
-        return FPModule(ring, gens, rel)
+        return _module(ring, spec, build, name)
     if t == "twomodule":
-        m1 = _sub_module(ws, ring, spec["M1"], build, f"{name}.M1")
-        m0 = _sub_module(ws, ring, spec["M0"], build, f"{name}.M0")
-        d = _parse_matrix(ring, spec["d"], rows=m0.gens, cols=m1.gens,
-                          where=f"{name}.d")
+        m1 = _module(ring, _field(spec, "M1", where), build, f"{name}.M1")
+        m0 = _module(ring, _field(spec, "M0", where), build, f"{name}.M0")
+        d = _parse_matrix(ring, _field(spec, "d", where), rows=m0.gens,
+                          cols=m1.gens, where=f"{name}.d")
         return TwoModule(m1, m0, ModMor(m1, m0, d))
     if t == "onemor":
-        src = build(spec["src"])
-        dst = build(spec["dst"])
-        if not isinstance(src, TwoModule) or not isinstance(dst, TwoModule):
-            raise ValidationFailure(f"object {name!r}: endpoints must be twomodules")
-        f1 = _parse_matrix(ring, spec["f1"], rows=dst.M1.gens,
+        src = build(_field(spec, "src", where), TwoModule, where)
+        dst = build(_field(spec, "dst", where), TwoModule, where)
+        f1 = _parse_matrix(ring, _field(spec, "f1", where), rows=dst.M1.gens,
                            cols=src.M1.gens, where=f"{name}.f1")
-        f0 = _parse_matrix(ring, spec["f0"], rows=dst.M0.gens,
+        f0 = _parse_matrix(ring, _field(spec, "f0", where), rows=dst.M0.gens,
                            cols=src.M0.gens, where=f"{name}.f0")
         return OneMor(src, dst, ModMor(src.M1, dst.M1, f1),
                       ModMor(src.M0, dst.M0, f0))
     if t == "twomor":
-        frm = ws_one_mor(build(spec["from"]), name)
+        frm = build(_field(spec, "from", where), OneMor, where)
         if spec.get("to") == "zero":
             to = OneMor.zero(frm.src, frm.dst)
         else:
-            to = ws_one_mor(build(spec["to"]), name)
-        s = _parse_matrix(ring, spec["s"], rows=frm.dst.M1.gens,
+            to = build(_field(spec, "to", where), OneMor, where)
+        s = _parse_matrix(ring, _field(spec, "s", where), rows=frm.dst.M1.gens,
                           cols=frm.src.M0.gens, where=f"{name}.s")
         return TwoMor(frm, to, ModMor(frm.src.M0, frm.dst.M1, s))
     if t == "complex":
         items = spec.get("items", [])
+        if not isinstance(items, list):
+            raise ParseFailure(f"{where}: items must be a list")
         mods: List[TwoModule] = []
         diffs: List[OneMor] = []
         alphas = {}
         for n, item in enumerate(items):
-            m = build(item["module"])
-            if not isinstance(m, TwoModule):
-                raise ValidationFailure(f"{name}[{n}]: module expected")
+            at = f"{name}[{n}]"
+            m = build(_field(item, "module", at), TwoModule, at)
             mods.append(m)
             if n >= 1:
-                d = build(item["diff"])
-                if not isinstance(d, OneMor):
-                    raise ValidationFailure(f"{name}[{n}]: diff must be a onemor")
-                diffs.append(d)
+                diffs.append(build(_field(item, "diff", at), OneMor, at))
             if n >= 2 and item.get("alpha") is not None:
                 s = _parse_matrix(ring, item["alpha"],
                                   rows=mods[n - 2].M1.gens, cols=m.M0.gens,
@@ -242,47 +248,31 @@ def _build_object(ws: Workspace, ring: RingSpec, name: str, spec, build):
             raise ValidationFailure(f"object {name!r}: {why}")
         return c
     if t == "extension":
-        F = build(spec["F"])
-        phi = build(spec["phi"])
-        G = build(spec["G"])
-        if not (isinstance(F, OneMor) and isinstance(phi, TwoMor)
-                and isinstance(G, OneMor)):
-            raise ValidationFailure(f"object {name!r}: extension parts mistyped")
-        return (F, phi, G)
+        return (build(_field(spec, "F", where), OneMor, where),
+                build(_field(spec, "phi", where), TwoMor, where),
+                build(_field(spec, "G", where), OneMor, where))
     if t == "functor":
         kind = spec.get("kind")
         if kind == "identity":
             return FunctorSpec.identity()
         if kind == "tensor":
-            m = build(spec["module"])
-            if not isinstance(m, FPModule):
-                raise ValidationFailure(f"object {name!r}: tensor needs a module")
-            return FunctorSpec.tensor_with(m)
-        raise ParseFailure(f"object {name!r}: unknown functor kind")
+            return FunctorSpec.tensor_with(
+                build(_field(spec, "module", where), FPModule, where))
+        raise ParseFailure(f"{where}: unknown functor kind")
     if t == "resolution":
-        m = build(spec["of"])
-        if not isinstance(m, TwoModule):
-            raise ValidationFailure(f"object {name!r}: resolution of a twomodule")
+        m = build(_field(spec, "of", where), TwoModule, where)
         return resolve(m, _as_int(spec.get("depth", 2)))
-    raise ParseFailure(f"object {name!r}: unknown type {t!r}")
+    raise ParseFailure(f"{where}: unknown type {t!r}")
 
 
-def _sub_module(ws, ring, spec, build, where) -> FPModule:
+def _module(ring: RingSpec, spec, build, where: str) -> FPModule:
+    """A module given inline or, inside a twomodule, by its object name."""
     if isinstance(spec, str):
-        obj = build(spec)
-        if not isinstance(obj, FPModule):
-            raise ValidationFailure(f"{where}: {spec!r} is not a module")
-        return obj
-    gens = _as_int(spec["gens"])
+        return build(spec, FPModule, where)
+    gens = _as_int(_field(spec, "gens", where))
     rel = _parse_matrix(ring, spec.get("relations", []), rows=gens,
-                        where=where)
+                        cols=_opt_int(spec.get("relation_count")), where=where)
     return FPModule(ring, gens, rel)
-
-
-def ws_one_mor(obj, name) -> OneMor:
-    if not isinstance(obj, OneMor):
-        raise ValidationFailure(f"object {name!r}: expected a onemor")
-    return obj
 
 
 # ---------------------------------------------------------------------------

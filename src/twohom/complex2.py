@@ -362,9 +362,7 @@ def total(c: Complex2) -> TotalComplex:
         mods.append(direct_sum(m0, m1)[0])
     diffs: List[ModMor] = []
     for k in range(1, c.length + 2):
-        top = c.module(k)
         below = c.module(k - 1)
-        lower = c.module(k - 2)
         mat = block([
             [c.diff(k).f0.mat, below.d.mat],
             [c.alpha_s(k).mat, -c.diff(k - 1).f1.mat],

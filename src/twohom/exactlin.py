@@ -75,14 +75,6 @@ class RingSpec:
 ZZ = RingSpec.Z()
 
 
-def _to_object_array(rows: int, cols: int, data) -> np.ndarray:
-    arr = np.empty((rows, cols), dtype=object)
-    for i in range(rows):
-        for j in range(cols):
-            arr[i, j] = int(data[i][j])
-    return arr
-
-
 class Matrix:
     """Immutable exact matrix over a RingSpec.
 
@@ -98,20 +90,18 @@ class Matrix:
         self.ring = ring
         self.rows = rows
         self.cols = cols
+        modular = ring.is_modular
         if isinstance(entries, np.ndarray):
-            arr = entries.astype(object, copy=True)
-            arr = arr.reshape((rows, cols))
+            # one copy: over Z/n the reduction below is that copy
+            arr = entries.reshape((rows, cols)).astype(object, copy=not modular)
         else:
-            flat = list(entries)
+            flat = [int(x) for x in entries]
             if len(flat) != rows * cols:
                 raise DimensionMismatch(
                     f"need {rows * cols} entries, got {len(flat)}"
                 )
-            arr = np.empty((rows, cols), dtype=object)
-            for i in range(rows):
-                for j in range(cols):
-                    arr[i, j] = int(flat[i * cols + j])
-        if ring.is_modular:
+            arr = np.array(flat, dtype=object).reshape((rows, cols))
+        if modular:
             arr = arr % ring.n
         arr.setflags(write=False)
         self._arr = arr
@@ -128,7 +118,7 @@ class Matrix:
         c = len(rows_data[0]) if r else (0 if cols is None else cols)
         if any(len(row) != c for row in rows_data):
             raise DimensionMismatch("ragged rows")
-        return Matrix(ring, r, c, _to_object_array(r, c, rows_data))
+        return Matrix(ring, r, c, [x for row in rows_data for x in row])
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "Matrix":
@@ -229,12 +219,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.rows != rows or m.ring != ring for m in mats):
         raise DimensionMismatch("hstack mismatch")
     cols = sum(m.cols for m in mats)
-    arr = np.empty((rows, cols), dtype=object)
-    at = 0
-    for m in mats:
-        arr[:, at:at + m.cols] = m.arr
-        at += m.cols
-    return Matrix(ring, rows, cols, arr)
+    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats], 1))
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -246,12 +231,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.cols != cols or m.ring != ring for m in mats):
         raise DimensionMismatch("vstack mismatch")
     rows = sum(m.rows for m in mats)
-    arr = np.empty((rows, cols), dtype=object)
-    at = 0
-    for m in mats:
-        arr[at:at + m.rows, :] = m.arr
-        at += m.rows
-    return Matrix(ring, rows, cols, arr)
+    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats]))
 
 
 def block_diag(mats: Iterable[Matrix]) -> Matrix:

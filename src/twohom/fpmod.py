@@ -251,7 +251,6 @@ def normal_form_presentation(m: FPModule) -> FPModule:
     factors = invariant_factors(m)
     ring = m.ring
     torsion = [d for d in factors if d != 0]
-    free = len(factors) - len(torsion)
     gens = len(factors)
     rel = Matrix(ring, gens, len(torsion),
                  [torsion[j] if i == j else 0

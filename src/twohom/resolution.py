@@ -6,11 +6,17 @@ Projectives are exactly the free 2-modules [0 -> R^k]; because their
 degree-1 part vanishes, every 2-cell between resolution stages is zero
 except at the augmentation, and comparison lifts reduce to exact integer
 chain algebra plus one nontrivial augmentation cell.
+
+A resolution is one augmented complex ... -> P_1 -> P_0 -> M -> 0: P_{-1}
+is the target M (``module(-1)``), F_0 is ``aug`` (``f(0)``), a comparison
+lift of h: M -> N has H_{-1} = h (``lift(-1)``), and for every n >= 0 stage
+kernel n is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .exactlin import Matrix, block, hstack, solve_many, vstack
@@ -35,7 +41,6 @@ from .twomod import (
     is_pi_trivial,
     null_homotopy,
     oplus,
-    plain_kernel,
     relative_kernel,
     rk_factorize,
     whisker_right,
@@ -47,13 +52,16 @@ class ResolutionError(RuntimeError):
     """A lift or horseshoe solve failed; the input data is not what it claims."""
 
 
+def free_mor(p: TwoModule, dst: TwoModule, f0: Matrix) -> OneMor:
+    """The 1-morphism out of a free p with degree-0 matrix f0 (f1 is zero)."""
+    return OneMor(p, dst, ModMor.zero(p.M1, dst.M1),
+                  ModMor(p.M0, dst.M0, f0, check=False), check=False)
+
+
 def free_cover(m: TwoModule) -> Tuple[TwoModule, OneMor]:
     """The canonical essentially surjective cover [0 -> R^{gens}] -> m."""
-    ring = m.ring
-    p = TwoModule.free(ring, m.M0.gens)
-    f0 = ModMor(p.M0, m.M0, Matrix.identity(ring, m.M0.gens), check=False)
-    f1 = ModMor.zero(p.M1, m.M1)
-    return p, OneMor(p, m, f1, f0, check=False)
+    p = TwoModule.free(m.ring, m.M0.gens)
+    return p, free_mor(p, m, Matrix.identity(m.ring, m.M0.gens))
 
 
 def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
@@ -76,8 +84,7 @@ def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
     xs = Matrix(ring, b.M0.gens, p.M0.gens, sol.arr[: b.M0.gens, :])
     ys = Matrix(ring, c.M1.gens, p.M0.gens,
                 sol.arr[b.M0.gens: b.M0.gens + c.M1.gens, :])
-    l = OneMor(p, b, ModMor.zero(p.M1, b.M1),
-               ModMor(p.M0, b.M0, xs, check=False), check=False)
+    l = free_mor(p, b, xs)
     sigma = TwoMor(compose(l, e), t, ModMor(p.M0, c.M1, ys, check=False))
     return l, sigma
 
@@ -104,30 +111,37 @@ class Resolution:
     def depth(self) -> int:
         return len(self.modules) - 1
 
+    @cached_property
+    def coaug(self) -> OneMor:
+        """F_{-1}: M -> 0, one object shared by cell(0) and stage kernel 0."""
+        return OneMor.zero(self.target, TwoModule.zero(self.target.ring))
+
     def module(self, n: int) -> TwoModule:
+        """P_n, with P_{-1} the target; zero off range."""
+        if n == -1:
+            return self.target
         if 0 <= n <= self.depth:
             return self.modules[n]
         return TwoModule.zero(self.target.ring)
 
     def f(self, n: int) -> OneMor:
-        """Differential P_n -> P_{n-1} (n >= 1); zero off range."""
+        """F_n: P_n -> P_{n-1}, with F_0 the augmentation and F_{-1} the map
+        M -> 0; zero off range."""
+        if n == 0:
+            return self.aug
+        if n == -1:
+            return self.coaug
         if 1 <= n <= self.depth:
             return self.diffs[n - 1]
         return OneMor.zero(self.module(n), self.module(n - 1))
 
     def cell(self, n: int) -> TwoMor:
-        """Null homotopy of F_{n-1}∘F_n in the augmented complex; F_0 = aug."""
+        """Null homotopy of F_{n-1}∘F_n; only the augmentation cell (n = 1)
+        can be nonzero."""
+        of = compose(self.f(n), self.f(n - 1))
         if n == 1:
-            return null_homotopy(compose(self.f(1), self.aug), self.aug_cell_s,
-                                 check=False)
-        lower = self.f(n - 1) if n >= 2 else self.aug
-        return zero_null_homotopy(compose(self.f(n), lower))
-
-    def stage_kernel(self, n: int) -> RelKernelResult:
-        return self.kernels[n]
-
-    def witness(self, n: int) -> OneMor:
-        return self.witnesses[n]
+            return null_homotopy(of, self.aug_cell_s, check=False)
+        return zero_null_homotopy(of)
 
     def complex(self) -> Complex2:
         return Complex2.strict(self.target.ring, self.modules, self.diffs)
@@ -139,11 +153,6 @@ class Resolution:
         if self.depth >= 1:
             alphas[2] = self.aug_cell_s
         return Complex2(self.target.ring, mods, diffs, alphas)
-
-
-def _kernel_at(res: Resolution, n: int, cell: TwoMor) -> RelKernelResult:
-    """Stage n: the kernel of F_n relative to cell: F_{n-1}∘F_n => 0."""
-    return relative_kernel(res.f(n), cell, res.f(n - 1) if n >= 2 else res.aug)
 
 
 def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
@@ -168,10 +177,12 @@ def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
         out.modules.append(pn)
         out.diffs.append(compose(cover, prev_k.e))
         out.witnesses.append(cover)
-        cell = whisker_right(prev_k.eps, cover)  # F_{n-1}∘F_n => 0
+        # cell(n), whiskered from the previous kernel's cell: it defines the
+        # augmentation cell at n = 1, and F_{n-1}∘F_n = 0 needs no check
+        cell = whisker_right(prev_k.eps, cover)
         if n == 1:
             out.aug_cell_s = cell.s
-        out.kernels.append(_kernel_at(out, n, cell))
+        out.kernels.append(relative_kernel(out.f(n), cell, out.f(n - 1)))
         if not zero and is_pi_trivial(out.kernels[-1].K):
             zero = out.terminated = True
     return out
@@ -187,9 +198,8 @@ def resolve(m: TwoModule, depth: int) -> Resolution:
     if depth < 0:
         raise ValueError("depth must be >= 0")
     p0, aug = free_cover(m)
-    k0 = plain_kernel(aug)
-    base = Resolution(m, [p0], [], aug, ModMor.zero(FPModule.zero(m.ring), m.M1),
-                      [k0], [], is_pi_trivial(k0.K))
+    base = assemble_resolution(m, [p0], [], aug,
+                               ModMor.zero(FPModule.zero(m.ring), m.M1))
     return _extend(base, depth)
 
 
@@ -201,13 +211,13 @@ def assemble_resolution(target: TwoModule, modules: List[TwoModule],
     The witness at stage n is the canonical factorization of F_{n+1}
     through the stage-n relative kernel.
     """
-    res = Resolution(target, modules, diffs, aug, aug_cell_s,
-                     [plain_kernel(aug)], [], False)
-    for n in range(1, res.depth + 1):
+    res = Resolution(target, modules, diffs, aug, aug_cell_s, [], [], False)
+    for n in range(res.depth + 1):
         cell = res.cell(n)
-        w, _ = rk_factorize(res.kernels[n - 1], res.f(n), cell)
-        res.witnesses.append(w)
-        res.kernels.append(_kernel_at(res, n, cell))
+        if n >= 1:
+            w, _ = rk_factorize(res.kernels[n - 1], res.f(n), cell)
+            res.witnesses.append(w)
+        res.kernels.append(relative_kernel(res.f(n), cell, res.f(n - 1)))
     res.terminated = is_pi_trivial(res.kernels[-1].K)
     return res
 
@@ -241,14 +251,8 @@ def validate_resolution(res: Resolution) -> Tuple[bool, str]:
         return False, "augmentation is not essentially surjective"
     top = res.depth if res.terminated else res.depth - 2
     for i in range(0, top + 1):
-        if i == 0:
-            g, psi_next, h = res.aug, None, None
-        else:
-            g = res.f(i)
-            psi_next = res.cell(i)
-            h = res.f(i - 1) if i >= 2 else res.aug
-        if check_relative_two_exact(res.f(i + 1), res.cell(i + 1), g,
-                                    psi_next, h):
+        if check_relative_two_exact(res.f(i + 1), res.cell(i + 1), res.f(i),
+                                    res.cell(i), res.f(i - 1)):
             continue
         if is_pi_trivial(aug_cplx.homology(i + 1).module):
             continue
@@ -272,16 +276,16 @@ class ComparisonLift:
     eps_s: Dict[int, ModMor]
 
     def lift(self, n: int) -> OneMor:
+        """H_n, with H_{-1} = h; zero off range."""
+        if n == -1:
+            return self.h
         if n in self.hs:
             return self.hs[n]
         return OneMor.zero(self.res_src.module(n), self.res_dst.module(n))
 
     def eps(self, n: int) -> TwoMor:
-        lower = self.res_dst.f(n) if n >= 1 else self.res_dst.aug
-        upper = self.res_src.f(n) if n >= 1 else self.res_src.aug
-        prev = self.lift(n - 1) if n >= 1 else self.h
-        frm = compose(self.lift(n), lower)
-        to = compose(upper, prev)
+        frm = compose(self.lift(n), self.res_dst.f(n))
+        to = compose(self.res_src.f(n), self.lift(n - 1))
         s = self.eps_s.get(n)
         if s is None:
             s = ModMor.zero(frm.src.M0, frm.dst.M1)
@@ -305,29 +309,27 @@ def compare(h: OneMor, res_src: Resolution, res_dst: Resolution
     depth = max(res_src.depth, res_dst.depth)
     res_src = pad_resolution(res_src, depth)
     res_dst = pad_resolution(res_dst, depth)
-    hs: Dict[int, OneMor] = {}
-    eps_s: Dict[int, ModMor] = {}
-    l0, sigma0 = lift_through(res_src.module(0),
-                              compose(res_src.aug, h), res_dst.aug)
-    hs[0] = l0
+    out = ComparisonLift(h, res_src, res_dst, {}, {})
+    hs, eps_s = out.hs, out.eps_s
+    hs[0], sigma0 = lift_through(res_src.module(0),
+                                 compose(res_src.aug, h), res_dst.aug)
     eps_s[0] = sigma0.s
     for n in range(1, depth + 1):
         e_cand = compose(res_src.f(n), hs[n - 1])
-        below_f1 = hs[n - 2].f1 if n >= 2 else h.f1
         # psi: G_{n-1}∘(H_{n-1}∘F_n) => 0 from the previous cell and alpha
         s = (mcompose(res_src.f(n).f0, eps_s[n - 1])
-             + mcompose(res_src.cell(n).s, below_f1))
-        lower = res_dst.f(n - 1) if n >= 2 else res_dst.aug
-        psi = null_homotopy(compose(e_cand, lower), s)
-        t_n, _ = rk_factorize(res_dst.stage_kernel(n - 1), e_cand, psi)
+             + mcompose(res_src.cell(n).s, out.lift(n - 2).f1))
+        psi = null_homotopy(compose(e_cand, res_dst.f(n - 1)), s)
+        kernel = res_dst.kernels[n - 1]
+        t_n, _ = rk_factorize(kernel, e_cand, psi)
         ln, sigma = lift_through(res_src.module(n), t_n,
-                                 res_dst.witness(n - 1))
+                                 res_dst.witnesses[n - 1])
         hs[n] = ln
-        s_n = mcompose(sigma.s, res_dst.stage_kernel(n - 1).e.f1)
+        s_n = mcompose(sigma.s, kernel.e.f1)
         eps_s[n] = s_n
         # cell endpoint sanity: G_n∘H_n => H_{n-1}∘F_n must validate
         TwoMor(compose(ln, res_dst.f(n)), compose(res_src.f(n), hs[n - 1]), s_n)
-    return ComparisonLift(h, res_src, res_dst, hs, eps_s)
+    return out
 
 
 def homotopy_between_lifts(l1: ComparisonLift, l2: ComparisonLift
@@ -343,23 +345,16 @@ def homotopy_between_lifts(l1: ComparisonLift, l2: ComparisonLift
     res_src, res_dst = l1.res_src, l1.res_dst
     depth = max(res_src.depth, res_dst.depth)
     thetas: Dict[int, OneMor] = {}
-    prev = None  # Theta_{n-1}
     for n in range(0, depth + 1):
         r = l1.lift(n).f0.mat - l2.lift(n).f0.mat
-        if prev is not None:
-            r = r - (prev.f0.mat @ res_src.f(n).f0.mat)
+        if n >= 1:
+            r = r - (thetas[n - 1].f0.mat @ res_src.f(n).f0.mat)
         target = res_dst.f(n + 1).f0.mat
         sol = solve_many(target, r)
         if sol is None:
             raise ResolutionError(
                 f"no chain homotopy at degree {n}: comparison uniqueness broken")
-        theta = OneMor(res_src.module(n), res_dst.module(n + 1),
-                       ModMor.zero(res_src.module(n).M1,
-                                   res_dst.module(n + 1).M1),
-                       ModMor(res_src.module(n).M0, res_dst.module(n + 1).M0,
-                              sol, check=False), check=False)
-        thetas[n] = theta
-        prev = theta
+        thetas[n] = free_mor(res_src.module(n), res_dst.module(n + 1), sol)
     return ChainHomotopy(l1.as_chain_mor(), l2.as_chain_mor(), thetas, {})
 
 
@@ -381,10 +376,7 @@ def perturb_lift(l: ComparisonLift, xs: Dict[int, Matrix]) -> ComparisonLift:
     for n in range(0, depth + 1):
         f0 = (l.lift(n).f0 + mcompose(x(n), res_dst.f(n + 1).f0)
               + mcompose(res_src.f(n).f0, x(n - 1)))
-        hs[n] = OneMor(res_src.module(n), res_dst.module(n),
-                       ModMor.zero(res_src.module(n).M1,
-                                   res_dst.module(n).M1),
-                       f0, check=False)
+        hs[n] = free_mor(res_src.module(n), res_dst.module(n), f0.mat)
     # eps_0 picks up aug_cell_dst ∘ X_0
     eps_s[0] = l.eps_s[0] + mcompose(x(0), ModMor(
         res_dst.module(1).M0, res_dst.target.M1, res_dst.aug_cell_s.mat,
@@ -442,11 +434,7 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
                 for n in range(depth + 1)]
     modules = [bp.total for bp in stage_bp]
     f_aug_a = mcompose(res_a.aug.f0, F.f0).mat  # P_0.M0 -> B.M0
-    aug = OneMor(modules[0], B,
-                 ModMor.zero(modules[0].M1, B.M1),
-                 ModMor(modules[0].M0, B.M0, hstack([f_aug_a, ell.f0.mat]),
-                        check=False),
-                 check=False)
+    aug = free_mor(modules[0], B, hstack([f_aug_a, ell.f0.mat]))
     cell_a = mcompose(res_a.aug_cell_s, F.f1).mat  # P_1.M0 -> B.M1
     hs: Dict[int, Matrix] = {}  # h_n.f0 : Q_n.M0 -> P_{n-1}.M0
     diffs: List[OneMor] = []
@@ -460,8 +448,7 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
             #   f_aug_a h + d_B s + rel z1           = -(ell ∘ N_1)
             #   G.f1 s          + rel z2             = bC - sigma0 ∘ N_1
             # where bC is the C.M1-witness carried by res_c's stage cover.
-            b_c = mcompose(res_c.witness(0).f0,
-                           res_c.stage_kernel(0).to_b).mat
+            b_c = mcompose(res_c.witnesses[0].f0, res_c.kernels[0].to_b).mat
             system = block([
                 [f_aug_a, B.d.mat, B.M0.rel,
                  Matrix.zeros(ring, B.M0.gens, C.M1.rel.cols)],
@@ -488,14 +475,10 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
         if n == 1:
             cell_q = Matrix(ring, B.M1.gens, qa.M0.gens,  # s_1 : Q_1.M0 -> B.M1
                             sol.arr[n_h: n_h + B.M1.gens, :])
-        d = OneMor(modules[n], modules[n - 1],
-                   ModMor.zero(modules[n].M1, modules[n - 1].M1),
-                   ModMor(modules[n].M0, modules[n - 1].M0,
-                          block([[res_a.f(n).f0.mat, hs[n]],
-                                 [Matrix.zeros(ring, nq.rows, pa.M0.gens),
-                                  nq]]), check=False),
-                   check=False)
-        diffs.append(d)
+        diffs.append(free_mor(modules[n], modules[n - 1],
+                              block([[res_a.f(n).f0.mat, hs[n]],
+                                     [Matrix.zeros(ring, nq.rows, pa.M0.gens),
+                                      nq]])))
     if depth >= 1:
         aug_cell = ModMor(modules[1].M0, B.M1, hstack([cell_a, cell_q]),
                           check=False)

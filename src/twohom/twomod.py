@@ -361,7 +361,6 @@ def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor) -> RelKernelResult:
         raise DimensionMismatch("relative kernel of a non-composable pair")
     _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
     A, B, C = F.src, F.dst, G.dst
-    ring = A.ring
     dom, dom_ia, dom_ib, dom_pa, dom_pb = direct_sum(A.M0, B.M1)
     cod, *_ = direct_sum(B.M0, C.M1)
     theta = ModMor(dom, cod,

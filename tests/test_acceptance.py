@@ -14,23 +14,8 @@ from pathlib import Path
 
 from twohom import catalog
 from twohom.exactlin import ZZ
-from twohom.fpmod import FPModule, is_iso
-from twohom.twomod import (
-    TwoModule,
-    pi0_mor,
-    pi_profile,
-)
-from twohom.complex2 import homology
-from twohom.resolution import (
-    resolve,
-)
-from twohom.derived import (
-    FunctorSpec,
-    apply,
-    check_long_sequence,
-    classical_tor_oracle,
-    long_sequence,
-)
+from twohom.fpmod import FPModule
+from twohom.derived import classical_tor_oracle
 from twohom import selftest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,28 +40,33 @@ def test_criterion_2_universal_properties():
     _report(2, ok, detail)
 
 
+def _same_complex(c, d) -> bool:
+    return c.modules == d.modules and [
+        (f.f1.mat, f.f0.mat) for f in c.diffs] == [
+        (f.f1.mat, f.f0.mat) for f in d.diffs]
+
+
 def test_criterion_3_catalog_exact_values():
+    # the suite compares every catalog value below with what the library
+    # computes, and checks and validates the resolutions of Z/2, Z and shift
+    # (ranks [1, 1, 0, 0], [1, 0, 0, 0] and [0, 1, 0, 0])
+    name, ok, detail = selftest.suite_catalog_values()
     # pi-invariants of the six catalog 2-modules (hand-derived expecteds)
     expected_pi = {
         "mul2": ([2], []), "zeromap": ([0], [0]), "identity": ([], []),
         "Z/2": ([2], []), "Z": ([0], []), "shift": ([], [0]),
     }
-    ok = True
-    for nm, mod, exp in catalog.pi_catalog():
-        ok = ok and (pi_profile(mod) == exp == expected_pi[nm])
+    ok = ok and {nm: exp for nm, _, exp in catalog.pi_catalog()} == expected_pi
     # H_0, H_1 of the two catalog complexes (hand-derived)
-    ok = ok and homology(catalog.complex_mul2(), 0).pi == ([2], [])
-    ok = ok and homology(catalog.complex_mul2(), 1).pi == ([], [])
-    ok = ok and homology(catalog.complex_to_zero(), 0).pi == ([], [0])
-    ok = ok and homology(catalog.complex_to_zero(), 1).pi == ([0], [])
-    # resolution shapes
-    ok = ok and [p.M0.gens for p in resolve(catalog.z_mod(2), 3).modules] \
-        == [1, 1, 0, 0]
-    ok = ok and [p.M0.gens for p in resolve(catalog.z_free(), 3).modules] \
-        == [1, 0, 0, 0]
-    ok = ok and [p.M0.gens for p in resolve(catalog.shift_mod(), 3).modules] \
-        == [0, 1, 0, 0]
-    _report(3, ok, "six pi profiles, four homology values, three shapes")
+    expected_h = [(catalog.complex_mul2, 0, ([2], [])),
+                  (catalog.complex_mul2, 1, ([], [])),
+                  (catalog.complex_to_zero, 0, ([], [0])),
+                  (catalog.complex_to_zero, 1, ([0], []))]
+    for (c, n, exp), (make, n_hand, exp_hand) in zip(
+            catalog.homology_catalog(), expected_h, strict=True):
+        ok = ok and (n, exp) == (n_hand, exp_hand) and _same_complex(c, make())
+    _report(3, ok, f"{detail}: six pi profiles, four homology values, "
+                   "three shapes")
 
 
 def test_criterion_4_window_law():
@@ -85,21 +75,10 @@ def test_criterion_4_window_law():
 
 
 def test_criterion_5_derived_vs_tor():
-    ok = True
-    checked = 0
-    for a in (2, 3, 4, 6):
-        for b in (2, 3, 4, 6):
-            m0 = FPModule.cyclic(ZZ, a)
-            n = FPModule.cyclic(ZZ, b)
-            res = resolve(TwoModule.discrete(m0), 4)
-            tc = apply(FunctorSpec.tensor_with(n), res.complex())
-            for i in range(3):
-                got = tc.homology(i).pi
-                want = (classical_tor_oracle(m0, n, i),
-                        classical_tor_oracle(m0, n, i + 1))
-                ok = ok and got == want
-                checked += 1
-    _report(5, ok, f"{checked} exact invariant-factor comparisons")
+    # 16 cyclic pairs (Z/a, Z/b), a, b in {2, 3, 4, 6}, degrees 0..2 against
+    # the classical Tor window
+    name, ok, detail = selftest.suite_derived_oracle()
+    _report(5, ok, detail)
 
 
 def test_criterion_6_projective_vanishing():
@@ -113,24 +92,16 @@ def test_criterion_7_comparison_homotopy():
 
 
 def test_criterion_8_long_sequence():
-    f, phi, g = catalog.catalog_extension()
-    t = FunctorSpec.tensor_with(FPModule.cyclic(ZZ, 2))
-    seq = long_sequence(t, f, phi, g, 1)
-    ok = check_long_sequence(seq)
-    pis = [(e.label, e.degree, e.homology.pi) for e in seq.entries]
-    ok = ok and pis == [("A", 1, ([], [])), ("B", 1, ([], [])),
-                        ("C", 1, ([2], [])), ("A", 0, ([2], [])),
-                        ("B", 0, ([2], [])), ("C", 0, ([2], [2]))]
-    by_name = dict(seq.maps)
-    ladder_ok = (is_iso(pi0_mor(by_name["delta_1"]))
-                 and pi0_mor(by_name["u_0"]).is_zero_mor()
-                 and is_iso(pi0_mor(by_name["v_0"])))
+    # the suite runs the catalog extension with - (x) Z/2 at depth 1: the
+    # sequence is 2-exact, its six spots have the expected pi-profiles, and
+    # its pi0 ladder is delta_1 iso, u_0 zero, v_0 iso
+    name, ok, detail = selftest.suite_long_sequence()
     # classical oracle for the same ladder
     oracle = (classical_tor_oracle(FPModule.cyclic(ZZ, 2),
                                    FPModule.cyclic(ZZ, 2), 1),
               classical_tor_oracle(FPModule.free(ZZ, 1),
                                    FPModule.cyclic(ZZ, 2), 0))
-    ok = ok and ladder_ok and oracle == ([2], [2])
+    ok = ok and oracle == ([2], [2])
     _report(8, ok, "long sequence 2-exact; pi0 ladder = classical Tor ladder"
                    " (delta iso, zero, iso)")
 

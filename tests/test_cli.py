@@ -53,6 +53,14 @@ class TestLoad:
                                          "relations": [[big]]}}})
         assert ws.objects["m"].rel.entry(0, 0) == 10 ** 40 + 1
 
+    def test_matrix_shape_is_an_integer(self):
+        doc = {"format": 1, "ring": {"kind": "Z"},
+               "objects": {"A": {"type": "matrix", "entries": [], "rows": "x"}}}
+        with pytest.raises(ParseFailure, match="bad integer 'x'"):
+            load_doc(doc)
+        doc["objects"]["A"]["rows"] = "2"   # a decimal string is an integer
+        assert load_doc(doc).objects["A"].shape == (2, 0)
+
     def test_round_trip(self):
         ws = load(CATALOG)
         doc2 = serialize(ws)
@@ -197,6 +205,29 @@ class TestExitCodes:
         bad.write_text("this is not json")
         code, _, err = run_cli("pi", str(bad), "x")
         assert code == 2
+
+    @pytest.mark.parametrize("name, obj", [
+        ("A", {"type": "matrix"}),
+        ("T", {"type": "twomodule", "M1": {"gens": 0}, "M0": 5, "d": []}),
+        ("F", {"type": "onemor", "src": ["x"], "dst": "Z",
+               "f1": [], "f0": [[1]]}),
+        ("C", {"type": "complex", "items": 3}),
+        ("C", {"type": "complex", "items": [5]}),
+    ], ids=["no-entries", "M0-not-a-module", "src-not-a-name",
+            "items-not-a-list", "item-not-a-mapping"])
+    def test_malformed_object_is_2(self, tmp_path, name, obj):
+        """A missing or mistyped field is a parse failure naming the object,
+        not a crash."""
+        doc = {"format": 1, "ring": {"kind": "Z"},
+               "objects": {"Z": {"type": "twomodule", "M1": {"gens": 0},
+                                 "M0": {"gens": 1}, "d": [[]]},
+                           name: obj}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli("pi", str(bad), "Z")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:") and name in err
+        assert "Traceback" not in err
 
     def test_validation_error_is_1(self, tmp_path):
         doc = json.load(open(CATALOG))

@@ -125,15 +125,32 @@ class TestSNF:
         assert abs(det(u)) == 1 and abs(det(v)) == 1
 
 
+def _determinantal_divisors(rows) -> list:
+    """[d_0, ..., d_m] with d_0 = 1 and d_k the gcd of the k x k minors,
+    each minor a Bareiss determinant (``det``), not a Smith form."""
+    r, c = len(rows), len(rows[0])
+    out = [1]
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for ri in itertools.combinations(range(r), k):
+            for ci in itertools.combinations(range(c), k):
+                g = gcd(g, det(Matrix(ZZ, k, k, [rows[i][j] for i in ri
+                                                 for j in ci])))
+        out.append(g)
+    return out
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
-                min_size=1, max_size=4).filter(
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+                min_size=1, max_size=5).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_snf_properties_hypothesis(rows):
     a = mat(rows)
     d, u, v = snf(a)
     assert u @ a @ v == d
     assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert all(d.entry(i, j) == 0 for i in range(d.rows)
+               for j in range(d.cols) if i != j)
     diag = [d.entry(i, i) for i in range(min(a.rows, a.cols))]
     for i in range(len(diag) - 1):
         if diag[i]:
@@ -141,6 +158,13 @@ def test_snf_properties_hypothesis(rows):
         else:
             assert diag[i + 1] == 0
     assert all(x >= 0 for x in diag)
+    # oracle: d_k / d_{k-1} up to the rank, zero beyond
+    dk = _determinantal_divisors(rows)
+    rank = max(k for k, x in enumerate(dk) if x)
+    want = [dk[k] // dk[k - 1] for k in range(1, rank + 1)]
+    assert diag == want + [0] * (len(diag) - rank)
+    assert invariant_factors(FPModule(ZZ, a.rows, a)) == (
+        [x for x in want if x != 1] + [0] * (a.rows - rank))
 
 
 @st.composite

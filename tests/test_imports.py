@@ -1,7 +1,10 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+plain ``name = ...`` assignment in a function is read by that function.
 
-``__init__.py`` is exempt: it imports names to re-export them.  Names in
-quoted annotations count as used.
+``__init__.py`` is exempt from the import check: it imports names to
+re-export them.  Names in quoted annotations count as used.  Tuple
+unpacking is exempt from the assignment check, since it may bind names
+only to discard them.
 """
 
 import ast
@@ -61,3 +64,51 @@ def test_no_unused_import(path):
 def test_checker_flags_an_unused_import():
     tree = ast.parse("from typing import Optional, List\nx: 'List[int]' = []\n")
     assert set(_imported(tree)) - _used(tree) == {"Optional"}
+
+
+def _own_nodes(fn):
+    """The nodes of a function body, without those of nested scopes."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _dead_assignments(tree: ast.Module) -> list:
+    """(function, name, line) of each ``name = ...`` the function never reads
+    (a read in a nested function counts)."""
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                out += [(fn.name, t.id, node.lineno) for t in node.targets
+                        if isinstance(t, ast.Name) and t.id not in read]
+    return sorted(out, key=lambda d: d[2])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dead_assignment(path):
+    dead = _dead_assignments(ast.parse(path.read_text(encoding="utf-8")))
+    assert not dead, f"{path.name} assigns names it never reads: {dead}"
+
+
+def test_checker_flags_a_dead_assignment():
+    tree = ast.parse(
+        "def f(a):\n"
+        "    ring = a.ring\n"          # dead
+        "    x, y = a\n"               # tuple unpacking: exempt
+        "    z = 1\n"                  # read by the nested function
+        "    w = 2\n"                  # read
+        "    def g():\n"
+        "        u = 3\n"              # dead, reported for g
+        "        return z\n"
+        "    return w + g()\n")
+    assert [(f, n) for f, n, _ in _dead_assignments(tree)] == [
+        ("f", "ring"), ("g", "u")]

@@ -13,6 +13,7 @@ from twohom.twomod import (
     is_extension,
     one_mor_equal,
     pi_profile,
+    relative_kernel,
     zero_null_homotopy,
 )
 from twohom.complex2 import (
@@ -163,10 +164,33 @@ def _stages(res, depth):
     return out
 
 
+def _kernel_mats(k):
+    return [k.K.M1.rel, k.K.M0.rel, k.K.d.mat, k.incl.mat, k.to_a.mat,
+            k.to_b.mat, k.e.f1.mat, k.e.f0.mat, k.eps.s.mat]
+
+
 class TestStageLoop:
     """resolve and pad_resolution run one stage loop."""
 
     DEPTH = 3
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(4)], ids=str)
+    def test_augmentation_is_stage_zero(self, ring):
+        """P_{-1} is the target, F_0 the augmentation and H_{-1} the lifted
+        map; stage kernel n is the kernel of F_n relative to cell(n)."""
+        one = FPModule.free(ring, 1)
+        mul2 = TwoModule(one, one, ModMor(one, one, Matrix(ring, 1, 1, [2])))
+        for m in (TwoModule.discrete(FPModule.cyclic(ring, 2)), mul2):
+            res = resolve(m, self.DEPTH)
+            assert res.f(0) is res.aug and res.module(-1) is res.target
+            for n in range(res.depth + 1):
+                k = relative_kernel(res.f(n), res.cell(n), res.f(n - 1))
+                assert _kernel_mats(k) == _kernel_mats(res.kernels[n]), n
+            h = OneMor.identity(m)
+            lift = compare(h, res, res)
+            assert lift.lift(-1) is h and -1 not in lift.hs
+        # mul2's augmentation cell is nonzero, so cell(1) is not the zero cell
+        assert not res.aug_cell_s.mat.is_zero()
 
     def test_shallow_resolution_is_a_prefix(self):
         for m in _stage_loop_inputs():
