@@ -89,21 +89,22 @@ class Workspace:
         return obj
 
 
-def _as_int(x) -> int:
+def _as_int(x, where: str) -> int:
+    """The integer x, a JSON number or decimal string, read for ``where``."""
     if isinstance(x, bool):
-        raise ParseFailure("booleans are not ring elements")
+        raise ParseFailure(f"{where}: booleans are not ring elements")
     if isinstance(x, int):
         return x
     if isinstance(x, str):
         try:
             return int(x, 10)
         except ValueError as exc:
-            raise ParseFailure(f"bad integer {x!r}") from exc
-    raise ParseFailure(f"bad integer {x!r}")
+            raise ParseFailure(f"{where}: bad integer {x!r}") from exc
+    raise ParseFailure(f"{where}: bad integer {x!r}")
 
 
-def _opt_int(x) -> Optional[int]:
-    return None if x is None else _as_int(x)
+def _opt_int(x, where: str) -> Optional[int]:
+    return None if x is None else _as_int(x, where)
 
 
 def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
@@ -122,7 +123,7 @@ def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
         raise ParseFailure(f"{where}: expected {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise ParseFailure(f"{where}: expected {cols} cols, got {c}")
-    flat = [_as_int(x) for row in data for x in row]
+    flat = [_as_int(x, where) for row in data for x in row]
     return Matrix(ring, r, c, flat)
 
 
@@ -133,7 +134,10 @@ def _parse_ring(doc) -> RingSpec:
     if spec["kind"] == "Z":
         return RingSpec.Z()
     if spec["kind"] == "Zmod":
-        return RingSpec.Zmod(_as_int(spec.get("n", 0)))
+        n = _as_int(spec.get("n", 0), "ring")
+        if n < 2:
+            raise ParseFailure(f"ring: Zmod modulus must be >= 2, got {n}")
+        return RingSpec.Zmod(n)
     raise ParseFailure(f"unknown ring kind {spec['kind']!r}")
 
 
@@ -196,8 +200,8 @@ def _build_object(ring: RingSpec, name: str, spec, build):
     t = _field(spec, "type", where)
     if t == "matrix":
         return _parse_matrix(ring, _field(spec, "entries", where),
-                             _opt_int(spec.get("rows")),
-                             _opt_int(spec.get("cols")), name)
+                             _opt_int(spec.get("rows"), name),
+                             _opt_int(spec.get("cols"), name), name)
     if t == "module":
         return _module(ring, spec, build, name)
     if t == "twomodule":
@@ -261,7 +265,7 @@ def _build_object(ring: RingSpec, name: str, spec, build):
         raise ParseFailure(f"{where}: unknown functor kind")
     if t == "resolution":
         m = build(_field(spec, "of", where), TwoModule, where)
-        return resolve(m, _as_int(spec.get("depth", 2)))
+        return resolve(m, _as_int(spec.get("depth", 2), where))
     raise ParseFailure(f"{where}: unknown type {t!r}")
 
 
@@ -269,9 +273,10 @@ def _module(ring: RingSpec, spec, build, where: str) -> FPModule:
     """A module given inline or, inside a twomodule, by its object name."""
     if isinstance(spec, str):
         return build(spec, FPModule, where)
-    gens = _as_int(_field(spec, "gens", where))
+    gens = _as_int(_field(spec, "gens", where), where)
     rel = _parse_matrix(ring, spec.get("relations", []), rows=gens,
-                        cols=_opt_int(spec.get("relation_count")), where=where)
+                        cols=_opt_int(spec.get("relation_count"), where),
+                        where=where)
     return FPModule(ring, gens, rel)
 
 
@@ -282,10 +287,6 @@ def _module(ring: RingSpec, spec, build, where: str) -> FPModule:
 def _ser_ring(ring: RingSpec):
     return {"kind": "Z"} if not ring.is_modular else {"kind": "Zmod",
                                                       "n": ring.n}
-
-
-def _ser_matrix(m: Matrix):
-    return m.tolists()
 
 
 def serialize(ws: Workspace) -> dict:
@@ -299,22 +300,22 @@ def _ser_object(ws: Workspace, name: str, obj):
     raw = ws.raw.get("objects", {}).get(name, {})
     if isinstance(obj, Matrix):
         return {"type": "matrix", "rows": obj.rows, "cols": obj.cols,
-                "entries": _ser_matrix(obj)}
+                "entries": obj.tolists()}
     if isinstance(obj, FPModule):
         return {"type": "module", "gens": obj.gens,
                 "relation_count": obj.rel.cols,
-                "relations": _ser_matrix(obj.rel)}
+                "relations": obj.rel.tolists()}
     if isinstance(obj, TwoModule):
         return {"type": "twomodule",
-                "M1": {"gens": obj.M1.gens, "relations": _ser_matrix(obj.M1.rel)},
-                "M0": {"gens": obj.M0.gens, "relations": _ser_matrix(obj.M0.rel)},
-                "d": _ser_matrix(obj.d.mat)}
+                "M1": {"gens": obj.M1.gens, "relations": obj.M1.rel.tolists()},
+                "M0": {"gens": obj.M0.gens, "relations": obj.M0.rel.tolists()},
+                "d": obj.d.mat.tolists()}
     if isinstance(obj, OneMor):
         return {"type": "onemor", "src": raw.get("src"), "dst": raw.get("dst"),
-                "f1": _ser_matrix(obj.f1.mat), "f0": _ser_matrix(obj.f0.mat)}
+                "f1": obj.f1.mat.tolists(), "f0": obj.f0.mat.tolists()}
     if isinstance(obj, TwoMor):
         return {"type": "twomor", "from": raw.get("from"),
-                "to": raw.get("to"), "s": _ser_matrix(obj.s.mat)}
+                "to": raw.get("to"), "s": obj.s.mat.tolists()}
     if isinstance(obj, (Complex2, FunctorSpec, Resolution, tuple)):
         return dict(raw)
     raise ValidationFailure(f"cannot serialize {name!r}")
@@ -464,8 +465,7 @@ def _cmd_derive(ws: Workspace, args) -> int:
 
 def _cmd_longseq(ws: Workspace, args) -> int:
     t = ws.get(args.functor, FunctorSpec)
-    ext = ws.get(args.extension, tuple)
-    f, phi, g = ext
+    f, phi, g = ws.get(args.extension, tuple)
     seq = long_sequence(t, f, phi, g, args.depth)
     detail: List = []
     ok = check_long_sequence(seq, detail)
@@ -490,17 +490,13 @@ def _cmd_longseq(ws: Workspace, args) -> int:
 
 def _cmd_check(ws: Workspace, args) -> int:
     what = args.what
+    rep = {"command": "check", "what": what}
     if what == "exact":
         if args.phi is None or args.G is None:
             raise ValidationFailure("check exact needs <F> <phi> <G>")
-        f, phi, g = _rel_triple(ws, args)
-        ok = check_relative_two_exact(f, phi, g)
-        rep = {"command": "check", "what": "exact", "result": ok}
+        ok = check_relative_two_exact(*_rel_triple(ws, args))
     elif what == "extension":
-        ext = ws.get(args.F, tuple)
-        f, phi, g = ext
-        ok = is_extension(f, phi, g)
-        rep = {"command": "check", "what": "extension", "result": ok}
+        ok = is_extension(*ws.get(args.F, tuple))
     elif what == "homotopy":
         h = ws.get(args.F, OneMor)
         res_src = resolve(h.src, args.depth)
@@ -512,9 +508,7 @@ def _cmd_check(ws: Workspace, args) -> int:
             else Matrix.zeros(ws.ring, res_dst.module(1).M0.gens,
                               res_src.module(0).M0.gens)})
         hom = homotopy_between_lifts(base, other)
-        ok, why = validate_chain_homotopy(hom)
-        rep = {"command": "check", "what": "homotopy", "result": ok,
-               "reason": why}
+        ok, rep["reason"] = validate_chain_homotopy(hom)
     elif what == "longseq":
         # check longseq <functor> <extension>
         t = ws.get(args.F, FunctorSpec)
@@ -523,10 +517,10 @@ def _cmd_check(ws: Workspace, args) -> int:
         f, phi, g = ws.get(args.phi, tuple)
         seq = long_sequence(t, f, phi, g, args.depth)
         ok = check_long_sequence(seq)
-        rep = {"command": "check", "what": "longseq", "result": ok}
     else:
         raise ValidationFailure(f"unknown check {what!r}")
-    _emit(rep, [f"check {what}: {rep['result']}"], args)
+    rep["result"] = ok
+    _emit(rep, [f"check {what}: {ok}"], args)
     return 0
 
 

@@ -3,13 +3,18 @@
 Everything downstream (presented modules, 2-modules, homology, derived
 functors) reduces to the four primitives in this module: Hermite form,
 Smith form, exact linear solving and kernel generation.  A ``Matrix``
-stores Python ints in an object-dtype numpy array; the Hermite and Smith
-elimination converts it once to lists of rows of Python ints and back, so
-no value ever overflows.  Over Z/n entries are kept as canonical
-representatives in [0, n).  One engine serves both rings: solving and
-kernels read the Smith form computed over the ring itself (Z/n is a
-principal ideal ring), so nothing is lifted to Z and Z/n entries stay
-below n.
+stores Python ints in an object-dtype numpy array; the elimination runs on
+lists of rows of Python ints, so no value ever overflows.  Over Z/n entries
+are canonical representatives in [0, n).  One engine serves both rings:
+solving and kernels read the Smith form computed over the ring itself (Z/n
+is a principal ideal ring), so nothing is lifted to Z.
+
+Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
+return only the matrices that ``want`` names, in its order (``snf(A, "D")``
+is ``(D,)``).  The elimination runs on D (or H) alone and logs each row and
+column operation; U and V are built the first time they are asked for, by
+replaying the log on the identity.  The forms and the log stay in the
+matrix's memo, so no matrix is eliminated twice, whatever is asked first.
 
 Conventions (fixed so that outputs are bit-reproducible):
 
@@ -294,24 +299,6 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def _unit_multiplier(x: int, n: int):
-    """Return (u, g) with u a unit mod n and u*x = g = gcd(x, n) mod n."""
-    x %= n
-    if x == 0:
-        return 1, n
-    g = gcd(x, n)
-    xp = x // g
-    m = n // g
-    # invert xp mod m, then adjust to a unit mod n
-    _, inv, _ = _xgcd(xp % m if m > 1 else 0, m)
-    u0 = inv % m if m > 1 else 1
-    for k in range(n):
-        u = u0 + k * m
-        if u % n != 0 and gcd(u % n, n) == 1:
-            return u % n, g
-    raise AssertionError("no unit multiplier found")  # unreachable
-
-
 def _pivot(M, r, c0, c1, n):
     """(i, j) of the first nonzero entry of minimal size in rows r.. and
     columns c0..c1-1 of M, read row by row, or None.  Size is |x| over Z,
@@ -331,53 +318,88 @@ def _pivot(M, r, c0, c1, n):
     return pivot
 
 
-def _mix(x, y, s, t, u, v, n):
-    """Rows (s*x + t*y, u*x + v*y), reduced mod n unless n is None."""
+# Row operations on a list of rows M, reduced mod n unless n is None.
+
+def _swap(M, i, j, n):
+    M[i], M[j] = M[j], M[i]
+
+
+def _sub(M, i, j, q, n):
+    """Row i -= q * row j.  Where row j is 0 the entry of row i is kept:
+    over Z/n it is already in [0, n)."""
+    x, y = M[i], M[j]
     if n is None:
-        return ([s * a + t * b for a, b in zip(x, y)],
-                [u * a + v * b for a, b in zip(x, y)])
-    return ([(s * a + t * b) % n for a, b in zip(x, y)],
-            [(u * a + v * b) % n for a, b in zip(x, y)])
+        M[i] = [a - q * b if b else a for a, b in zip(x, y)]
+    else:
+        M[i] = [(a - q * b) % n if b else a for a, b in zip(x, y)]
 
 
-def _mix_cols(M, r, i, j, s, t, u, v, n):
-    """Columns i, j of rows r.. of M <- (s*Ci + t*Cj, u*Ci + v*Cj),
-    reduced mod n unless n is None."""
-    for row in M[r:]:
+def _mix(M, i, j, s, t, u, v, n):
+    """Rows i, j <- (s*Ri + t*Rj, u*Ri + v*Rj)."""
+    x, y = M[i], M[j]
+    if n is None:
+        M[i] = [s * a + t * b for a, b in zip(x, y)]
+        M[j] = [u * a + v * b for a, b in zip(x, y)]
+    else:
+        M[i] = [(s * a + t * b) % n for a, b in zip(x, y)]
+        M[j] = [(u * a + v * b) % n for a, b in zip(x, y)]
+
+
+def _scale(M, i, u, n):
+    """Row i times the unit u."""
+    M[i] = [u * x for x in M[i]] if n is None else [(u * x) % n for x in M[i]]
+
+
+def _step(M, log, op, *args):
+    """Apply the row operation op to M and append it to log."""
+    op(M, *args)
+    log.append((op, args))
+
+
+def _col_step(D, r, log, op, i, j, *args):
+    """Apply to columns i, j of rows r.. of D (zero above r) what op does
+    to rows i, j, and log op: replayed on the identity, it builds V^T."""
+    n = args[-1]
+    s, t, u, v = ((0, 1, 1, 0) if op is _swap else
+                  (1, -args[0], 0, 1) if op is _sub else args[:4])
+    for row in D[r:]:
         x, y = row[i], row[j]
         if n is None:
             row[i], row[j] = s * x + t * y, u * x + v * y
         else:
             row[i], row[j] = (s * x + t * y) % n, (u * x + v * y) % n
+    log.append((op, (i, j) + args))
 
 
-def _sub(x, q, y, n):
-    """Row x - q*y, reduced mod n unless n is None.  Where y is 0 the
-    entry of x is kept: over Z/n it is already in [0, n)."""
+def _clear_below(M, log, r, j, n, divide):
+    """Zero column j of M below row r against the pivot M[r][j]: subtract a
+    multiple of row r if divide holds and the pivot divides, else xgcd."""
+    for i in range(r + 1, len(M)):
+        b = M[i][j]
+        if b == 0:
+            continue
+        a = M[r][j]
+        if divide and b % a == 0:
+            _step(M, log, _sub, i, r, b // a, n)
+        else:
+            g, s, t = _xgcd(a, b)
+            _step(M, log, _mix, r, i, s, t, -(b // g), a // g, n)
+
+
+def _normalize(M, log, r, j, n):
+    """Scale row r by a unit u so that the pivot x = M[r][j] becomes
+    positive over Z, or gcd(x, n) over Z/n.  There u is the first unit
+    mod n in the class of (x/g)^-1 mod n/g, where g = gcd(x, n)."""
+    x = M[r][j]
     if n is None:
-        return [a - q * b if b else a for a, b in zip(x, y)]
-    return [(a - q * b) % n if b else a for a, b in zip(x, y)]
-
-
-def _normalize(M, U, r, j, n):
-    """Scale row r of M and of U by a unit so that the pivot M[r][j] is
-    positive over Z and gcd(pivot, n) over Z/n."""
-    if n is None:
-        if M[r][j] < 0:
-            M[r] = [-x for x in M[r]]
-            U[r] = [-x for x in U[r]]
-    else:
-        u, _ = _unit_multiplier(M[r][j], n)
-        M[r] = [(u * x) % n for x in M[r]]
-        U[r] = [(u * x) % n for x in U[r]]
-
-
-def _eye(m: int):
-    """The m x m identity as a list of rows."""
-    rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        rows[i][i] = 1
-    return rows
+        u = -1 if x < 0 else 1
+    else:  # x is in [0, n)
+        g = gcd(x, n)
+        m = n // g
+        u0 = pow(x // g, -1, m) if m > 1 else 1
+        u = next(k % n for k in range(u0, u0 + n * m, m) if gcd(k % n, n) == 1)
+    if u != 1:
+        _step(M, log, _scale, r, u, n)
 
 
 def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
@@ -385,111 +407,92 @@ def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
     return Matrix(ring, rows, cols, np.array(data, dtype=object))
 
 
-def hnf(A: Matrix):
-    """Row Hermite normal form.  Returns (H, U) with H = U @ A."""
+class _Memo(dict):
+    """What an elimination leaves on its matrix: the normal form under its
+    letter, and in ``logs`` per transform letter (ring, size, log,
+    transposed).  The first read of a transform replays its log on the
+    identity and keeps the result."""
+
+    def __missing__(self, key):
+        if key not in self.logs:
+            raise ValueError(f"want names forms among "
+                             f"{''.join(sorted({*self, *self.logs}))}: {key!r}")
+        ring, m, log, transpose = self.logs[key]
+        M = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
+        for op, args in log:
+            op(M, *args)
+        T = self[key] = _matrix(ring, m, m,
+                                [list(c) for c in zip(*M)] if transpose else M)
+        return T
+
+
+def hnf(A: Matrix, want: str = "HU"):
+    """Row Hermite normal form: the matrices named by want, in that order,
+    of H and U with H = U @ A."""
     if A._hnf is not None:
-        return A._hnf
+        return tuple(map(A._hnf.__getitem__, want))
     ring = A.ring
     n = ring.n if ring.is_modular else None
     rows = A.rows
     H = A.arr.tolist()
-    U = _eye(rows)
+    log = []
     r = 0
     for j in range(A.cols):
         if r >= rows:
             break
-        # clear below row r in column j; each update zeroes H[i][j] exactly
         pivot = _pivot(H, r, j, j + 1, n)
         if pivot is None:
             continue
-        k = pivot[0]
-        H[r], H[k] = H[k], H[r]
-        U[r], U[k] = U[k], U[r]
-        for i in range(r + 1, rows):
-            b = H[i][j]
-            if b == 0:
-                continue
-            a = H[r][j]
-            if n is None and b % a == 0:
-                q = b // a
-                H[i] = _sub(H[i], q, H[r], None)
-                U[i] = _sub(U[i], q, U[r], None)
-            else:
-                g, s, t = _xgcd(a, b)
-                u, v = -(b // g), a // g
-                H[r], H[i] = _mix(H[r], H[i], s, t, u, v, n)
-                U[r], U[i] = _mix(U[r], U[i], s, t, u, v, n)
+        if pivot[0] != r:
+            _step(H, log, _swap, r, pivot[0], n)
+        _clear_below(H, log, r, j, n, n is None)
         # normalize the pivot, then reduce the entries above it
-        _normalize(H, U, r, j, n)
+        _normalize(H, log, r, j, n)
         p = H[r][j]
         for i in range(r):
             q = H[i][j] // p
             if q:
-                H[i] = _sub(H[i], q, H[r], n)
-                U[i] = _sub(U[i], q, U[r], n)
+                _step(H, log, _sub, i, r, q, n)
         r += 1
-    res = (_matrix(ring, rows, A.cols, H), _matrix(ring, rows, rows, U))
-    A._hnf = res
-    return res
+    A._hnf = memo = _Memo(H=_matrix(ring, rows, A.cols, H))
+    memo.logs = {"U": (ring, rows, log, False)}
+    return tuple(map(memo.__getitem__, want))
 
 
-def snf(A: Matrix):
-    """Smith normal form.  Returns (D, U, V) with D = U @ A @ V.
-
-    V is kept transposed (Vt) during elimination, so that a column
-    operation on D is a row operation on Vt."""
+def snf(A: Matrix, want: str = "DUV"):
+    """Smith normal form: the matrices named by want, in that order, of D,
+    U and V with D = U @ A @ V."""
     if A._snf is not None:
-        return A._snf
+        return tuple(map(A._snf.__getitem__, want))
     ring = A.ring
     n = ring.n if ring.is_modular else None
     rows, cols = A.rows, A.cols
     D = A.arr.tolist()
-    U = _eye(rows)
-    Vt = _eye(cols)
+    ulog, vlog = [], []
     t = 0
     while t < min(rows, cols):
-        # find the pivot: first nonzero of minimal size in D[t:][t:]
         pivot = _pivot(D, t, t, cols, n)
         if pivot is None:
             break
         pi, pj = pivot
-        D[t], D[pi] = D[pi], D[t]
-        U[t], U[pi] = U[pi], U[t]
-        for Dk in D:
-            Dk[t], Dk[pj] = Dk[pj], Dk[t]
-        Vt[t], Vt[pj] = Vt[pj], Vt[t]
+        if pi != t:
+            _step(D, ulog, _swap, t, pi, n)
+        if pj != t:
+            _col_step(D, t, vlog, _swap, t, pj, n)
         while True:
-            # column t below the pivot, by row operations on D and U
-            for i in range(t + 1, rows):
-                b = D[i][t]
-                if b == 0:
-                    continue
-                a = D[t][t]
-                if b % a == 0:
-                    q = b // a
-                    D[i] = _sub(D[i], q, D[t], n)
-                    U[i] = _sub(U[i], q, U[t], n)
-                else:
-                    g, s, tt = _xgcd(a, b)
-                    u, v = -(b // g), a // g
-                    D[t], D[i] = _mix(D[t], D[i], s, tt, u, v, n)
-                    U[t], U[i] = _mix(U[t], U[i], s, tt, u, v, n)
-            # row t right of the pivot, by operations on columns t, j of D
-            # (zero above row t) and on rows t, j of Vt
+            _clear_below(D, ulog, t, t, n, True)
+            # row t right of the pivot, by column operations
             for j in range(t + 1, cols):
                 b = D[t][j]
                 if b == 0:
                     continue
                 a = D[t][t]
                 if b % a == 0:
-                    q = b // a    # column j -= q * column t
-                    _mix_cols(D, t, t, j, 1, 0, -q, 1, n)
-                    Vt[j] = _sub(Vt[j], q, Vt[t], n)
+                    _col_step(D, t, vlog, _sub, j, t, b // a, n)
                 else:
                     g, s, tt = _xgcd(a, b)
-                    u, v = -(b // g), a // g
-                    _mix_cols(D, t, t, j, s, tt, u, v, n)
-                    Vt[t], Vt[j] = _mix(Vt[t], Vt[j], s, tt, u, v, n)
+                    _col_step(D, t, vlog, _mix, t, j, s, tt, -(b // g),
+                              a // g, n)
             if all(D[i][t] == 0 for i in range(t + 1, rows)):
                 break
         # fold in any entry the pivot does not divide, then redo
@@ -498,16 +501,13 @@ def snf(A: Matrix):
             (i for i in range(t + 1, rows) if any(x % p for x in D[i][t + 1:])),
             None)
         if offender is not None:
-            D[t] = _sub(D[t], -1, D[offender], n)
-            U[t] = _sub(U[t], -1, U[offender], n)
+            _step(D, ulog, _sub, t, offender, -1, n)
             continue  # re-run elimination at the same t
-        _normalize(D, U, t, t, n)
+        _normalize(D, ulog, t, t, n)
         t += 1
-    res = (_matrix(ring, rows, cols, D),
-           _matrix(ring, rows, rows, U),
-           _matrix(ring, cols, cols, [list(c) for c in zip(*Vt)]))
-    A._snf = res
-    return res
+    A._snf = memo = _Memo(D=_matrix(ring, rows, cols, D))
+    memo.logs = {"U": (ring, rows, ulog, False), "V": (ring, cols, vlog, True)}
+    return tuple(map(memo.__getitem__, want))
 
 
 def det(A: Matrix) -> int:
@@ -590,7 +590,7 @@ def kernel_basis(A: Matrix) -> Matrix:
     With D = U A V: the columns V[:, j] with d_j = 0 or j past the
     diagonal, and over Z/n also (n // d_j) V[:, j] for each d_j not in
     {0, 1}.  V is invertible, so no column is zero."""
-    D, _, V = snf(A)
+    D, V = snf(A, "DV")
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
     scales = [(j, 1) for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
     if A.ring.is_modular:

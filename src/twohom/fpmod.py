@@ -150,7 +150,7 @@ def compose(f: ModMor, g: ModMor) -> ModMor:
 def column_basis(mat: Matrix) -> Matrix:
     """A clean generating set for the column span: column-echelon form
     with zero columns dropped (over Z the result is a lattice basis)."""
-    h, _ = hnf(mat.transpose())
+    h, = hnf(mat.transpose(), "H")
     cols = h.transpose()
     keep = [j for j in range(cols.cols) if not cols.col(j).is_zero()]
     if not keep:
@@ -266,7 +266,7 @@ def invariant_factors(m: FPModule) -> List[int]:
     the base ring itself, followed by one entry per generator beyond the
     rank: 0 over Z, and n over Z/n, where a free rank is the factor n.
     """
-    D, _, _ = snf(m.rel)
+    D, = snf(m.rel, "D")
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
     free = m.gens - sum(1 for d in diag if d != 0)
     # divisibility chain makes plain sorting canonical

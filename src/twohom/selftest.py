@@ -93,6 +93,9 @@ def suite_normal_forms(seed: int = 0, cases: int = 200) -> Result:
         h, uh = hnf(a)
         if uh @ a != h or abs(det(uh)) != 1:
             return ("normal-forms", False, "HNF identity broken")
+        fresh = Matrix(ZZ, r, c, a.arr)   # no memo: eliminated anew
+        if snf(fresh, "D") != (d,) or hnf(fresh, "H") != (h,):
+            return ("normal-forms", False, "D or H differs without transforms")
     # no elapsed time in the detail, so the report stays byte-stable;
     # run_all times every suite and the CLI prints that on stderr
     if time.time() - t0 >= 5.0:

@@ -213,8 +213,10 @@ class TestExitCodes:
                "f1": [], "f0": [[1]]}),
         ("C", {"type": "complex", "items": 3}),
         ("C", {"type": "complex", "items": [5]}),
+        ("R", {"type": "module", "gens": 1, "relation_count": [1]}),
     ], ids=["no-entries", "M0-not-a-module", "src-not-a-name",
-            "items-not-a-list", "item-not-a-mapping"])
+            "items-not-a-list", "item-not-a-mapping",
+            "relation-count-not-an-integer"])
     def test_malformed_object_is_2(self, tmp_path, name, obj):
         """A missing or mistyped field is a parse failure naming the object,
         not a crash."""
@@ -227,6 +229,18 @@ class TestExitCodes:
         code, out, err = run_cli("pi", str(bad), "Z")
         assert (code, out) == (2, "")
         assert err.startswith("parse error:") and name in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [1, 0, -3, "x", None])
+    def test_bad_modulus_is_2(self, tmp_path, n):
+        """A Zmod ring without a modulus >= 2 is a parse failure that names
+        the ring."""
+        ring = {"kind": "Zmod"} if n is None else {"kind": "Zmod", "n": n}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"format": 1, "ring": ring, "objects": {}}))
+        code, out, err = run_cli("pi", str(bad), "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ring:")
         assert "Traceback" not in err
 
     def test_validation_error_is_1(self, tmp_path):

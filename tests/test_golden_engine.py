@@ -11,6 +11,10 @@ from the repository root with
     PYTHONPATH=src python tests/test_golden_engine.py
 
 and say in the change description which outputs changed and why.
+
+The same inputs also check the memo: every ``want`` of ``snf`` and ``hnf``
+returns the full call's matrices in any order of requests, and a wider
+request replays the logged elimination instead of eliminating again.
 """
 
 import hashlib
@@ -18,6 +22,9 @@ import json
 import random
 from pathlib import Path
 
+import pytest
+
+from twohom import exactlin
 from twohom.exactlin import (ZZ, Matrix, RingSpec, hnf, kernel_basis, snf,
                              solve_many)
 
@@ -97,6 +104,59 @@ def test_engine_outputs_match_golden():
     count, sha = engine_digest()
     assert count == golden["cases"]
     assert sha == golden["sha256"]
+
+
+def _fresh(a):
+    """A copy of a with an empty memo, so that it is eliminated anew."""
+    return Matrix(a.ring, a.rows, a.cols, a.arr)
+
+
+FORMS = [(snf, "DUV", ["D", "DV", "DUV"]), (hnf, "HU", ["H", "HU"])]
+
+
+@pytest.mark.parametrize("fn, full, wants", FORMS, ids=["snf", "hnf"])
+def test_every_want_returns_the_full_call_matrices(fn, full, wants):
+    """Each want, asked alone, narrow first then wide, or wide first then
+    narrow, each time on a fresh copy, returns the matrices of the full
+    call, in the order that want names them."""
+    for a, _ in cases():
+        named = dict(zip(full, fn(_fresh(a))))
+        for seq in [[w] for w in wants] + [wants, wants[::-1]]:
+            b = _fresh(a)
+            for want in seq:
+                assert fn(b, want) == tuple(named[k] for k in want)
+
+
+@pytest.mark.parametrize("fn, full, wants", FORMS, ids=["snf", "hnf"])
+def test_a_wider_request_replays_and_never_eliminates_again(
+        fn, full, wants, monkeypatch):
+    """Narrow then wide runs the pivot search exactly as often as one full
+    call, and keeps the memo object: the wider result is replayed from the
+    log, not eliminated a second time."""
+    calls = []
+    pivot = exactlin._pivot
+    monkeypatch.setattr(exactlin, "_pivot",
+                        lambda *args: calls.append(1) or pivot(*args))
+    memo = "_snf" if fn is snf else "_hnf"
+    for a, _ in cases():
+        fn(_fresh(a))
+        once = len(calls)
+        b = _fresh(a)
+        fn(b, wants[0])
+        kept = getattr(b, memo)
+        for want in wants[1:]:
+            fn(b, want)
+        assert len(calls) == 2 * once
+        assert getattr(b, memo) is kept
+        calls.clear()
+
+
+def test_want_names_only_the_forms():
+    a = Matrix.from_rows(ZZ, [[2, 4], [6, 8]])
+    assert len(snf(a, "D")) == 1 and snf(a, "") == ()
+    for fn, bad in ((snf, "H"), (snf, "d"), (hnf, "D"), (hnf, "HV")):
+        with pytest.raises(ValueError):
+            fn(a, bad)
 
 
 if __name__ == "__main__":

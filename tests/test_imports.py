@@ -112,3 +112,38 @@ def test_checker_flags_a_dead_assignment():
         "    return w + g()\n")
     assert [(f, n) for f, n, _ in _dead_assignments(tree)] == [
         ("f", "ring"), ("g", "u")]
+
+
+def _discarded_transforms(tree: ast.Module) -> list:
+    """Line of each ``snf(...)`` or ``hnf(...)`` result unpacked into ``_``:
+    a transform built only to be thrown away, where a narrower ``want``
+    would skip it."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
+            continue
+        func = node.value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("snf", "hnf") and any(
+                isinstance(t, (ast.Tuple, ast.List)) and any(
+                    isinstance(e, ast.Name) and e.id == "_" for e in t.elts)
+                for t in node.targets):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_transform_built_to_be_discarded(path):
+    lines = _discarded_transforms(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.name} discards snf/hnf results at lines {lines}"
+
+
+def test_checker_flags_a_discarded_transform():
+    tree = ast.parse(
+        "h, _ = hnf(a)\n"                   # flagged
+        "d, = snf(a, 'D')\n"                # asks only for D
+        "_, u = exactlin.hnf(a)\n"          # flagged
+        "d, u, v = snf(a)\n"                # reads every matrix
+        "[d, _, v] = snf(a)\n"              # flagged
+        "_ = len(a)\n")                     # not a normal form
+    assert _discarded_transforms(tree) == [1, 3, 5]
