@@ -11,7 +11,9 @@ complex, extension, functor, matrix, resolution.  Integers may be given
 as decimal strings when they exceed machine range.  Machine-readable
 JSON goes to stdout; `--pretty` adds human-readable tables on stderr.
 Exit codes: 0 success, 1 validation/precondition failure, 2 parse
-failure.
+failure.  An integer longer than Python's int/str digit limit
+(`sys.get_int_max_str_digits()`) is refused by its digit count: in the
+document it is a parse failure, in a report an exit 1 with no output.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache, partial
 from typing import Dict, List, Optional, Union
 
 from .exactlin import DimensionMismatch, Matrix, RingSpec, snf
@@ -83,6 +86,9 @@ class Workspace:
         if name not in self.objects:
             raise ValidationFailure(f"unknown object {name!r}")
         obj = self.objects[name]
+        if (isinstance(obj, partial) and kinds is not None
+                and issubclass(Resolution, kinds)):
+            obj = self.objects[name] = obj()    # a resolution, on first use
         if kinds is not None and not isinstance(obj, kinds):
             raise ValidationFailure(
                 f"object {name!r} has the wrong type for {where}")
@@ -99,8 +105,16 @@ def _as_int(x, where: str) -> int:
         try:
             return int(x, 10)
         except ValueError as exc:
+            digits = sum(c.isdigit() for c in x)
+            if digits > sys.get_int_max_str_digits() > 0:
+                raise ParseFailure(f"{where}: an integer of {digits} digits "
+                                   f"is over {_digit_limit()}") from exc
             raise ParseFailure(f"{where}: bad integer {x!r}") from exc
     raise ParseFailure(f"{where}: bad integer {x!r}")
+
+
+def _digit_limit() -> str:
+    return f"the limit of {sys.get_int_max_str_digits()} digits"
 
 
 def _opt_int(x, where: str) -> Optional[int]:
@@ -142,16 +156,18 @@ def _parse_ring(doc) -> RingSpec:
 
 
 def load(path: str) -> Workspace:
-    """Parse and eagerly validate a workspace document."""
+    """Parse a workspace document and check every object (see load_doc)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=lambda s: _as_int(s, "document"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseFailure(f"cannot read document: {exc}") from exc
     return load_doc(doc)
 
 
 def load_doc(doc: dict) -> Workspace:
+    """Build and check every object of a parsed document; a `resolution` is
+    checked here and computed when a command first uses it."""
     if not isinstance(doc, dict):
         raise ParseFailure("document must be a JSON object")
     if doc.get("format") != 1:
@@ -265,7 +281,10 @@ def _build_object(ring: RingSpec, name: str, spec, build):
         raise ParseFailure(f"{where}: unknown functor kind")
     if t == "resolution":
         m = build(_field(spec, "of", where), TwoModule, where)
-        return resolve(m, _as_int(spec.get("depth", 2), where))
+        depth = _as_int(spec.get("depth", 2), where)
+        if depth < 0:
+            raise ValidationFailure(f"{where}: depth must be >= 0")
+        return partial(resolve, m, depth)   # resolved by Workspace.get
     raise ParseFailure(f"{where}: unknown type {t!r}")
 
 
@@ -316,7 +335,7 @@ def _ser_object(ws: Workspace, name: str, obj):
     if isinstance(obj, TwoMor):
         return {"type": "twomor", "from": raw.get("from"),
                 "to": raw.get("to"), "s": obj.s.mat.tolists()}
-    if isinstance(obj, (Complex2, FunctorSpec, Resolution, tuple)):
+    if isinstance(obj, (Complex2, FunctorSpec, Resolution, partial, tuple)):
         return dict(raw)
     raise ValidationFailure(f"cannot serialize {name!r}")
 
@@ -562,6 +581,7 @@ def _degrees(text: str):
         f"bad degree range {text!r} (want a..b with 0 <= a <= b)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="twohom",
                                 description="Exact 2-dimensional homological "
@@ -638,6 +658,9 @@ def main(argv=None) -> int:
     except (ValidationFailure, InvalidMorphism, CompatibilityError,
             FactorError, ResolutionError, DimensionMismatch,
             ValueError) as exc:
+        if "integer string conversion" in str(exc):  # Python's digit limit
+            exc = (f"{args.command}: the report holds an integer over "
+                   f"{_digit_limit()}")
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

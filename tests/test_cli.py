@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,14 +6,18 @@ from pathlib import Path
 
 import pytest
 
+import twohom.cli
 from twohom.cli import (
     ParseFailure,
     ValidationFailure,
+    build_parser,
     load,
     load_doc,
     main,
     serialize,
 )
+from twohom.resolution import Resolution
+from twohom.twomod import TwoModule
 
 ROOT = Path(__file__).resolve().parents[1]
 CATALOG = str(ROOT / "catalog.json")
@@ -74,6 +79,101 @@ class TestLoad:
                        "objects": {"m": {"type": "module", "gens": 1,
                                          "relations": [[2]]}}})
         assert ws.ring.n == 6
+
+
+class TestDeferredResolutions:
+    """A `resolution` object is checked at load and computed the first time
+    a command asks the workspace for it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        real = twohom.cli.resolve
+
+        def counting(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(twohom.cli, "resolve", counting)
+        return seen
+
+    def test_resolved_on_first_get_only(self, calls):
+        ws = load_doc(json.load(open(CATALOG)))
+        assert len(calls) == 0
+        res = ws.get("resZ", Resolution)
+        assert isinstance(res, Resolution) and len(calls) == 1
+        assert ws.get("resZ", Resolution) is res
+        assert len(calls) == 1
+
+    def test_serialize_resolves_nothing(self, calls):
+        doc = json.load(open(CATALOG))
+        out = serialize(load_doc(doc))
+        assert out["objects"]["resZ"] == doc["objects"]["resZ"]
+        assert serialize(load_doc(out)) == out
+        assert len(calls) == 0
+
+    def test_wrong_type_is_not_resolved(self, calls):
+        ws = load(CATALOG)
+        with pytest.raises(ValidationFailure, match="wrong type"):
+            ws.get("resZ", TwoModule)
+        assert len(calls) == 0
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "resolution", "of": "Zfree", "depth": -1},
+        {"type": "resolution", "of": "proj", "depth": 2},
+    ], ids=["negative-depth", "of-a-onemor"])
+    def test_bad_resolution_fails_the_load(self, tmp_path, spec):
+        doc = json.load(open(CATALOG))
+        doc["objects"]["badres"] = spec
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli("pi", str(p), "mul2")
+        assert (code, out) == (1, "")
+        assert "badres" in err
+
+
+class TestOversizedIntegers:
+    """An integer over Python's int/str digit limit is refused by its digit
+    count, never echoed: exit 2 in the document, exit 1 in a report."""
+
+    LIMIT = str(sys.get_int_max_str_digits())
+
+    def doc(self, tmp_path, entries):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps({"format": 1, "ring": {"kind": "Z"},
+                                 "objects": {"A": {"type": "matrix",
+                                                   "entries": entries}}}))
+        return str(p)
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_json_number_is_2(self, tmp_path, sign):
+        p = tmp_path / "big.json"
+        p.write_text('{"format": 1, "ring": {"kind": "Z"}, "objects": {"A": '
+                     f'{{"type": "matrix", "entries": [[{sign}{"9" * 5000}]]}}}}}}')
+        code, out, err = run_cli("snf", str(p), "A")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
+        assert "5000 digits" in err and self.LIMIT in err
+        assert "9" * 20 not in err
+
+    def test_decimal_string_is_2(self, tmp_path):
+        code, out, err = run_cli("snf", self.doc(tmp_path, [["9" * 5000]]), "A")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: A:")
+        assert "5000 digits" in err and self.LIMIT in err
+        assert "9" * 20 not in err
+
+    def test_oversized_report_is_1_with_no_output(self, tmp_path):
+        x = 10 ** 2200   # D holds x (x + 1), of 4401 digits
+        p = self.doc(tmp_path, [[str(x), "0"], ["0", str(x + 1)]])
+        code, out, err = run_cli("snf", p, "A", "--pretty")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: snf:") and self.LIMIT in err
+        assert "D =" not in err and len(err) < 200
+
+    def test_under_the_limit_is_read(self, tmp_path):
+        code, out, _ = run_cli("snf", self.doc(tmp_path, [["9" * 4000]]), "A")
+        assert code == 0 and json.loads(out)["D"] == [[int("9" * 4000)]]
 
 
 class TestCommands:
@@ -279,6 +379,22 @@ class TestDeterminism:
         a = run_cli("longseq", CATALOG, "T2", "ext", "--depth", "1")
         b = run_cli("longseq", CATALOG, "T2", "ext", "--depth", "1")
         assert a == b
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    """main parses every argv with one parser; a rejected argv leaves no
+    state behind in it."""
+    golden = json.loads((ROOT / "tests" / "golden_z.json").read_text())
+    with pytest.raises(SystemExit) as exc:
+        main(["derive", CATALOG, "T2", "Zmod2", "--degrees=3..1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for _ in range(2):
+        assert main(["pi", CATALOG, "mul2"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            golden["pi mul2"]["sha256"]
+    assert build_parser() is build_parser()
 
 
 def test_main_entrypoint_in_process(capsys):
