@@ -25,7 +25,7 @@ from functools import cache, partial
 from typing import Dict, List, Optional, Union
 
 from .exactlin import DimensionMismatch, Matrix, RingSpec, snf
-from .fpmod import FPModule, FactorError, InvalidMorphism, ModMor
+from .fpmod import FPModule, InvalidMorphism, ModMor
 from .twomod import (
     CompatibilityError,
     OneMor,
@@ -160,7 +160,7 @@ def load(path: str) -> Workspace:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_int=lambda s: _as_int(s, "document"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read document: {exc}") from exc
     return load_doc(doc)
 
@@ -367,11 +367,14 @@ def _emit(report: dict, pretty_lines: List[str], args) -> None:
             sys.stderr.write(line + "\n")
 
 
-def _cmd_pi(ws: Workspace, args) -> int:
-    m = ws.get(args.object, TwoModule)
-    rep = _pi_report(m)
-    _emit({"command": "pi", "object": args.object, **rep},
-          [f"pi0 = {rep['pi0_name']}, pi1 = {rep['pi1_name']}"], args)
+def _cmd_pi(of, fields, line, ws: Workspace, args) -> int:
+    """Report the pi-profile of one 2-module, as each command of that kind
+    states it in build_parser: ``of(ws, args)`` is the module,
+    ``fields(args)`` the report's name fields and ``line(args, pi0, pi1)``
+    its --pretty line, from the names of the two profiles."""
+    rep = _pi_report(of(ws, args))
+    _emit({"command": args.command, **fields(args), **rep},
+          [line(args, rep["pi0_name"], rep["pi1_name"])], args)
     return 0
 
 
@@ -384,56 +387,11 @@ def _cmd_snf(ws: Workspace, args) -> int:
     return 0
 
 
-def _cmd_kernel(ws: Workspace, args) -> int:
-    rep = _pi_report(plain_kernel(ws.get(args.F, OneMor)).K)
-    _emit({"command": "kernel", "of": args.F, **rep},
-          [f"Ker({args.F}): pi0 = {rep['pi0_name']}, pi1 = {rep['pi1_name']}"],
-          args)
-    return 0
-
-
-def _cmd_cokernel(ws: Workspace, args) -> int:
+def _cokernel(ws: Workspace, args) -> TwoModule:
+    """Coker(F): the cokernel of F relative to the zero map into F.src."""
     f = ws.get(args.F, OneMor)
-    zero = TwoModule.zero(ws.ring)
-    z = OneMor.zero(zero, f.src)
-    phi = zero_null_homotopy(compose(z, f))
-    rep = _pi_report(relative_cokernel(z, phi, f).Q)
-    _emit({"command": "cokernel", "of": args.F, **rep},
-          [f"Coker({args.F}): {rep['pi0_name']}"], args)
-    return 0
-
-
-def _rel_triple(ws, args):
-    f = ws.get(args.F, OneMor)
-    phi = ws.get(args.phi, TwoMor)
-    g = ws.get(args.G, OneMor)
-    return f, phi, g
-
-
-def _cmd_relkernel(ws: Workspace, args) -> int:
-    f, phi, g = _rel_triple(ws, args)
-    rep = _pi_report(relative_kernel(f, phi, g).K)
-    _emit({"command": "relkernel", **rep},
-          [f"Ker({args.F}, {args.phi}): {rep['pi0_name']}"], args)
-    return 0
-
-
-def _cmd_relcokernel(ws: Workspace, args) -> int:
-    f, phi, g = _rel_triple(ws, args)
-    rep = _pi_report(relative_cokernel(f, phi, g).Q)
-    _emit({"command": "relcokernel", **rep},
-          [f"Coker({args.phi}, {args.G}): {rep['pi0_name']}"], args)
-    return 0
-
-
-def _cmd_homology(ws: Workspace, args) -> int:
-    c = ws.get(args.complex, Complex2)
-    rep = _pi_report(homology(c, args.n).module)
-    _emit({"command": "homology", "complex": args.complex, "degree": args.n,
-           **rep},
-          [f"H_{args.n}: pi0 = {rep['pi0_name']}, pi1 = {rep['pi1_name']}"],
-          args)
-    return 0
+    z = OneMor.zero(TwoModule.zero(ws.ring), f.src)
+    return relative_cokernel(z, zero_null_homotopy(compose(z, f)), f).Q
 
 
 def _cmd_resolve(ws: Workspace, args) -> int:
@@ -513,7 +471,9 @@ def _cmd_check(ws: Workspace, args) -> int:
     if what == "exact":
         if args.phi is None or args.G is None:
             raise ValidationFailure("check exact needs <F> <phi> <G>")
-        ok = check_relative_two_exact(*_rel_triple(ws, args))
+        ok = check_relative_two_exact(ws.get(args.F, OneMor),
+                                      ws.get(args.phi, TwoMor),
+                                      ws.get(args.G, OneMor))
     elif what == "extension":
         ok = is_extension(*ws.get(args.F, tuple))
     elif what == "homotopy":
@@ -588,38 +548,61 @@ def build_parser() -> argparse.ArgumentParser:
                                             "algebra over Z and Z/n")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def with_doc(sp):
+    def command(name, run, *positionals):
+        """Subcommand ``name`` on a workspace document, run as ``run(ws,
+        args)``, with the given string arguments."""
+        sp = sub.add_parser(name)
         sp.add_argument("document", help="workspace JSON document")
         sp.add_argument("--pretty", action="store_true",
                         help="human-readable tables on stderr")
+        for arg in positionals:
+            sp.add_argument(arg)
+        sp.set_defaults(run=run)
         return sp
 
-    s = with_doc(sub.add_parser("pi")); s.add_argument("object")
-    s = with_doc(sub.add_parser("snf")); s.add_argument("matrix")
-    s = with_doc(sub.add_parser("kernel")); s.add_argument("F")
-    s = with_doc(sub.add_parser("cokernel")); s.add_argument("F")
-    for nm in ("relkernel", "relcokernel"):
-        s = with_doc(sub.add_parser(nm))
-        s.add_argument("F"); s.add_argument("phi"); s.add_argument("G")
-    s = with_doc(sub.add_parser("homology"))
-    s.add_argument("complex"); s.add_argument("n", type=int)
-    s = with_doc(sub.add_parser("resolve"))
-    s.add_argument("object"); s.add_argument("--depth", type=int, default=2)
-    s = with_doc(sub.add_parser("compare"))
-    s.add_argument("morphism"); s.add_argument("resP"); s.add_argument("resQ")
-    s = with_doc(sub.add_parser("derive"))
-    s.add_argument("functor"); s.add_argument("object")
+    def pi_command(name, positionals, of, fields, line):
+        return command(name, partial(_cmd_pi, of, fields, line), *positionals)
+
+    pi_command("pi", ["object"], lambda ws, a: ws.get(a.object, TwoModule),
+               lambda a: {"object": a.object},
+               lambda a, p0, p1: f"pi0 = {p0}, pi1 = {p1}")
+    command("snf", _cmd_snf, "matrix")
+    pi_command("kernel", ["F"],
+               lambda ws, a: plain_kernel(ws.get(a.F, OneMor)).K,
+               lambda a: {"of": a.F},
+               lambda a, p0, p1: f"Ker({a.F}): pi0 = {p0}, pi1 = {p1}")
+    pi_command("cokernel", ["F"], _cokernel, lambda a: {"of": a.F},
+               lambda a, p0, p1: f"Coker({a.F}): {p0}")
+    pi_command("relkernel", ["F", "phi", "G"],
+               lambda ws, a: relative_kernel(ws.get(a.F, OneMor),
+                                             ws.get(a.phi, TwoMor),
+                                             ws.get(a.G, OneMor)).K,
+               lambda a: {}, lambda a, p0, p1: f"Ker({a.F}, {a.phi}): {p0}")
+    pi_command("relcokernel", ["F", "phi", "G"],
+               lambda ws, a: relative_cokernel(ws.get(a.F, OneMor),
+                                               ws.get(a.phi, TwoMor),
+                                               ws.get(a.G, OneMor)).Q,
+               lambda a: {}, lambda a, p0, p1: f"Coker({a.phi}, {a.G}): {p0}")
+    s = pi_command("homology", ["complex"],
+                   lambda ws, a: homology(ws.get(a.complex, Complex2),
+                                          a.n).module,
+                   lambda a: {"complex": a.complex, "degree": a.n},
+                   lambda a, p0, p1: f"H_{a.n}: pi0 = {p0}, pi1 = {p1}")
+    s.add_argument("n", type=int)
+    s = command("resolve", _cmd_resolve, "object")
+    s.add_argument("--depth", type=int, default=2)
+    command("compare", _cmd_compare, "morphism", "resP", "resQ")
+    s = command("derive", _cmd_derive, "functor", "object")
     s.add_argument("--degrees", type=_degrees, default=(0, 1))
     s.add_argument("--depth", type=int, default=None)
-    s = with_doc(sub.add_parser("longseq"))
-    s.add_argument("functor"); s.add_argument("extension")
+    s = command("longseq", _cmd_longseq, "functor", "extension")
     s.add_argument("--depth", type=int, default=1)
-    s = with_doc(sub.add_parser("check"))
+    s = command("check", _cmd_check)
     s.add_argument("what", choices=["exact", "extension", "homotopy", "longseq"])
     s.add_argument("F"); s.add_argument("phi", nargs="?")
     s.add_argument("G", nargs="?")
     s.add_argument("--depth", type=int, default=2)
-    s = with_doc(sub.add_parser("oracle"))
+    s = command("oracle", _cmd_oracle)
     s.add_argument("kind", choices=["tor"])
     s.add_argument("M0"); s.add_argument("N"); s.add_argument("i", type=int)
     s = sub.add_parser("selftest")
@@ -628,36 +611,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-COMMANDS = {
-    "pi": _cmd_pi,
-    "snf": _cmd_snf,
-    "kernel": _cmd_kernel,
-    "cokernel": _cmd_cokernel,
-    "relkernel": _cmd_relkernel,
-    "relcokernel": _cmd_relcokernel,
-    "homology": _cmd_homology,
-    "resolve": _cmd_resolve,
-    "compare": _cmd_compare,
-    "derive": _cmd_derive,
-    "longseq": _cmd_longseq,
-    "check": _cmd_check,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
             return _cmd_selftest(args)
-        ws = load(args.document)
-        return COMMANDS[args.command](ws, args)
+        return args.run(load(args.document), args)
     except ParseFailure as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (ValidationFailure, InvalidMorphism, CompatibilityError,
-            FactorError, ResolutionError, DimensionMismatch,
-            ValueError) as exc:
+    except (ValueError, ResolutionError) as exc:
         if "integer string conversion" in str(exc):  # Python's digit limit
             exc = (f"{args.command}: the report holds an integer over "
                    f"{_digit_limit()}")

@@ -404,6 +404,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
     """Horseshoe resolutions of the extension, apply the functor, take
     homology, connect with the matrix zig-zag, and store explicit null
     homotopies for every consecutive composite."""
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if not is_extension(F, phi, G):
         raise ValueError("long_sequence needs an extension")
     if not is_right_relative_two_exact(t, F, phi, G):

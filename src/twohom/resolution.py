@@ -7,16 +7,18 @@ degree-1 part vanishes, every 2-cell between resolution stages is zero
 except at the augmentation, and comparison lifts reduce to exact integer
 chain algebra plus one nontrivial augmentation cell.
 
-A resolution is one augmented complex ... -> P_1 -> P_0 -> M -> 0: P_{-1}
-is the target M (``module(-1)``), F_0 is ``aug`` (``f(0)``), a comparison
-lift of h: M -> N has H_{-1} = h (``lift(-1)``), and for every n >= 0 stage
-kernel n is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
+A resolution is one augmented complex ... -> P_1 -> P_0 -> M -> 0, and it
+stores exactly that ``Complex2``: ``augmented()`` returns the same object on
+every call, with M in degree 0 and P_n in degree n + 1.  So P_{-1} is the
+target M (``module(-1)``), F_0 is ``aug`` (``f(0)``, the first
+differential), the augmentation cell is alpha_2, a comparison lift of
+h: M -> N has H_{-1} = h (``lift(-1)``), and for every n >= 0 stage kernel n
+is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Tuple
 
 from .exactlin import Matrix, block, hstack, solve_many, vstack
@@ -44,7 +46,6 @@ from .twomod import (
     relative_kernel,
     rk_factorize,
     whisker_right,
-    zero_null_homotopy,
 )
 
 
@@ -90,69 +91,46 @@ def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
 
 
 class Resolution:
-    """A projective resolution: free modules P_n, differentials, an
-    essentially surjective augmentation and its cell, with the stage
-    kernels and essentially surjective witnesses retained."""
+    """A projective resolution, stored as its augmented complex: degree 0
+    is the target M, degree n + 1 is the free P_n, the first differential
+    is the essentially surjective augmentation and alpha_2 its cell.  The
+    stage kernels and essentially surjective witnesses are retained."""
 
-    def __init__(self, target: TwoModule, modules: List[TwoModule],
-                 diffs: List[OneMor], aug: OneMor, aug_cell_s: ModMor,
-                 kernels: List[RelKernelResult], witnesses: List[OneMor],
-                 terminated: bool):
-        self.target = target
-        self.modules = modules
-        self.diffs = diffs
-        self.aug = aug
-        self.aug_cell_s = aug_cell_s
+    def __init__(self, augmented: Complex2, kernels: List[RelKernelResult],
+                 witnesses: List[OneMor], terminated: bool):
+        self._augmented = augmented
         self.kernels = kernels
         self.witnesses = witnesses
         self.terminated = terminated
 
-    @property
-    def depth(self) -> int:
-        return len(self.modules) - 1
-
-    @cached_property
-    def coaug(self) -> OneMor:
-        """F_{-1}: M -> 0, one object shared by cell(0) and stage kernel 0."""
-        return OneMor.zero(self.target, TwoModule.zero(self.target.ring))
+    # the parts, read off the augmented complex, where P_n sits in degree n + 1
+    target = property(lambda self: self._augmented.modules[0])
+    modules = property(lambda self: self._augmented.modules[1:])  # P_0..P_depth
+    diffs = property(lambda self: self._augmented.diffs[1:])  # F_1..F_depth
+    aug = property(lambda self: self._augmented.diffs[0])
+    aug_cell_s = property(lambda self: self._augmented.alpha_s(2))
+    depth = property(lambda self: self._augmented.length - 1)
 
     def module(self, n: int) -> TwoModule:
         """P_n, with P_{-1} the target; zero off range."""
-        if n == -1:
-            return self.target
-        if 0 <= n <= self.depth:
-            return self.modules[n]
-        return TwoModule.zero(self.target.ring)
+        return self._augmented.module(n + 1)
 
     def f(self, n: int) -> OneMor:
         """F_n: P_n -> P_{n-1}, with F_0 the augmentation and F_{-1} the map
         M -> 0; zero off range."""
-        if n == 0:
-            return self.aug
-        if n == -1:
-            return self.coaug
-        if 1 <= n <= self.depth:
-            return self.diffs[n - 1]
-        return OneMor.zero(self.module(n), self.module(n - 1))
+        return self._augmented.diff(n + 1)
 
     def cell(self, n: int) -> TwoMor:
         """Null homotopy of F_{n-1}∘F_n; only the augmentation cell (n = 1)
-        can be nonzero."""
-        of = compose(self.f(n), self.f(n - 1))
-        if n == 1:
-            return null_homotopy(of, self.aug_cell_s, check=False)
-        return zero_null_homotopy(of)
+        can be nonzero, and every other is the zero cell, checked."""
+        return self._augmented.alpha(n + 1, check=n != 1)
 
     def complex(self) -> Complex2:
         return Complex2.strict(self.target.ring, self.modules, self.diffs)
 
     def augmented(self) -> Complex2:
-        mods = [self.target] + self.modules
-        diffs = [self.aug] + self.diffs
-        alphas = {}
-        if self.depth >= 1:
-            alphas[2] = self.aug_cell_s
-        return Complex2(self.target.ring, mods, diffs, alphas)
+        """The stored augmented complex (one homology memo for every caller)."""
+        return self._augmented
 
 
 def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
@@ -162,30 +140,33 @@ def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
     every further stage is zero; ``zero`` asks for zero stages from the
     start (padding), which leaves ``terminated`` as it was.
     """
-    ring = res.target.ring
-    out = Resolution(res.target, list(res.modules), list(res.diffs), res.aug,
-                     res.aug_cell_s, list(res.kernels), list(res.witnesses),
-                     res.terminated)
-    zero = zero or res.terminated
+    if depth <= res.depth:
+        return res
+    c = res.augmented()
+    mods, diffs, alphas = list(c.modules), list(c.diffs), dict(c.alphas)
+    kernels, witnesses = list(res.kernels), list(res.witnesses)
+    terminated = res.terminated
+    zero = zero or terminated
     for n in range(res.depth + 1, depth + 1):
-        prev_k = out.kernels[n - 1]
+        prev_k = kernels[n - 1]
         if zero:
-            pn = TwoModule.zero(ring)
+            pn = TwoModule.zero(c.ring)
             cover = OneMor.zero(pn, prev_k.K)
         else:
             pn, cover = free_cover(prev_k.K)
-        out.modules.append(pn)
-        out.diffs.append(compose(cover, prev_k.e))
-        out.witnesses.append(cover)
+        mods.append(pn)
+        diffs.append(compose(cover, prev_k.e))   # F_n, in degree n + 1
+        witnesses.append(cover)
         # cell(n), whiskered from the previous kernel's cell: it defines the
         # augmentation cell at n = 1, and F_{n-1}∘F_n = 0 needs no check
         cell = whisker_right(prev_k.eps, cover)
         if n == 1:
-            out.aug_cell_s = cell.s
-        out.kernels.append(relative_kernel(out.f(n), cell, out.f(n - 1)))
-        if not zero and is_pi_trivial(out.kernels[-1].K):
-            zero = out.terminated = True
-    return out
+            alphas[2] = cell.s
+        kernels.append(relative_kernel(diffs[n], cell, diffs[n - 1]))
+        if not zero and is_pi_trivial(kernels[-1].K):
+            zero = terminated = True
+    return Resolution(Complex2(c.ring, mods, diffs, alphas), kernels,
+                      witnesses, terminated)
 
 
 def resolve(m: TwoModule, depth: int) -> Resolution:
@@ -211,7 +192,9 @@ def assemble_resolution(target: TwoModule, modules: List[TwoModule],
     The witness at stage n is the canonical factorization of F_{n+1}
     through the stage-n relative kernel.
     """
-    res = Resolution(target, modules, diffs, aug, aug_cell_s, [], [], False)
+    alphas = {2: aug_cell_s} if len(modules) > 1 else {}
+    res = Resolution(Complex2(target.ring, [target] + modules, [aug] + diffs,
+                              alphas), [], [], False)
     for n in range(res.depth + 1):
         cell = res.cell(n)
         if n >= 1:
@@ -224,8 +207,6 @@ def assemble_resolution(target: TwoModule, modules: List[TwoModule],
 
 def pad_resolution(res: Resolution, depth: int) -> Resolution:
     """Extend with zero stages up to the requested depth."""
-    if depth <= res.depth:
-        return res
     return _extend(res, depth, zero=True)
 
 
@@ -397,19 +378,16 @@ def product_resolution(res_a: Resolution, res_b: Resolution
     if res_a.target.ring != res_b.target.ring:
         raise ResolutionError("product over different rings")
     depth = max(res_a.depth, res_b.depth)
-    res_a = pad_resolution(res_a, depth)
-    res_b = pad_resolution(res_b, depth)
-    target_bp = biproduct(res_a.target, res_b.target)
-    modules = [biproduct(res_a.module(n), res_b.module(n)).total
-               for n in range(depth + 1)]
-    diffs = [oplus(res_a.f(n), res_b.f(n), modules[n], modules[n - 1])
-             for n in range(1, depth + 1)]
-    aug = oplus(res_a.aug, res_b.aug, modules[0], target_bp.total)
-    cell_src = modules[1].M0 if depth >= 1 else FPModule.zero(res_a.target.ring)
-    cell_mor = oplus(res_a.aug_cell_s, res_b.aug_cell_s, cell_src,
-                     target_bp.total.M1)
-    res = assemble_resolution(target_bp.total, modules, diffs, aug, cell_mor)
-    return res, target_bp
+    a = pad_resolution(res_a, depth).augmented()
+    b = pad_resolution(res_b, depth).augmented()
+    bps = [biproduct(a.module(k), b.module(k)) for k in range(depth + 2)]
+    mods = [bp.total for bp in bps]
+    diffs = [oplus(a.diff(k), b.diff(k), mods[k], mods[k - 1])
+             for k in range(1, depth + 2)]
+    cell_src = mods[2].M0 if depth >= 1 else FPModule.zero(a.ring)
+    cell = oplus(a.alpha_s(2), b.alpha_s(2), cell_src, mods[0].M1)
+    res = assemble_resolution(mods[0], mods[1:], diffs[1:], diffs[0], cell)
+    return res, bps[0]
 
 
 def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,

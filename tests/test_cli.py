@@ -183,10 +183,21 @@ class TestCommands:
         rep = json.loads(out)
         assert rep["pi0_name"] == "Z/2" and rep["pi1_name"] == "0"
 
-    def test_pi_pretty(self):
-        code, out, err = run_cli("pi", CATALOG, "mul2", "--pretty")
+    @pytest.mark.parametrize("argv, line", [
+        (["pi", "mul2"], "pi0 = Z/2, pi1 = 0"),
+        (["kernel", "proj"], "Ker(proj): pi0 = Z, pi1 = 0"),
+        (["cokernel", "proj"], "Coker(proj): 0"),
+        (["relkernel", "two", "phi", "proj"], "Ker(two, phi): 0"),
+        (["relcokernel", "two", "phi", "proj"], "Coker(phi, proj): 0"),
+        (["homology", "C1", "0"], "H_0: pi0 = Z/2, pi1 = 0"),
+    ], ids=["pi", "kernel", "cokernel", "relkernel", "relcokernel",
+            "homology"])
+    def test_pi_pretty(self, argv, line):
+        """The --pretty line of each pi-profile report; golden_z.json pins
+        their stdout only."""
+        code, out, err = run_cli(argv[0], CATALOG, *argv[1:], "--pretty")
         assert code == 0
-        assert "pi0 = Z/2" in err
+        assert err == line + "\n"
 
     def test_snf(self):
         code, out, _ = run_cli("snf", CATALOG, "A24")
@@ -300,11 +311,24 @@ class TestCommands:
 
 
 class TestExitCodes:
-    def test_parse_error_is_2(self, tmp_path):
+    @pytest.mark.parametrize("data", [b"this is not json", b"\xff{}"],
+                             ids=["not-json", "not-utf8"])
+    def test_parse_error_is_2(self, tmp_path, data):
         bad = tmp_path / "bad.json"
-        bad.write_text("this is not json")
-        code, _, err = run_cli("pi", str(bad), "x")
-        assert code == 2
+        bad.write_bytes(data)
+        code, out, err = run_cli("pi", str(bad), "x")
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["longseq", "T2", "ext"], ["check", "longseq", "T2", "ext"]],
+        ids=["longseq", "check-longseq"])
+    def test_negative_longseq_depth_is_1(self, argv):
+        """A negative depth is refused, as resolve refuses it, instead of
+        certifying an empty sequence exact."""
+        code, out, err = run_cli(argv[0], CATALOG, *argv[1:], "--depth", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: depth must be >= 0\n"
 
     @pytest.mark.parametrize("name, obj", [
         ("A", {"type": "matrix"}),

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 
 from twohom import catalog
 from twohom.exactlin import Matrix, RingSpec, ZZ, kernel_basis
@@ -26,6 +27,7 @@ from twohom.complex2 import (
     window_profile,
 )
 from twohom.derived import FunctorSpec, apply
+from twohom.resolution import resolve
 
 
 def random_strict_free_complex(rng, length=3):
@@ -49,6 +51,20 @@ def random_strict_free_complex(rng, length=3):
                             check=False))
         prev = mat
     return Complex2.strict(ZZ, mods, diffs)
+
+
+def random_two_module(rng, ring):
+    """[R^a --d--> M0] with a free M1 of rank 1-2 and an M0 with 1-3
+    generators and 0-2 relations, so pi0 may have torsion and pi1 be
+    nonzero."""
+    a, g, k = rng.randint(1, 2), rng.randint(1, 3), rng.randint(0, 2)
+
+    def mat(rows, cols):
+        return Matrix(ring, rows, cols,
+                      [rng.randint(-4, 4) for _ in range(rows * cols)])
+
+    m1, m0 = FPModule.free(ring, a), FPModule(ring, g, mat(g, k))
+    return TwoModule(m1, m0, ModMor(m1, m0, mat(g, a)))
 
 
 class TestValidation:
@@ -135,6 +151,23 @@ class TestWindowLaw:
         tc = total(aug)
         for k in range(aug.length + 2):
             assert invariant_factors(hyper(tc, k)) == []
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(4), RingSpec.Zmod(12)],
+                             ids=str)
+    def test_augmented_resolutions_with_torsion_and_cells(self, ring):
+        """The window law on non-discrete 2-modules with torsion and nonzero
+        cells: augmented resolutions of random 2-modules, and their images
+        under - (x) Z/k."""
+        rng = random.Random(f"window-{ring}")
+        cells = 0
+        for _ in range(12):
+            aug = resolve(random_two_module(rng, ring), 3).augmented()
+            zk = FPModule.cyclic(ring, rng.choice([2, 3, 4]))
+            for c in (aug, apply(FunctorSpec.tensor_with(zk), aug)):
+                cells += not c.alpha_s(2).mat.is_zero()
+                for i in range(c.length + 1):
+                    assert homology(c, i).pi == window_profile(c, i), i
+        assert cells > 0
 
 
 class TestInduced:

@@ -354,6 +354,13 @@ class TestLongSequence:
         with pytest.raises(ValueError):
             long_sequence(T2, f, zero_null_homotopy(compose(f, f)), f, 1)
 
+    def test_negative_depth_is_refused(self):
+        """A negative depth has no sequence to certify, so it is an error
+        and not an empty sequence that check_long_sequence accepts."""
+        f, phi, g = catalog.catalog_extension()
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            long_sequence(T2, f, phi, g, -1)
+
     def test_zero_extension(self):
         zero = TwoModule.zero(ZZ)
         z = OneMor.zero(zero, zero)

@@ -183,6 +183,9 @@ class TestStageLoop:
         for m in (TwoModule.discrete(FPModule.cyclic(ring, 2)), mul2):
             res = resolve(m, self.DEPTH)
             assert res.f(0) is res.aug and res.module(-1) is res.target
+            # the resolution is its stored augmented complex, P_n in degree n + 1
+            aug = res.augmented()
+            assert aug is res.augmented() and aug.module(1) is res.module(0)
             for n in range(res.depth + 1):
                 k = relative_kernel(res.f(n), res.cell(n), res.f(n - 1))
                 assert _kernel_mats(k) == _kernel_mats(res.kernels[n]), n
