@@ -366,7 +366,7 @@ def _corner(m: Matrix, rows: int, cols: int) -> Matrix:
     """The top-right rows x cols block of m."""
     if not (rows and cols):
         return Matrix.zeros(m.ring, rows, cols)
-    return Matrix(m.ring, rows, cols, m.arr[:rows, m.cols - cols:])
+    return Matrix(m.ring, rows, cols, m.arr[:rows, m.cols - cols:], _canonical=True)
 
 
 def _zigzag_block(tk: Complex2, tp: Complex2, tq: Complex2, n: int) -> Matrix:

@@ -5,7 +5,11 @@ functors) reduces to the four primitives in this module: Hermite form,
 Smith form, exact linear solving and kernel generation.  A ``Matrix``
 stores Python ints in an object-dtype numpy array; the elimination runs on
 lists of rows of Python ints, so no value ever overflows.  Over Z/n entries
-are canonical representatives in [0, n).  One engine serves both rings:
+are canonical representatives in [0, n).  ``Matrix(ring, rows, cols,
+entries)`` takes integers only, copies them and reduces them mod n.  The
+matrices the package builds are read-only and canonical and are not copied
+again: the private keyword ``_canonical`` keeps a new array, reducing it
+mod n once unless it is True.  One engine serves both rings:
 solving and kernels read the Smith form computed over the ring itself (Z/n
 is a principal ideal ring), so nothing is lifted to Z.
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -71,7 +76,7 @@ class RingSpec:
         return self.kind == "Zmod"
 
     def normalize(self, x: int) -> int:
-        return x % self.n if self.kind == "Zmod" else int(x)
+        return index(x) % self.n if self.kind == "Zmod" else index(x)
 
     def __str__(self):
         return "Z" if self.kind == "Z" else f"Z/{self.n}"
@@ -89,24 +94,24 @@ class Matrix:
 
     __slots__ = ("ring", "rows", "cols", "_arr", "_hash", "_snf", "_hnf")
 
-    def __init__(self, ring: RingSpec, rows: int, cols: int, entries):
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries, *,
+                 _canonical: Optional[bool] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        modular = ring.is_modular
-        if isinstance(entries, np.ndarray):
-            # one copy: over Z/n the reduction below is that copy
-            arr = entries.reshape((rows, cols)).astype(object, copy=not modular)
-        else:
-            flat = [int(x) for x in entries]
+        if _canonical is None:
+            if isinstance(entries, np.ndarray):
+                entries = entries.flat
+            flat = [index(x) for x in entries]
             if len(flat) != rows * cols:
-                raise DimensionMismatch(
-                    f"need {rows * cols} entries, got {len(flat)}"
-                )
+                raise DimensionMismatch(f"need {rows * cols} entries, "
+                                        f"got {len(flat)}")
             arr = np.array(flat, dtype=object).reshape((rows, cols))
-        if modular:
+        else:  # private: an object array the package has just made
+            arr = entries
+        if not _canonical and ring.is_modular:
             arr = arr % ring.n
         arr.setflags(write=False)
         self._arr = arr
@@ -127,18 +132,18 @@ class Matrix:
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, np.zeros((rows, cols), dtype=object))
+        return Matrix(ring, rows, cols, np.zeros((rows, cols), dtype=object),
+                      _canonical=True)
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "Matrix":
         arr = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            arr[i, i] = 1
-        return Matrix(ring, n, n, arr)
+        np.fill_diagonal(arr, 1)
+        return Matrix(ring, n, n, arr, _canonical=True)
 
     @staticmethod
     def column(ring: RingSpec, values: Sequence[int]) -> "Matrix":
-        return Matrix(ring, len(values), 1, [int(v) for v in values])
+        return Matrix(ring, len(values), 1, values)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -150,7 +155,7 @@ class Matrix:
         return self._arr[i, j]
 
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, self._arr[:, j:j + 1])
+        return Matrix(self.ring, self.rows, 1, self._arr[:, j:j + 1], _canonical=True)
 
     def tolists(self):
         return [[int(x) for x in row] for row in self._arr]
@@ -176,28 +181,31 @@ class Matrix:
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Matrix.zeros(self.ring, self.rows, other.cols)
         return Matrix(self.ring, self.rows, other.cols,
-                      self._arr @ other._arr)
+                      self._arr @ other._arr, _canonical=False)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_ring(other)
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in +")
-        return Matrix(self.ring, self.rows, self.cols, self._arr + other._arr)
+        return Matrix(self.ring, self.rows, self.cols, self._arr + other._arr,
+                      _canonical=False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_ring(other)
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in -")
-        return Matrix(self.ring, self.rows, self.cols, self._arr - other._arr)
+        return Matrix(self.ring, self.rows, self.cols, self._arr - other._arr,
+                      _canonical=False)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, -self._arr)
+        return Matrix(self.ring, self.rows, self.cols, -self._arr, _canonical=False)
 
     def scale(self, k: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, self._arr * int(k))
+        return Matrix(self.ring, self.rows, self.cols, self._arr * int(k),
+                      _canonical=False)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows, self._arr.T)
+        return Matrix(self.ring, self.cols, self.rows, self._arr.T, _canonical=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -224,7 +232,8 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.rows != rows or m.ring != ring for m in mats):
         raise DimensionMismatch("hstack mismatch")
     cols = sum(m.cols for m in mats)
-    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats], 1))
+    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats], 1),
+                  _canonical=True)
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -236,7 +245,8 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.cols != cols or m.ring != ring for m in mats):
         raise DimensionMismatch("vstack mismatch")
     rows = sum(m.rows for m in mats)
-    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats]))
+    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats]),
+                  _canonical=True)
 
 
 def block_diag(mats: Iterable[Matrix]) -> Matrix:
@@ -252,7 +262,7 @@ def block_diag(mats: Iterable[Matrix]) -> Matrix:
         arr[r:r + m.rows, c:c + m.cols] = m.arr
         r += m.rows
         c += m.cols
-    return Matrix(ring, rows, cols, arr)
+    return Matrix(ring, rows, cols, arr, _canonical=True)
 
 
 def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -261,14 +271,14 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization as a single column."""
-    return Matrix(m.ring, m.rows * m.cols, 1, m.arr.T.reshape(-1, 1))
+    return Matrix(m.ring, m.rows * m.cols, 1, m.arr.T.reshape(-1, 1), _canonical=True)
 
 
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
     """Inverse of ``vec``: the first rows*cols entries of column v, read
     column-major into a rows x cols matrix."""
     return Matrix(v.ring, rows, cols,
-                  v.arr[:rows * cols, 0].reshape((cols, rows)).T)
+                  v.arr[:rows * cols, 0].reshape((cols, rows)).T, _canonical=True)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -277,7 +287,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     rows, cols = a.rows * b.rows, a.cols * b.cols
     if rows == 0 or cols == 0:
         return Matrix.zeros(a.ring, rows, cols)
-    return Matrix(a.ring, rows, cols, np.kron(a.arr, b.arr))
+    return Matrix(a.ring, rows, cols, np.kron(a.arr, b.arr), _canonical=False)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +372,8 @@ def _col_step(D, r, log, op, i, j, *args):
     n = args[-1]
     s, t, u, v = ((0, 1, 1, 0) if op is _swap else
                   (1, -args[0], 0, 1) if op is _sub else args[:4])
-    for row in D[r:]:
+    # as in _sub: column i -= q * column j leaves rows with 0 in column j
+    for row in [row for row in D[r:] if row[j]] if op is _sub else D[r:]:
         x, y = row[i], row[j]
         if n is None:
             row[i], row[j] = s * x + t * y, u * x + v * y
@@ -403,8 +414,9 @@ def _normalize(M, log, r, j, n):
 
 
 def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
-    """Matrix from a list of row lists."""
-    return Matrix(ring, rows, cols, np.array(data, dtype=object))
+    """Matrix from row lists, canonical as every row operation reduces."""
+    arr = np.array(data, dtype=object).reshape((rows, cols))
+    return Matrix(ring, rows, cols, arr, _canonical=True)
 
 
 class _Memo(dict):
@@ -562,7 +574,7 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
     D, U, V = snf(A)
     Y = U @ B
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
-    Xp = np.zeros((A.cols, B.cols), dtype=object)
+    Xp = np.zeros((A.cols, B.cols), dtype=object)  # Z/n: 0 <= y // d <= y < n
     for c in range(B.cols):
         for i in range(A.rows):
             y = Y.entry(i, c)
@@ -574,7 +586,7 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
                 if y % d != 0:
                     return None
                 Xp[i, c] = y // d
-    return V @ Matrix(A.ring, A.cols, B.cols, Xp)
+    return V @ Matrix(A.ring, A.cols, B.cols, Xp, _canonical=True)
 
 
 def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -599,4 +611,4 @@ def kernel_basis(A: Matrix) -> Matrix:
     arr = np.empty((A.cols, len(scales)), dtype=object)
     for k, (j, q) in enumerate(scales):
         arr[:, k] = V.arr[:, j] * q
-    return Matrix(A.ring, A.cols, len(scales), arr)
+    return Matrix(A.ring, A.cols, len(scales), arr, _canonical=False)

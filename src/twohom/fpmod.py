@@ -169,10 +169,12 @@ def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     ring = f.src.ring
     stacked = hstack([f.mat, f.dst.rel])
     syz = kernel_basis(stacked)
-    gens_mat = Matrix(ring, f.src.gens, syz.cols, syz.arr[: f.src.gens, :])
+    gens_mat = Matrix(ring, f.src.gens, syz.cols, syz.arr[: f.src.gens, :],
+                      _canonical=True)
     cols = column_basis(gens_mat)
     pull = kernel_basis(hstack([cols, f.src.rel]))
-    rel = Matrix(ring, cols.cols, pull.cols, pull.arr[: cols.cols, :])
+    rel = Matrix(ring, cols.cols, pull.cols, pull.arr[: cols.cols, :],
+                 _canonical=True)
     K = FPModule(ring, cols.cols, rel)
     incl = ModMor(K, f.src, cols, check=False)
     return K, incl
@@ -197,7 +199,7 @@ def factor_through(incl: ModMor, g: ModMor) -> ModMor:
     if sol is None:
         raise FactorError("no factorization through the given inclusion")
     mat = Matrix(g.src.ring, incl.src.gens, g.src.gens,
-                 sol.arr[: incl.src.gens, :])
+                 sol.arr[: incl.src.gens, :], _canonical=True)
     return ModMor(g.src, incl.src, mat, check=False)
 
 

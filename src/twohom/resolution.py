@@ -82,9 +82,10 @@ def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
     if sol is None:
         raise ResolutionError(
             "lift failed although the target map is essentially surjective")
-    xs = Matrix(ring, b.M0.gens, p.M0.gens, sol.arr[: b.M0.gens, :])
+    xs = Matrix(ring, b.M0.gens, p.M0.gens, sol.arr[: b.M0.gens, :],
+                _canonical=True)
     ys = Matrix(ring, c.M1.gens, p.M0.gens,
-                sol.arr[b.M0.gens: b.M0.gens + c.M1.gens, :])
+                sol.arr[b.M0.gens: b.M0.gens + c.M1.gens, :], _canonical=True)
     l = free_mor(p, b, xs)
     sigma = TwoMor(compose(l, e), t, ModMor(p.M0, c.M1, ys, check=False))
     return l, sigma
@@ -449,10 +450,10 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
         sol = solve_many(system, rhs)
         if sol is None:
             raise ResolutionError(f"horseshoe stage-{n} solve failed")
-        hs[n] = Matrix(ring, n_h, qa.M0.gens, sol.arr[:n_h, :])
+        hs[n] = Matrix(ring, n_h, qa.M0.gens, sol.arr[:n_h, :], _canonical=True)
         if n == 1:
             cell_q = Matrix(ring, B.M1.gens, qa.M0.gens,  # s_1 : Q_1.M0 -> B.M1
-                            sol.arr[n_h: n_h + B.M1.gens, :])
+                            sol.arr[n_h: n_h + B.M1.gens, :], _canonical=True)
         diffs.append(free_mor(modules[n], modules[n - 1],
                               block([[res_a.f(n).f0.mat, hs[n]],
                                      [Matrix.zeros(ring, nq.rows, pa.M0.gens),

@@ -11,14 +11,19 @@ from twohom.exactlin import (
     Matrix,
     RingSpec,
     ZZ,
+    block_diag,
     det,
     hnf,
+    hstack,
     is_invertible,
     kernel_basis,
     kron,
     snf,
     solve,
     solve_many,
+    unvec,
+    vec,
+    vstack,
 )
 from twohom.fpmod import FPModule, invariant_factors
 
@@ -332,3 +337,66 @@ def test_is_invertible():
     r6 = RingSpec.Zmod(6)
     assert is_invertible(Matrix.from_rows(r6, [[5]]))
     assert not is_invertible(Matrix.from_rows(r6, [[2]]))
+
+
+def assert_read_only_canonical(m):
+    assert not m.arr.flags.writeable
+    for x in m.arr.flat:
+        assert type(x) is int
+        assert m.ring.n is None or 0 <= x < m.ring.n
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6), RingSpec.Zmod(12)],
+                         ids=str)
+def test_library_results_are_read_only_and_canonical(ring):
+    rng = random.Random(5)
+
+    def fresh(rows, cols):
+        return Matrix(ring, rows, cols,
+                      [rng.randint(-20, 20) for _ in range(rows * cols)])
+
+    a, b = fresh(3, 4), fresh(3, 4)
+    for letters, form in (("DUV", snf), ("HU", hnf)):
+        for order in itertools.permutations(letters):
+            m = Matrix(ring, 3, 4, a.arr)   # no memo: eliminated anew
+            for letter in order:
+                assert_read_only_canonical(*form(m, letter))
+    x = solve_many(a, a @ fresh(4, 2))
+    assert x is not None
+    made = [kernel_basis(a), x, a @ b.transpose(), a + b, a - b, -a,
+            a.scale(-7), kron(a, b), a.transpose(), a.col(2), vec(a),
+            unvec(vec(a), 3, 4), hstack([a, b]), vstack([a, b]),
+            block_diag([a, b]), Matrix.zeros(ring, 2, 3),
+            Matrix.identity(ring, 3)]
+    for m in made:
+        assert_read_only_canonical(m)
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6)], ids=str)
+def test_public_constructor_copies_its_input(ring):
+    for src in (np.array([[1, -2], [3, 4]], dtype=object),
+                np.array([[1, -2], [3, 4]], dtype=np.int64)):
+        m = Matrix(ring, 2, 2, src)
+        src[0, 0] = 99
+        assert src.flags.writeable
+        assert m.tolists() == [[1, ring.normalize(-2)], [3, 4]]
+        assert_read_only_canonical(m)
+
+
+def test_public_constructor_takes_integers_only():
+    for entries in ([1.5], [np.float64(2.0)], ["3"], np.array([2.0])):
+        with pytest.raises(TypeError):
+            Matrix(ZZ, 1, 1, entries)
+    with pytest.raises(TypeError):
+        Matrix(ZZ, 2, 2, np.array([[1.5, 2], [3, 4]]))
+    with pytest.raises(TypeError):
+        Matrix.column(ZZ, [1, 2.5])
+    for ring in (ZZ, RingSpec.Zmod(6)):
+        with pytest.raises(TypeError):
+            ring.normalize(1.5)
+    with pytest.raises(DimensionMismatch, match="need 4 entries, got 3"):
+        Matrix(ZZ, 2, 2, np.array([1, 2, 3]))
+    m = Matrix(RingSpec.Zmod(6), 1, 3, [np.int64(-1), True, False])
+    assert m.tolists() == [[5, 1, 0]]
+    assert_read_only_canonical(m)
+    assert_read_only_canonical(Matrix.column(ZZ, [np.int64(7), True]))
