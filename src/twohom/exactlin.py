@@ -11,7 +11,9 @@ matrices the package builds are read-only and canonical and are not copied
 again: the private keyword ``_canonical`` keeps a new array, reducing it
 mod n once unless it is True.  One engine serves both rings:
 solving and kernels read the Smith form computed over the ring itself (Z/n
-is a principal ideal ring), so nothing is lifted to Z.
+is a principal ideal ring), so nothing is lifted to Z.  The one exception
+is ``preimage_basis``, over Z only: the kernel of a module morphism read
+off one row echelon pass, whose Hermite form is the basis.
 
 Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
 return only the matrices that ``want`` names, in its order (``snf(A, "D")``
@@ -35,6 +37,7 @@ Conventions (fixed so that outputs are bit-reproducible):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from operator import index
@@ -58,7 +61,10 @@ class RingSpec:
         if self.kind not in ("Z", "Zmod"):
             raise ValueError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Zmod":
-            if self.n is None or self.n < 2:
+            if self.n is None:
+                raise ValueError("Zmod modulus must be an integer >= 2")
+            object.__setattr__(self, "n", index(self.n))  # TypeError if not
+            if self.n < 2:
                 raise ValueError("Zmod modulus must be an integer >= 2")
         elif self.n is not None:
             raise ValueError("Z takes no modulus")
@@ -69,7 +75,7 @@ class RingSpec:
 
     @staticmethod
     def Zmod(n: int) -> "RingSpec":
-        return RingSpec("Zmod", int(n))
+        return RingSpec("Zmod", n)
 
     @property
     def is_modular(self) -> bool:
@@ -201,13 +207,15 @@ class Matrix:
         return Matrix(self.ring, self.rows, self.cols, -self._arr, _canonical=False)
 
     def scale(self, k: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, self._arr * int(k),
+        return Matrix(self.ring, self.rows, self.cols, self._arr * index(k),
                       _canonical=False)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ring, self.cols, self.rows, self._arr.T, _canonical=True)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.ring == other.ring and self.shape == other.shape
@@ -438,6 +446,32 @@ class _Memo(dict):
         return T
 
 
+def _echelon(M, log, width, n, hermite):
+    """Bring columns 0..width-1 of the rows M to row echelon form, logging
+    each row operation, and return the rank r: rows r.. are zero there.
+    With hermite each pivot is normalized and the entries above it are
+    reduced, which makes the Hermite form."""
+    r = 0
+    for j in range(width):
+        if r >= len(M):
+            break
+        pivot = _pivot(M, r, j, j + 1, n)
+        if pivot is None:
+            continue
+        if pivot[0] != r:
+            _step(M, log, _swap, r, pivot[0], n)
+        _clear_below(M, log, r, j, n, n is None)
+        if hermite:
+            _normalize(M, log, r, j, n)
+            p = M[r][j]
+            for i in range(r):
+                q = M[i][j] // p
+                if q:
+                    _step(M, log, _sub, i, r, q, n)
+        r += 1
+    return r
+
+
 def hnf(A: Matrix, want: str = "HU"):
     """Row Hermite normal form: the matrices named by want, in that order,
     of H and U with H = U @ A."""
@@ -448,24 +482,7 @@ def hnf(A: Matrix, want: str = "HU"):
     rows = A.rows
     H = A.arr.tolist()
     log = []
-    r = 0
-    for j in range(A.cols):
-        if r >= rows:
-            break
-        pivot = _pivot(H, r, j, j + 1, n)
-        if pivot is None:
-            continue
-        if pivot[0] != r:
-            _step(H, log, _swap, r, pivot[0], n)
-        _clear_below(H, log, r, j, n, n is None)
-        # normalize the pivot, then reduce the entries above it
-        _normalize(H, log, r, j, n)
-        p = H[r][j]
-        for i in range(r):
-            q = H[i][j] // p
-            if q:
-                _step(H, log, _sub, i, r, q, n)
-        r += 1
+    _echelon(H, log, A.cols, n, True)
     A._hnf = memo = _Memo(H=_matrix(ring, rows, A.cols, H))
     memo.logs = {"U": (ring, rows, log, False)}
     return tuple(map(memo.__getitem__, want))
@@ -594,6 +611,35 @@ def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
     if b.cols != 1:
         raise DimensionMismatch("solve expects a column")
     return solve_many(A, b)
+
+
+# a log that keeps nothing, for eliminations that are never replayed
+_NO_LOG = deque(maxlen=0)
+
+
+def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
+    """Over Z: the lattice {x : A x in colspan B} as the columns of its
+    Hermite basis (the transposed row Hermite form, zero rows dropped).
+
+    The rows of [[A^T, I], [B^T, 0]] span the pairs ((A x + B z)^T, x^T).
+    One echelon pass over their first t = A.rows columns, with no
+    normalizing and no reduction above pivots, leaves rows whose first t
+    entries are zero past the rank.  Z has no zero divisors, so a row
+    combination is zero there only as a combination of those rows, and
+    their last A.cols entries generate the lattice.  Over Z/n that fails
+    (the sublattice takes a Howell form), so Z/n kernels go through the
+    Smith form in ``kernel_basis``."""
+    if A.ring.is_modular:
+        raise ValueError("preimage_basis works over Z")
+    if B.rows != A.rows or B.ring != A.ring:
+        raise DimensionMismatch("preimage_basis: row or ring mismatch")
+    t, g = A.shape
+    M = [a + [0] * i + [1] + [0] * (g - 1 - i)
+         for i, a in enumerate(A.arr.T.tolist())]
+    M += [b + [0] * g for b in B.arr.T.tolist()]
+    K = [row[t:] for row in M[_echelon(M, _NO_LOG, t, None, False):]]
+    k = _echelon(K, _NO_LOG, g, None, True)
+    return _matrix(A.ring, g, k, [list(c) for c in zip(*K[:k])])
 
 
 def kernel_basis(A: Matrix) -> Matrix:

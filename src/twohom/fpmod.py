@@ -20,6 +20,7 @@ from .exactlin import (
     hstack,
     kernel_basis,
     kron,
+    preimage_basis,
     snf,
     solve_many,
     unvec,
@@ -42,6 +43,15 @@ class FPModule:
     ring: RingSpec
     gens: int
     rel: Matrix
+
+    # frozen: the dataclass still makes the field hash, which agrees
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, FPModule):
+            return NotImplemented
+        return ((self.ring, self.gens, self.rel)
+                == (other.ring, other.gens, other.rel))
 
     def __post_init__(self):
         if self.rel.rows != self.gens:
@@ -149,7 +159,8 @@ def compose(f: ModMor, g: ModMor) -> ModMor:
 
 def column_basis(mat: Matrix) -> Matrix:
     """A clean generating set for the column span: column-echelon form
-    with zero columns dropped (over Z the result is a lattice basis)."""
+    with zero columns dropped.  Only Z/n kernels use it; over Z
+    ``preimage_basis`` gives the Hermite basis directly."""
     h, = hnf(mat.transpose(), "H")
     cols = h.transpose()
     keep = [j for j in range(cols.cols) if not cols.col(j).is_zero()]
@@ -161,17 +172,22 @@ def column_basis(mat: Matrix) -> Matrix:
 def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     """Kernel as a presented module with its inclusion into the source.
 
-    Generators are the syzygies of [f.mat | dst.rel] projected to source
-    coordinates and reduced to a column basis (redundant generators would
-    poison downstream cover-based exactness checks); relations are pulled
-    back from the source presentation, so the inclusion is mono.
+    Generators are a column-echelon basis of {x : f.mat x in span dst.rel}
+    (redundant generators would poison downstream cover-based exactness
+    checks).  Over Z that is the Hermite basis from one echelon pass
+    (``preimage_basis``).  Over Z/n an echelon row with a zero prefix does
+    not mark the kernel, so the syzygies of [f.mat | dst.rel] come from the
+    Smith form and are projected to source coordinates and echeloned.
+    Relations are pulled back from the source presentation, so the
+    inclusion is mono.
     """
     ring = f.src.ring
-    stacked = hstack([f.mat, f.dst.rel])
-    syz = kernel_basis(stacked)
-    gens_mat = Matrix(ring, f.src.gens, syz.cols, syz.arr[: f.src.gens, :],
-                      _canonical=True)
-    cols = column_basis(gens_mat)
+    if ring.is_modular:
+        syz = kernel_basis(hstack([f.mat, f.dst.rel]))
+        cols = column_basis(Matrix(ring, f.src.gens, syz.cols,
+                                   syz.arr[: f.src.gens, :], _canonical=True))
+    else:
+        cols = preimage_basis(f.mat, f.dst.rel)
     pull = kernel_basis(hstack([cols, f.src.rel]))
     rel = Matrix(ring, cols.cols, pull.cols, pull.arr[: cols.cols, :],
                  _canonical=True)

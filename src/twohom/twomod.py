@@ -82,6 +82,8 @@ class TwoModule:
         return self.M1.gens == 0 and self.M0.rel.cols == 0
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, TwoModule):
             return NotImplemented
         return (self.M1 == other.M1 and self.M0 == other.M0

@@ -465,3 +465,79 @@ def test_lemma1_functor_image_of_homotopy():
     th = apply(T2, h)
     ok, why = validate_chain_homotopy(th)
     assert ok, why
+
+
+
+# The second g = 20 input of the derive-z benchmark plan
+# ``bench/workloads.py``: ``Derive(None, 6).inputs(401, 3, sizes=range(8, 21))``.
+# M0 is Z^20 modulo the 9 columns of _G20_REL, M1 is Z^11 and d is _G20_D.
+# Its kernels once ran for minutes in a Hermite elimination whose entries
+# grew past a million bits.
+_G20_REL = [
+    [ 4,  0,  2,  4,  2,  0,  4, -4, -2],
+    [-3,  2, -2, -2, -4,  0,  1,  1, -1],
+    [-1,  2,  3,  4,  3, -1,  2, -1, -1],
+    [ 0, -4,  4, -3,  4, -4,  3, -3, -4],
+    [-2,  1, -3,  0,  1,  1,  4, -2, -1],
+    [-3, -4,  1, -3, -3,  1, -1,  2, -1],
+    [ 2,  3,  2, -3,  1,  0, -2,  0,  3],
+    [-1,  0, -1, -4,  0,  0,  4, -3,  0],
+    [-4,  3,  1, -4, -1, -2,  3,  0,  1],
+    [ 4, -4, -1,  3, -1,  2, -2, -1, -1],
+    [ 2, -3,  3, -1,  1,  4, -3,  0,  1],
+    [-3,  2,  4, -4, -1, -2,  1, -2,  4],
+    [ 2,  0,  4,  0,  1, -1,  4,  2,  3],
+    [-4, -3, -3,  3, -1,  4,  3, -4,  1],
+    [ 0,  0, -2,  3,  1, -4,  0, -2,  1],
+    [-4,  4,  1,  4, -3,  3,  1, -3, -2],
+    [ 2,  1, -2, -4,  0,  1, -4,  3,  3],
+    [-3,  2, -3,  4, -2, -1, -1, -1,  0],
+    [ 0,  2,  0, -4, -4, -1,  3,  0, -2],
+    [ 3, -4,  2,  1,  2,  0,  2,  0, -2],
+]
+_G20_D = [
+    [-3,  3,  1,  3, -4, -1,  0, -4, -3,  0,  4],
+    [-4, -3, -2, -2, -3,  4, -2, -4, -1, -1, -2],
+    [-1,  0,  0, -3, -3, -2, -1, -2, -2,  3,  2],
+    [-2,  3, -2,  1, -1,  0,  1,  2,  1,  3,  3],
+    [ 3,  1, -3,  1,  4,  3,  2,  3,  3, -2,  0],
+    [-2,  4,  3, -2, -4,  1, -4, -2,  1, -3, -3],
+    [ 2,  3, -1,  3,  1,  0,  4,  2, -4, -3, -4],
+    [ 2,  3,  1,  2,  0,  2,  3, -1,  1, -1,  2],
+    [-4, -4,  2,  3, -4,  1,  3, -3,  4,  0, -4],
+    [-2,  3, -4,  1,  1, -1,  3,  1,  4, -3, -4],
+    [-2,  2, -4,  3, -1,  1, -2, -3, -4,  4, -4],
+    [ 4, -2, -1, -4,  2,  3, -3,  1,  0,  1, -2],
+    [-1,  4,  1,  1,  0, -1, -1, -2, -4, -1, -4],
+    [-1,  0, -1, -1,  4,  0, -4, -2,  2, -1, -1],
+    [-4,  4,  1, -1, -1,  2, -1,  3, -3, -3,  3],
+    [ 2, -2,  4,  4, -2,  0, -4, -4, -1,  1, -4],
+    [ 3, -4,  3, -2, -3,  4, -2,  3, -2, -4,  1],
+    [-1, -3, -2, -4,  3, -4, -4, -3, -4,  2, -4],
+    [ 3, -2,  1, -4,  3, -4, -3, -3, -1, -4,  1],
+    [ 0, -2, -4, -3,  3, -1,  2, -2,  1,  4, -1],
+]
+
+
+def test_g20_derive_finishes_and_passes_the_window_law():
+    import signal
+
+    from twohom.complex2 import window_profile
+    from twohom.twomod import TwoModule
+
+    def too_slow(signum, frame):
+        raise TimeoutError("derive of the g = 20 input took over 10 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        m0 = FPModule(ZZ, 20, Matrix.from_rows(ZZ, _G20_REL))
+        m1 = FPModule.free(ZZ, 11)
+        m = TwoModule(m1, m0, ModMor(m1, m0, Matrix.from_rows(ZZ, _G20_D)))
+        tc = apply(FunctorSpec.tensor_with(FPModule.cyclic(ZZ, 6)),
+                   resolve(m, 3).complex())
+        for i in range(3):
+            assert window_profile(tc, i) == tc.homology(i).pi
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

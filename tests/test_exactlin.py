@@ -400,3 +400,44 @@ def test_public_constructor_takes_integers_only():
     assert m.tolists() == [[5, 1, 0]]
     assert_read_only_canonical(m)
     assert_read_only_canonical(Matrix.column(ZZ, [np.int64(7), True]))
+
+
+def test_zmod_takes_an_integer_modulus():
+    with pytest.raises(TypeError):
+        RingSpec.Zmod(2.7)
+    assert RingSpec.Zmod(np.int64(5)) == RingSpec.Zmod(5)
+    assert type(RingSpec.Zmod(np.int64(5)).n) is int
+
+
+def test_ringspec_takes_an_integer_modulus():
+    with pytest.raises(TypeError):
+        RingSpec("Zmod", 2.5)
+    assert RingSpec("Zmod", np.int32(6)).n == 6
+
+
+def test_scale_takes_an_integer_factor():
+    a = mat([[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        a.scale(1.5)
+    assert a.scale(np.int64(3)) == mat([[3, 6], [9, 12]])
+
+
+def test_a_matrix_equals_itself_without_reading_its_entries():
+    class Unreadable:
+        def tolist(self):
+            raise AssertionError("entries compared")
+
+    a = mat([[1, 2], [3, 4]])
+    b = mat([[1, 2], [3, 4]])
+    a._arr = Unreadable()
+    assert a == a
+    with pytest.raises(AssertionError):
+        a == b
+
+
+def test_preimage_basis_is_over_z_only():
+    from twohom.exactlin import preimage_basis
+
+    z6 = RingSpec.Zmod(6)
+    with pytest.raises(ValueError):
+        preimage_basis(Matrix.identity(z6, 1), Matrix.zeros(z6, 1, 0))

@@ -254,3 +254,69 @@ def test_normal_form_presentation_for_reports():
     assert invariant_factors(clean) == invariant_factors(messy)
     # canonical: diagonal relations, torsion first, free ranks as bare gens
     assert clean.rel.cols == len([d for d in invariant_factors(messy) if d])
+
+
+def test_a_module_equals_itself_without_comparing_matrices(monkeypatch):
+    a = FPModule(ZZ, 2, m([[2, 0], [0, 3]]))
+
+    def boom(self, other):
+        raise AssertionError("matrices compared")
+
+    monkeypatch.setattr(Matrix, "__eq__", boom)
+    assert a == a
+    with pytest.raises(AssertionError):
+        a == FPModule(ZZ, 2, m([[2, 0], [0, 3]]))
+
+
+def test_equal_modules_hash_alike():
+    a = FPModule(ZZ, 2, m([[2, 0], [0, 3]]))
+    b = FPModule(ZZ, 2, m([[2, 0], [0, 3]]))
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert a != FPModule(ZZ, 2, m([[2, 0], [0, 5]]))
+    assert a != FPModule(RingSpec.Zmod(6), 2, Matrix.from_rows(
+        RingSpec.Zmod(6), [[2, 0], [0, 3]]))
+
+
+def _old_kernel_generators(f):
+    """The Smith-form path Z kernels took before: syzygies of
+    [f.mat | dst.rel] from kernel_basis, projected to source coordinates,
+    then column_basis."""
+    from twohom.exactlin import hstack, kernel_basis
+    from twohom.fpmod import column_basis
+
+    syz = kernel_basis(hstack([f.mat, f.dst.rel]))
+    return column_basis(Matrix(ZZ, f.src.gens, syz.cols, syz.arr[:f.src.gens, :]))
+
+
+def _draw_matrix(data, rows, cols, ints):
+    n = rows * cols
+    return Matrix(ZZ, rows, cols, data.draw(st.lists(ints, min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_over_z_matches_the_smith_form_path(data):
+    t, g, r = (data.draw(st.integers(0, 6)) for _ in range(3))
+    ints = st.integers(-1000, 1000) if data.draw(st.booleans()) else st.integers(-3, 3)
+    if data.draw(st.booleans()):    # rank below min(t, g) when that is positive
+        k = data.draw(st.integers(0, max(min(t, g) - 1, 0)))
+        fmat = _draw_matrix(data, t, k, ints) @ _draw_matrix(data, k, g, ints)
+    else:
+        fmat = _draw_matrix(data, t, g, ints)
+    f = ModMor(FPModule.free(ZZ, g), FPModule(ZZ, t, _draw_matrix(data, t, r, ints)),
+               fmat, check=False)
+    assert kernel(f)[1].mat == _old_kernel_generators(f)
+
+
+@pytest.mark.parametrize("t, g, r", [(0, 3, 0), (0, 3, 2), (3, 0, 2), (0, 0, 0),
+                                     (2, 4, 0)])
+def test_kernel_over_z_matches_the_smith_form_path_at_the_edges(t, g, r):
+    rng = random.Random(f"{t} {g} {r}")
+    rel = Matrix(ZZ, t, r, [rng.randint(-9, 9) for _ in range(t * r)])
+    fmat = Matrix(ZZ, t, g, [rng.randint(-9, 9) for _ in range(t * g)])
+    f = ModMor(FPModule.free(ZZ, g), FPModule(ZZ, t, rel), fmat, check=False)
+    cols = kernel(f)[1].mat
+    assert cols == _old_kernel_generators(f)
+    assert cols.shape == (g, g if t == 0 else cols.cols)

@@ -337,3 +337,16 @@ class TestFiberSequence:
             # faithfulness end: pi1(K) -> pi1(A) is mono
             from twohom.fpmod import is_mono
             assert is_mono(pi1_mor(rk.e))
+
+
+def test_a_two_module_equals_itself_without_comparing_matrices(monkeypatch):
+    m = catalog.mul_two()
+
+    def boom(self, other):
+        raise AssertionError("matrices compared")
+
+    monkeypatch.setattr(Matrix, "__eq__", boom)
+    assert m == m
+    assert m.M0 == m.M0
+    with pytest.raises(AssertionError):
+        m == catalog.mul_two()
