@@ -45,7 +45,6 @@ from .twomod import (
 from .complex2 import Complex2, homology, validate_complex
 from .resolution import (
     Resolution,
-    ResolutionError,
     compare,
     homotopy_between_lifts,
     perturb_lift,
@@ -620,7 +619,7 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except (ValueError, ResolutionError) as exc:
+    except ValueError as exc:
         if "integer string conversion" in str(exc):  # Python's digit limit
             exc = (f"{args.command}: the report holds an integer over "
                    f"{_digit_limit()}")

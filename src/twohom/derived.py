@@ -292,6 +292,12 @@ def is_right_relative_two_exact(t: FunctorSpec, F: OneMor, phi: TwoMor,
     """
     if not is_extension(F, phi, G):
         raise ValueError("testbed is not an extension")
+    return _right_exact_at_b_and_c(t, F, phi, G)
+
+
+def _right_exact_at_b_and_c(t: FunctorSpec, F: OneMor, phi: TwoMor,
+                            G: OneMor) -> bool:
+    """The B- and C-spot conditions on a triple known to be an extension."""
     tf, tg = apply(t, F), apply(t, G)
     tphi = apply(t, phi)
     cmp_mor, _ = comparison_into_kernel(tf, tphi, tg)
@@ -364,9 +370,7 @@ class LongSeq:
 
 def _corner(m: Matrix, rows: int, cols: int) -> Matrix:
     """The top-right rows x cols block of m."""
-    if not (rows and cols):
-        return Matrix.zeros(m.ring, rows, cols)
-    return Matrix(m.ring, rows, cols, m.arr[:rows, m.cols - cols:], _canonical=True)
+    return m[:rows, m.cols - cols:]
 
 
 def _zigzag_block(tk: Complex2, tp: Complex2, tq: Complex2, n: int) -> Matrix:
@@ -401,19 +405,17 @@ def _null_cell(comp: OneMor, s: ModMor, what: str) -> TwoMor:
 
 def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
                   depth: int) -> LongSeq:
-    """Horseshoe resolutions of the extension, apply the functor, take
-    homology, connect with the matrix zig-zag, and store explicit null
-    homotopies for every consecutive composite."""
+    """Horseshoe resolutions of the extension (``horseshoe`` checks it),
+    apply the functor, take homology, connect with the matrix zig-zag, and
+    store explicit null homotopies for every consecutive composite."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if not is_extension(F, phi, G):
-        raise ValueError("long_sequence needs an extension")
-    if not is_right_relative_two_exact(t, F, phi, G):
-        raise ValueError("functor is not right relative 2-exact on this extension")
     A, C = F.src, G.dst
     res_a = resolve(A, depth + 2)
     res_c = resolve(C, depth + 2)
     res_b, i_mor, p_mor = horseshoe(F, phi, G, res_a, res_c)
+    if not _right_exact_at_b_and_c(t, F, phi, G):
+        raise ValueError("functor is not right relative 2-exact on this extension")
     tp = apply(t, res_a.complex())
     tk = apply(t, res_b.complex())
     tq = apply(t, res_c.complex())

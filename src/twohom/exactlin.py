@@ -6,14 +6,14 @@ Smith form, exact linear solving and kernel generation.  A ``Matrix``
 stores Python ints in an object-dtype numpy array; the elimination runs on
 lists of rows of Python ints, so no value ever overflows.  Over Z/n entries
 are canonical representatives in [0, n).  ``Matrix(ring, rows, cols,
-entries)`` takes integers only, copies them and reduces them mod n.  The
-matrices the package builds are read-only and canonical and are not copied
-again: the private keyword ``_canonical`` keeps a new array, reducing it
-mod n once unless it is True.  One engine serves both rings:
-solving and kernels read the Smith form computed over the ring itself (Z/n
-is a principal ideal ring), so nothing is lifted to Z.  The one exception
-is ``preimage_basis``, over Z only: the kernel of a module morphism read
-off one row echelon pass, whose Hermite form is the basis.
+entries)`` takes integers only, copies them and reduces them mod n.  All
+other matrices are made here, read-only and canonical, with the private
+keyword ``_canonical`` (a new array, reduced mod n once unless True);
+other modules cut blocks as views, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving
+and kernels read the Smith form over the ring itself (Z/n is a principal
+ideal ring), so nothing is lifted to Z.  Hermite bases come from one
+untransformed echelon pass: ``column_basis`` of a column span, and over Z
+``preimage_basis``, the kernel of a module morphism.
 
 Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
 return only the matrices that ``want`` names, in its order (``snf(A, "D")``
@@ -160,8 +160,16 @@ class Matrix:
     def entry(self, i: int, j: int) -> int:
         return self._arr[i, j]
 
+    def __getitem__(self, key) -> "Matrix":
+        """Rows ``m[a:b]`` or a block ``m[a:b, c:d]``: a read-only view."""
+        keys = key if isinstance(key, tuple) else (key,)
+        if not (0 < len(keys) < 3 and all(type(k) is slice for k in keys)):
+            raise TypeError(f"Matrix indices are slices, not {key!r}")
+        arr = self._arr[keys]
+        return Matrix(self.ring, *arr.shape, arr, _canonical=True)
+
     def col(self, j: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, 1, self._arr[:, j:j + 1], _canonical=True)
+        return self[:, j:j + 1]
 
     def tolists(self):
         return [[int(x) for x in row] for row in self._arr]
@@ -638,8 +646,19 @@ def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
          for i, a in enumerate(A.arr.T.tolist())]
     M += [b + [0] * g for b in B.arr.T.tolist()]
     K = [row[t:] for row in M[_echelon(M, _NO_LOG, t, None, False):]]
-    k = _echelon(K, _NO_LOG, g, None, True)
-    return _matrix(A.ring, g, k, [list(c) for c in zip(*K[:k])])
+    return _hermite_columns(A.ring, K, g)
+
+
+def column_basis(mat: Matrix) -> Matrix:
+    """The Hermite basis of the column span of mat, as columns."""
+    return _hermite_columns(mat.ring, mat.arr.T.tolist(), mat.rows)
+
+
+def _hermite_columns(ring: RingSpec, rows, width: int) -> Matrix:
+    """The nonzero rows of the Hermite form of rows (lists of width ints,
+    eliminated in place), as the columns of a width x rank matrix."""
+    k = _echelon(rows, _NO_LOG, width, ring.n if ring.is_modular else None, True)
+    return _matrix(ring, width, k, [list(c) for c in zip(*rows[:k])])
 
 
 def kernel_basis(A: Matrix) -> Matrix:

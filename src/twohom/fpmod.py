@@ -16,7 +16,7 @@ from .exactlin import (
     Matrix,
     RingSpec,
     block_diag,
-    hnf,
+    column_basis,
     hstack,
     kernel_basis,
     kron,
@@ -157,18 +157,6 @@ def compose(f: ModMor, g: ModMor) -> ModMor:
     return ModMor(f.src, g.dst, g.mat @ f.mat, check=False)
 
 
-def column_basis(mat: Matrix) -> Matrix:
-    """A clean generating set for the column span: column-echelon form
-    with zero columns dropped.  Only Z/n kernels use it; over Z
-    ``preimage_basis`` gives the Hermite basis directly."""
-    h, = hnf(mat.transpose(), "H")
-    cols = h.transpose()
-    keep = [j for j in range(cols.cols) if not cols.col(j).is_zero()]
-    if not keep:
-        return Matrix.zeros(mat.ring, mat.rows, 0)
-    return hstack([cols.col(j) for j in keep])
-
-
 def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     """Kernel as a presented module with its inclusion into the source.
 
@@ -184,14 +172,11 @@ def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     ring = f.src.ring
     if ring.is_modular:
         syz = kernel_basis(hstack([f.mat, f.dst.rel]))
-        cols = column_basis(Matrix(ring, f.src.gens, syz.cols,
-                                   syz.arr[: f.src.gens, :], _canonical=True))
+        cols = column_basis(syz[:f.src.gens])
     else:
         cols = preimage_basis(f.mat, f.dst.rel)
     pull = kernel_basis(hstack([cols, f.src.rel]))
-    rel = Matrix(ring, cols.cols, pull.cols, pull.arr[: cols.cols, :],
-                 _canonical=True)
-    K = FPModule(ring, cols.cols, rel)
+    K = FPModule(ring, cols.cols, pull[:cols.cols])
     incl = ModMor(K, f.src, cols, check=False)
     return K, incl
 
@@ -214,9 +199,7 @@ def factor_through(incl: ModMor, g: ModMor) -> ModMor:
     sol = solve_many(hstack([incl.mat, incl.dst.rel]), g.mat)
     if sol is None:
         raise FactorError("no factorization through the given inclusion")
-    mat = Matrix(g.src.ring, incl.src.gens, g.src.gens,
-                 sol.arr[: incl.src.gens, :], _canonical=True)
-    return ModMor(g.src, incl.src, mat, check=False)
+    return ModMor(g.src, incl.src, sol[:incl.src.gens], check=False)
 
 
 def direct_sum(m: FPModule, n: FPModule):

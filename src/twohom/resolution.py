@@ -49,7 +49,7 @@ from .twomod import (
 )
 
 
-class ResolutionError(RuntimeError):
+class ResolutionError(ValueError):
     """A lift or horseshoe solve failed; the input data is not what it claims."""
 
 
@@ -76,17 +76,13 @@ def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
     if t.src != p or t.dst != e.dst:
         raise ResolutionError("lift_through endpoint mismatch")
     b, c = e.src, e.dst
-    ring = p.ring
     system = hstack([e.f0.mat, c.d.mat, c.M0.rel])
     sol = solve_many(system, t.f0.mat)
     if sol is None:
         raise ResolutionError(
             "lift failed although the target map is essentially surjective")
-    xs = Matrix(ring, b.M0.gens, p.M0.gens, sol.arr[: b.M0.gens, :],
-                _canonical=True)
-    ys = Matrix(ring, c.M1.gens, p.M0.gens,
-                sol.arr[b.M0.gens: b.M0.gens + c.M1.gens, :], _canonical=True)
-    l = free_mor(p, b, xs)
+    l = free_mor(p, b, sol[:b.M0.gens])
+    ys = sol[b.M0.gens: b.M0.gens + c.M1.gens]
     sigma = TwoMor(compose(l, e), t, ModMor(p.M0, c.M1, ys, check=False))
     return l, sigma
 
@@ -418,7 +414,7 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
     hs: Dict[int, Matrix] = {}  # h_n.f0 : Q_n.M0 -> P_{n-1}.M0
     diffs: List[OneMor] = []
     for n in range(1, depth + 1):
-        pa, qa = res_a.module(n), res_c.module(n)
+        pa = res_a.module(n)
         n_h = res_a.module(n - 1).M0.gens
         nq = res_c.f(n).f0.mat
         if n == 1:
@@ -450,10 +446,9 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
         sol = solve_many(system, rhs)
         if sol is None:
             raise ResolutionError(f"horseshoe stage-{n} solve failed")
-        hs[n] = Matrix(ring, n_h, qa.M0.gens, sol.arr[:n_h, :], _canonical=True)
+        hs[n] = sol[:n_h]
         if n == 1:
-            cell_q = Matrix(ring, B.M1.gens, qa.M0.gens,  # s_1 : Q_1.M0 -> B.M1
-                            sol.arr[n_h: n_h + B.M1.gens, :], _canonical=True)
+            cell_q = sol[n_h: n_h + B.M1.gens]  # s_1 : Q_1.M0 -> B.M1
         diffs.append(free_mor(modules[n], modules[n - 1],
                               block([[res_a.f(n).f0.mat, hs[n]],
                                      [Matrix.zeros(ring, nq.rows, pa.M0.gens),

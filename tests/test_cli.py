@@ -330,6 +330,26 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == "error: depth must be >= 0\n"
 
+    @pytest.mark.parametrize("argv", [["longseq", "T2", "notext"],
+                                      ["check", "longseq", "T2", "notext"]],
+                             ids=["longseq", "check-longseq"])
+    def test_longseq_of_a_non_extension_is_1(self, tmp_path, argv):
+        """Zero maps Z -> Z -> Z are no extension; horseshoe says so."""
+        doc = json.load(open(CATALOG))
+        doc["objects"].update({
+            "z0": {"type": "onemor", "src": "Zfree", "dst": "Zfree",
+                   "f1": [], "f0": [[0]]},
+            "zphi": {"type": "twomor", "from": "z0", "to": "zero", "s": []},
+            "notext": {"type": "extension", "F": "z0", "phi": "zphi",
+                       "G": "z0"}})
+        path = tmp_path / "notext.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli("check", str(path), "extension", "notext")
+        assert code == 0 and json.loads(out)["result"] is False
+        code, out, err = run_cli(argv[0], str(path), *argv[1:])
+        assert (code, out) == (1, "")
+        assert err == "error: horseshoe requires an extension\n"
+
     @pytest.mark.parametrize("name, obj", [
         ("A", {"type": "matrix"}),
         ("T", {"type": "twomodule", "M1": {"gens": 0}, "M0": 5, "d": []}),

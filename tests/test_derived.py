@@ -354,6 +354,34 @@ class TestLongSequence:
         with pytest.raises(ValueError):
             long_sequence(T2, f, zero_null_homotopy(compose(f, f)), f, 1)
 
+    def test_the_extension_is_checked_once(self, monkeypatch):
+        """horseshoe certifies (F, phi, G); long_sequence and its
+        right-exactness check do not repeat it.  Every twohom module
+        binding of is_extension is patched, as the bench tracer does."""
+        import sys
+
+        from twohom import twomod
+
+        original, calls = twomod.is_extension, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "twohom" or name.startswith("twohom."):
+                for attr, val in list(vars(mod).items()):
+                    if val is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        f, phi, g = catalog.catalog_extension()
+        assert check_long_sequence(long_sequence(T2, f, phi, g, 1))
+        assert len(calls) == 1
+        zf = catalog.z_free()
+        z = OneMor.zero(zf, zf)
+        with pytest.raises(ValueError, match="horseshoe requires an extension"):
+            long_sequence(T2, z, zero_null_homotopy(compose(z, z)), z, 1)
+        assert len(calls) == 2
+
     def test_negative_depth_is_refused(self):
         """A negative depth has no sequence to certify, so it is an error
         and not an empty sequence that check_long_sequence accepts."""

@@ -12,6 +12,7 @@ from twohom.exactlin import (
     RingSpec,
     ZZ,
     block_diag,
+    column_basis,
     det,
     hnf,
     hstack,
@@ -367,9 +368,37 @@ def test_library_results_are_read_only_and_canonical(ring):
             a.scale(-7), kron(a, b), a.transpose(), a.col(2), vec(a),
             unvec(vec(a), 3, 4), hstack([a, b]), vstack([a, b]),
             block_diag([a, b]), Matrix.zeros(ring, 2, 3),
-            Matrix.identity(ring, 3)]
+            Matrix.identity(ring, 3), a[1:3], a[:2, 1:], a[:0],
+            column_basis(a)]
     for m in made:
         assert_read_only_canonical(m)
+
+
+def test_slices_are_blocks_and_other_keys_raise():
+    a = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert a[1:3] == mat([[4, 5, 6], [7, 8, 9]])
+    assert a[:2, 1:] == mat([[2, 3], [5, 6]])
+    assert a[:0].shape == (0, 3) and a[:, 3:].shape == (3, 0)
+    assert a.col(1) == a[:, 1:2] == mat([[2], [5], [8]])
+    for key in (0, -1, (0, 1), (slice(None), 1), (1, slice(None)), (),
+                (slice(None),) * 3, Ellipsis, [0, 1]):
+        with pytest.raises(TypeError):
+            a[key]
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6), RingSpec.Zmod(12)],
+                         ids=str)
+def test_column_basis_is_the_transposed_hermite_form(ring):
+    """The nonzero rows of hnf(A^T), as columns: what column_basis read off
+    hnf before it had its own echelon pass."""
+    rng = random.Random(11)
+    for rows, cols in [(0, 2), (2, 0), (3, 3), (4, 6), (6, 4), (5, 5)]:
+        a = Matrix(ring, rows, cols,
+                   [rng.choice([0, 0, rng.randint(-9, 9)])
+                    for _ in range(rows * cols)])
+        h, = hnf(a.transpose(), "H")
+        k = sum(not h[i:i + 1].is_zero() for i in range(h.rows))
+        assert column_basis(a) == h[:k].transpose(), (rows, cols)
 
 
 @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6)], ids=str)

@@ -147,3 +147,28 @@ def test_checker_flags_a_discarded_transform():
         "[d, _, v] = snf(a)\n"              # flagged
         "_ = len(a)\n")                     # not a normal form
     assert _discarded_transforms(tree) == [1, 3, 5]
+
+
+def _canonical_keywords(tree: ast.Module) -> list:
+    """Line of each call that passes the private ``_canonical`` keyword."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and any(k.arg == "_canonical" for k in node.keywords))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "exactlin.py"],
+                         ids=lambda p: p.name)
+def test_only_exactlin_builds_matrices_from_raw_arrays(path):
+    lines = _canonical_keywords(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, (f"{path.name} passes _canonical at lines {lines}; "
+                       "cut blocks with Matrix slicing instead")
+
+
+def test_checker_flags_a_canonical_keyword():
+    tree = ast.parse(
+        "m = Matrix(r, 1, 1, arr, _canonical=True)\n"    # flagged
+        "m = Matrix(r, 1, 1, [1])\n"                      # public constructor
+        "x = sol[:2]\n"                                   # a slice
+        "f(Matrix.zeros(r, 1, 1), _canonical=False)\n")  # flagged
+    assert _canonical_keywords(tree) == [1, 4]

@@ -77,6 +77,11 @@ class TestLiftThrough:
             lift_through(catalog.mul_two(), OneMor.identity(catalog.mul_two()),
                          OneMor.identity(catalog.mul_two()))
 
+    def test_resolution_error_is_a_value_error(self):
+        """It means the input is not what it claims, like every other
+        input error, so one ``except ValueError`` catches them all."""
+        assert issubclass(ResolutionError, ValueError)
+
 
 class TestResolve:
     def test_z2_shape(self):
