@@ -55,7 +55,8 @@ from .complex2 import (
     kernel_cell,
     pair_block,
 )
-from .resolution import Resolution, ResolutionError, compare, horseshoe, resolve
+from .resolution import (Resolution, ResolutionError, compare, horseshoe,
+                         pad_resolution, resolve)
 
 
 @dataclass(frozen=True)
@@ -80,61 +81,63 @@ class FunctorSpec:
         return FunctorSpec("tensor", n)
 
 
-def _t_module(t: FunctorSpec, m: FPModule) -> FPModule:
-    return m if t.kind == "identity" else tensor(m, t.module)
-
-
-def _t_mor(t: FunctorSpec, f: ModMor) -> ModMor:
-    return f if t.kind == "identity" else tensor_mor(f, t.module)
-
-
 def apply(t: FunctorSpec, x):
-    """Apply the functor degreewise / componentwise; validity is preserved."""
+    """Apply the functor degreewise / componentwise; validity is preserved.
+
+    One call maps each object reachable from x once, and a tuple is a
+    diagram: its images share their endpoints (T(f).dst is T(g).src when
+    f.dst is g.src), and a chain map lands on the images of its complexes,
+    so they share homology memos.  The identity functor returns x itself.
+    """
     if t.kind == "identity":
         return x
-    if isinstance(x, FPModule):
-        return _t_module(t, x)
-    if isinstance(x, ModMor):
-        return _t_mor(t, x)
-    if isinstance(x, TwoModule):
-        return TwoModule(_t_module(t, x.M1), _t_module(t, x.M0),
-                         _t_mor(t, x.d), check=False)
-    if isinstance(x, OneMor):
-        return OneMor(apply(t, x.src), apply(t, x.dst),
-                      _t_mor(t, x.f1), _t_mor(t, x.f0))
-    if isinstance(x, TwoMor):
-        return TwoMor(apply(t, x.frm), apply(t, x.to), _t_mor(t, x.s))
-    if isinstance(x, Complex2):
-        mods = [apply(t, m) for m in x.modules]
-        diffs = [OneMor(mods[n], mods[n - 1], _t_mor(t, d.f1), _t_mor(t, d.f0),
-                        check=False)
-                 for n, d in enumerate(x.diffs, start=1)]
-        alphas = {n: _t_mor(t, s) for n, s in x.alphas.items()}
-        return Complex2(x.ring, mods, diffs, alphas)
-    if isinstance(x, ChainMor):
-        return apply_chain_mor(t, x, apply(t, x.src), apply(t, x.dst))
-    if isinstance(x, ChainHomotopy):
-        tm = apply(t, x.m)
-        tmp = apply_chain_mor(t, x.mp, tm.src, tm.dst)
-        hs = {n: OneMor(tm.src.module(n), tm.dst.module(n + 1),
-                        _t_mor(t, h.f1), _t_mor(t, h.f0), check=False)
-              for n, h in x.hs.items()}
-        taus = {n: _t_mor(t, s) for n, s in x.taus.items()}
-        return ChainHomotopy(tm, tmp, hs, taus)
-    raise TypeError(f"cannot apply a functor to {type(x).__name__}")
+    eye = Matrix.identity(t.module.ring, t.module.gens)
+    memo: dict = {}  # id(y) -> (y, T(y)): holding y keeps id(y) unique
 
+    def go(y):
+        if id(y) not in memo:
+            memo[id(y)] = (y, image(y))
+        return memo[id(y)][1]
 
-def apply_chain_mor(t: FunctorSpec, m: ChainMor,
-                    tsrc: Complex2, tdst: Complex2) -> ChainMor:
-    """Apply t to a chain morphism between already-transformed complexes
-    (so homology caches on tsrc/tdst are shared)."""
-    if t.kind == "identity":
-        return ChainMor(tsrc, tdst, dict(m.fs), dict(m.lams))
-    fs = {n: OneMor(tsrc.module(n), tdst.module(n),
-                    _t_mor(t, f.f1), _t_mor(t, f.f0), check=False)
-          for n, f in m.fs.items()}
-    lams = {n: _t_mor(t, s) for n, s in m.lams.items()}
-    return ChainMor(tsrc, tdst, fs, lams)
+    def one_mor(f: OneMor, src: TwoModule, dst: TwoModule) -> OneMor:
+        return OneMor(src, dst, go(f.f1), go(f.f0), check=False)
+
+    def cells(ss: Dict[int, ModMor]) -> Dict[int, ModMor]:
+        return {n: go(s) for n, s in ss.items()}
+
+    def chain(m: ChainMor, src: Complex2, dst: Complex2) -> ChainMor:
+        return ChainMor(src, dst, {n: one_mor(f, src.module(n), dst.module(n))
+                                   for n, f in m.fs.items()}, cells(m.lams))
+
+    def image(y):
+        if isinstance(y, tuple):
+            return tuple(map(go, y))
+        if isinstance(y, FPModule):
+            return tensor(y, t.module)
+        if isinstance(y, ModMor):
+            return ModMor(go(y.src), go(y.dst), kron(y.mat, eye), check=False)
+        if isinstance(y, TwoModule):
+            return TwoModule(go(y.M1), go(y.M0), go(y.d), check=False)
+        if isinstance(y, OneMor):
+            return OneMor(go(y.src), go(y.dst), go(y.f1), go(y.f0))
+        if isinstance(y, TwoMor):
+            return TwoMor(go(y.frm), go(y.to), go(y.s))
+        if isinstance(y, Complex2):
+            mods = [go(m) for m in y.modules]
+            diffs = [one_mor(d, mods[n], mods[n - 1])
+                     for n, d in enumerate(y.diffs, start=1)]
+            return Complex2(y.ring, mods, diffs, cells(y.alphas))
+        if isinstance(y, ChainMor):
+            return chain(y, go(y.src), go(y.dst))
+        if isinstance(y, ChainHomotopy):
+            tm = go(y.m)
+            hs = {n: one_mor(h, tm.src.module(n), tm.dst.module(n + 1))
+                  for n, h in y.hs.items()}
+            return ChainHomotopy(tm, chain(y.mp, tm.src, tm.dst), hs,
+                                 cells(y.taus))
+        raise TypeError(f"cannot apply a functor to {type(y).__name__}")
+
+    return go(x)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +203,7 @@ class DerivedResult:
         return pi_profile(self.module)
 
 
-def derived_complex(t: FunctorSpec, m: TwoModule, top: int, depth: int,
-                    res: Optional[Resolution] = None
+def derived_complex(t: FunctorSpec, m: TwoModule, top: int, depth: int
                     ) -> Tuple[Resolution, Complex2]:
     """T applied to a projective resolution of m, deep enough for L_i T
     with i <= top.
@@ -211,17 +213,16 @@ def derived_complex(t: FunctorSpec, m: TwoModule, top: int, depth: int,
     needs depth top.
     """
     if top <= depth:
-        res = res or resolve(m, depth)
-        if res.terminated or top + 2 <= res.depth:
+        res = resolve(m, depth)
+        if res.terminated or top + 2 <= depth:
             return res, apply(t, res.complex())
     raise ValueError(f"L_{top} needs a resolution of depth {top + 2} "
                      f"({top} if it terminates by then), got depth {depth}")
 
 
-def derive(t: FunctorSpec, m: TwoModule, i: int, depth: int,
-           res: Optional[Resolution] = None) -> DerivedResult:
+def derive(t: FunctorSpec, m: TwoModule, i: int, depth: int) -> DerivedResult:
     """L_i T (m): homology at i of T applied to a projective resolution."""
-    res, tc = derived_complex(t, m, i, depth, res)
+    res, tc = derived_complex(t, m, i, depth)
     h = tc.homology(i)
     return DerivedResult(h.module, t, i, res, h)
 
@@ -253,20 +254,20 @@ def resolution_independence(t: FunctorSpec, m: TwoModule,
     """Mutually inverse (up to pi) comparison maps between the homology of
     T applied to two resolutions of the same object."""
     ident = OneMor.identity(m)
-    c12 = compare(ident, res1, res2)
-    c21 = compare(ident, res2, res1)
-    tc1 = apply(t, res1.complex())
-    tc2 = apply(t, res2.complex())
-    ch12 = apply_chain_mor(t, c12.as_chain_mor(), tc1, tc2)
-    ch21 = apply_chain_mor(t, c21.as_chain_mor(), tc2, tc1)
-    w12 = induced(ch12, i)
-    w21 = induced(ch21, i)
-    r11 = compose(w12, w21)
-    r22 = compose(w21, w12)
-    pi0_ok = (equal_mor(pi0_mor(r11), ModMor.identity(pi0_mor(r11).src))
-              and equal_mor(pi0_mor(r22), ModMor.identity(pi0_mor(r22).src)))
-    pi1_ok = (equal_mor(pi1_mor(r11), ModMor.identity(pi1_mor(r11).src))
-              and equal_mor(pi1_mor(r22), ModMor.identity(pi1_mor(r22).src)))
+    depth = max(res1.depth, res2.depth)  # so compare pads neither again
+    res1, res2 = pad_resolution(res1, depth), pad_resolution(res2, depth)
+    tc1, tc2, ch12, ch21 = apply(t, (
+        res1.complex(), res2.complex(),
+        compare(ident, res1, res2).as_chain_mor(),
+        compare(ident, res2, res1).as_chain_mor()))
+    w12, w21 = induced(ch12, i), induced(ch21, i)
+    r11, r22 = compose(w12, w21), compose(w21, w12)
+
+    def is_id(f: ModMor) -> bool:
+        return equal_mor(f, ModMor.identity(f.src))
+
+    pi0_ok = is_id(pi0_mor(r11)) and is_id(pi0_mor(r22))
+    pi1_ok = is_id(pi1_mor(r11)) and is_id(pi1_mor(r22))
     inv_ok = pi_profile(tc1.homology(i).module) == pi_profile(tc2.homology(i).module)
     return IndependenceWitness(w12, w21, pi0_ok, pi1_ok, inv_ok)
 
@@ -298,8 +299,7 @@ def is_right_relative_two_exact(t: FunctorSpec, F: OneMor, phi: TwoMor,
 def _right_exact_at_b_and_c(t: FunctorSpec, F: OneMor, phi: TwoMor,
                             G: OneMor) -> bool:
     """The B- and C-spot conditions on a triple known to be an extension."""
-    tf, tg = apply(t, F), apply(t, G)
-    tphi = apply(t, phi)
+    tf, tphi, tg = apply(t, (F, phi, G))
     cmp_mor, _ = comparison_into_kernel(tf, tphi, tg)
     b_ok = (is_essentially_surjective(cmp_mor)
             and is_epi(pi1_mor(cmp_mor)))
@@ -310,8 +310,7 @@ def _right_exact_at_b_and_c(t: FunctorSpec, F: OneMor, phi: TwoMor,
 def exactness_at_a_spot(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor
                         ) -> bool:
     """Left-edge condition after applying t: Ker(T(F), T(phi)) pi-trivial."""
-    tf, tg = apply(t, F), apply(t, G)
-    tphi = apply(t, phi)
+    tf, tphi, tg = apply(t, (F, phi, G))
     return is_pi_trivial(relative_kernel(tf, tphi, tg).K)
 
 
@@ -416,11 +415,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
     res_b, i_mor, p_mor = horseshoe(F, phi, G, res_a, res_c)
     if not _right_exact_at_b_and_c(t, F, phi, G):
         raise ValueError("functor is not right relative 2-exact on this extension")
-    tp = apply(t, res_a.complex())
-    tk = apply(t, res_b.complex())
-    tq = apply(t, res_c.complex())
-    ti = apply_chain_mor(t, i_mor, tp, tk)
-    tpr = apply_chain_mor(t, p_mor, tk, tq)
+    tp, tk, tq, ti, tpr = apply(t, (res_a.complex(), res_b.complex(),
+                                    res_c.complex(), i_mor, p_mor))
     ring = tp.ring
 
     entries: List[LongSeqEntry] = []

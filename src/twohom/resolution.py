@@ -91,11 +91,14 @@ class Resolution:
     """A projective resolution, stored as its augmented complex: degree 0
     is the target M, degree n + 1 is the free P_n, the first differential
     is the essentially surjective augmentation and alpha_2 its cell.  The
-    stage kernels and essentially surjective witnesses are retained."""
+    strict complex of the P_n alone is built once, beside it.  The stage
+    kernels and essentially surjective witnesses are retained."""
 
     def __init__(self, augmented: Complex2, kernels: List[RelKernelResult],
                  witnesses: List[OneMor], terminated: bool):
         self._augmented = augmented
+        self._complex = Complex2.strict(augmented.ring, augmented.modules[1:],
+                                        augmented.diffs[1:])
         self.kernels = kernels
         self.witnesses = witnesses
         self.terminated = terminated
@@ -123,7 +126,8 @@ class Resolution:
         return self._augmented.alpha(n + 1, check=n != 1)
 
     def complex(self) -> Complex2:
-        return Complex2.strict(self.target.ring, self.modules, self.diffs)
+        """The strict complex of the P_n: the same object on every call."""
+        return self._complex
 
     def augmented(self) -> Complex2:
         """The stored augmented complex (one homology memo for every caller)."""

@@ -8,6 +8,7 @@ from twohom.fpmod import FPModule, ModMor, is_iso
 from twohom.twomod import (
     OneMor,
     TwoModule,
+    TwoMor,
     biproduct,
     compose,
     is_pi_trivial,
@@ -16,8 +17,10 @@ from twohom.twomod import (
     pi_profile,
     zero_null_homotopy,
 )
-from twohom.complex2 import validate_chain_homotopy, validate_complex
-from twohom.resolution import resolve
+from twohom import derived, fpmod
+from twohom.complex2 import (ChainMor, Complex2, validate_chain_homotopy,
+                             validate_complex)
+from twohom.resolution import horseshoe, resolve
 from twohom.derived import (
     FunctorSpec,
     apply,
@@ -42,6 +45,12 @@ class TestApply:
     def test_identity_is_noop(self):
         m = catalog.mul_two()
         assert apply(TI, m) is m
+        diagram = (m, catalog.z_free())
+        assert apply(TI, diagram) is diagram
+
+    def test_other_objects_raise(self):
+        with pytest.raises(TypeError):
+            apply(T2, object())
 
     def test_tensor_rank_one(self):
         assert pi_profile(apply(T2, catalog.z_free())) == ([2], [])
@@ -55,6 +64,39 @@ class TestApply:
         assert tc.diff(1).f0.mat.tolists() in ([[2]], [[-2]], [[0]])
         d = tc.diff(1).f0.mat.entry(0, 0)
         assert d % 2 == 0
+        # one image per object: maps land on the images of their endpoints
+        for n in range(tc.length + 1):
+            assert tc.diff(n).src is tc.module(n)
+            assert tc.module(n).d.src is tc.module(n).M1
+            assert tc.module(n).d.dst is tc.module(n).M0
+
+    def test_a_diagram_maps_in_one_pass(self):
+        F, phi, G = catalog.catalog_extension()
+        tf, tphi, tg = apply(T2, (F, phi, G))
+        assert tf.dst is tg.src
+        assert tphi.frm.src is tf.src and tphi.to.dst is tg.dst
+        assert tf.f0.src is tf.src.M0 and tg.f0.src is tg.src.M0
+
+    def test_each_module_is_tensored_once(self, monkeypatch):
+        calls, tensor = [], fpmod.tensor
+
+        def counted(m, n):
+            calls.append(m)
+            return tensor(m, n)
+
+        # tensor_mor calls fpmod's own binding, apply calls derived's
+        monkeypatch.setattr(fpmod, "tensor", counted)
+        monkeypatch.setattr(derived, "tensor", counted)
+        F, phi, G = catalog.catalog_extension()
+        res_a, res_c = resolve(F.src, 3), resolve(G.dst, 3)
+        res_b, i_mor, p_mor = horseshoe(F, phi, G, res_a, res_c)
+        for x in (res_b.complex(), (F, phi, G),
+                  (res_a.complex(), res_b.complex(), res_c.complex(),
+                   i_mor, p_mor)):
+            calls.clear()
+            apply(T2, x)
+            assert len(calls) == len({id(m) for m in calls})
+            assert len(calls) == _modules_reached(x)
 
     def test_tensor_preserves_biproduct_pi(self):
         # additive functors preserve biproducts at pi level
@@ -77,6 +119,33 @@ class TestApply:
         # canonical comparison T(A) x T(B) -> T(A x B)
         cmp_mor = compose(parts.proj1, tinj1) + compose(parts.proj2, tinj2)
         assert is_iso(pi0_mor(cmp_mor)) and is_iso(pi1_mor(cmp_mor))
+
+
+def _modules_reached(x) -> int:
+    """How many distinct FPModule objects apply maps when it maps x: the
+    parts of a complex or a chain map are read as apply reads them."""
+    seen, todo = set(), [x]
+    while todo:
+        y = todo.pop()
+        if isinstance(y, FPModule):
+            seen.add(id(y))
+        elif isinstance(y, ModMor):
+            todo += [y.src, y.dst]
+        elif isinstance(y, TwoModule):
+            todo += [y.M1, y.M0, y.d]
+        elif isinstance(y, OneMor):
+            todo += [y.src, y.dst, y.f1, y.f0]
+        elif isinstance(y, TwoMor):
+            todo += [y.frm, y.to, y.s]
+        elif isinstance(y, Complex2):
+            todo += [*y.modules, *y.alphas.values()]
+            todo += [f for d in y.diffs for f in (d.f1, d.f0)]
+        elif isinstance(y, ChainMor):
+            todo += [y.src, y.dst, *y.lams.values()]
+            todo += [f for g in y.fs.values() for f in (g.f1, g.f0)]
+        else:
+            todo += list(y)
+    return len(seen)
 
 
 class TestTorOracle:
@@ -493,6 +562,8 @@ def test_lemma1_functor_image_of_homotopy():
     th = apply(T2, h)
     ok, why = validate_chain_homotopy(th)
     assert ok, why
+    # both lifts sit on res's one complex, so every image lands on one image
+    assert th.m.src is th.m.dst is th.mp.src is th.mp.dst
 
 
 

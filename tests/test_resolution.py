@@ -197,6 +197,11 @@ class TestStageLoop:
             h = OneMor.identity(m)
             lift = compare(h, res, res)
             assert lift.lift(-1) is h and -1 not in lift.hs
+            # and it holds one strict complex of the P_n, which lifts sit on
+            c = res.complex()
+            assert c is res.complex() and c.module(0) is res.module(0)
+            chain = lift.as_chain_mor()
+            assert chain.src is c and chain.dst is c
         # mul2's augmentation cell is nonzero, so cell(1) is not the zero cell
         assert not res.aug_cell_s.mat.is_zero()
 
@@ -320,11 +325,14 @@ class TestProductResolution:
 class TestHorseshoe:
     def test_catalog_extension(self):
         f, phi, g = catalog.catalog_extension()
-        res_b, i_mor, p_mor = horseshoe(f, phi, g,
-                                        resolve(f.src, 3), resolve(g.dst, 3))
+        res_a, res_c = resolve(f.src, 3), resolve(g.dst, 3)
+        res_b, i_mor, p_mor = horseshoe(f, phi, g, res_a, res_c)
         ok, why = validate_resolution(res_b)
         assert ok, why
         assert [p.M0.gens for p in res_b.modules] == [2, 1, 0, 0]
+        # both chain maps sit on the resolutions' own complexes
+        assert i_mor.src is res_a.complex() and p_mor.dst is res_c.complex()
+        assert i_mor.dst is p_mor.src is res_b.complex()
         ok, why = validate_chain_mor(i_mor)
         assert ok, why
         ok, why = validate_chain_mor(p_mor)
