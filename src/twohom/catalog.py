@@ -83,8 +83,9 @@ def projection() -> OneMor:
 def catalog_extension():
     """[0->Z] --*2--> [0->Z] --proj--> [0->Z/2] with the zero homotopy."""
     f = times_two()
-    g = OneMor(f.dst, z_mod(2), ModMor.zero(f.dst.M1, z_mod(2).M1),
-               ModMor(f.dst.M0, z_mod(2).M0, Matrix.from_rows(ZZ, [[1]])))
+    c = z_mod(2)
+    g = OneMor(f.dst, c, ModMor.zero(f.dst.M1, c.M1),
+               ModMor(f.dst.M0, c.M0, Matrix.from_rows(ZZ, [[1]])))
     phi = zero_null_homotopy(compose(f, g))
     return f, phi, g
 

@@ -18,9 +18,11 @@ untransformed echelon pass: ``column_basis`` of a column span, and over Z
 Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
 return only the matrices that ``want`` names, in its order (``snf(A, "D")``
 is ``(D,)``).  The elimination runs on D (or H) alone and logs each row and
-column operation; U and V are built the first time they are asked for, by
-replaying the log on the identity.  The forms and the log stay in the
-matrix's memo, so no matrix is eliminated twice, whatever is asked first.
+column operation.  Solving applies the logs to B and to the solution of
+the diagonal system, and kernels apply V's log to a selector of columns,
+so neither builds U or V; they are built only when read, by applying the
+log to the identity.  The forms and the logs stay in the matrix's memo, so
+no matrix is eliminated twice, whatever is asked first.
 
 Conventions (fixed so that outputs are bit-reproducible):
 
@@ -384,7 +386,8 @@ def _step(M, log, op, *args):
 
 def _col_step(D, r, log, op, i, j, *args):
     """Apply to columns i, j of rows r.. of D (zero above r) what op does
-    to rows i, j, and log op: replayed on the identity, it builds V^T."""
+    to rows i, j, and log its transpose as a row operation: the log applied
+    last first to X gives V @ X."""
     n = args[-1]
     s, t, u, v = ((0, 1, 1, 0) if op is _swap else
                   (1, -args[0], 0, 1) if op is _sub else args[:4])
@@ -395,7 +398,8 @@ def _col_step(D, r, log, op, i, j, *args):
             row[i], row[j] = s * x + t * y, u * x + v * y
         else:
             row[i], row[j] = (s * x + t * y) % n, (u * x + v * y) % n
-    log.append((op, (i, j) + args))
+    log.append((op, (j, i) + args if op is _sub else
+                (i, j, s, u, t, v, n) if op is _mix else (i, j) + args))
 
 
 def _clear_below(M, log, r, j, n, divide):
@@ -437,20 +441,27 @@ def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
 
 class _Memo(dict):
     """What an elimination leaves on its matrix: the normal form under its
-    letter, and in ``logs`` per transform letter (ring, size, log,
-    transposed).  The first read of a transform replays its log on the
-    identity and keeps the result."""
+    letter, and in ``logs`` per transform letter (ring, size, log).  The
+    first read of a transform applies its log to the identity and keeps
+    the result."""
+
+    def apply(self, key, M):
+        """The rows of T @ M, for the transform T named key and M a list of
+        rows (changed in place).  U's log holds row operations, applied in
+        order; V's holds transposed column operations, applied last first.
+        Every operation reduces mod n, so a canonical M stays canonical."""
+        log = self.logs[key][2]
+        for op, args in reversed(log) if key == "V" else log:
+            op(M, *args)
+        return M
 
     def __missing__(self, key):
         if key not in self.logs:
             raise ValueError(f"want names forms among "
                              f"{''.join(sorted({*self, *self.logs}))}: {key!r}")
-        ring, m, log, transpose = self.logs[key]
-        M = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
-        for op, args in log:
-            op(M, *args)
-        T = self[key] = _matrix(ring, m, m,
-                                [list(c) for c in zip(*M)] if transpose else M)
+        ring, m, _ = self.logs[key]
+        eye = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
+        T = self[key] = _matrix(ring, m, m, self.apply(key, eye))
         return T
 
 
@@ -492,7 +503,7 @@ def hnf(A: Matrix, want: str = "HU"):
     log = []
     _echelon(H, log, A.cols, n, True)
     A._hnf = memo = _Memo(H=_matrix(ring, rows, A.cols, H))
-    memo.logs = {"U": (ring, rows, log, False)}
+    memo.logs = {"U": (ring, rows, log)}
     return tuple(map(memo.__getitem__, want))
 
 
@@ -543,7 +554,7 @@ def snf(A: Matrix, want: str = "DUV"):
         _normalize(D, ulog, t, t, n)
         t += 1
     A._snf = memo = _Memo(D=_matrix(ring, rows, cols, D))
-    memo.logs = {"U": (ring, rows, ulog, False), "V": (ring, cols, vlog, True)}
+    memo.logs = {"U": (ring, rows, ulog), "V": (ring, cols, vlog)}
     return tuple(map(memo.__getitem__, want))
 
 
@@ -596,22 +607,21 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
         raise DimensionMismatch("solve: ring mismatch")
     if B.cols == 0:
         return Matrix.zeros(A.ring, A.cols, 0)
-    D, U, V = snf(A)
-    Y = U @ B
+    D, = snf(A, "D")
+    Y = A._snf.apply("U", B.arr.tolist())
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
-    Xp = np.zeros((A.cols, B.cols), dtype=object)  # Z/n: 0 <= y // d <= y < n
-    for c in range(B.cols):
-        for i in range(A.rows):
-            y = Y.entry(i, c)
-            d = diag[i] if i < len(diag) else 0
+    Xp = [[0] * B.cols for _ in range(A.cols)]  # Z/n: 0 <= y // d <= y < n
+    for i, row in enumerate(Y):
+        d = diag[i] if i < len(diag) else 0
+        for c, y in enumerate(row):
             if d == 0:
                 if y != 0:
                     return None
             else:
                 if y % d != 0:
                     return None
-                Xp[i, c] = y // d
-    return V @ Matrix(A.ring, A.cols, B.cols, Xp, _canonical=True)
+                Xp[i][c] = y // d
+    return _matrix(A.ring, A.cols, B.cols, A._snf.apply("V", Xp))
 
 
 def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -667,13 +677,13 @@ def kernel_basis(A: Matrix) -> Matrix:
     With D = U A V: the columns V[:, j] with d_j = 0 or j past the
     diagonal, and over Z/n also (n // d_j) V[:, j] for each d_j not in
     {0, 1}.  V is invertible, so no column is zero."""
-    D, V = snf(A, "DV")
+    D, = snf(A, "D")
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
     scales = [(j, 1) for j in range(A.cols) if j >= len(diag) or diag[j] == 0]
     if A.ring.is_modular:
         scales += [(j, A.ring.n // d) for j, d in enumerate(diag)
                    if d not in (0, 1)]
-    arr = np.empty((A.cols, len(scales)), dtype=object)
+    S = [[0] * len(scales) for _ in range(A.cols)]  # the selector, V @ S
     for k, (j, q) in enumerate(scales):
-        arr[:, k] = V.arr[:, j] * q
-    return Matrix(A.ring, A.cols, len(scales), arr, _canonical=False)
+        S[j][k] = q
+    return _matrix(A.ring, A.cols, len(scales), A._snf.apply("V", S))

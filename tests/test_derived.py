@@ -76,6 +76,7 @@ class TestApply:
         assert tf.dst is tg.src
         assert tphi.frm.src is tf.src and tphi.to.dst is tg.dst
         assert tf.f0.src is tf.src.M0 and tg.f0.src is tg.src.M0
+        assert tg.f0.dst is tg.dst.M0 and tg.f1.dst is tg.dst.M1
 
     def test_each_module_is_tensored_once(self, monkeypatch):
         calls, tensor = [], fpmod.tensor

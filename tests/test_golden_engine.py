@@ -13,8 +13,9 @@ from the repository root with
 and say in the change description which outputs changed and why.
 
 The same inputs also check the memo: every ``want`` of ``snf`` and ``hnf``
-returns the full call's matrices in any order of requests, and a wider
-request replays the logged elimination instead of eliminating again.
+returns the full call's matrices in any order of requests, a wider
+request replays the logged elimination instead of eliminating again, and
+solving and kernels build neither transform.
 """
 
 import hashlib
@@ -148,6 +149,26 @@ def test_a_wider_request_replays_and_never_eliminates_again(
             fn(b, want)
         assert len(calls) == 2 * once
         assert getattr(b, memo) is kept
+        calls.clear()
+
+
+def test_solving_and_kernels_build_no_transform(monkeypatch):
+    """solve_many and kernel_basis apply the logs and leave U and V unbuilt.
+    A later request for both builds them from the same log, equal to a full
+    call on a fresh copy, without running the pivot search again."""
+    calls = []
+    pivot = exactlin._pivot
+    monkeypatch.setattr(exactlin, "_pivot",
+                        lambda *args: calls.append(1) or pivot(*args))
+    for a, b in cases():
+        full = snf(_fresh(a))
+        once = len(calls)
+        c = _fresh(a)
+        solve_many(c, b)
+        kernel_basis(c)
+        assert "U" not in c._snf and "V" not in c._snf
+        assert snf(c, "UV") == full[1:]
+        assert len(calls) == 2 * once
         calls.clear()
 
 

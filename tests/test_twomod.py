@@ -266,6 +266,12 @@ class TestExtension:
         f, phi, g = catalog.catalog_extension()
         assert is_extension(f, phi, g)
 
+    def test_catalog_extension_shares_its_target(self):
+        # one Z/2 object: the legs of g land on the modules of g.dst itself
+        f, phi, g = catalog.catalog_extension()
+        assert g.f0.dst is g.dst.M0 and g.f1.dst is g.dst.M1
+        assert g.src is f.dst
+
     def test_identity_extension(self):
         a = catalog.z_free()
         zero = TwoModule.zero(ZZ)
