@@ -18,6 +18,7 @@ from .fpmod import (
     invariant_factors,
     is_valid_mor,
     kernel,
+    sum_module,
     tensor,
     tensor_mor,
 )

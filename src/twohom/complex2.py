@@ -29,11 +29,11 @@ from .fpmod import (
     ModMor,
     cokernel,
     compose as mcompose,
-    direct_sum,
     equal_mor,
     factor_through,
     invariant_factors,
     kernel,
+    sum_module,
 )
 from .twomod import (
     OneMor,
@@ -359,7 +359,7 @@ def total(c: Complex2) -> TotalComplex:
     for k in range(c.length + 2):
         m0 = c.module(k).M0
         m1 = c.module(k - 1).M1
-        mods.append(direct_sum(m0, m1)[0])
+        mods.append(sum_module(m0, m1))
     diffs: List[ModMor] = []
     for k in range(1, c.length + 2):
         below = c.module(k - 1)

@@ -71,6 +71,14 @@ class RingSpec:
         elif self.n is not None:
             raise ValueError("Z takes no modulus")
 
+    # frozen: the dataclass still makes the field hash, which agrees
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, RingSpec):
+            return NotImplemented
+        return self.kind == other.kind and self.n == other.n
+
     @staticmethod
     def Z() -> "RingSpec":
         return RingSpec("Z")

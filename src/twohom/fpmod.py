@@ -115,7 +115,7 @@ class ModMor:
         return ModMor(m, m, Matrix.identity(m.ring, m.gens), check=False)
 
     def is_zero_mor(self) -> bool:
-        return equal_mor(self, ModMor.zero(self.src, self.dst))
+        return self.dst.contains(self.mat)
 
     def __add__(self, other: "ModMor") -> "ModMor":
         _same_endpoints(self, other)
@@ -202,15 +202,20 @@ def factor_through(incl: ModMor, g: ModMor) -> ModMor:
     return ModMor(g.src, incl.src, sol[:incl.src.gens], check=False)
 
 
+def sum_module(m: FPModule, n: FPModule) -> FPModule:
+    """The module m (+) n alone: the block-diagonal presentation."""
+    if m.ring != n.ring:
+        raise DimensionMismatch("direct sum over different rings")
+    return FPModule(m.ring, m.gens + n.gens, block_diag([m.rel, n.rel]))
+
+
 def direct_sum(m: FPModule, n: FPModule):
     """Biproduct with injections and projections.
 
     Returns (sum, inj_m, inj_n, proj_m, proj_n).
     """
-    if m.ring != n.ring:
-        raise DimensionMismatch("direct sum over different rings")
+    s = sum_module(m, n)
     ring = m.ring
-    s = FPModule(ring, m.gens + n.gens, block_diag([m.rel, n.rel]))
     i_m = vstack([Matrix.identity(ring, m.gens),
                   Matrix.zeros(ring, n.gens, m.gens)])
     i_n = vstack([Matrix.zeros(ring, m.gens, n.gens),

@@ -37,6 +37,7 @@ from .fpmod import (
     is_mono,
     kernel,
     is_valid_mor,
+    sum_module,
 )
 
 
@@ -190,7 +191,7 @@ class TwoMor:
         return TwoMor(self.to, self.frm, -self.s, check=False)
 
     def is_null(self) -> bool:
-        return one_mor_equal(self.to, OneMor.zero(self.frm.src, self.frm.dst))
+        return self.to.f0.is_zero_mor() and self.to.f1.is_zero_mor()
 
     def __repr__(self):
         return f"TwoMor(s={self.s.mat.tolists()})"
@@ -336,7 +337,7 @@ class RelKernelResult:
 
     K.M0 is the module of pairs (a, b) with F.f0(a) + d(b) = 0 and
     G.f1(b) = phi.s(a); ``incl`` embeds it into A.M0 (+) B.M1, and
-    ``to_a`` / ``to_b`` are the two coordinate projections of ``incl``.
+    ``to_a`` / ``to_b`` are its two row blocks (read-only views).
     """
 
     K: TwoModule
@@ -363,14 +364,13 @@ def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor) -> RelKernelResult:
         raise DimensionMismatch("relative kernel of a non-composable pair")
     _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
     A, B, C = F.src, F.dst, G.dst
-    dom, dom_ia, dom_ib, dom_pa, dom_pb = direct_sum(A.M0, B.M1)
-    cod, *_ = direct_sum(B.M0, C.M1)
-    theta = ModMor(dom, cod,
+    dom = sum_module(A.M0, B.M1)
+    theta = ModMor(dom, sum_module(B.M0, C.M1),
                    block([[F.f0.mat, B.d.mat],
                           [-phi.s.mat, G.f1.mat]]), check=False)
     kmod, incl = kernel(theta)
-    to_a = mcompose(incl, dom_pa)
-    to_b = mcompose(incl, dom_pb)
+    to_a = ModMor(kmod, A.M0, incl.mat[:A.M0.gens], check=False)
+    to_b = ModMor(kmod, B.M1, incl.mat[A.M0.gens:], check=False)
     dk = factor_through(incl, ModMor(A.M1, dom,
                                      vstack([A.d.mat, -F.f1.mat]), check=False))
     K = TwoModule(A.M1, kmod, dk, check=False)
@@ -451,7 +451,7 @@ def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor) -> RelCokernelResult:
     _check_null_homotopy_of(phi, compose(F, G), "relative cokernel")
     A, B, C = F.src, F.dst, G.dst
     ring = A.ring
-    amb, *_ = direct_sum(B.M0, C.M1)
+    amb = sum_module(B.M0, C.M1)
     n_cols = hstack([
         vstack([F.f0.mat, phi.s.mat]),
         vstack([B.d.mat, -G.f1.mat]),

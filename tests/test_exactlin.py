@@ -493,3 +493,43 @@ def test_logged_transforms_apply_as_their_products(ring):
             x = Matrix(ring, T.rows, k,
                        [rng.randint(-99, 99) for _ in range(T.rows * k)])
             assert a._snf.apply(key, x.arr.tolist()) == (T @ x).tolists()
+
+
+def test_equal_rings_built_separately_are_equal_and_hash_alike():
+    for a, b in [(RingSpec.Z(), RingSpec("Z")), (RingSpec.Zmod(6), RingSpec("Zmod", 6)),
+                 (RingSpec.Zmod(np.int64(12)), RingSpec.Zmod(12))]:
+        assert a == b and a is not b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+def test_distinct_rings_and_non_rings_are_unequal():
+    z, z6, z12 = RingSpec.Z(), RingSpec.Zmod(6), RingSpec.Zmod(12)
+    assert z != z6 and z6 != z12 and z12 != z
+    assert not z6 == z12
+    for other in ("Z", None, 6, ("Zmod", 6)):
+        assert z != other and not z6 == other
+    assert len({z, z6, z12, RingSpec.Zmod(6)}) == 3
+
+
+def test_a_ring_is_frozen():
+    import dataclasses
+
+    r = RingSpec.Zmod(6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.n = 7
+    assert r == RingSpec.Zmod(6)
+
+
+def test_a_ring_equals_itself_without_reading_its_fields():
+    class Unreadable:
+        def __eq__(self, other):
+            raise AssertionError("fields compared")
+
+        __hash__ = object.__hash__
+
+    r = RingSpec.Zmod(6)
+    object.__setattr__(r, "kind", Unreadable())
+    assert r == r
+    with pytest.raises(AssertionError):
+        r == RingSpec.Zmod(6)

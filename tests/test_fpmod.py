@@ -320,3 +320,36 @@ def test_kernel_over_z_matches_the_smith_form_path_at_the_edges(t, g, r):
     cols = kernel(f)[1].mat
     assert cols == _old_kernel_generators(f)
     assert cols.shape == (g, g if t == 0 else cols.cols)
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6)], ids=str)
+def test_is_zero_mor_agrees_with_comparing_to_the_zero_map(ring, monkeypatch):
+    """Random maps out of a free module: zero, nonzero matrices that are
+    zero only modulo the target's relations, and random ones."""
+    rng = random.Random(f"is_zero_mor {ring}")
+
+    def ints(k):
+        return [rng.randint(-3, 3) for _ in range(k)]
+
+    maps = []
+    for _ in range(300):
+        gens, rels, k = rng.randint(0, 3), rng.randint(0, 2), rng.randint(0, 2)
+        dst = FPModule(ring, gens, Matrix(ring, gens, rels, ints(gens * rels)))
+        src = FPModule.free(ring, k)
+        kind = rng.randrange(3)
+        if kind == 1 and rels:
+            mat = dst.rel @ Matrix(ring, rels, k, ints(rels * k))
+        elif kind == 2:
+            mat = Matrix(ring, gens, k, ints(gens * k))
+        else:
+            mat = Matrix.zeros(ring, gens, k)
+        maps.append(ModMor(src, dst, mat, check=False))
+    verdicts = [equal_mor(f, ModMor.zero(f.src, f.dst)) for f in maps]
+    assert True in verdicts and False in verdicts
+    assert any(v and not f.mat.is_zero() for f, v in zip(maps, verdicts))
+
+    def boom(*args):
+        raise AssertionError("zero map built")
+
+    monkeypatch.setattr(ModMor, "zero", staticmethod(boom))
+    assert [f.is_zero_mor() for f in maps] == verdicts

@@ -3,13 +3,15 @@ import random
 import pytest
 
 from twohom import catalog
-from twohom.exactlin import Matrix, ZZ
+from twohom.exactlin import Matrix, RingSpec, ZZ, block, hstack, vstack
 from twohom.fpmod import (
     FPModule,
     ModMor,
     compose as mcompose,
+    direct_sum,
     invariant_factors,
     is_exact_at,
+    kernel,
 )
 from twohom.twomod import (
     CompatibilityError,
@@ -24,6 +26,7 @@ from twohom.twomod import (
     is_faithful,
     is_full,
     is_pi_trivial,
+    one_mor_equal,
     pi0,
     pi0_mor,
     pi1,
@@ -41,6 +44,7 @@ from twohom.twomod import (
     whisker_right,
     zero_null_homotopy,
 )
+from twohom.resolution import resolve
 
 
 def m(rows):
@@ -356,3 +360,155 @@ def test_a_two_module_equals_itself_without_comparing_matrices(monkeypatch):
     assert m.M0 == m.M0
     with pytest.raises(AssertionError):
         m == catalog.mul_two()
+
+
+# ---------------------------------------------------------------------------
+# relative (co)kernels build only their ambient modules
+# ---------------------------------------------------------------------------
+
+Z6 = RingSpec.Zmod(6)
+Z12 = RingSpec.Zmod(12)
+
+
+def _ints(rng, k, bound=4):
+    return [rng.randint(-bound, bound) for _ in range(k)]
+
+
+def _random_module(ring, rng):
+    gens, rels = rng.randint(1, 3), rng.randint(0, 2)
+    return FPModule(ring, gens, Matrix(ring, gens, rels, _ints(rng, gens * rels)))
+
+
+def _random_two_module_over(ring, rng):
+    """[free --d--> presented]: every d is a morphism."""
+    m0 = _random_module(ring, rng)
+    m1 = FPModule.free(ring, rng.randint(0, 2))
+    d = Matrix(ring, m0.gens, m1.gens, _ints(rng, m0.gens * m1.gens, 3))
+    return TwoModule(m1, m0, ModMor(m1, m0, d, check=False), check=False)
+
+
+def _extension_over(ring):
+    """The catalog extension's recipe over any ring:
+    [0->R] --*2--> [0->R] --proj--> [0->R/2], with the zero cell."""
+    a, b = TwoModule.free(ring, 1), TwoModule.free(ring, 1)
+    c = TwoModule.discrete(FPModule.cyclic(ring, 2))
+    f = OneMor(a, b, ModMor.zero(a.M1, b.M1),
+               ModMor(a.M0, b.M0, Matrix.from_rows(ring, [[2]])))
+    g = OneMor(b, c, ModMor.zero(b.M1, c.M1),
+               ModMor(b.M0, c.M0, Matrix.from_rows(ring, [[1]])))
+    return f, zero_null_homotopy(compose(f, g)), g
+
+
+def _triples(ring):
+    """The catalog extension (over Z/12, the same recipe), then every stage
+    triple (F_n, cell_n, F_{n-1}) of seeded resolutions, each with the
+    relative kernel the resolution stored for it (None for the extension)."""
+    ext = catalog.catalog_extension() if ring == ZZ else _extension_over(ring)
+    out = [(ext, None)]
+    rng = random.Random(f"stages {ring}")
+    for _ in range(6):
+        res = resolve(_random_two_module_over(ring, rng), 2)
+        out += [((res.f(n), res.cell(n), res.f(n - 1)), res.kernels[n])
+                for n in range(res.depth + 1)]
+    return out
+
+
+def _old_relative_kernel(F, phi, G):
+    """(incl, to_a, to_b, K.M0.rel) from two full biproducts, to_a and
+    to_b as the inclusion followed by the biproduct projections."""
+    A, B, C = F.src, F.dst, G.dst
+    dom, _, _, dom_pa, dom_pb = direct_sum(A.M0, B.M1)
+    theta = ModMor(dom, direct_sum(B.M0, C.M1)[0],
+                   block([[F.f0.mat, B.d.mat], [-phi.s.mat, G.f1.mat]]),
+                   check=False)
+    kmod, incl = kernel(theta)
+    return (incl.mat, mcompose(incl, dom_pa).mat, mcompose(incl, dom_pb).mat,
+            kmod.rel)
+
+
+def _old_relative_cokernel_rel(F, phi, G):
+    """Q.M1.rel: the biproduct's relations, then the columns of N."""
+    B, C = F.dst, G.dst
+    return hstack([direct_sum(B.M0, C.M1)[0].rel,
+                   vstack([F.f0.mat, phi.s.mat]),
+                   vstack([B.d.mat, -G.f1.mat])])
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12], ids=str)
+def test_relative_kernel_and_cokernel_match_the_biproduct_construction(ring):
+    for (F, phi, G), stored in _triples(ring):
+        old = [x.tolists() for x in _old_relative_kernel(F, phi, G)]
+        for rk in filter(None, (relative_kernel(F, phi, G), stored)):
+            new = (rk.incl.mat, rk.to_a.mat, rk.to_b.mat, rk.K.M0.rel)
+            assert [x.tolists() for x in new] == old
+            assert (rk.to_a.src, rk.to_a.dst) == (rk.K.M0, F.src.M0)
+            assert (rk.to_b.src, rk.to_b.dst) == (rk.K.M0, F.dst.M1)
+        rc = relative_cokernel(F, phi, G)
+        assert rc.Q.M1.rel.tolists() == _old_relative_cokernel_rel(F, phi, G).tolists()
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12], ids=str)
+def test_relative_kernel_and_cokernel_build_no_biproduct(ring, monkeypatch):
+    from twohom import complex2, fpmod, twomod
+
+    triples = [t for t, _ in _triples(ring)]
+
+    def boom(*args):
+        raise AssertionError("direct_sum called")
+
+    for mod in (fpmod, twomod, complex2):
+        monkeypatch.setattr(mod, "direct_sum", boom, raising=False)
+    for F, phi, G in triples:
+        relative_kernel(F, phi, G)
+        relative_cokernel(F, phi, G)
+    complex2.total(catalog.complex_mul2())
+
+
+# ---------------------------------------------------------------------------
+# zero tests read the target's relations
+# ---------------------------------------------------------------------------
+
+def _random_map(ring, rng, src, dst):
+    """A map from the free module src that is zero, a nonzero matrix that
+    is zero modulo dst's relations, or random."""
+    kind = rng.randrange(3)
+    if kind == 1 and dst.rel.cols:
+        mat = dst.rel @ Matrix(ring, dst.rel.cols, src.gens,
+                               _ints(rng, dst.rel.cols * src.gens, 3))
+    elif kind == 2:
+        mat = Matrix(ring, dst.gens, src.gens, _ints(rng, dst.gens * src.gens, 3))
+    else:
+        mat = Matrix.zeros(ring, dst.gens, src.gens)
+    return ModMor(src, dst, mat, check=False)
+
+
+def _random_cell(ring, rng):
+    """A 2-morphism whose target 1-morphism has random components (each
+    zero, zero modulo relations, or random) into a 2-module whose modules
+    both carry relations."""
+    m1 = FPModule.free(ring, rng.randint(1, 2))
+    m0 = FPModule.free(ring, rng.randint(1, 2))
+    src = TwoModule(m1, m0, ModMor.zero(m1, m0))
+    n1, n0 = _random_module(ring, rng), _random_module(ring, rng)
+    dst = TwoModule(n1, n0, ModMor.zero(n1, n0))
+    to = OneMor(src, dst, _random_map(ring, rng, m1, n1),
+                _random_map(ring, rng, m0, n0), check=False)
+    return TwoMor(to, to, ModMor.zero(m0, n1), check=False)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z6], ids=str)
+def test_is_null_agrees_with_comparing_to_the_zero_one_morphism(ring, monkeypatch):
+    rng = random.Random(f"is_null {ring}")
+    cells = [_random_cell(ring, rng) for _ in range(200)]
+    verdicts = [one_mor_equal(a.to, OneMor.zero(a.frm.src, a.frm.dst))
+                for a in cells]
+    # both verdicts occur, and some null cells have nonzero matrices
+    assert True in verdicts and False in verdicts
+    assert any(v and not (a.to.f0.mat.is_zero() and a.to.f1.mat.is_zero())
+               for a, v in zip(cells, verdicts))
+
+    def boom(*args):
+        raise AssertionError("OneMor.zero built")
+
+    monkeypatch.setattr(OneMor, "zero", staticmethod(boom))
+    assert [a.is_null() for a in cells] == verdicts
