@@ -12,8 +12,9 @@ keyword ``_canonical`` (a new array, reduced mod n once unless True);
 other modules cut blocks as views, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving
 and kernels read the Smith form over the ring itself (Z/n is a principal
 ideal ring), so nothing is lifted to Z.  Hermite bases come from one
-untransformed echelon pass: ``column_basis`` of a column span, and over Z
-``preimage_basis``, the kernel of a module morphism.
+untransformed echelon pass: ``column_basis`` of a column span, and
+``preimage_basis`` of the kernel of a module morphism, which over Z/n
+appends Howell rows (Howell 1986; Storjohann-Mulders, ESA 1998).
 
 Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
 return only the matrices that ``want`` names, in its order (``snf(A, "D")``
@@ -477,7 +478,11 @@ def _echelon(M, log, width, n, hermite):
     """Bring columns 0..width-1 of the rows M to row echelon form, logging
     each row operation, and return the rank r: rows r.. are zero there.
     With hermite each pivot is normalized and the entries above it are
-    reduced, which makes the Hermite form."""
+    reduced, which makes the Hermite form.  Without it (a pass that logs
+    nothing) a pivot a over Z/n divides out where it can, and its row times
+    n / gcd(a, n), zero in column j, joins the rows below: the Howell step
+    (Howell 1986; Storjohann-Mulders 1998), after which the rows from r on
+    span every combination of M that is zero in columns 0..j."""
     r = 0
     for j in range(width):
         if r >= len(M):
@@ -487,7 +492,10 @@ def _echelon(M, log, width, n, hermite):
             continue
         if pivot[0] != r:
             _step(M, log, _swap, r, pivot[0], n)
-        _clear_below(M, log, r, j, n, n is None)
+        _clear_below(M, log, r, j, n, n is None or not hermite)
+        g = 1 if n is None or hermite else gcd(M[r][j], n)
+        if g > 1:
+            M.append([(n // g) * x % n for x in M[r]])
         if hermite:
             _normalize(M, log, r, j, n)
             p = M[r][j]
@@ -644,26 +652,23 @@ _NO_LOG = deque(maxlen=0)
 
 
 def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
-    """Over Z: the lattice {x : A x in colspan B} as the columns of its
-    Hermite basis (the transposed row Hermite form, zero rows dropped).
+    """The submodule {x : A x in colspan B} as the columns of its Hermite
+    basis (the transposed row Hermite form, zero rows dropped).
 
     The rows of [[A^T, I], [B^T, 0]] span the pairs ((A x + B z)^T, x^T).
     One echelon pass over their first t = A.rows columns, with no
     normalizing and no reduction above pivots, leaves rows whose first t
-    entries are zero past the rank.  Z has no zero divisors, so a row
-    combination is zero there only as a combination of those rows, and
-    their last A.cols entries generate the lattice.  Over Z/n that fails
-    (the sublattice takes a Howell form), so Z/n kernels go through the
-    Smith form in ``kernel_basis``."""
-    if A.ring.is_modular:
-        raise ValueError("preimage_basis works over Z")
+    entries are zero past the rank, and they span every combination that
+    is zero there: over Z as Z has no zero divisors, over Z/n by the
+    Howell rows that the pass appends (``_echelon``).  So their last
+    A.cols entries generate the submodule."""
     if B.rows != A.rows or B.ring != A.ring:
         raise DimensionMismatch("preimage_basis: row or ring mismatch")
     t, g = A.shape
     M = [a + [0] * i + [1] + [0] * (g - 1 - i)
          for i, a in enumerate(A.arr.T.tolist())]
     M += [b + [0] * g for b in B.arr.T.tolist()]
-    K = [row[t:] for row in M[_echelon(M, _NO_LOG, t, None, False):]]
+    K = [row[t:] for row in M[_echelon(M, _NO_LOG, t, A.ring.n, False):]]
     return _hermite_columns(A.ring, K, g)
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from . import exactlin
 from .exactlin import (
     DimensionMismatch,
     Matrix,
     RingSpec,
     block_diag,
-    column_basis,
     hstack,
     kernel_basis,
     kron,
@@ -26,6 +26,8 @@ from .exactlin import (
     unvec,
     vstack,
 )
+
+column_basis = exactlin.column_basis  # public here, though kernel no longer calls it
 
 
 class InvalidMorphism(ValueError):
@@ -160,25 +162,17 @@ def compose(f: ModMor, g: ModMor) -> ModMor:
 def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     """Kernel as a presented module with its inclusion into the source.
 
-    Generators are a column-echelon basis of {x : f.mat x in span dst.rel}
+    Generators are the Hermite basis of {x : f.mat x in span dst.rel}
     (redundant generators would poison downstream cover-based exactness
-    checks).  Over Z that is the Hermite basis from one echelon pass
-    (``preimage_basis``).  Over Z/n an echelon row with a zero prefix does
-    not mark the kernel, so the syzygies of [f.mat | dst.rel] come from the
-    Smith form and are projected to source coordinates and echeloned.
-    Relations are pulled back from the source presentation, so the
-    inclusion is mono.
+    checks), and relations the Hermite basis of {y : cols y in span
+    src.rel}, pulled back from the source presentation so that the
+    inclusion is mono.  Both are one echelon pass (``preimage_basis``),
+    with the Howell rows over Z/n (Howell 1986; Storjohann-Mulders 1998),
+    so no Smith form is built.
     """
-    ring = f.src.ring
-    if ring.is_modular:
-        syz = kernel_basis(hstack([f.mat, f.dst.rel]))
-        cols = column_basis(syz[:f.src.gens])
-    else:
-        cols = preimage_basis(f.mat, f.dst.rel)
-    pull = kernel_basis(hstack([cols, f.src.rel]))
-    K = FPModule(ring, cols.cols, pull[:cols.cols])
-    incl = ModMor(K, f.src, cols, check=False)
-    return K, incl
+    cols = preimage_basis(f.mat, f.dst.rel)
+    K = FPModule(f.src.ring, cols.cols, preimage_basis(cols, f.src.rel))
+    return K, ModMor(K, f.src, cols, check=False)
 
 
 def cokernel(f: ModMor) -> Tuple[FPModule, ModMor]:

@@ -464,12 +464,58 @@ def test_a_matrix_equals_itself_without_reading_its_entries():
         a == b
 
 
-def test_preimage_basis_is_over_z_only():
-    from twohom.exactlin import preimage_basis
+def _same_span(a, b):
+    """Columns of a and of b span the same submodule: each solves into the
+    other (an empty side spans 0)."""
+    def within(x, y):
+        return x.is_zero() or (y.cols > 0 and solve_many(y, x) is not None)
+    return within(a, b) and within(b, a)
 
-    z6 = RingSpec.Zmod(6)
-    with pytest.raises(ValueError):
-        preimage_basis(Matrix.identity(z6, 1), Matrix.zeros(z6, 1, 0))
+
+def _torsion_matrix(data, ring, rows, cols):
+    """Entries that are multiples of a divisor of n, so torsion is common."""
+    n = ring.n
+    step = data.draw(st.sampled_from([g for g in range(1, n) if n % g == 0]))
+    return Matrix(ring, rows, cols, data.draw(st.lists(
+        st.integers(0, n // step - 1).map(lambda x: x * step),
+        min_size=rows * cols, max_size=rows * cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_preimage_basis_over_zmod_matches_the_smith_form_path(data):
+    """Over Z/4, Z/6, Z/8 and Z/12 the kernel of f: src -> dst, read off
+    the Howell echelon pass, spans what the Smith path spans: its
+    inclusion the syzygies of [F | dst.rel] projected to source
+    coordinates, and K.rel the projected syzygies of [cols | src.rel].
+    F cols lies in the span of dst.rel and cols K.rel in that of src.rel."""
+    from twohom.fpmod import ModMor, kernel
+
+    ring = RingSpec.Zmod(data.draw(st.sampled_from([4, 6, 8, 12])))
+    t, g, r, s = (data.draw(st.integers(0, k)) for k in (5, 5, 4, 3))
+    fmat = _torsion_matrix(data, ring, t, g)
+    dst = FPModule(ring, t, _torsion_matrix(data, ring, t, r))
+    src = FPModule(ring, g, _torsion_matrix(data, ring, g, s))
+    K, incl = kernel(ModMor(src, dst, fmat, check=False))
+    cols = incl.mat
+    assert cols.shape == (g, K.gens) and K.rel.rows == K.gens
+    assert _same_span(cols, kernel_basis(hstack([fmat, dst.rel]))[:g])
+    assert _same_span(K.rel, kernel_basis(hstack([cols, src.rel]))[:K.gens])
+    assert dst.contains(fmat @ cols) and src.contains(cols @ K.rel)
+
+
+def test_preimage_basis_keeps_the_howell_row_over_z4():
+    """Multiplication by 2 on Z/4 kills {0, 2}.  The echelon pass over
+    [[2, 1]] has a pivot and no zero row, so only the appended row
+    2 * [2, 1] = [0, 2] finds the kernel, and K = {0, 2} is Z/2."""
+    from twohom.exactlin import preimage_basis
+    from twohom.fpmod import ModMor, kernel
+
+    z4 = RingSpec.Zmod(4)
+    two = mat([[2]], z4)
+    assert preimage_basis(two, Matrix.zeros(z4, 1, 0)) == two
+    K, incl = kernel(ModMor(FPModule.free(z4, 1), FPModule.free(z4, 1), two))
+    assert incl.mat == two and K.rel == two and invariant_factors(K) == [2]
 
 
 @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6), RingSpec.Zmod(12)],

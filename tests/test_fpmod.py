@@ -353,3 +353,34 @@ def test_is_zero_mor_agrees_with_comparing_to_the_zero_map(ring, monkeypatch):
 
     monkeypatch.setattr(ModMor, "zero", staticmethod(boom))
     assert [f.is_zero_mor() for f in maps] == verdicts
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+def test_kernel_builds_no_smith_form(ring, monkeypatch):
+    """fpmod.kernel runs with every Smith-form entry point patched to raise,
+    on random maps between modules with relations, and its inclusion still
+    lands in the kernel."""
+    from twohom import exactlin, fpmod
+
+    rng = random.Random(f"kernel without snf {ring}")
+
+    def rand(rows, cols):
+        return Matrix(ring, rows, cols, [rng.randint(-6, 6) for _ in range(rows * cols)])
+
+    maps = []
+    for _ in range(200):
+        t, g, r, s = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 3), rng.randint(0, 2)
+        maps.append(ModMor(FPModule(ring, g, rand(g, s)), FPModule(ring, t, rand(t, r)),
+                           rand(t, g), check=False))
+
+    def boom(*args):
+        raise AssertionError("Smith form built")
+
+    monkeypatch.setattr(exactlin, "snf", boom)
+    for name in ("snf", "kernel_basis", "column_basis"):
+        monkeypatch.setattr(fpmod, name, boom)
+    kernels = [kernel(f) for f in maps]
+    monkeypatch.undo()
+    assert any(K.gens and K.rel.cols for K, _ in kernels)
+    for f, (K, incl) in zip(maps, kernels):
+        assert f.dst.contains(f.mat @ incl.mat)
