@@ -13,8 +13,8 @@ other modules cut blocks as views, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving
 and kernels read the Smith form over the ring itself (Z/n is a principal
 ideal ring), so nothing is lifted to Z.  Hermite bases come from one
 untransformed echelon pass: ``column_basis`` of a column span, and
-``preimage_basis`` of the kernel of a module morphism, which over Z/n
-appends Howell rows (Howell 1986; Storjohann-Mulders, ESA 1998).
+``preimage_basis`` of the kernel of a module morphism, with Howell rows
+over Z/n (Howell 1986; Storjohann-Mulders, ESA 1998).
 
 Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
 return only the matrices that ``want`` names, in its order (``snf(A, "D")``

@@ -382,5 +382,5 @@ def test_kernel_builds_no_smith_form(ring, monkeypatch):
     kernels = [kernel(f) for f in maps]
     monkeypatch.undo()
     assert any(K.gens and K.rel.cols for K, _ in kernels)
-    for f, (K, incl) in zip(maps, kernels):
+    for f, (_, incl) in zip(maps, kernels):
         assert f.dst.contains(f.mat @ incl.mat)
