@@ -136,7 +136,10 @@ def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
         raise ParseFailure(f"{where}: expected {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise ParseFailure(f"{where}: expected {cols} cols, got {c}")
-    flat = [_as_int(x, where) for row in data for x in row]
+    # the JSON parser has read every number; only decimal strings and
+    # non-integers go through _as_int, and Matrix copies the ints once
+    flat = [x if type(x) is int else _as_int(x, where)
+            for row in data for x in row]
     return Matrix(ring, r, c, flat)
 
 
@@ -158,7 +161,7 @@ def load(path: str) -> Workspace:
     """Parse a workspace document and check every object (see load_doc)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=lambda s: _as_int(s, "document"))
+            doc = json.load(fh, parse_int=partial(_as_int, where="document"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read document: {exc}") from exc
     return load_doc(doc)
@@ -211,6 +214,10 @@ def _field(spec, key: str, where: str):
 
 
 def _build_object(ring: RingSpec, name: str, spec, build):
+    """The object ``name`` of the document.  Each map it holds is built as
+    an unchecked ModMor: the TwoModule, OneMor or TwoMor around it checks
+    it, once, and names it (d, f1, f0 or s), as validate_complex names a
+    cell alpha[n]."""
     where = f"object {name!r}"
     t = _field(spec, "type", where)
     if t == "matrix":
@@ -224,7 +231,7 @@ def _build_object(ring: RingSpec, name: str, spec, build):
         m0 = _module(ring, _field(spec, "M0", where), build, f"{name}.M0")
         d = _parse_matrix(ring, _field(spec, "d", where), rows=m0.gens,
                           cols=m1.gens, where=f"{name}.d")
-        return TwoModule(m1, m0, ModMor(m1, m0, d))
+        return TwoModule(m1, m0, ModMor(m1, m0, d, check=False))
     if t == "onemor":
         src = build(_field(spec, "src", where), TwoModule, where)
         dst = build(_field(spec, "dst", where), TwoModule, where)
@@ -232,8 +239,8 @@ def _build_object(ring: RingSpec, name: str, spec, build):
                            cols=src.M1.gens, where=f"{name}.f1")
         f0 = _parse_matrix(ring, _field(spec, "f0", where), rows=dst.M0.gens,
                            cols=src.M0.gens, where=f"{name}.f0")
-        return OneMor(src, dst, ModMor(src.M1, dst.M1, f1),
-                      ModMor(src.M0, dst.M0, f0))
+        return OneMor(src, dst, ModMor(src.M1, dst.M1, f1, check=False),
+                      ModMor(src.M0, dst.M0, f0, check=False))
     if t == "twomor":
         frm = build(_field(spec, "from", where), OneMor, where)
         if spec.get("to") == "zero":
@@ -242,7 +249,7 @@ def _build_object(ring: RingSpec, name: str, spec, build):
             to = build(_field(spec, "to", where), OneMor, where)
         s = _parse_matrix(ring, _field(spec, "s", where), rows=frm.dst.M1.gens,
                           cols=frm.src.M0.gens, where=f"{name}.s")
-        return TwoMor(frm, to, ModMor(frm.src.M0, frm.dst.M1, s))
+        return TwoMor(frm, to, ModMor(frm.src.M0, frm.dst.M1, s, check=False))
     if t == "complex":
         items = spec.get("items", [])
         if not isinstance(items, list):
@@ -260,7 +267,7 @@ def _build_object(ring: RingSpec, name: str, spec, build):
                 s = _parse_matrix(ring, item["alpha"],
                                   rows=mods[n - 2].M1.gens, cols=m.M0.gens,
                                   where=f"{name}[{n}].alpha")
-                alphas[n] = ModMor(m.M0, mods[n - 2].M1, s)
+                alphas[n] = ModMor(m.M0, mods[n - 2].M1, s, check=False)
         c = Complex2(ring, mods, diffs, alphas)
         ok, why = validate_complex(c)
         if not ok:

@@ -301,8 +301,8 @@ def homology_map(hsrc: HomologyData, hdst: HomologyData,
     target's, b1 (the block one degree up) acting on classes."""
     f0 = factor_through(hdst.kernel.incl,
                         kernel_cell(hsrc, hdst.kernel.incl.dst, b0))
-    f1 = ModMor(hsrc.module.M1, hdst.module.M1, b1)
-    return OneMor(hsrc.module, hdst.module, f1, f0)
+    f1 = ModMor(hsrc.module.M1, hdst.module.M1, b1, check=False)
+    return OneMor(hsrc.module, hdst.module, f1, f0)   # checks f1 and f0
 
 
 def induced(m: ChainMor, n: int) -> OneMor:

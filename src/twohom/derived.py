@@ -82,7 +82,9 @@ class FunctorSpec:
 
 
 def apply(t: FunctorSpec, x):
-    """Apply the functor degreewise / componentwise; validity is preserved.
+    """Apply the functor degreewise / componentwise; validity is preserved,
+    so nothing is checked again: y -> y (x) id_N carries relations into
+    relations, and equality modulo relations, to their images.
 
     One call maps each object reachable from x once, and a tuple is a
     diagram: its images share their endpoints (T(f).dst is T(g).src when
@@ -119,9 +121,9 @@ def apply(t: FunctorSpec, x):
         if isinstance(y, TwoModule):
             return TwoModule(go(y.M1), go(y.M0), go(y.d), check=False)
         if isinstance(y, OneMor):
-            return OneMor(go(y.src), go(y.dst), go(y.f1), go(y.f0))
+            return one_mor(y, go(y.src), go(y.dst))
         if isinstance(y, TwoMor):
-            return TwoMor(go(y.frm), go(y.to), go(y.s))
+            return TwoMor(go(y.frm), go(y.to), go(y.s), check=False)
         if isinstance(y, Complex2):
             mods = [go(m) for m in y.modules]
             diffs = [one_mor(d, mods[n], mods[n - 1])

@@ -14,7 +14,9 @@ and kernels read the Smith form over the ring itself (Z/n is a principal
 ideal ring), so nothing is lifted to Z.  Hermite bases come from one
 untransformed echelon pass: ``column_basis`` of a column span, and
 ``preimage_basis`` of the kernel of a module morphism, with Howell rows
-over Z/n (Howell 1986; Storjohann-Mulders, ESA 1998).
+over Z/n (Howell 1986; Storjohann-Mulders, ESA 1998), and over Z by
+remainder steps, which keep entries small where xgcd mixing (kept where a
+transform is logged) grew dense kernels to thousands of bits.
 
 Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
 return only the matrices that ``want`` names, in its order (``snf(A, "D")``
@@ -474,15 +476,36 @@ class _Memo(dict):
         return T
 
 
+def _clear_by_remainders(M, r, j):
+    """Zero column j of the rows M below row r over Z, with M[r][j] of the
+    least nonzero |x| there: that row reduces the others modulo itself, the
+    row of the least remainder takes its place, and so on until only it is
+    left.  No entry grows as in xgcd mixing, which takes a row of each pair
+    to a combination with Bezout coefficients."""
+    while True:
+        below = [i for i in range(r + 1, len(M)) if M[i][j]]
+        if not below:
+            return
+        a = M[r][j]
+        for i in below:
+            _sub(M, i, r, M[i][j] // a, None)
+        i = _pivot(M, r, j, j + 1, None)[0]
+        if i != r:
+            _swap(M, r, i, None)
+
+
 def _echelon(M, log, width, n, hermite):
     """Bring columns 0..width-1 of the rows M to row echelon form, logging
     each row operation, and return the rank r: rows r.. are zero there.
     With hermite each pivot is normalized and the entries above it are
-    reduced, which makes the Hermite form.  Without it (a pass that logs
-    nothing) a pivot a over Z/n divides out where it can, and its row times
-    n / gcd(a, n), zero in column j, joins the rows below: the Howell step
-    (Howell 1986; Storjohann-Mulders 1998), after which the rows from r on
-    span every combination of M that is zero in columns 0..j."""
+    reduced, which makes the Hermite form.  Over Z a pass that logs nothing
+    clears each column by remainder steps (``_clear_by_remainders``); a
+    logged pass mixes rows by xgcd, as the goldens pin its transform.
+    Without hermite (a pass that logs nothing) a pivot a over Z/n divides
+    out where it can, and its row times n / gcd(a, n), zero in column j,
+    joins the rows below: the Howell step (Howell 1986; Storjohann-Mulders
+    1998), after which the rows from r on span every combination of M that
+    is zero in columns 0..j."""
     r = 0
     for j in range(width):
         if r >= len(M):
@@ -492,7 +515,10 @@ def _echelon(M, log, width, n, hermite):
             continue
         if pivot[0] != r:
             _step(M, log, _swap, r, pivot[0], n)
-        _clear_below(M, log, r, j, n, n is None or not hermite)
+        if n is None and log is _NO_LOG:
+            _clear_by_remainders(M, r, j)
+        else:
+            _clear_below(M, log, r, j, n, n is None or not hermite)
         g = 1 if n is None or hermite else gcd(M[r][j], n)
         if g > 1:
             M.append([(n // g) * x % n for x in M[r]])

@@ -141,7 +141,7 @@ def _same_endpoints(f: ModMor, g: ModMor):
 
 def is_valid_mor(f: ModMor) -> bool:
     """mat carries every source relation into the target relation span."""
-    if f.src.rel.cols == 0:
+    if f.src.rel.cols == 0 or f.dst.gens == 0:   # vacuous
         return True
     return f.dst.contains(f.mat @ f.src.rel)
 

@@ -83,7 +83,11 @@ def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
             "lift failed although the target map is essentially surjective")
     l = free_mor(p, b, sol[:b.M0.gens])
     ys = sol[b.M0.gens: b.M0.gens + c.M1.gens]
-    sigma = TwoMor(compose(l, e), t, ModMor(p.M0, c.M1, ys, check=False))
+    # unchecked, as the solve proves it: t.f0 = e.f0∘l.f0 + d_c∘ys modulo
+    # c.M0's relations, and p is free, so ys is a module map and the
+    # degree-1 identity is vacuous
+    sigma = TwoMor(compose(l, e), t, ModMor(p.M0, c.M1, ys, check=False),
+                   check=False)
     return l, sigma
 
 

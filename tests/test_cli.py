@@ -2,11 +2,13 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import twohom.cli
+from twohom import complex2, fpmod, twomod
 from twohom.cli import (
     ParseFailure,
     ValidationFailure,
@@ -409,6 +411,98 @@ class TestExitCodes:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == "" and "bad degree range" in err
+
+
+class TestLoadChecks:
+    """Each map of a document is checked once, by the object that holds it,
+    and a failing check names the object, the map and the condition."""
+
+    # a twomodule, onemor, twomor and complex over the catalog, each with one
+    # map that fails: (object, the expected message after "object 'bad': ")
+    BAD = {
+        "d": ({"type": "twomodule", "M1": {"gens": 1, "relations": [[2]]},
+               "M0": {"gens": 1}, "d": [[1]]},
+              "d does not respect relations"),
+        "f1": ({"type": "onemor", "src": "t2", "dst": "mul2",
+                "f1": [[1]], "f0": [[0]]},
+               "f1 does not respect relations"),
+        "f0": ({"type": "onemor", "src": "Zmod2", "dst": "Zfree",
+                "f1": [], "f0": [[1]]},
+               "f0 does not respect relations"),
+        "square": ({"type": "onemor", "src": "mul2", "dst": "mul2",
+                    "f1": [[1]], "f0": [[2]]},
+                   "the square of f1 and f0 does not commute"),
+        "s": ({"type": "twomor", "from": "z2", "to": "zero", "s": [[1]]},
+              "s does not respect relations"),
+        "degree-0": ({"type": "twomor", "from": "two", "to": "zero", "s": []},
+                     "s fails the degree-0 identity"),
+        "degree-1": ({"type": "twomor", "from": "z_mul2", "to": "z_mul2",
+                      "s": [[1]]},
+                     "s fails the degree-1 identity"),
+        "alpha": ({"type": "complex", "items": [
+                      {"module": "mul2"},
+                      {"module": "zeromod", "diff": "z_into_mul2"},
+                      {"module": "Zmod2", "diff": "z_out_of_z2", "alpha": [[1]]}]},
+                  "alpha[2]: s does not respect relations"),
+    }
+    # valid objects the bad ones refer to
+    HELPERS = {
+        "t2": {"type": "twomodule", "M1": {"gens": 1, "relations": [[2]]},
+               "M0": {"gens": 1, "relations": [[2]]}, "d": [[1]]},
+        "z2": {"type": "onemor", "src": "Zmod2", "dst": "mul2",
+               "f1": [], "f0": [[0]]},
+        "z_mul2": {"type": "onemor", "src": "mul2", "dst": "zeromap",
+                   "f1": [[0]], "f0": [[0]]},
+        "z_into_mul2": {"type": "onemor", "src": "zeromod", "dst": "mul2",
+                        "f1": [], "f0": []},
+        "z_out_of_z2": {"type": "onemor", "src": "Zmod2", "dst": "zeromod",
+                        "f1": [], "f0": []},
+    }
+
+    @pytest.mark.parametrize("which", sorted(BAD))
+    def test_failing_map_is_named(self, tmp_path, which, capsys):
+        obj, why = self.BAD[which]
+        doc = json.load(open(CATALOG))
+        doc["objects"].update(self.HELPERS)
+        doc["objects"]["bad"] = obj
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        code = main(["pi", str(p), "mul2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"error: object 'bad': {why}\n"
+
+    def test_helpers_are_valid(self, tmp_path, capsys):
+        doc = json.load(open(CATALOG))
+        doc["objects"].update(self.HELPERS)
+        p = tmp_path / "ok.json"
+        p.write_text(json.dumps(doc))
+        assert main(["pi", str(p), "mul2"]) == 0
+
+    def test_each_map_is_checked_once(self, monkeypatch):
+        """One `is_valid_mor` call per map of the cli-small workspace (57),
+        where the ModMor and then its holder each made one, and one
+        `equal_mor` call per square or homotopy identity that is not
+        vacuous (5 of 28)."""
+        calls = Counter()
+        for name in ("is_valid_mor", "equal_mor"):
+            real = getattr(fpmod, name)
+
+            def counting(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            for mod in (fpmod, twomod, complex2):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counting)
+        path = ROOT / "tests" / "cli_small_workspace.json"
+        objects = json.loads(path.read_text())["objects"].values()
+        maps = sum({"twomodule": 1, "onemor": 2, "twomor": 1}.get(o["type"], 0)
+                   + sum("alpha" in item for item in o.get("items", []))
+                   for o in objects)
+        load(str(path))
+        assert maps == 57
+        assert calls == {"is_valid_mor": 57, "equal_mor": 5}
 
 
 class TestDeterminism:

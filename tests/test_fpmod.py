@@ -384,3 +384,41 @@ def test_kernel_builds_no_smith_form(ring, monkeypatch):
     assert any(K.gens and K.rel.cols for K, _ in kernels)
     for f, (_, incl) in zip(maps, kernels):
         assert f.dst.contains(f.mat @ incl.mat)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_dense_z_kernels_finish(n):
+    """fpmod.kernel of a dense map Z^2n -> Z^n / <n/2 relations>, entries in
+    [-9, 9], finishes under a 10 s alarm (with xgcd mixing in the echelon
+    pass, each n here ran past it), gives a Hermite basis, and
+    spans, by solve_many both ways, what the first 2n rows of the Smith-form
+    syzygies of [F | rel] span."""
+    import signal
+
+    from twohom.exactlin import hstack, kernel_basis, solve_many
+
+    def too_slow(signum, frame):
+        raise TimeoutError(f"dense kernels at n = {n} took over 10 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(10)
+    try:
+        for seed in range(3):
+            rng = random.Random(f"dense kernel {n} {seed}")
+            rel = Matrix(ZZ, n, n // 2, [rng.randint(-9, 9) for _ in range(n * (n // 2))])
+            fmat = Matrix(ZZ, n, 2 * n, [rng.randint(-9, 9) for _ in range(2 * n * n)])
+            f = ModMor(FPModule.free(ZZ, 2 * n), FPModule(ZZ, n, rel), fmat,
+                       check=False)
+            cols = kernel(f)[1].mat
+            rows = cols.transpose().tolists()
+            leads = [next(j for j, x in enumerate(row) if x) for row in rows]
+            assert leads == sorted(set(leads))
+            for i, j in enumerate(leads):
+                assert rows[i][j] > 0
+                assert all(0 <= rows[k][j] < rows[i][j] for k in range(i))
+            syz = kernel_basis(hstack([fmat, rel]))[:2 * n]
+            assert solve_many(cols, syz) is not None
+            assert solve_many(syz, cols) is not None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
