@@ -55,8 +55,7 @@ from .complex2 import (
     kernel_cell,
     pair_block,
 )
-from .resolution import (Resolution, ResolutionError, compare, horseshoe,
-                         pad_resolution, resolve)
+from .resolution import Resolution, ResolutionError, compare, horseshoe, resolve
 
 
 @dataclass(frozen=True)
@@ -256,12 +255,12 @@ def resolution_independence(t: FunctorSpec, m: TwoModule,
     """Mutually inverse (up to pi) comparison maps between the homology of
     T applied to two resolutions of the same object."""
     ident = OneMor.identity(m)
-    depth = max(res1.depth, res2.depth)  # so compare pads neither again
-    res1, res2 = pad_resolution(res1, depth), pad_resolution(res2, depth)
+    # compare resolves the shallower one further; the way back reuses both
+    l12 = compare(ident, res1, res2)
+    l21 = compare(ident, l12.res_dst, l12.res_src)
     tc1, tc2, ch12, ch21 = apply(t, (
-        res1.complex(), res2.complex(),
-        compare(ident, res1, res2).as_chain_mor(),
-        compare(ident, res2, res1).as_chain_mor()))
+        l12.res_src.complex(), l12.res_dst.complex(),
+        l12.as_chain_mor(), l21.as_chain_mor()))
     w12, w21 = induced(ch12, i), induced(ch21, i)
     r11, r22 = compose(w12, w21), compose(w21, w12)
 

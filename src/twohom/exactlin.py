@@ -12,27 +12,27 @@ keyword ``_canonical`` (a new array, reduced mod n once unless True);
 other modules cut blocks as views, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving
 and kernels read the Smith form over the ring itself (Z/n is a principal
 ideal ring), so nothing is lifted to Z.  Hermite bases come from one
-untransformed echelon pass: ``column_basis`` of a column span, and
-``preimage_basis`` of the kernel of a module morphism, with Howell rows
-over Z/n (Howell 1986; Storjohann-Mulders, ESA 1998), and over Z by
-remainder steps, which keep entries small where xgcd mixing (kept where a
-transform is logged) grew dense kernels to thousands of bits.
+untransformed echelon pass: ``hnf`` of a row span, ``column_basis`` of a
+column span, and ``preimage_basis`` of the kernel of a module morphism,
+with Howell rows over Z/n (Howell 1986; Storjohann-Mulders, ESA 1998), and
+over Z by remainder steps, which keep entries small where xgcd mixing grew
+dense kernels to thousands of bits.
 
-Transforms on demand: ``snf(A, want="DUV")`` and ``hnf(A, want="HU")``
-return only the matrices that ``want`` names, in its order (``snf(A, "D")``
-is ``(D,)``).  The elimination runs on D (or H) alone and logs each row and
-column operation.  Solving applies the logs to B and to the solution of
-the diagonal system, and kernels apply V's log to a selector of columns,
-so neither builds U or V; they are built only when read, by applying the
-log to the identity.  The forms and the logs stay in the matrix's memo, so
-no matrix is eliminated twice, whatever is asked first.
+Transforms exist only for ``snf``, on demand: ``snf(A, want="DUV")``
+returns only the matrices that ``want`` names, in its order
+(``snf(A, "D")`` is ``(D,)``).  The elimination runs on D alone and logs
+each row and column operation.  Solving applies the logs to B and to the
+solution of the diagonal system, and kernels apply V's log to a selector
+of columns, so neither builds U or V; they are built only when read, by
+applying the log to the identity.  The form and the logs stay in the
+matrix's memo, so no matrix is eliminated twice, whatever is asked first.
 
 Conventions (fixed so that outputs are bit-reproducible):
 
-* ``hnf(A) = (H, U)`` with ``H = U @ A``, U invertible over the ring, H in
-  row echelon form.  Over Z pivots are positive and entries above a pivot
-  are reduced into [0, pivot); over Z/n pivots divide n and entries above
-  are reduced into [0, pivot).
+* ``hnf(A) = H`` with ``H = U @ A`` for some U invertible over the ring, H
+  in row echelon form.  Over Z pivots are positive and entries above a
+  pivot are reduced into [0, pivot); over Z/n pivots divide n and entries
+  above are reduced into [0, pivot).
 * ``snf(A) = (D, U, V)`` with ``D = U @ A @ V``, both transforms
   invertible, D diagonal with d_i | d_{i+1}; over Z all d_i >= 0, over
   Z/n all nonzero d_i are proper divisors of n.
@@ -111,7 +111,7 @@ class Matrix:
     canonical representatives in [0, n).
     """
 
-    __slots__ = ("ring", "rows", "cols", "_arr", "_hash", "_snf", "_hnf")
+    __slots__ = ("ring", "rows", "cols", "_arr", "_hash", "_snf")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries, *,
                  _canonical: Optional[bool] = None):
@@ -136,7 +136,6 @@ class Matrix:
         self._arr = arr
         self._hash = None
         self._snf = None
-        self._hnf = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -451,10 +450,9 @@ def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
 
 
 class _Memo(dict):
-    """What an elimination leaves on its matrix: the normal form under its
-    letter, and in ``logs`` per transform letter (ring, size, log).  The
-    first read of a transform applies its log to the identity and keeps
-    the result."""
+    """What the Smith elimination leaves on its matrix: D under its letter,
+    and in ``logs`` per transform letter (ring, size, log).  The first read
+    of a transform applies its log to the identity and keeps the result."""
 
     def apply(self, key, M):
         """The rows of T @ M, for the transform T named key and M a list of
@@ -468,8 +466,7 @@ class _Memo(dict):
 
     def __missing__(self, key):
         if key not in self.logs:
-            raise ValueError(f"want names forms among "
-                             f"{''.join(sorted({*self, *self.logs}))}: {key!r}")
+            raise ValueError(f"want names letters of DUV, not {key!r}")
         ring, m, _ = self.logs[key]
         eye = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)]
         T = self[key] = _matrix(ring, m, m, self.apply(key, eye))
@@ -494,14 +491,16 @@ def _clear_by_remainders(M, r, j):
             _swap(M, r, i, None)
 
 
-def _echelon(M, log, width, n, hermite):
-    """Bring columns 0..width-1 of the rows M to row echelon form, logging
-    each row operation, and return the rank r: rows r.. are zero there.
-    With hermite each pivot is normalized and the entries above it are
-    reduced, which makes the Hermite form.  Over Z a pass that logs nothing
-    clears each column by remainder steps (``_clear_by_remainders``); a
-    logged pass mixes rows by xgcd, as the goldens pin its transform.
-    Without hermite (a pass that logs nothing) a pivot a over Z/n divides
+# a log that keeps nothing, for the steps of an untransformed pass
+_NO_LOG = deque(maxlen=0)
+
+
+def _echelon(M, width, n, hermite):
+    """Bring columns 0..width-1 of the rows M to row echelon form and return
+    the rank r: rows r.. are zero there.  With hermite each pivot is
+    normalized and the entries above it are reduced, which makes the
+    Hermite form.  Over Z each column is cleared by remainder steps
+    (``_clear_by_remainders``).  Without hermite a pivot a over Z/n divides
     out where it can, and its row times n / gcd(a, n), zero in column j,
     joins the rows below: the Howell step (Howell 1986; Storjohann-Mulders
     1998), after which the rows from r on span every combination of M that
@@ -514,39 +513,30 @@ def _echelon(M, log, width, n, hermite):
         if pivot is None:
             continue
         if pivot[0] != r:
-            _step(M, log, _swap, r, pivot[0], n)
-        if n is None and log is _NO_LOG:
+            _swap(M, r, pivot[0], n)
+        if n is None:
             _clear_by_remainders(M, r, j)
         else:
-            _clear_below(M, log, r, j, n, n is None or not hermite)
+            _clear_below(M, _NO_LOG, r, j, n, not hermite)
         g = 1 if n is None or hermite else gcd(M[r][j], n)
         if g > 1:
             M.append([(n // g) * x % n for x in M[r]])
         if hermite:
-            _normalize(M, log, r, j, n)
+            _normalize(M, _NO_LOG, r, j, n)
             p = M[r][j]
             for i in range(r):
                 q = M[i][j] // p
                 if q:
-                    _step(M, log, _sub, i, r, q, n)
+                    _sub(M, i, r, q, n)
         r += 1
     return r
 
 
-def hnf(A: Matrix, want: str = "HU"):
-    """Row Hermite normal form: the matrices named by want, in that order,
-    of H and U with H = U @ A."""
-    if A._hnf is not None:
-        return tuple(map(A._hnf.__getitem__, want))
-    ring = A.ring
-    n = ring.n if ring.is_modular else None
-    rows = A.rows
+def hnf(A: Matrix) -> Matrix:
+    """Row Hermite normal form H of A: H = U @ A for some invertible U."""
     H = A.arr.tolist()
-    log = []
-    _echelon(H, log, A.cols, n, True)
-    A._hnf = memo = _Memo(H=_matrix(ring, rows, A.cols, H))
-    memo.logs = {"U": (ring, rows, log)}
-    return tuple(map(memo.__getitem__, want))
+    _echelon(H, A.cols, A.ring.n, True)
+    return _matrix(A.ring, A.rows, A.cols, H)
 
 
 def snf(A: Matrix, want: str = "DUV"):
@@ -624,16 +614,6 @@ def det(A: Matrix) -> int:
     return A.ring.normalize(sign * M[m - 1, m - 1])
 
 
-def is_invertible(A: Matrix) -> bool:
-    """Invertibility over the ring (|det| = 1 over Z, det a unit mod n)."""
-    if A.rows != A.cols:
-        return False
-    d = det(A)
-    if A.ring.is_modular:
-        return gcd(d, A.ring.n) == 1
-    return d in (1, -1)
-
-
 # ---------------------------------------------------------------------------
 # solving and kernels
 # ---------------------------------------------------------------------------
@@ -673,10 +653,6 @@ def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
     return solve_many(A, b)
 
 
-# a log that keeps nothing, for eliminations that are never replayed
-_NO_LOG = deque(maxlen=0)
-
-
 def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     """The submodule {x : A x in colspan B} as the columns of its Hermite
     basis (the transposed row Hermite form, zero rows dropped).
@@ -694,7 +670,7 @@ def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     M = [a + [0] * i + [1] + [0] * (g - 1 - i)
          for i, a in enumerate(A.arr.T.tolist())]
     M += [b + [0] * g for b in B.arr.T.tolist()]
-    K = [row[t:] for row in M[_echelon(M, _NO_LOG, t, A.ring.n, False):]]
+    K = [row[t:] for row in M[_echelon(M, t, A.ring.n, False):]]
     return _hermite_columns(A.ring, K, g)
 
 
@@ -706,7 +682,7 @@ def column_basis(mat: Matrix) -> Matrix:
 def _hermite_columns(ring: RingSpec, rows, width: int) -> Matrix:
     """The nonzero rows of the Hermite form of rows (lists of width ints,
     eliminated in place), as the columns of a width x rank matrix."""
-    k = _echelon(rows, _NO_LOG, width, ring.n if ring.is_modular else None, True)
+    k = _echelon(rows, width, ring.n, True)
     return _matrix(ring, width, k, [list(c) for c in zip(*rows[:k])])
 
 

@@ -245,19 +245,6 @@ def tensor_mor(f: ModMor, n: FPModule) -> ModMor:
                   check=False)
 
 
-def normal_form_presentation(m: FPModule) -> FPModule:
-    """The SNF change-of-generators presentation (for reports only:
-    modules flowing through a computation keep their coordinates)."""
-    factors = invariant_factors(m)
-    ring = m.ring
-    torsion = [d for d in factors if d != 0]
-    gens = len(factors)
-    rel = Matrix(ring, gens, len(torsion),
-                 [torsion[j] if i == j else 0
-                  for i in range(gens) for j in range(len(torsion))])
-    return FPModule(ring, gens, rel)
-
-
 def invariant_factors(m: FPModule) -> List[int]:
     """SNF-canonical invariant factor list; 0 denotes a free rank.
 

@@ -138,23 +138,20 @@ class Resolution:
         return self._augmented
 
 
-def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
-    """The stage loop: stage n covers the relative kernel of F_{n-1}.
-
-    Once a stage kernel is pi-trivial the resolution has terminated and
-    every further stage is zero; ``zero`` asks for zero stages from the
-    start (padding), which leaves ``terminated`` as it was.
-    """
+def _extend(res: Resolution, depth: int) -> Resolution:
+    """The stage loop: res resolved on to the given depth, so that
+    ``_extend(resolve(m, d), D)`` is ``resolve(m, D)``.  Stage n covers the
+    relative kernel of F_{n-1}; once that kernel is pi-trivial the
+    resolution has terminated and every further stage is zero."""
     if depth <= res.depth:
         return res
     c = res.augmented()
     mods, diffs, alphas = list(c.modules), list(c.diffs), dict(c.alphas)
     kernels, witnesses = list(res.kernels), list(res.witnesses)
     terminated = res.terminated
-    zero = zero or terminated
     for n in range(res.depth + 1, depth + 1):
         prev_k = kernels[n - 1]
-        if zero:
+        if terminated:
             pn = TwoModule.zero(c.ring)
             cover = OneMor.zero(pn, prev_k.K)
         else:
@@ -168,8 +165,7 @@ def _extend(res: Resolution, depth: int, zero: bool = False) -> Resolution:
         if n == 1:
             alphas[2] = cell.s
         kernels.append(relative_kernel(diffs[n], cell, diffs[n - 1]))
-        if not zero and is_pi_trivial(kernels[-1].K):
-            zero = terminated = True
+        terminated = terminated or is_pi_trivial(kernels[-1].K)
     return Resolution(Complex2(c.ring, mods, diffs, alphas), kernels,
                       witnesses, terminated)
 
@@ -208,11 +204,6 @@ def assemble_resolution(target: TwoModule, modules: List[TwoModule],
         res.kernels.append(relative_kernel(res.f(n), cell, res.f(n - 1)))
     res.terminated = is_pi_trivial(res.kernels[-1].K)
     return res
-
-
-def pad_resolution(res: Resolution, depth: int) -> Resolution:
-    """Extend with zero stages up to the requested depth."""
-    return _extend(res, depth, zero=True)
 
 
 def validate_resolution(res: Resolution) -> Tuple[bool, str]:
@@ -293,8 +284,7 @@ def compare(h: OneMor, res_src: Resolution, res_dst: Resolution
     if h.src != res_src.target or h.dst != res_dst.target:
         raise ResolutionError("compare endpoints do not match the resolutions")
     depth = max(res_src.depth, res_dst.depth)
-    res_src = pad_resolution(res_src, depth)
-    res_dst = pad_resolution(res_dst, depth)
+    res_src, res_dst = _extend(res_src, depth), _extend(res_dst, depth)
     out = ComparisonLift(h, res_src, res_dst, {}, {})
     hs, eps_s = out.hs, out.eps_s
     hs[0], sigma0 = lift_through(res_src.module(0),
@@ -383,8 +373,8 @@ def product_resolution(res_a: Resolution, res_b: Resolution
     if res_a.target.ring != res_b.target.ring:
         raise ResolutionError("product over different rings")
     depth = max(res_a.depth, res_b.depth)
-    a = pad_resolution(res_a, depth).augmented()
-    b = pad_resolution(res_b, depth).augmented()
+    a = _extend(res_a, depth).augmented()
+    b = _extend(res_b, depth).augmented()
     bps = [biproduct(a.module(k), b.module(k)) for k in range(depth + 2)]
     mods = [bp.total for bp in bps]
     diffs = [oplus(a.diff(k), b.diff(k), mods[k], mods[k - 1])
@@ -410,8 +400,7 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
         raise ResolutionError("resolutions do not resolve the extension ends")
     ring = B.ring
     depth = max(res_a.depth, res_c.depth)
-    res_a = pad_resolution(res_a, depth)
-    res_c = pad_resolution(res_c, depth)
+    res_a, res_c = _extend(res_a, depth), _extend(res_c, depth)
     ell, sigma0 = lift_through(res_c.module(0), res_c.aug, G)
     stage_bp = [biproduct(res_a.module(n), res_c.module(n))
                 for n in range(depth + 1)]

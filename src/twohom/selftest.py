@@ -69,6 +69,16 @@ def _random_matrix(rng: random.Random, rows: int, cols: int, bound: int = 9
                   [rng.randint(-bound, bound) for _ in range(rows * cols)])
 
 
+def _is_hermite(rows) -> bool:
+    """Row echelon, zero rows last, pivots > 0, entries above in [0, pivot)."""
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    piv = [j for j in leads if j is not None]
+    return (leads[:len(piv)] == piv and piv == sorted(set(piv))
+            and all(rows[i][j] > 0
+                    and all(0 <= rows[k][j] < rows[i][j] for k in range(i))
+                    for i, j in enumerate(piv)))
+
+
 def suite_normal_forms(seed: int = 0, cases: int = 200) -> Result:
     rng = random.Random(seed)
     t0 = time.time()
@@ -90,12 +100,15 @@ def suite_normal_forms(seed: int = 0, cases: int = 200) -> Result:
                 return ("normal-forms", False, "divisibility chain broken")
         if any(x < 0 for x in diag):
             return ("normal-forms", False, "negative invariant factor")
-        h, uh = hnf(a)
-        if uh @ a != h or abs(det(uh)) != 1:
-            return ("normal-forms", False, "HNF identity broken")
+        h = hnf(a)
+        ht, at = h.transpose(), a.transpose()
+        if solve_many(at, ht) is None or solve_many(ht, at) is None:
+            return ("normal-forms", False, "H and A span different rows")
+        if not _is_hermite(h.tolists()):
+            return ("normal-forms", False, "H not in Hermite form")
         fresh = Matrix(ZZ, r, c, a.arr)   # no memo: eliminated anew
-        if snf(fresh, "D") != (d,) or hnf(fresh, "H") != (h,):
-            return ("normal-forms", False, "D or H differs without transforms")
+        if snf(fresh, "D") != (d,):
+            return ("normal-forms", False, "D differs without transforms")
     # no elapsed time in the detail, so the report stays byte-stable;
     # run_all times every suite and the CLI prints that on stderr
     if time.time() - t0 >= 5.0:

@@ -209,10 +209,6 @@ class TwoMor:
         return f"TwoMor(s={self.s.mat.tolists()})"
 
 
-def two_mor_equal(a: TwoMor, b: TwoMor) -> bool:
-    return equal_mor(a.s, b.s)
-
-
 def null_homotopy(of: OneMor, s: ModMor, check: bool = True) -> TwoMor:
     """The 2-morphism of => 0 carried by s."""
     return TwoMor(of, OneMor.zero(of.src, of.dst), s, check=check)

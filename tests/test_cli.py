@@ -263,6 +263,23 @@ class TestCommands:
         assert code == 0
         assert "0" in json.loads(out)["lift"]
 
+    def test_compare_resolutions_of_unequal_depths(self, tmp_path):
+        # over Z/12 the resolution of Z/12/(4) never terminates, so the
+        # depth-2 side is resolved further to meet the depth-3 side
+        doc = {"format": 1, "ring": {"kind": "Zmod", "n": 12}, "objects": {
+            "M": {"type": "twomodule", "M1": {"gens": 0, "relations": []},
+                  "M0": {"gens": 1, "relations": [[4]]}, "d": []},
+            "id": {"type": "onemor", "src": "M", "dst": "M",
+                   "f1": [], "f0": [[1]]},
+            "R3": {"type": "resolution", "of": "M", "depth": 3},
+            "R2": {"type": "resolution", "of": "M", "depth": 2}}}
+        p = tmp_path / "z12.json"
+        p.write_text(json.dumps(doc))
+        for src, dst in (("R3", "R2"), ("R2", "R3")):
+            code, out, err = run_cli("compare", str(p), "id", src, dst)
+            assert code == 0, err
+            assert sorted(json.loads(out)["lift"]) == ["0", "1", "2", "3"]
+
     def test_derive(self):
         code, out, _ = run_cli("derive", CATALOG, "T2", "Zmod2",
                                "--degrees", "0..1", "--depth", "2")

@@ -266,6 +266,18 @@ class TestResolutionIndependence:
             w = resolution_independence(T2, catalog.z_mod(2), res1, res2, i)
             assert w.certified
 
+    @pytest.mark.parametrize("d1, d2, i", [(3, 2, 0), (2, 3, 0), (4, 2, 1)])
+    def test_unequal_depths_of_an_unterminated_resolution(self, d1, d2, i):
+        """Over Z/12 the resolution of M = [0 -> Z/12/(4)] never terminates,
+        so comparing resolutions of two depths resolves the shallower one
+        further; the comparison maps on L_i (- (x) Z/6) are mutually
+        inverse."""
+        r12 = RingSpec.Zmod(12)
+        m = TwoModule.discrete(FPModule.cyclic(r12, 4))
+        t6 = FunctorSpec.tensor_with(FPModule.cyclic(r12, 6))
+        w = resolution_independence(t6, m, resolve(m, d1), resolve(m, d2), i)
+        assert w.certified
+
     def test_free_with_distinct_cover_ranks(self):
         zf = catalog.z_free()
         res1 = resolve(zf, 2)

@@ -16,7 +16,6 @@ from twohom.exactlin import (
     det,
     hnf,
     hstack,
-    is_invertible,
     kernel_basis,
     kron,
     snf,
@@ -52,29 +51,47 @@ def all_columns(n, c):
 EXHAUSTIVE_NS = [*range(2, 10), 12]
 
 
+def assert_hermite_of(h, a):
+    """H is a row Hermite form of A: the same shape, the same row span (each
+    transpose solves for the other's), row echelon with zero rows last, and
+    the module docstring's pivot conventions: over Z pivots are positive,
+    over Z/n they divide n, and the entries above a pivot lie in
+    [0, pivot)."""
+    assert h.shape == a.shape and h.ring == a.ring
+    assert solve_many(a.transpose(), h.transpose()) is not None
+    assert solve_many(h.transpose(), a.transpose()) is not None
+    rows = h.tolists()
+    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    nonzero = [j for j in leads if j is not None]
+    assert leads[:len(nonzero)] == nonzero           # zero rows come last
+    assert nonzero == sorted(set(nonzero))           # strictly to the right
+    for i, j in enumerate(nonzero):
+        p = rows[i][j]
+        assert p > 0
+        if a.ring.is_modular:
+            assert a.ring.n % p == 0
+        assert all(0 <= rows[k][j] < p for k in range(i))
+
+
 class TestHNF:
     def test_gcd_column(self):
         a = mat([[4], [6]])
-        h, u = hnf(a)
+        h = hnf(a)
         assert h.tolists() == [[2], [0]]
-        assert u @ a == h
-        assert abs(det(u)) == 1
+        assert_hermite_of(h, a)
 
     def test_identity_fixed_point(self):
         a = Matrix.identity(ZZ, 2)
-        h, u = hnf(a)
-        assert h == a
-        assert u == a
+        assert hnf(a) == a
 
     def test_zero_matrix(self):
         a = mat([[0, 0]])
-        h, _ = hnf(a)
-        assert h.tolists() == [[0, 0]]
+        assert hnf(a).tolists() == [[0, 0]]
 
     def test_pivots_positive_and_reduced(self):
         a = mat([[2, 7], [0, 3]])
-        h, u = hnf(a)
-        assert u @ a == h
+        h = hnf(a)
+        assert_hermite_of(h, a)
         # pivot 3 in the second row; the entry above it lies in [0, 3)
         assert h.entry(0, 0) > 0
         assert 0 <= h.entry(0, 1) < h.entry(1, 1)
@@ -82,9 +99,8 @@ class TestHNF:
     def test_zmod_pivots_divide_n(self):
         r = RingSpec.Zmod(12)
         a = Matrix.from_rows(r, [[4, 1], [6, 2]])
-        h, u = hnf(a)
-        assert u @ a == h
-        assert gcd(det(u), 12) == 1
+        h = hnf(a)
+        assert_hermite_of(h, a)
         for i in range(2):
             row = [h.entry(i, j) for j in range(2)]
             nz = [x for x in row if x]
@@ -118,9 +134,9 @@ class TestSNF:
                 assert d.shape == (r, c)
                 assert (u.shape, v.shape) == ((r, r), (c, c))
                 assert u @ a @ v == d
-                h, w = hnf(a)
-                assert h.shape == (r, c)
-                assert w @ a == h and w == Matrix.identity(ring, r)
+                h = hnf(a)
+                assert h == a
+                assert_hermite_of(h, a)
 
     def test_bignum_growth_stays_exact(self):
         # Hilbert-like matrices force large intermediate entries
@@ -187,23 +203,9 @@ def hnf_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(hnf_inputs())
 def test_hnf_properties_hypothesis(a):
-    """H = U A with U invertible, H in row echelon form, and the module
-    docstring's pivot conventions: over Z pivots are positive, over Z/n
-    they divide n, and the entries above a pivot lie in [0, pivot)."""
-    h, u = hnf(a)
-    assert u @ a == h
-    assert is_invertible(u)
-    rows = h.tolists()
-    leads = [next((j for j, x in enumerate(row) if x), None) for row in rows]
-    nonzero = [j for j in leads if j is not None]
-    assert leads[:len(nonzero)] == nonzero           # zero rows come last
-    assert nonzero == sorted(set(nonzero))           # strictly to the right
-    for i, j in enumerate(nonzero):
-        p = rows[i][j]
-        assert p > 0
-        if a.ring.is_modular:
-            assert a.ring.n % p == 0
-        assert all(0 <= rows[k][j] < p for k in range(i))
+    """H spans the rows of A, is in row echelon form and keeps the module
+    docstring's pivot conventions (``assert_hermite_of``)."""
+    assert_hermite_of(hnf(a), a)
 
 
 class TestSolve:
@@ -286,7 +288,7 @@ def test_snf_properties_zmod_hypothesis(a):
     n = a.ring.n
     d, u, v = snf(a)
     assert u @ a @ v == d
-    assert is_invertible(u) and is_invertible(v)
+    assert gcd(det(u), n) == 1 and gcd(det(v), n) == 1
     assert all(d.entry(i, j) == 0 for i in range(d.rows)
                for j in range(d.cols) if i != j)
     diag = [d.entry(i, i) for i in range(min(d.rows, d.cols))]
@@ -332,14 +334,6 @@ def test_matrix_immutability_and_hash():
     assert hash(a) == hash(mat([[1, 2], [3, 4]]))
 
 
-def test_is_invertible():
-    assert is_invertible(mat([[1, 1], [0, -1]]))
-    assert not is_invertible(mat([[2, 0], [0, 1]]))
-    r6 = RingSpec.Zmod(6)
-    assert is_invertible(Matrix.from_rows(r6, [[5]]))
-    assert not is_invertible(Matrix.from_rows(r6, [[2]]))
-
-
 def assert_read_only_canonical(m):
     assert not m.arr.flags.writeable
     for x in m.arr.flat:
@@ -357,11 +351,10 @@ def test_library_results_are_read_only_and_canonical(ring):
                       [rng.randint(-20, 20) for _ in range(rows * cols)])
 
     a, b = fresh(3, 4), fresh(3, 4)
-    for letters, form in (("DUV", snf), ("HU", hnf)):
-        for order in itertools.permutations(letters):
-            m = Matrix(ring, 3, 4, a.arr)   # no memo: eliminated anew
-            for letter in order:
-                assert_read_only_canonical(*form(m, letter))
+    for order in itertools.permutations("DUV"):
+        m = Matrix(ring, 3, 4, a.arr)   # no memo: eliminated anew
+        for letter in order:
+            assert_read_only_canonical(*snf(m, letter))
     x = solve_many(a, a @ fresh(4, 2))
     assert x is not None
     made = [kernel_basis(a), x, a @ b.transpose(), a + b, a - b, -a,
@@ -369,7 +362,7 @@ def test_library_results_are_read_only_and_canonical(ring):
             unvec(vec(a), 3, 4), hstack([a, b]), vstack([a, b]),
             block_diag([a, b]), Matrix.zeros(ring, 2, 3),
             Matrix.identity(ring, 3), a[1:3], a[:2, 1:], a[:0],
-            column_basis(a)]
+            column_basis(a), hnf(a)]
     for m in made:
         assert_read_only_canonical(m)
 
@@ -396,7 +389,7 @@ def test_column_basis_is_the_transposed_hermite_form(ring):
         a = Matrix(ring, rows, cols,
                    [rng.choice([0, 0, rng.randint(-9, 9)])
                     for _ in range(rows * cols)])
-        h, = hnf(a.transpose(), "H")
+        h = hnf(a.transpose())
         k = sum(not h[i:i + 1].is_zero() for i in range(h.rows))
         assert column_basis(a) == h[:k].transpose(), (rows, cols)
 

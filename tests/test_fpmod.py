@@ -246,16 +246,6 @@ def test_hom_basis_members_are_valid(a, b):
         assert is_valid_mor(ModMor(src, dst, t, check=False))
 
 
-def test_normal_form_presentation_for_reports():
-    from twohom.fpmod import normal_form_presentation
-
-    messy = FPModule(ZZ, 3, m([[2, 4, 0], [0, 6, 0], [0, 0, 0]]))
-    clean = normal_form_presentation(messy)
-    assert invariant_factors(clean) == invariant_factors(messy)
-    # canonical: diagonal relations, torsion first, free ranks as bare gens
-    assert clean.rel.cols == len([d for d in invariant_factors(messy) if d])
-
-
 def test_a_module_equals_itself_without_comparing_matrices(monkeypatch):
     a = FPModule(ZZ, 2, m([[2, 0], [0, 3]]))
 

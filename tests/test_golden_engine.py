@@ -89,7 +89,7 @@ def engine_digest():
     todo = cases()
     for a, b in todo:
         h.update(f"{a.ring}|".encode())
-        for m in (*snf(a), *hnf(a, "H"), kernel_basis(a)):
+        for m in (*snf(a), hnf(a), kernel_basis(a)):
             _feed(h, m)
         x = solve_many(a, b)
         if x is None:
@@ -111,22 +111,25 @@ def _fresh(a):
     return Matrix(a.ring, a.rows, a.cols, a.arr)
 
 
-WANTS = ["D", "DV", "DUV"]
+FORMS = [(snf, "DUV", ["D", "DV", "DUV"])]
 
 
-def test_every_want_returns_the_full_call_matrices():
+@pytest.mark.parametrize("fn, full, wants", FORMS, ids=["snf"])
+def test_every_want_returns_the_full_call_matrices(fn, full, wants):
     """Each want, asked alone, narrow first then wide, or wide first then
     narrow, each time on a fresh copy, returns the matrices of the full
     call, in the order that want names them."""
     for a, _ in cases():
-        named = dict(zip("DUV", snf(_fresh(a))))
-        for seq in [[w] for w in WANTS] + [WANTS, WANTS[::-1]]:
+        named = dict(zip(full, fn(_fresh(a))))
+        for seq in [[w] for w in wants] + [wants, wants[::-1]]:
             b = _fresh(a)
             for want in seq:
-                assert snf(b, want) == tuple(named[k] for k in want)
+                assert fn(b, want) == tuple(named[k] for k in want)
 
 
-def test_a_wider_request_replays_and_never_eliminates_again(monkeypatch):
+@pytest.mark.parametrize("fn, full, wants", FORMS, ids=["snf"])
+def test_a_wider_request_replays_and_never_eliminates_again(
+        fn, full, wants, monkeypatch):
     """Narrow then wide runs the pivot search exactly as often as one full
     call, and keeps the memo object: the wider result is replayed from the
     log, not eliminated a second time."""
@@ -135,13 +138,13 @@ def test_a_wider_request_replays_and_never_eliminates_again(monkeypatch):
     monkeypatch.setattr(exactlin, "_pivot",
                         lambda *args: calls.append(1) or pivot(*args))
     for a, _ in cases():
-        snf(_fresh(a))
+        fn(_fresh(a))
         once = len(calls)
         b = _fresh(a)
-        snf(b, WANTS[0])
+        fn(b, wants[0])
         kept = b._snf
-        for want in WANTS[1:]:
-            snf(b, want)
+        for want in wants[1:]:
+            fn(b, want)
         assert len(calls) == 2 * once
         assert b._snf is kept
         calls.clear()

@@ -115,7 +115,7 @@ def test_checker_flags_a_dead_assignment():
 
 
 def _discarded_transforms(tree: ast.Module) -> list:
-    """Line of each ``snf(...)`` or ``hnf(...)`` result unpacked into ``_``:
+    """Line of each ``snf(...)`` result unpacked into ``_``:
     a transform built only to be thrown away, where a narrower ``want``
     would skip it."""
     out = []
@@ -124,7 +124,7 @@ def _discarded_transforms(tree: ast.Module) -> list:
             continue
         func = node.value.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in ("snf", "hnf") and any(
+        if name == "snf" and any(
                 isinstance(t, (ast.Tuple, ast.List)) and any(
                     isinstance(e, ast.Name) and e.id == "_" for e in t.elts)
                 for t in node.targets):
@@ -135,14 +135,14 @@ def _discarded_transforms(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_transform_built_to_be_discarded(path):
     lines = _discarded_transforms(ast.parse(path.read_text(encoding="utf-8")))
-    assert not lines, f"{path.name} discards snf/hnf results at lines {lines}"
+    assert not lines, f"{path.name} discards snf results at lines {lines}"
 
 
 def test_checker_flags_a_discarded_transform():
     tree = ast.parse(
-        "h, _ = hnf(a)\n"                   # flagged
+        "d, _ = snf(a, 'DU')\n"             # flagged
         "d, = snf(a, 'D')\n"                # asks only for D
-        "_, u = exactlin.hnf(a)\n"          # flagged
+        "_, u = exactlin.snf(a, 'DU')\n"    # flagged
         "d, u, v = snf(a)\n"                # reads every matrix
         "[d, _, v] = snf(a)\n"              # flagged
         "_ = len(a)\n")                     # not a normal form

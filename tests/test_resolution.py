@@ -8,6 +8,7 @@ from twohom.fpmod import FPModule, ModMor
 from twohom.twomod import (
     OneMor,
     TwoModule,
+    biproduct,
     compose,
     is_essentially_surjective,
     is_extension,
@@ -28,7 +29,6 @@ from twohom.resolution import (
     homotopy_between_lifts,
     horseshoe,
     lift_through,
-    pad_resolution,
     perturb_lift,
     product_resolution,
     resolve,
@@ -175,7 +175,7 @@ def _kernel_mats(k):
 
 
 class TestStageLoop:
-    """resolve and pad_resolution run one stage loop."""
+    """resolve and every deepening of a resolution run one stage loop."""
 
     DEPTH = 3
 
@@ -216,19 +216,21 @@ class TestStageLoop:
             # depth 0 has no stage 1, so its augmentation cell is zero
             assert resolve(m, 0).aug_cell_s.mat.is_zero()
 
-    def test_padding_a_terminated_resolution_is_resolving_deeper(self):
-        padded = 0
+    def test_extending_is_resolving_deeper(self):
+        """Extending resolve(m, d) to depth D, as compare does to the
+        shallower side, gives resolve(m, D), stage for stage, whether
+        resolve(m, d) has terminated or not."""
+        seen = set()
         for m in _stage_loop_inputs():
             full = resolve(m, self.DEPTH)
             for d in range(self.DEPTH):
                 res = resolve(m, d)
-                if not res.terminated:
-                    continue
-                pad = pad_resolution(res, self.DEPTH)
-                assert pad.depth == self.DEPTH and pad.terminated
-                assert _stages(pad, self.DEPTH) == _stages(full, self.DEPTH)
-                padded += 1
-        assert padded > 0
+                ext = compare(OneMor.identity(m), res, full).res_src
+                assert ext.depth == self.DEPTH
+                assert ext.terminated == full.terminated
+                assert _stages(ext, self.DEPTH) == _stages(full, self.DEPTH)
+                seen.add(res.terminated)
+        assert seen == {False, True}
 
 
 class TestCompare:
@@ -261,6 +263,20 @@ class TestCompare:
         lift = compare(catalog.projection(), res_src, res_dst)
         ok, why = validate_chain_mor(lift.as_chain_mor())
         assert ok, why
+
+    def test_mixed_depths_resolve_the_shallower_further(self):
+        """Over Z/12 the resolution of M = [0 -> Z/12/(4)] never terminates,
+        so the shallower side must be resolved further, not padded with
+        zero stages, which are no resolution."""
+        r12 = RingSpec.Zmod(12)
+        m = TwoModule.discrete(FPModule.cyclic(r12, 4))
+        deep, shallow = resolve(m, 3), resolve(m, 2)
+        assert not deep.terminated
+        for src, dst in ((deep, shallow), (shallow, deep)):
+            lift = compare(OneMor.identity(m), src, dst)
+            ok, why = validate_chain_mor(lift.as_chain_mor())
+            assert ok, why
+            assert lift.res_src.depth == lift.res_dst.depth == 3
 
 
 class TestHomotopyBetweenLifts:
@@ -297,6 +313,12 @@ class TestHomotopyBetweenLifts:
             assert ok, why
 
 
+def _z12_split_ends():
+    """[0 -> Z/12/(4)] and [0 -> Z/12/(6)], whose resolutions never stop."""
+    r12 = RingSpec.Zmod(12)
+    return tuple(TwoModule.discrete(FPModule.cyclic(r12, k)) for k in (4, 6))
+
+
 class TestProductResolution:
     def test_product_with_zero(self):
         res = resolve(catalog.z_mod(2), 2)
@@ -320,6 +342,15 @@ class TestProductResolution:
                                      resolve(catalog.z_free(), 2))
         assert prod.modules[0].M0.gens == 2
         assert all(p.M0.gens == 0 for p in prod.modules[1:])
+
+    def test_unequal_depths_stay_a_resolution(self):
+        # over Z/12 neither factor's resolution terminates, so the shallower
+        # one is resolved further; zero stages would break exactness at P_1
+        a, c = _z12_split_ends()
+        prod, _ = product_resolution(resolve(a, 3), resolve(c, 2))
+        assert prod.depth == 3
+        ok, why = validate_resolution(prod)
+        assert ok, why
 
 
 class TestHorseshoe:
@@ -387,6 +418,20 @@ class TestHorseshoe:
         res_b, _, _ = horseshoe(f, phi, g, resolve(zf, 2), resolve(zero, 2))
         ok, why = validate_resolution(res_b)
         assert ok, why
+
+    def test_unequal_depths_stay_a_resolution(self):
+        a, c = _z12_split_ends()
+        bp = biproduct(a, c)
+        f, g = bp.inj1, bp.proj2
+        phi = zero_null_homotopy(compose(f, g))
+        for da, dc in ((3, 2), (2, 3)):
+            res_b, i_mor, p_mor = horseshoe(f, phi, g, resolve(a, da),
+                                            resolve(c, dc))
+            assert res_b.depth == 3
+            for ok, why in (validate_resolution(res_b),
+                            validate_chain_mor(i_mor),
+                            validate_chain_mor(p_mor)):
+                assert ok, (da, dc, why)
 
     def test_non_extension_rejected(self):
         zf = catalog.z_free()
