@@ -75,11 +75,9 @@ WorkspaceObject = Union[FPModule, Matrix, TwoModule, OneMor, TwoMor,
 
 
 class Workspace:
-    def __init__(self, ring: RingSpec, objects: Dict[str, WorkspaceObject],
-                 raw: dict):
+    def __init__(self, ring: RingSpec, objects: Dict[str, WorkspaceObject]):
         self.ring = ring
         self.objects = objects
-        self.raw = raw
 
     def get(self, name: str, kinds=None, where: str = "this command"):
         if name not in self.objects:
@@ -178,7 +176,7 @@ def load_doc(doc: dict) -> Workspace:
     raw_objects = doc.get("objects", {})
     if not isinstance(raw_objects, dict):
         raise ParseFailure("objects must be a mapping")
-    ws = Workspace(ring, {}, doc)
+    ws = Workspace(ring, {})
     resolving: List[str] = []
 
     def build(ref, kinds, where: str):
@@ -303,47 +301,6 @@ def _module(ring: RingSpec, spec, build, where: str) -> FPModule:
                         cols=_opt_int(spec.get("relation_count"), where),
                         where=where)
     return FPModule(ring, gens, rel)
-
-
-# ---------------------------------------------------------------------------
-# serialization (round-trip)
-# ---------------------------------------------------------------------------
-
-def _ser_ring(ring: RingSpec):
-    return {"kind": "Z"} if not ring.is_modular else {"kind": "Zmod",
-                                                      "n": ring.n}
-
-
-def serialize(ws: Workspace) -> dict:
-    objects = {}
-    for name, obj in ws.objects.items():
-        objects[name] = _ser_object(ws, name, obj)
-    return {"format": 1, "ring": _ser_ring(ws.ring), "objects": objects}
-
-
-def _ser_object(ws: Workspace, name: str, obj):
-    raw = ws.raw.get("objects", {}).get(name, {})
-    if isinstance(obj, Matrix):
-        return {"type": "matrix", "rows": obj.rows, "cols": obj.cols,
-                "entries": obj.tolists()}
-    if isinstance(obj, FPModule):
-        return {"type": "module", "gens": obj.gens,
-                "relation_count": obj.rel.cols,
-                "relations": obj.rel.tolists()}
-    if isinstance(obj, TwoModule):
-        return {"type": "twomodule",
-                "M1": {"gens": obj.M1.gens, "relations": obj.M1.rel.tolists()},
-                "M0": {"gens": obj.M0.gens, "relations": obj.M0.rel.tolists()},
-                "d": obj.d.mat.tolists()}
-    if isinstance(obj, OneMor):
-        return {"type": "onemor", "src": raw.get("src"), "dst": raw.get("dst"),
-                "f1": obj.f1.mat.tolists(), "f0": obj.f0.mat.tolists()}
-    if isinstance(obj, TwoMor):
-        return {"type": "twomor", "from": raw.get("from"),
-                "to": raw.get("to"), "s": obj.s.mat.tolists()}
-    if isinstance(obj, (Complex2, FunctorSpec, Resolution, partial, tuple)):
-        return dict(raw)
-    raise ValidationFailure(f"cannot serialize {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,22 @@ target M (``module(-1)``), F_0 is ``aug`` (``f(0)``, the first
 differential), the augmentation cell is alpha_2, a comparison lift of
 h: M -> N has H_{-1} = h (``lift(-1)``), and for every n >= 0 stage kernel n
 is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
+
+Every resolution comes out of one stage loop, ``_extend``, started from a
+depth-0 resolution: stage n covers stage kernel n - 1.  ``resolve`` covers
+it freely; ``horseshoe`` covers the middle of an extension by P_n (+) Q_n,
+with the covers of the ends carried in through the maps of stage kernels
+(Weibel, Horseshoe Lemma 2.2.8), and ``product_resolution`` is the
+horseshoe of a split extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactlin import Matrix, block, hstack, solve_many, vstack
+from .exactlin import Matrix, hstack, solve_many
 from .fpmod import (
-    FPModule,
     ModMor,
     compose as mcompose,
     equal_mor,
@@ -42,15 +48,15 @@ from .twomod import (
     is_extension,
     is_pi_trivial,
     null_homotopy,
-    oplus,
     relative_kernel,
     rk_factorize,
     whisker_right,
+    zero_null_homotopy,
 )
 
 
 class ResolutionError(ValueError):
-    """A lift or horseshoe solve failed; the input data is not what it claims."""
+    """A lift failed; the input data is not what it claims."""
 
 
 def free_mor(p: TwoModule, dst: TwoModule, f0: Matrix) -> OneMor:
@@ -138,11 +144,25 @@ class Resolution:
         return self._augmented
 
 
-def _extend(res: Resolution, depth: int) -> Resolution:
+def _start(target: TwoModule, p0: TwoModule, aug: OneMor) -> Resolution:
+    """The depth-0 resolution of target whose augmentation is the
+    essentially surjective aug: P_0 -> target."""
+    c = Complex2(target.ring, [target, p0], [aug])
+    k0 = relative_kernel(aug, c.alpha(1), c.diff(0))
+    return Resolution(c, [k0], [], is_pi_trivial(k0.K))
+
+
+Stage = Callable[[int, RelKernelResult], Tuple[TwoModule, OneMor]]
+
+
+def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
+            ) -> Resolution:
     """The stage loop: res resolved on to the given depth, so that
     ``_extend(resolve(m, d), D)`` is ``resolve(m, D)``.  Stage n covers the
-    relative kernel of F_{n-1}; once that kernel is pi-trivial the
-    resolution has terminated and every further stage is zero."""
+    relative kernel of F_{n-1}: ``stage(n, Ker_{n-1})`` returns P_n and its
+    essentially surjective cover of Ker_{n-1}, the free cover when stage is
+    None.  Once a stage kernel is pi-trivial the resolution has terminated
+    and every further stage is zero."""
     if depth <= res.depth:
         return res
     c = res.augmented()
@@ -154,8 +174,10 @@ def _extend(res: Resolution, depth: int) -> Resolution:
         if terminated:
             pn = TwoModule.zero(c.ring)
             cover = OneMor.zero(pn, prev_k.K)
-        else:
+        elif stage is None:
             pn, cover = free_cover(prev_k.K)
+        else:
+            pn, cover = stage(n, prev_k)
         mods.append(pn)
         diffs.append(compose(cover, prev_k.e))   # F_n, in degree n + 1
         witnesses.append(cover)
@@ -173,37 +195,13 @@ def _extend(res: Resolution, depth: int) -> Resolution:
 def resolve(m: TwoModule, depth: int) -> Resolution:
     """Build a projective resolution of m to the given depth.
 
-    Each stage covers the relative kernel of the previous differential;
-    construction stops early (padding with zeros) once that kernel is
-    pi-trivial, which over Z always happens by stage M.M0.gens-ish.
+    Each stage freely covers the relative kernel of the previous
+    differential.  Resolution stops at the first pi-trivial stage kernel:
+    every later stage is zero, and ``terminated`` is set.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    p0, aug = free_cover(m)
-    base = assemble_resolution(m, [p0], [], aug,
-                               ModMor.zero(FPModule.zero(m.ring), m.M1))
-    return _extend(base, depth)
-
-
-def assemble_resolution(target: TwoModule, modules: List[TwoModule],
-                        diffs: List[OneMor], aug: OneMor,
-                        aug_cell_s: ModMor) -> Resolution:
-    """Wrap explicit resolution data, recomputing kernels and witnesses.
-
-    The witness at stage n is the canonical factorization of F_{n+1}
-    through the stage-n relative kernel.
-    """
-    alphas = {2: aug_cell_s} if len(modules) > 1 else {}
-    res = Resolution(Complex2(target.ring, [target] + modules, [aug] + diffs,
-                              alphas), [], [], False)
-    for n in range(res.depth + 1):
-        cell = res.cell(n)
-        if n >= 1:
-            w, _ = rk_factorize(res.kernels[n - 1], res.f(n), cell)
-            res.witnesses.append(w)
-        res.kernels.append(relative_kernel(res.f(n), cell, res.f(n - 1)))
-    res.terminated = is_pi_trivial(res.kernels[-1].K)
-    return res
+    return _extend(_start(m, *free_cover(m)), depth)
 
 
 def validate_resolution(res: Resolution) -> Tuple[bool, str]:
@@ -369,26 +367,19 @@ def perturb_lift(l: ComparisonLift, xs: Dict[int, Matrix]) -> ComparisonLift:
 
 def product_resolution(res_a: Resolution, res_b: Resolution
                        ) -> Tuple[Resolution, BiproductResult]:
-    """Degreewise biproduct of two resolutions, resolving the biproduct."""
-    if res_a.target.ring != res_b.target.ring:
-        raise ResolutionError("product over different rings")
-    depth = max(res_a.depth, res_b.depth)
-    a = _extend(res_a, depth).augmented()
-    b = _extend(res_b, depth).augmented()
-    bps = [biproduct(a.module(k), b.module(k)) for k in range(depth + 2)]
-    mods = [bp.total for bp in bps]
-    diffs = [oplus(a.diff(k), b.diff(k), mods[k], mods[k - 1])
-             for k in range(1, depth + 2)]
-    cell_src = mods[2].M0 if depth >= 1 else FPModule.zero(a.ring)
-    cell = oplus(a.alpha_s(2), b.alpha_s(2), cell_src, mods[0].M1)
-    res = assemble_resolution(mods[0], mods[1:], diffs[1:], diffs[0], cell)
-    return res, bps[0]
+    """The horseshoe resolution of the split extension of the biproduct of
+    the two targets."""
+    bp = biproduct(res_a.target, res_b.target)
+    res, _, _ = horseshoe(bp.inj1, zero_null_homotopy(compose(bp.inj1, bp.proj2)),
+                          bp.proj2, res_a, res_b)
+    return res, bp
 
 
 def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
               res_a: Resolution, res_c: Resolution
               ) -> Tuple[Resolution, ChainMor, ChainMor]:
-    """Resolve the middle of an extension A -> B -> C by P_n (+) Q_n.
+    """Resolve the middle of an extension A -> B -> C by P_n (+) Q_n in the
+    stage loop, so that F^B_n = [[F^A_n, h_n], [0, F^C_n]] on the nose.
 
     Returns (res_b, i, p) where i and p are the strict block chain
     morphisms P -> K and K -> Q of the degreewise-split extension.
@@ -398,71 +389,51 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
     A, B, C = F.src, F.dst, G.dst
     if res_a.target != A or res_c.target != C:
         raise ResolutionError("resolutions do not resolve the extension ends")
-    ring = B.ring
     depth = max(res_a.depth, res_c.depth)
     res_a, res_c = _extend(res_a, depth), _extend(res_c, depth)
+    bps = [biproduct(res_a.module(n), res_c.module(n))
+           for n in range(depth + 1)]
     ell, sigma0 = lift_through(res_c.module(0), res_c.aug, G)
-    stage_bp = [biproduct(res_a.module(n), res_c.module(n))
-                for n in range(depth + 1)]
-    modules = [bp.total for bp in stage_bp]
-    f_aug_a = mcompose(res_a.aug.f0, F.f0).mat  # P_0.M0 -> B.M0
-    aug = free_mor(modules[0], B, hstack([f_aug_a, ell.f0.mat]))
-    cell_a = mcompose(res_a.aug_cell_s, F.f1).mat  # P_1.M0 -> B.M1
-    hs: Dict[int, Matrix] = {}  # h_n.f0 : Q_n.M0 -> P_{n-1}.M0
-    diffs: List[OneMor] = []
-    for n in range(1, depth + 1):
-        pa = res_a.module(n)
-        n_h = res_a.module(n - 1).M0.gens
-        nq = res_c.f(n).f0.mat
+    aug = free_mor(bps[0].total, B,
+                   hstack([mcompose(res_a.aug.f0, F.f0).mat, ell.f0.mat]))
+    # lam_0: G∘aug => aug_C∘p_0, from phi on P_0 and sigma0 on Q_0; a map
+    # out of the free P_0 (+) Q_0, so unchecked
+    lam0 = ModMor(bps[0].total.M0, C.M1,
+                  hstack([mcompose(res_a.aug.f0, phi.s).mat, sigma0.s.mat]),
+                  check=False)
+    inj = lambda n: bps[n].inj1 if n >= 0 else F    # i, with i_{-1} = F
+    proj = lambda n: bps[n].proj2 if n >= 0 else G  # p, with p_{-1} = G
+
+    # Stage n covers Ker_{n-1}(B) by P_n (+) Q_n.  Its two cells are
+    # unchecked, as proved here: i and p are strict chain maps through stage
+    # n - 1 (F^B_k is block triangular for 1 <= k < n, aug∘i_0 = F∘aug_A and
+    # G∘aug = aug_C∘p_0 + d_C∘lam_0), and stages have no degree-1 generators
+    def stage(n: int, kb: RelKernelResult) -> Tuple[TwoModule, OneMor]:
+        # P-column: F^A_n then i_{n-1} factors through Ker_{n-1}(B) along
+        # A's cell(n) whiskered by i_{n-2}
+        e_a = compose(res_a.f(n), inj(n - 1))
+        psi_a = null_homotopy(compose(e_a, kb.F), mcompose(
+            res_a.augmented().alpha_s(n + 1), inj(n - 2).f1), check=False)
+        p_col, _ = rk_factorize(kb, e_a, psi_a)
+        # Q-column: e^B then p_{n-1} factors through Ker_{n-1}(C) along eps^B
+        # whiskered by p_{n-2}, less lam_0∘to_a at n = 1, and C's cover
+        # lifts through that map of stage kernels
+        kc = res_c.kernels[n - 1]
+        e_c = compose(kb.e, proj(n - 1))
+        s_c = mcompose(kb.to_b, proj(n - 2).f1)
         if n == 1:
-            # the Q-column (h, s) must land in Ker(aug_B) *and* lift the
-            # C-side witness through the induced kernel projection:
-            #   f_aug_a h + d_B s + rel z1           = -(ell ∘ N_1)
-            #   G.f1 s          + rel z2             = bC - sigma0 ∘ N_1
-            # where bC is the C.M1-witness carried by res_c's stage cover.
-            b_c = mcompose(res_c.witnesses[0].f0, res_c.kernels[0].to_b).mat
-            system = block([
-                [f_aug_a, B.d.mat, B.M0.rel,
-                 Matrix.zeros(ring, B.M0.gens, C.M1.rel.cols)],
-                [Matrix.zeros(ring, C.M1.gens, n_h), G.f1.mat,
-                 Matrix.zeros(ring, C.M1.gens, B.M0.rel.cols), C.M1.rel],
-            ])
-            rhs = vstack([-(ell.f0.mat @ nq), b_c - (sigma0.s.mat @ nq)])
-        else:
-            # Q-column of d_{n-1}∘d_n = 0:  N'_{n-1} h_n = -(h_{n-1} N_n)
-            system = res_a.f(n - 1).f0.mat
-            rhs = -(hs[n - 1] @ nq)
-            if n == 2:
-                # also keep the augmentation cell compatible:
-                # (F.f1 ∘ cellA.s) * h + s_1 * N_2 = 0 (mod B.M1 relations)
-                system = hstack([
-                    vstack([system, cell_a]),
-                    vstack([Matrix.zeros(ring, system.rows, B.M1.rel.cols),
-                            B.M1.rel])])
-                rhs = vstack([rhs, -(cell_q @ nq)])
-        sol = solve_many(system, rhs)
-        if sol is None:
-            raise ResolutionError(f"horseshoe stage-{n} solve failed")
-        hs[n] = sol[:n_h]
-        if n == 1:
-            cell_q = sol[n_h: n_h + B.M1.gens]  # s_1 : Q_1.M0 -> B.M1
-        diffs.append(free_mor(modules[n], modules[n - 1],
-                              block([[res_a.f(n).f0.mat, hs[n]],
-                                     [Matrix.zeros(ring, nq.rows, pa.M0.gens),
-                                      nq]])))
-    if depth >= 1:
-        aug_cell = ModMor(modules[1].M0, B.M1, hstack([cell_a, cell_q]),
-                          check=False)
-    else:
-        aug_cell = ModMor.zero(FPModule.zero(ring), B.M1)
-    res_b = assemble_resolution(B, modules, diffs, aug, aug_cell)
-    # strict block chain morphisms P -> K and K -> Q
-    i_fs = {n: OneMor(res_a.module(n), modules[n],
-                      stage_bp[n].inj1.f1, stage_bp[n].inj1.f0, check=False)
-            for n in range(depth + 1)}
-    p_fs = {n: OneMor(modules[n], res_c.module(n),
-                      stage_bp[n].proj2.f1, stage_bp[n].proj2.f0, check=False)
-            for n in range(depth + 1)}
-    i_mor = ChainMor.strict(res_a.complex(), res_b.complex(), i_fs)
-    p_mor = ChainMor.strict(res_b.complex(), res_c.complex(), p_fs)
+            s_c = s_c - mcompose(kb.to_a, lam0)
+        pc, _ = rk_factorize(kc, e_c,
+                             null_homotopy(compose(e_c, kc.F), s_c, check=False))
+        q_col, _ = lift_through(res_c.module(n), res_c.witnesses[n - 1], pc)
+        return bps[n].total, free_mor(bps[n].total, kb.K, hstack(
+            [p_col.f0.mat, q_col.f0.mat]))
+
+    res_b = _extend(_start(B, bps[0].total, aug), depth, stage)
+    # strict block chain morphisms P -> K and K -> Q: stage n of res_b is
+    # bps[n].total, or the zero module equal to it once both ends terminated
+    i_mor = ChainMor.strict(res_a.complex(), res_b.complex(),
+                            {n: bp.inj1 for n, bp in enumerate(bps)})
+    p_mor = ChainMor.strict(res_b.complex(), res_c.complex(),
+                            {n: bp.proj2 for n, bp in enumerate(bps)})
     return res_b, i_mor, p_mor

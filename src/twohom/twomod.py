@@ -309,23 +309,14 @@ class BiproductResult:
     proj2: OneMor
 
 
-def oplus(f: ModMor | OneMor, g: ModMor | OneMor, src, dst) -> ModMor | OneMor:
-    """The direct sum f (+) g: src -> dst of two module maps or two
-    1-morphisms, where src and dst are the direct sums of their sources
-    and of their targets: block diagonal in every component."""
-    if isinstance(f, OneMor):
-        return OneMor(src, dst, oplus(f.f1, g.f1, src.M1, dst.M1),
-                      oplus(f.f0, g.f0, src.M0, dst.M0), check=False)
-    return ModMor(src, dst, block_diag([f.mat, g.mat]), check=False)
-
-
 def biproduct(a: TwoModule, b: TwoModule) -> BiproductResult:
     """Degreewise direct sum with the canonical injections/projections."""
     if a.ring != b.ring:
         raise DimensionMismatch("biproduct over different rings")
     s1, i1a, i1b, p1a, p1b = direct_sum(a.M1, b.M1)
     s0, i0a, i0b, p0a, p0b = direct_sum(a.M0, b.M0)
-    total = TwoModule(s1, s0, oplus(a.d, b.d, s1, s0), check=False)
+    total = TwoModule(s1, s0, ModMor(s1, s0, block_diag([a.d.mat, b.d.mat]),
+                                     check=False), check=False)
     return BiproductResult(
         total,
         OneMor(a, total, i1a, i0a, check=False),

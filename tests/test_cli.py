@@ -16,7 +16,6 @@ from twohom.cli import (
     load,
     load_doc,
     main,
-    serialize,
 )
 from twohom.resolution import Resolution
 from twohom.twomod import TwoModule
@@ -68,14 +67,6 @@ class TestLoad:
         doc["objects"]["A"]["rows"] = "2"   # a decimal string is an integer
         assert load_doc(doc).objects["A"].shape == (2, 0)
 
-    def test_round_trip(self):
-        ws = load(CATALOG)
-        doc2 = serialize(ws)
-        ws2 = load_doc(doc2)
-        assert set(ws.objects) == set(ws2.objects)
-        doc3 = serialize(ws2)
-        assert json.dumps(doc2, sort_keys=True) == json.dumps(doc3, sort_keys=True)
-
     def test_zmod_ring_document(self):
         ws = load_doc({"format": 1, "ring": {"kind": "Zmod", "n": 6},
                        "objects": {"m": {"type": "module", "gens": 1,
@@ -106,13 +97,6 @@ class TestDeferredResolutions:
         assert isinstance(res, Resolution) and len(calls) == 1
         assert ws.get("resZ", Resolution) is res
         assert len(calls) == 1
-
-    def test_serialize_resolves_nothing(self, calls):
-        doc = json.load(open(CATALOG))
-        out = serialize(load_doc(doc))
-        assert out["objects"]["resZ"] == doc["objects"]["resZ"]
-        assert serialize(load_doc(out)) == out
-        assert len(calls) == 0
 
     def test_wrong_type_is_not_resolved(self, calls):
         ws = load(CATALOG)

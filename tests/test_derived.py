@@ -279,23 +279,18 @@ class TestResolutionIndependence:
         assert w.certified
 
     def test_free_with_distinct_cover_ranks(self):
+        """A fatter resolution of Z, from the rank-2 cover [1, 0]: the stage
+        loop covers its kernel by P_1 = Z with F_1 = [[0], [1]] and stops."""
+        from twohom.resolution import _extend, _start, validate_resolution
         zf = catalog.z_free()
         res1 = resolve(zf, 2)
-        # a fatter resolution of the same object: cover rank 2
-        from twohom.resolution import assemble_resolution
         p0 = TwoModule.free(ZZ, 2)
         aug = OneMor(p0, zf, ModMor.zero(p0.M1, zf.M1),
-                     ModMor(p0.M0, zf.M0, Matrix.from_rows(ZZ, [[1, 0]]),
-                            check=False))
-        p1 = TwoModule.free(ZZ, 1)
-        f1 = OneMor(p1, p0, ModMor.zero(p1.M1, p0.M1),
-                    ModMor(p1.M0, p0.M0, Matrix.from_rows(ZZ, [[0], [1]]),
-                           check=False))
-        p_zero = TwoModule.zero(ZZ)
-        f2 = OneMor.zero(p_zero, p1)
-        res2 = assemble_resolution(zf, [p0, p1, p_zero], [f1, f2], aug,
-                                   ModMor.zero(p1.M0, zf.M1))
-        from twohom.resolution import validate_resolution
+                     ModMor(p0.M0, zf.M0, Matrix.from_rows(ZZ, [[1, 0]])))
+        res2 = _extend(_start(zf, p0, aug), 2)
+        assert [p.M0.gens for p in res2.modules] == [2, 1, 0]
+        assert res2.f(1).f0.mat.tolists() == [[0], [1]]
+        assert res2.terminated
         ok, why = validate_resolution(res2)
         assert ok, why
         for i in (0, 1):

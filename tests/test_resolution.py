@@ -4,7 +4,7 @@ import pytest
 
 from twohom import catalog
 from twohom.exactlin import Matrix, RingSpec, ZZ
-from twohom.fpmod import FPModule, ModMor
+from twohom.fpmod import FPModule, InvalidMorphism, ModMor
 from twohom.twomod import (
     OneMor,
     TwoModule,
@@ -14,6 +14,7 @@ from twohom.twomod import (
     is_extension,
     one_mor_equal,
     pi_profile,
+    plain_kernel,
     relative_kernel,
     zero_null_homotopy,
 )
@@ -174,6 +175,17 @@ def _kernel_mats(k):
             k.to_b.mat, k.e.f1.mat, k.e.f0.mat, k.eps.s.mat]
 
 
+def _assert_stage_loop_contract(res):
+    """Stage kernel n is the kernel of F_n relative to cell(n), and F_n is
+    the stage-n witness followed by the inclusion of stage kernel n - 1."""
+    for n in range(res.depth + 1):
+        k = relative_kernel(res.f(n), res.cell(n), res.f(n - 1))
+        assert _kernel_mats(k) == _kernel_mats(res.kernels[n]), n
+        if n >= 1:
+            w = compose(res.witnesses[n - 1], res.kernels[n - 1].e)
+            assert w.f0.mat == res.f(n).f0.mat, n
+
+
 class TestStageLoop:
     """resolve and every deepening of a resolution run one stage loop."""
 
@@ -191,9 +203,7 @@ class TestStageLoop:
             # the resolution is its stored augmented complex, P_n in degree n + 1
             aug = res.augmented()
             assert aug is res.augmented() and aug.module(1) is res.module(0)
-            for n in range(res.depth + 1):
-                k = relative_kernel(res.f(n), res.cell(n), res.f(n - 1))
-                assert _kernel_mats(k) == _kernel_mats(res.kernels[n]), n
+            _assert_stage_loop_contract(res)
             h = OneMor.identity(m)
             lift = compare(h, res, res)
             assert lift.lift(-1) is h and -1 not in lift.hs
@@ -231,6 +241,21 @@ class TestStageLoop:
                 assert _stages(ext, self.DEPTH) == _stages(full, self.DEPTH)
                 seen.add(res.terminated)
         assert seen == {False, True}
+
+    def test_horseshoe_and_product_run_the_loop(self):
+        """horseshoe and product_resolution keep the contract of resolve."""
+        exts = [catalog.catalog_extension()]
+        exts += [_zp_extension(n, p) for n, p in ((4, 2), (9, 3), (27, 3))]
+        bp = biproduct(*_z12_split_ends())
+        exts.append((bp.inj1, zero_null_homotopy(compose(bp.inj1, bp.proj2)),
+                     bp.proj2))
+        for f, phi, g in exts:
+            res_a, res_c = resolve(f.src, self.DEPTH), resolve(g.dst, self.DEPTH)
+            res_b, _, _ = horseshoe(f, phi, g, res_a, res_c)
+            prod, _ = product_resolution(res_a, res_c)
+            for res in (res_b, prod):
+                assert res.depth == self.DEPTH
+                _assert_stage_loop_contract(res)
 
 
 class TestCompare:
@@ -319,6 +344,22 @@ def _z12_split_ends():
     return tuple(TwoModule.discrete(FPModule.cyclic(r12, k)) for k in (4, 6))
 
 
+def _zp_extension(n, p):
+    """[Z/p -> 0] -> [Z/n -p-> Z/n] -> [0 -> Z/p] over Z/n, for n = p^2 or
+    p^3."""
+    r = RingSpec.Zmod(n)
+    zp = FPModule(r, 1, Matrix.from_rows(r, [[p]]))
+    one, zero = FPModule.free(r, 1), FPModule.zero(r)
+    a = TwoModule(zp, zero, ModMor.zero(zp, zero))
+    b = TwoModule(one, one, ModMor(one, one, Matrix.from_rows(r, [[p]])))
+    c = TwoModule.discrete(zp)
+    f = OneMor(a, b, ModMor(zp, one, Matrix.from_rows(r, [[n // p]])),
+               ModMor.zero(zero, one))
+    g = OneMor(b, c, ModMor.zero(one, c.M1),
+               ModMor(one, zp, Matrix.from_rows(r, [[1]])))
+    return f, zero_null_homotopy(compose(f, g)), g
+
+
 class TestProductResolution:
     def test_product_with_zero(self):
         res = resolve(catalog.z_mod(2), 2)
@@ -353,6 +394,33 @@ class TestProductResolution:
         assert ok, why
 
 
+def _random_extension(rng, ring):
+    """A random extension Ker G -> B -> C: B a small 2-module, C.M0 cyclic
+    with at most one degree-1 generator, G essentially surjective."""
+    def mat(rows, cols):
+        return Matrix(ring, rows, cols,
+                      [rng.randint(-3, 3) for _ in range(rows * cols)])
+    while True:
+        g0, rc, g1 = rng.randint(1, 3), rng.randint(0, 2), rng.randint(0, 2)
+        b0, b1 = FPModule(ring, g0, mat(g0, rc)), FPModule.free(ring, g1)
+        b = TwoModule(b1, b0, ModMor(b1, b0, mat(g0, g1), check=False),
+                      check=False)
+        c0 = FPModule.cyclic(ring, rng.choice([0, 2, 3, 4, 6]))
+        c1 = FPModule.free(ring, rng.randint(0, 1))
+        c = TwoModule(c1, c0, ModMor(c1, c0, mat(1, c1.gens), check=False),
+                      check=False)
+        try:
+            g = OneMor(b, c, ModMor(b1, c1, mat(c1.gens, g1)),
+                       ModMor(b0, c0, mat(1, g0)))
+        except InvalidMorphism:
+            continue
+        if not is_essentially_surjective(g):
+            continue
+        k = plain_kernel(g)
+        if is_extension(k.e, k.eps, g):
+            return k.e, k.eps, g
+
+
 class TestHorseshoe:
     def test_catalog_extension(self):
         f, phi, g = catalog.catalog_extension()
@@ -374,21 +442,11 @@ class TestHorseshoe:
     def test_stage_two_keeps_the_augmentation_cell(self):
         # [Z/p -> 0] -> [Z/n -p-> Z/n] -> [0 -> Z/p] over Z/n with n = p^2 or
         # p^3: A's augmentation cell is nonzero, B has a degree-1 generator
-        # and C's resolution never stops, so the stage-2 solve must also
-        # keep B's augmentation cell compatible with d_1 d_2
+        # and C's resolution never stops, so stage 2 must also keep B's
+        # augmentation cell compatible with d_1 d_2
         for n, p in ((4, 2), (9, 3), (27, 3)):
-            r = RingSpec.Zmod(n)
-            zp = FPModule(r, 1, Matrix.from_rows(r, [[p]]))
-            one, zero = FPModule.free(r, 1), FPModule.zero(r)
-            a = TwoModule(zp, zero, ModMor.zero(zp, zero))
-            b = TwoModule(one, one, ModMor(one, one, Matrix.from_rows(r, [[p]])))
-            c = TwoModule.discrete(zp)
-            f = OneMor(a, b, ModMor(zp, one, Matrix.from_rows(r, [[n // p]])),
-                       ModMor.zero(zero, one))
-            g = OneMor(b, c, ModMor.zero(one, c.M1),
-                       ModMor(one, zp, Matrix.from_rows(r, [[1]])))
-            phi = zero_null_homotopy(compose(f, g))
-            res_a, res_c = resolve(a, 3), resolve(c, 3)
+            f, phi, g = _zp_extension(n, p)
+            res_a, res_c = resolve(f.src, 3), resolve(g.dst, 3)
             assert not res_a.aug_cell_s.mat.is_zero()
             assert res_c.module(2).M0.gens > 0
             res_b, i_mor, p_mor = horseshoe(f, phi, g, res_a, res_c)
@@ -432,6 +490,25 @@ class TestHorseshoe:
                             validate_chain_mor(i_mor),
                             validate_chain_mor(p_mor)):
                 assert ok, (da, dc, why)
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_random_non_split_extensions(self, ring):
+        """Ker G -> B -> C for a random essentially surjective G onto a
+        2-module C with cyclic C.M0, at depths 0, 2 and 3: B's stage n is
+        P_n (+) Q_n, and res_b, i and p validate."""
+        rng = random.Random(5)
+        for _ in range(20):
+            f, phi, g = _random_extension(rng, ring)
+            for depth in (0, 2, 3):
+                res_a, res_c = resolve(f.src, depth), resolve(g.dst, depth)
+                res_b, i_mor, p_mor = horseshoe(f, phi, g, res_a, res_c)
+                for ok, why in (validate_resolution(res_b),
+                                validate_chain_mor(i_mor),
+                                validate_chain_mor(p_mor)):
+                    assert ok, (depth, why)
+                assert [p.M0.gens for p in res_b.modules] == [
+                    res_a.module(n).M0.gens + res_c.module(n).M0.gens
+                    for n in range(depth + 1)]
 
     def test_non_extension_rejected(self):
         zf = catalog.z_free()

@@ -26,7 +26,8 @@ from twohom.fpmod import FPModule, ModMor
 from twohom.resolution import (compare, free_cover, free_mor, lift_through,
                                resolve, validate_resolution)
 from twohom.twomod import (OneMor, TwoModule, TwoMor, check_relative_two_exact,
-                           compose, relative_cokernel, zero_null_homotopy)
+                           compose, plain_kernel, relative_cokernel,
+                           zero_null_homotopy)
 
 ROOT = Path(__file__).resolve().parents[1]
 Z12 = RingSpec.Zmod(12)
@@ -38,6 +39,7 @@ SITES = {
     ("twomod.py", "rk_factorize"),        # E' and psi'
     ("twomod.py", "relative_cokernel"),   # the cell pi
     ("resolution.py", "lift_through"),    # sigma
+    ("resolution.py", "stage"),           # the horseshoe's psi_a and psi_c
     ("derived.py", "one_mor"),            # T(F) for a 1-morphism F
     ("derived.py", "image"),              # T(phi) for a 2-morphism phi
 }
@@ -83,9 +85,19 @@ def _cyclic_extension(ring, m, n):
     return f, zero_null_homotopy(compose(f, g)), g
 
 
+def _kernel_extension(ring):
+    """Ker(id) -> M --id--> M for M = [R -2-> R], where the kernel's cell is
+    nonzero and M.M0 is not."""
+    r = FPModule.free(ring, 1)
+    g = OneMor.identity(TwoModule(r, r, ModMor(r, r, Matrix.from_rows(ring, [[2]]))))
+    k = plain_kernel(g)
+    return k.e, k.eps, g
+
+
 def _extensions(ring):
     exts = [catalog.catalog_extension()] if ring == ZZ else []
-    return exts + [_cyclic_extension(ring, 2, 3), _cyclic_extension(ring, 2, 2)]
+    return exts + [_cyclic_extension(ring, 2, 3), _cyclic_extension(ring, 2, 2),
+                   _kernel_extension(ring)]
 
 
 def _check_resolution(res, t):
