@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache, partial
 from typing import Dict, List, Optional, Union
@@ -159,8 +160,14 @@ def load(path: str) -> Workspace:
     """Parse a workspace document and check every object (see load_doc)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_int=partial(_as_int, where="document"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:   # decoding errors are ValueErrors
+        # a JSON number over the int/str digit limit: CPython names its
+        # digit count, and the document is refused by it, never echoed
+        over = re.search(r"value has (\d+) digits", str(exc))
+        if over:
+            raise ParseFailure(f"document: an integer of {over[1]} digits "
+                               f"is over {_digit_limit()}") from None
         raise ParseFailure(f"cannot read document: {exc}") from exc
     return load_doc(doc)
 

@@ -36,6 +36,7 @@ from .fpmod import (
     sum_module,
 )
 from .twomod import (
+    CompatibilityError,
     OneMor,
     RelCokernelResult,
     RelKernelResult,
@@ -46,6 +47,7 @@ from .twomod import (
     pi_profile,
     relative_cokernel,
     relative_kernel,
+    rk_compatible,
     rk_factorize,
     whisker_left,
     whisker_right,
@@ -272,10 +274,18 @@ class HomologyData:
 
 
 def _homology(c: Complex2, n: int) -> HomologyData:
-    kr = relative_kernel(c.diff(n), c.alpha(n), c.diff(n - 1))
-    lp, _ = rk_factorize(kr, c.diff(n + 1), c.alpha(n + 1))
+    # Each construction skips the null-homotopy check, as its cell is built
+    # on the very composite it is checked against: c.alpha(k) on L_{k-1}∘L_k,
+    # and abar, checked as a cell, on L'_{n+1}∘L_{n+2}.  The coherence of c
+    # at n + 1 is checked, as no one need have validated c, unless alpha_n
+    # and alpha_{n+1} are zero cells, when it equates two zero maps.
+    kr = relative_kernel(c.diff(n), c.alpha(n), c.diff(n - 1), check=False)
+    e, psi = c.diff(n + 1), c.alpha(n + 1)
+    if {n, n + 1} & c.alphas.keys() and not rk_compatible(kr, e, psi):
+        raise CompatibilityError(f"the complex is not coherent at n={n + 1}")
+    lp, _ = rk_factorize(kr, e, psi, check=False)
     abar = null_homotopy(compose(c.diff(n + 2), lp), c.alpha_s(n + 2))
-    cr = relative_cokernel(c.diff(n + 2), abar, lp)
+    cr = relative_cokernel(c.diff(n + 2), abar, lp, check=False)
     return HomologyData(c, n, kr, lp, abar, cr, cr.Q)
 
 

@@ -629,21 +629,29 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
         raise DimensionMismatch("solve: ring mismatch")
     if B.cols == 0:
         return Matrix.zeros(A.ring, A.cols, 0)
+    smith = _smith_rhs(A, B)
+    if smith is None:
+        return None
+    Y, diag = smith
+    # Z/n: 0 <= y // d <= y < n
+    Xp = [[y // diag[i] for y in Y[i]] if i < len(diag) and diag[i]
+          else [0] * B.cols for i in range(A.cols)]
+    return _matrix(A.ring, A.cols, B.cols, A._snf.apply("V", Xp))
+
+
+def _smith_rhs(A: Matrix, B: Matrix):
+    """(U B, the Smith diagonal of A) when A X = B is solvable, else None:
+    D Y = U B is solvable iff each row of U B is divisible by its d_i, and
+    zero where d_i = 0 or past the diagonal.  Membership stops here, with
+    no X built."""
     D, = snf(A, "D")
     Y = A._snf.apply("U", B.arr.tolist())
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
-    Xp = [[0] * B.cols for _ in range(A.cols)]  # Z/n: 0 <= y // d <= y < n
     for i, row in enumerate(Y):
         d = diag[i] if i < len(diag) else 0
-        for c, y in enumerate(row):
-            if d == 0:
-                if y != 0:
-                    return None
-            else:
-                if y % d != 0:
-                    return None
-                Xp[i][c] = y // d
-    return _matrix(A.ring, A.cols, B.cols, A._snf.apply("V", Xp))
+        if any(row) if d == 0 else any(y % d for y in row):
+            return None
+    return Y, diag
 
 
 def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:

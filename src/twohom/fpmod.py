@@ -81,7 +81,7 @@ class FPModule:
         """Do the given columns lie in the relation span?"""
         if cols.rows != self.gens:
             raise DimensionMismatch("membership test on wrong-length columns")
-        return cols.is_zero() or solve_many(self.rel, cols) is not None
+        return cols.is_zero() or exactlin._smith_rhs(self.rel, cols) is not None
 
     def is_trivial(self) -> bool:
         return invariant_factors(self) == []

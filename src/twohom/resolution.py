@@ -148,7 +148,8 @@ def _start(target: TwoModule, p0: TwoModule, aug: OneMor) -> Resolution:
     """The depth-0 resolution of target whose augmentation is the
     essentially surjective aug: P_0 -> target."""
     c = Complex2(target.ring, [target, p0], [aug])
-    k0 = relative_kernel(aug, c.alpha(1), c.diff(0))
+    # unchecked, as c.alpha(1) is the zero cell of that very composite
+    k0 = relative_kernel(aug, c.alpha(1), c.diff(0), check=False)
     return Resolution(c, [k0], [], is_pi_trivial(k0.K))
 
 
@@ -182,11 +183,15 @@ def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
         diffs.append(compose(cover, prev_k.e))   # F_n, in degree n + 1
         witnesses.append(cover)
         # cell(n), whiskered from the previous kernel's cell: it defines the
-        # augmentation cell at n = 1, and F_{n-1}∘F_n = 0 needs no check
+        # augmentation cell at n = 1, and F_{n-1}∘F_n = 0 needs no check.
+        # The kernel skips its check, as proved here: cell runs from
+        # cover∘(e∘F_{n-1}), which is F_{n-1}∘F_n by associativity, to
+        # cover∘0 = 0
         cell = whisker_right(prev_k.eps, cover)
         if n == 1:
             alphas[2] = cell.s
-        kernels.append(relative_kernel(diffs[n], cell, diffs[n - 1]))
+        kernels.append(relative_kernel(diffs[n], cell, diffs[n - 1],
+                                       check=False))
         terminated = terminated or is_pi_trivial(kernels[-1].K)
     return Resolution(Complex2(c.ring, mods, diffs, alphas), kernels,
                       witnesses, terminated)
@@ -407,14 +412,22 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
     # Stage n covers Ker_{n-1}(B) by P_n (+) Q_n.  Its two cells are
     # unchecked, as proved here: i and p are strict chain maps through stage
     # n - 1 (F^B_k is block triangular for 1 <= k < n, aug∘i_0 = F∘aug_A and
-    # G∘aug = aug_C∘p_0 + d_C∘lam_0), and stages have no degree-1 generators
+    # G∘aug = aug_C∘p_0 + d_C∘lam_0), and stages have no degree-1 generators.
+    # The two factorizations skip their checks, as proved here too: each
+    # cell is built on the composite it is checked against, and the
+    # compatibility with the kernel's cell equates maps into P_{n-3}.M1,
+    # vacuous unless n = 2 (into 0.M1 at n = 1).  At n = 2 the left side
+    # factors through P_0.M1 = 0, and the right side vanishes, as the pairs
+    # (a, 0) of Ker_1 are killed by cell(1) and by F_1: cell^B(1)∘i_1 =
+    # F∘cell^A(1) and G∘cell^B(1) = cell^C(1)∘p_1 + lam_0∘F^B_1 by the
+    # stage-1 columns, and F^A_2 lands in Ker_1(A)
     def stage(n: int, kb: RelKernelResult) -> Tuple[TwoModule, OneMor]:
         # P-column: F^A_n then i_{n-1} factors through Ker_{n-1}(B) along
         # A's cell(n) whiskered by i_{n-2}
         e_a = compose(res_a.f(n), inj(n - 1))
         psi_a = null_homotopy(compose(e_a, kb.F), mcompose(
             res_a.augmented().alpha_s(n + 1), inj(n - 2).f1), check=False)
-        p_col, _ = rk_factorize(kb, e_a, psi_a)
+        p_col, _ = rk_factorize(kb, e_a, psi_a, check=False)
         # Q-column: e^B then p_{n-1} factors through Ker_{n-1}(C) along eps^B
         # whiskered by p_{n-2}, less lam_0∘to_a at n = 1, and C's cover
         # lifts through that map of stage kernels
@@ -424,7 +437,8 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
         if n == 1:
             s_c = s_c - mcompose(kb.to_a, lam0)
         pc, _ = rk_factorize(kc, e_c,
-                             null_homotopy(compose(e_c, kc.F), s_c, check=False))
+                             null_homotopy(compose(e_c, kc.F), s_c, check=False),
+                             check=False)
         q_col, _ = lift_through(res_c.module(n), res_c.witnesses[n - 1], pc)
         return bps[n].total, free_mor(bps[n].total, kb.K, hstack(
             [p_col.f0.mat, q_col.f0.mat]))

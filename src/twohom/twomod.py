@@ -357,11 +357,14 @@ def _check_null_homotopy_of(phi: TwoMor, comp: OneMor, what: str):
         raise CompatibilityError(f"{what}: cell is not a homotopy of the composite")
 
 
-def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor) -> RelKernelResult:
-    """Relative kernel of  A --F--> B --G--> C  along phi: G∘F => 0."""
+def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
+                    ) -> RelKernelResult:
+    """Relative kernel of  A --F--> B --G--> C  along phi: G∘F => 0; with
+    ``check=False`` the caller has proved phi a null homotopy of G∘F."""
     if F.dst != G.src:
         raise DimensionMismatch("relative kernel of a non-composable pair")
-    _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
+    if check:
+        _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
     A, B, C = F.src, F.dst, G.dst
     dom = sum_module(A.M0, B.M1)
     theta = ModMor(dom, sum_module(B.M0, C.M1),
@@ -382,7 +385,8 @@ def plain_kernel(G: OneMor) -> RelKernelResult:
     """The kernel of G: its relative kernel against the zero map out of
     G.dst, along the zero cell."""
     H = OneMor.zero(G.dst, TwoModule.zero(G.dst.ring))
-    return relative_kernel(G, zero_null_homotopy(compose(G, H)), H)
+    # unchecked, as the zero cell of G∘H is one by construction
+    return relative_kernel(G, zero_null_homotopy(compose(G, H)), H, check=False)
 
 
 def rk_compatible(res: RelKernelResult, E: OneMor, psi: TwoMor) -> bool:
@@ -392,18 +396,21 @@ def rk_compatible(res: RelKernelResult, E: OneMor, psi: TwoMor) -> bool:
     return equal_mor(lhs, rhs)
 
 
-def rk_factorize(res: RelKernelResult, E: OneMor, psi: TwoMor
-                 ) -> Tuple[OneMor, TwoMor]:
+def rk_factorize(res: RelKernelResult, E: OneMor, psi: TwoMor,
+                 check: bool = True) -> Tuple[OneMor, TwoMor]:
     """Universal property: factor (E, psi) through (e, eps).
 
     Returns (E', psi') with psi': e∘E' => E; E' sends k to the pair
-    (E.f0(k), psi.s(k)).
+    (E.f0(k), psi.s(k)).  With ``check=False`` the caller has proved psi a
+    null homotopy of F∘E compatible with the kernel's cell.
     """
     if E.dst != res.F.src:
         raise DimensionMismatch("factorization target mismatch")
-    _check_null_homotopy_of(psi, compose(E, res.F), "rk_factorize")
-    if not rk_compatible(res, E, psi):
-        raise CompatibilityError("cell incompatible with the kernel's defining cell")
+    if check:
+        _check_null_homotopy_of(psi, compose(E, res.F), "rk_factorize")
+        if not rk_compatible(res, E, psi):
+            raise CompatibilityError(
+                "cell incompatible with the kernel's defining cell")
     K = res.K
     dom = res.incl.dst
     pair = ModMor(E.src.M0, dom, vstack([E.f0.mat, psi.s.mat]), check=False)
@@ -449,10 +456,14 @@ class RelCokernelResult:
     G: OneMor
 
 
-def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor) -> RelCokernelResult:
+def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
+                      ) -> RelCokernelResult:
+    """Relative cokernel of  A --F--> B --G--> C  along phi: G∘F => 0; with
+    ``check=False`` the caller has proved phi a null homotopy of G∘F."""
     if F.dst != G.src:
         raise DimensionMismatch("relative cokernel of a non-composable pair")
-    _check_null_homotopy_of(phi, compose(F, G), "relative cokernel")
+    if check:
+        _check_null_homotopy_of(phi, compose(F, G), "relative cokernel")
     A, B, C = F.src, F.dst, G.dst
     ring = A.ring
     amb = sum_module(B.M0, C.M1)
@@ -513,28 +524,30 @@ def rc_factorize(res: RelCokernelResult, E: OneMor, psi: TwoMor
 
 def comparison_into_kernel(F: OneMor, phi: TwoMor, G: OneMor,
                            psi_next: Optional[TwoMor] = None,
-                           H: Optional[OneMor] = None
+                           H: Optional[OneMor] = None, check: bool = True
                            ) -> Tuple[OneMor, RelKernelResult]:
     """The canonical comparison A -> Ker(G, psi_next) induced by (F, phi).
 
     With no following data the plain kernel of G is used (H = 0, psi_next
-    the canonical cell).
+    the canonical cell).  ``check=False`` skips the checks of phi that
+    ``rk_factorize`` makes, as the caller has proved them.
     """
     if H is None:
         res = plain_kernel(G)
     else:
         res = relative_kernel(G, psi_next or zero_null_homotopy(compose(G, H)),
                               H)
-    cmp_mor, _ = rk_factorize(res, F, phi)
+    cmp_mor, _ = rk_factorize(res, F, phi, check=check)
     return cmp_mor, res
 
 
 def check_relative_two_exact(F: OneMor, phi: TwoMor, G: OneMor,
                              psi_next: Optional[TwoMor] = None,
-                             H: Optional[OneMor] = None) -> bool:
+                             H: Optional[OneMor] = None,
+                             check: bool = True) -> bool:
     """2-exactness at the middle of (F, phi, G): the comparison into the
     (relative) kernel of G is full and essentially surjective."""
-    cmp_mor, _ = comparison_into_kernel(F, phi, G, psi_next, H)
+    cmp_mor, _ = comparison_into_kernel(F, phi, G, psi_next, H, check)
     return is_full(cmp_mor) and is_essentially_surjective(cmp_mor)
 
 
@@ -556,7 +569,11 @@ def is_extension(F: OneMor, phi: TwoMor, G: OneMor) -> bool:
         return False
     if not is_pi_trivial(left.K):
         return False
-    if not check_relative_two_exact(F, phi, G):
+    # unchecked, as relative_kernel has just checked that phi is a null
+    # homotopy of G∘F, which is all that both constructions check: the
+    # plain kernel's cell maps into the zero 2-module, so compatibility
+    # with it is vacuous
+    if not check_relative_two_exact(F, phi, G, check=False):
         return False
-    right = relative_cokernel(F, phi, G)
+    right = relative_cokernel(F, phi, G, check=False)
     return is_pi_trivial(right.Q)

@@ -412,3 +412,43 @@ def test_dense_z_kernels_finish(n):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+class TestContains:
+    """Membership decides solvability off the Smith diagonal, with no
+    solution built; it answers as solving does."""
+
+    @staticmethod
+    def agree(rel, cols):
+        from twohom.exactlin import solve_many
+
+        got = FPModule(rel.ring, rel.rows, rel).contains(cols)
+        assert got == (solve_many(rel, cols) is not None)
+        return got
+
+    @pytest.mark.parametrize("n", [0, 6, 8, 12], ids=["Z", "Z/6", "Z/8", "Z/12"])
+    def test_agrees_with_solving_on_seeded_inputs(self, n):
+        ring = RingSpec.Zmod(n) if n else ZZ
+        rng = random.Random(f"contains {n}")
+
+        def mat(r, c, density=1.0):
+            return Matrix(ring, r, c, [rng.randint(-9, 9) if rng.random() < density
+                                       else 0 for _ in range(r * c)])
+
+        seen = set()
+        shapes = [(0, 3), (3, 0), (0, 0), (4, 4)]
+        shapes += [(rng.randint(1, 6), rng.randint(0, 6)) for _ in range(120)]
+        for r, c in shapes:
+            rel = mat(r, c, rng.choice([0.0, 0.4, 1.0]))
+            k = rng.randint(0, 3)
+            inside = rel @ mat(c, k)
+            for cols in (Matrix.zeros(ring, r, k), inside, mat(r, k),
+                         inside + mat(r, k, 0.2)):
+                seen.add(self.agree(rel, cols))
+        assert seen == {True, False}
+
+    def test_agrees_with_solving_on_the_engine_golden_inputs(self):
+        from test_golden_engine import cases
+
+        answers = [self.agree(a, b) for a, b in cases()]
+        assert True in answers and False in answers

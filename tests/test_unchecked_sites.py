@@ -3,10 +3,15 @@ proves the condition is checked here after all.
 
 A fixture rebuilds each OneMor and TwoMor that one of the sites below makes
 unchecked with ``check=True`` instead, so a wrong proof raises
-InvalidMorphism, and it counts the hits, so that no site goes unexercised.
-The results then pass ``validate_resolution``, ``validate_complex`` and
-``check_long_sequence``.  The inputs are the catalog, the cli-small
-workspace, and seeded 2-modules and extensions over Z and Z/12.
+InvalidMorphism.  It likewise runs every relative kernel, relative cokernel
+and relative-kernel factorization that the library makes with
+``check=False`` with ``check=True``, so that the skipped null-homotopy and
+compatibility checks raise CompatibilityError on a wrong proof.  It counts
+the hits, so that no site goes unexercised, and a call with ``check=False``
+from a site not listed fails the test.  The results then pass
+``validate_resolution``, ``validate_complex`` and ``check_long_sequence``.
+The inputs are the catalog, the cli-small workspace, and seeded 2-modules
+and extensions over Z and Z/12.
 """
 
 import random
@@ -16,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from twohom import catalog
+from twohom import catalog, twomod
 from twohom.cli import load
 from twohom.complex2 import homology, validate_complex
 from twohom.derived import (FunctorSpec, apply, check_long_sequence,
@@ -45,9 +50,45 @@ SITES = {
 }
 
 
+# (file, function, construction) of each call that skips the checks of a
+# relative (co)kernel or factorization, as it proves them; the two
+# factorizations of a horseshoe stage run together, so they share a key
+CHECKED_CALLS = {
+    ("complex2.py", "_homology", "relative_kernel"),
+    ("complex2.py", "_homology", "rk_factorize"),
+    ("complex2.py", "_homology", "relative_cokernel"),
+    ("resolution.py", "_start", "relative_kernel"),
+    ("resolution.py", "_extend", "relative_kernel"),
+    ("resolution.py", "stage", "rk_factorize"),
+    ("twomod.py", "plain_kernel", "relative_kernel"),
+    ("twomod.py", "is_extension", "rk_factorize"),
+    ("twomod.py", "is_extension", "relative_cokernel"),
+    ("derived.py", "_right_exact_at_b_and_c", "rk_factorize"),
+    ("derived.py", "_right_exact_at_b_and_c", "relative_cokernel"),
+}
+# functions that only pass their caller's check on
+PASS_CHECK_ON = {"comparison_into_kernel", "check_relative_two_exact"}
+
+
 @pytest.fixture
 def checked_sites(monkeypatch):
     hits = Counter()
+    for name in ("relative_kernel", "relative_cokernel", "rk_factorize"):
+        real = getattr(twomod, name)
+
+        def construction(*args, check=True, _real=real, _name=name):
+            if not check:
+                f = sys._getframe(1)
+                while f.f_code.co_name in PASS_CHECK_ON:
+                    f = f.f_back
+                hits[(Path(f.f_code.co_filename).name, f.f_code.co_name,
+                      _name)] += 1
+            return _real(*args)   # checked
+
+        for mod in [m for n, m in sys.modules.items()
+                    if n == "twohom" or n.startswith("twohom.")]:
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, construction)
     for cls in (OneMor, TwoMor):
         def init(self, *args, check=True, _real=cls.__init__):
             if not check:
@@ -61,6 +102,11 @@ def checked_sites(monkeypatch):
             _real(self, *args, check=check)
         monkeypatch.setattr(cls, "__init__", init)
     return hits
+
+
+def _assert_all_hit(hits):
+    assert {site for site in SITES | CHECKED_CALLS if hits[site] == 0} == set()
+    assert set(hits) - SITES <= CHECKED_CALLS
 
 
 def _random_two_module(ring, rng):
@@ -130,7 +176,7 @@ def test_sites_hold_when_checked_on_seeded_inputs(ring, checked_sites):
         assert check_relative_two_exact(f, phi, g)
         for depth in (1, 2):
             assert check_long_sequence(long_sequence(t, f, phi, g, depth))
-    assert {site for site in SITES if checked_sites[site] == 0} == set()
+    _assert_all_hit(checked_sites)
 
 
 def test_sites_hold_when_checked_on_the_workspaces(checked_sites):
@@ -145,4 +191,4 @@ def test_sites_hold_when_checked_on_the_workspaces(checked_sites):
     for e, t in (("e0", "T3"), ("e2", "T4"), ("e4", "T6")):
         f, phi, g = ws.get(e)
         assert check_long_sequence(long_sequence(ws.get(t), f, phi, g, 2))
-    assert {site for site in SITES if checked_sites[site] == 0} == set()
+    _assert_all_hit(checked_sites)
