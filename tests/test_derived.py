@@ -335,7 +335,45 @@ class TestProjectiveVanishing:
             check_projective_vanishing(T2, catalog.z_mod(2), 2)
 
 
+def _catalog_pairs(ring):
+    """(F, G, whether a 2-cell F => G exists) on the catalog's recipes over
+    ring.  On [R --2--> R] a cell 3 => 1 is s = -1, and none 1 => 0 exists,
+    as 2s = -1 has no solution; [R --id--> R] is contractible; on [0 -> R/2]
+    and into it 3 and 1 agree, with s = 0."""
+    def mod(k, d):
+        m0 = FPModule.cyclic(ring, k)
+        m1 = FPModule.free(ring, len(d[0]) if d else 0)
+        return TwoModule(m1, m0, ModMor(m1, m0, Matrix.from_rows(ring, d)
+                                        if d else Matrix.zeros(ring, 1, 0)))
+
+    def thrice(f):
+        return f + f + f
+
+    mul2, idm, zmod2, zf = (mod(0, [[2]]), mod(0, [[1]]), mod(2, []),
+                            mod(0, []))
+    proj = OneMor(zf, zmod2, ModMor.zero(zf.M1, zmod2.M1),
+                  ModMor(zf.M0, zmod2.M0, Matrix.from_rows(ring, [[1]])))
+    one = OneMor.identity
+    return [(thrice(one(mul2)), one(mul2), True),
+            (one(idm), OneMor.zero(idm, idm), True),
+            (one(zmod2), thrice(one(zmod2)), True),
+            (proj, thrice(proj), True),
+            (one(mul2), OneMor.zero(mul2, mul2), False)]
+
+
 class TestTwoCellSolver:
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_a_two_cell_is_a_null_homotopy_of_the_difference(self, ring):
+        """A 2-cell F => G is a null homotopy of F - G: the s found for
+        F - G carries the checked TwoMor(F, G, s), and a pair with no
+        2-cell gets None."""
+        for f, g, exists in _catalog_pairs(ring):
+            cell = find_null_homotopy(f - g)
+            if exists:
+                assert TwoMor(f, g, cell.s).s is cell.s  # checks both identities
+            else:
+                assert cell is None
+
     def test_finds_zero_for_zero(self):
         z = OneMor.zero(catalog.mul_two(), catalog.mul_two())
         cell = find_null_homotopy(z)
