@@ -38,7 +38,6 @@ from .fpmod import (
 from .twomod import (
     CompatibilityError,
     OneMor,
-    RelCokernelResult,
     RelKernelResult,
     TwoModule,
     TwoMor,
@@ -258,15 +257,11 @@ def validate_chain_homotopy(h: ChainHomotopy) -> Tuple[bool, str]:
 
 @dataclass
 class HomologyData:
-    """Homology 2-module at degree n with its construction witnesses."""
+    """Homology 2-module at degree n with the relative kernel it is a
+    cokernel over."""
 
-    complex: Complex2
-    n: int
     kernel: RelKernelResult        # Ker(L_n, alpha_n)
-    lprime: OneMor                 # A_{n+1} -> Ker(L_n, alpha_n)
-    abar: TwoMor                   # L'_{n+1}∘L_{n+2} => 0
-    coker: RelCokernelResult       # Coker(abar, L'_{n+1})
-    module: TwoModule              # = coker.Q
+    module: TwoModule              # Coker(abar, L'_{n+1}).Q
 
     @property
     def pi(self) -> Tuple[List[int], List[int]]:
@@ -286,7 +281,7 @@ def _homology(c: Complex2, n: int) -> HomologyData:
     lp, _ = rk_factorize(kr, e, psi, check=False)
     abar = null_homotopy(compose(c.diff(n + 2), lp), c.alpha_s(n + 2))
     cr = relative_cokernel(c.diff(n + 2), abar, lp, check=False)
-    return HomologyData(c, n, kr, lp, abar, cr, cr.Q)
+    return HomologyData(kr, cr.Q)
 
 
 def homology(c: Complex2, n: int) -> HomologyData:

@@ -17,7 +17,6 @@ from .exactlin import (Matrix, ZZ, block_diag, hstack, kernel_basis,
                        kron, solve_many, unvec, vec, vstack)
 from .fpmod import (
     FPModule,
-    InvalidMorphism,
     ModMor,
     cokernel,
     equal_mor,
@@ -55,7 +54,7 @@ from .complex2 import (
     kernel_cell,
     pair_block,
 )
-from .resolution import Resolution, ResolutionError, compare, horseshoe, resolve
+from .resolution import Resolution, compare, horseshoe, resolve
 
 
 @dataclass(frozen=True)
@@ -142,49 +141,31 @@ def apply(t: FunctorSpec, x):
 
 
 # ---------------------------------------------------------------------------
-# the general 2-cell solver
+# the null-homotopy solver
 # ---------------------------------------------------------------------------
 
-def solve_two_cell(frm: OneMor, to: OneMor,
-                   extra: Optional[List[Tuple[ModMor, ModMor]]] = None
-                   ) -> Optional[TwoMor]:
-    """Find s with to = frm + (d∘s, s∘d), optionally with side conditions
-    s∘g = r (mod target M1 relations) for each (g, r) in ``extra``.
-
-    One exact linear solve over the ring; returns None when no such
-    2-morphism exists.
-    """
-    ring = frm.src.ring
-    X, Y = frm.src, frm.dst
+def find_null_homotopy(w: OneMor) -> Optional[TwoMor]:
+    """Find s with 0 = w + (d∘s, s∘d) by one exact linear solve over the
+    ring; None when w is not null-homotopic.  A 2-cell F => G is exactly
+    such an s for w = F - G, as TwoMor(F, G, s)."""
+    ring = w.src.ring
+    X, Y = w.src, w.dst
     m1 = Y.M1.gens
 
     def eye(n):
         return Matrix.identity(ring, n)
 
-    # one row band per equation: (coefficients of vec(s), rhs, slack
-    # count, relations the slack ranges over)
-    bands = [
-        # degree 0:  d_Y * s = to.f0 - frm.f0  (mod rel0)
-        (kron(eye(X.M0.gens), Y.d.mat), to.f0.mat - frm.f0.mat,
-         X.M0.gens, Y.M0.rel),
-        # degree 1:  s * d_X = to.f1 - frm.f1  (mod rel1)
-        (kron(X.d.mat.transpose(), eye(m1)), to.f1.mat - frm.f1.mat,
-         X.M1.gens, Y.M1.rel),
-    ]
-    # side conditions s * g = r (mod rel1)
-    bands += [(kron(g.mat.transpose(), eye(m1)), r.mat, g.src.gens, Y.M1.rel)
-              for g, r in extra or []]
-    big = hstack([vstack([eq for eq, _, _, _ in bands]),
-                  block_diag([kron(eye(cnt), rel) for _, _, cnt, rel in bands])])
-    sol = solve_many(big, vstack([vec(rhs) for _, rhs, _, _ in bands]))
+    # vec(s) solves d_Y * s = -w.f0 modulo rel0 and s * d_X = -w.f1 modulo
+    # rel1, each band with slack over the relations of its module
+    big = hstack([vstack([kron(eye(X.M0.gens), Y.d.mat),
+                          kron(X.d.mat.transpose(), eye(m1))]),
+                  block_diag([kron(eye(X.M0.gens), Y.M0.rel),
+                              kron(eye(X.M1.gens), Y.M1.rel)])])
+    sol = solve_many(big, vstack([vec(-w.f0.mat), vec(-w.f1.mat)]))
     if sol is None:
         return None
-    s = ModMor(X.M0, Y.M1, unvec(sol, m1, X.M0.gens), check=False)
-    return TwoMor(frm, to, s)
-
-
-def find_null_homotopy(w: OneMor) -> Optional[TwoMor]:
-    return solve_two_cell(w, OneMor.zero(w.src, w.dst))
+    return null_homotopy(w, ModMor(X.M0, Y.M1, unvec(sol, m1, X.M0.gens),
+                                   check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +377,6 @@ def _connecting(tk: Complex2, tp: Complex2, tq: Complex2, i: int) -> OneMor:
                         -_zigzag_block(tk, tp, tq, i + 1))
 
 
-def _null_cell(comp: OneMor, s: ModMor, what: str) -> TwoMor:
-    """The null homotopy of comp carried by s when s is one, else one found
-    by solving."""
-    try:
-        return null_homotopy(comp, s)
-    except InvalidMorphism:
-        found = find_null_homotopy(comp)
-        if found is None:
-            raise ResolutionError(f"no null homotopy for {what}")
-        return found
-
-
 def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
                   depth: int) -> LongSeq:
     """Horseshoe resolutions of the extension (``horseshoe`` checks it),
@@ -452,8 +421,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         # onto the P-coordinates of both parts of the ambient pair
         blk = block_diag([_corner(Matrix.identity(ring, gk0), gp0, gk0),
                           _corner(Matrix.identity(ring, gk1), gp1, gk1)])
-        return _null_cell(compose(v[i], delta[i]),
-                          kernel_cell(hk, hp.module.M1, blk), f"delta∘v at {i}")
+        return null_homotopy(compose(v[i], delta[i]),
+                             kernel_cell(hk, hp.module.M1, blk))
 
     def ud_cell(i: int) -> TwoMor:
         hq = tq.homology(i)
@@ -465,8 +434,8 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         # minus the inclusion of the Q-coordinates
         blk = -block_diag([_corner(Matrix.identity(ring, gk0), gk0, gq0),
                            _corner(Matrix.identity(ring, gk1), gk1, gq1)])
-        return _null_cell(compose(delta[i], u[i - 1]),
-                          kernel_cell(hq, hk.module.M1, blk), f"u∘delta at {i}")
+        return null_homotopy(compose(delta[i], u[i - 1]),
+                             kernel_cell(hq, hk.module.M1, blk))
 
     for i in range(depth, -1, -1):
         entries.append(LongSeqEntry("A", i, tp.homology(i)))

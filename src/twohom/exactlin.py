@@ -31,8 +31,8 @@ Conventions (fixed so that outputs are bit-reproducible):
 
 * ``hnf(A) = H`` with ``H = U @ A`` for some U invertible over the ring, H
   in row echelon form.  Over Z pivots are positive and entries above a
-  pivot are reduced into [0, pivot); over Z/n pivots divide n and entries
-  above are reduced into [0, pivot).
+  pivot are reduced into [0, pivot); over Z/n pivots are divisors of n and
+  entries above are reduced into [0, pivot).
 * ``snf(A) = (D, U, V)`` with ``D = U @ A @ V``, both transforms
   invertible, D diagonal with d_i | d_{i+1}; over Z all d_i >= 0, over
   Z/n all nonzero d_i are proper divisors of n.
@@ -412,15 +412,15 @@ def _col_step(D, r, log, op, i, j, *args):
                 (i, j, s, u, t, v, n) if op is _mix else (i, j) + args))
 
 
-def _clear_below(M, log, r, j, n, divide):
+def _clear_below(M, log, r, j, n):
     """Zero column j of M below row r against the pivot M[r][j]: subtract a
-    multiple of row r if divide holds and the pivot divides, else xgcd."""
+    multiple of row r where the pivot is a factor, else mix by xgcd."""
     for i in range(r + 1, len(M)):
         b = M[i][j]
         if b == 0:
             continue
         a = M[r][j]
-        if divide and b % a == 0:
+        if b % a == 0:
             _step(M, log, _sub, i, r, b // a, n)
         else:
             g, s, t = _xgcd(a, b)
@@ -500,11 +500,11 @@ def _echelon(M, width, n, hermite):
     the rank r: rows r.. are zero there.  With hermite each pivot is
     normalized and the entries above it are reduced, which makes the
     Hermite form.  Over Z each column is cleared by remainder steps
-    (``_clear_by_remainders``).  Without hermite a pivot a over Z/n divides
-    out where it can, and its row times n / gcd(a, n), zero in column j,
-    joins the rows below: the Howell step (Howell 1986; Storjohann-Mulders
-    1998), after which the rows from r on span every combination of M that
-    is zero in columns 0..j."""
+    (``_clear_by_remainders``), over Z/n by ``_clear_below``.  Without
+    hermite the row of a pivot a over Z/n times n / gcd(a, n), zero in
+    column j, joins the rows below: the Howell step (Howell 1986;
+    Storjohann-Mulders 1998), after which the rows from r on span every
+    combination of M that is zero in columns 0..j."""
     r = 0
     for j in range(width):
         if r >= len(M):
@@ -517,7 +517,7 @@ def _echelon(M, width, n, hermite):
         if n is None:
             _clear_by_remainders(M, r, j)
         else:
-            _clear_below(M, _NO_LOG, r, j, n, not hermite)
+            _clear_below(M, _NO_LOG, r, j, n)
         g = 1 if n is None or hermite else gcd(M[r][j], n)
         if g > 1:
             M.append([(n // g) * x % n for x in M[r]])
@@ -560,7 +560,7 @@ def snf(A: Matrix, want: str = "DUV"):
         if pj != t:
             _col_step(D, t, vlog, _swap, t, pj, n)
         while True:
-            _clear_below(D, ulog, t, t, n, True)
+            _clear_below(D, ulog, t, t, n)
             # row t right of the pivot, by column operations
             for j in range(t + 1, cols):
                 b = D[t][j]
@@ -575,7 +575,7 @@ def snf(A: Matrix, want: str = "DUV"):
                               a // g, n)
             if all(D[i][t] == 0 for i in range(t + 1, rows)):
                 break
-        # fold in any entry the pivot does not divide, then redo
+        # fold in any entry that is no multiple of the pivot, then redo
         p = D[t][t]
         offender = None if p in (1, -1) else next(
             (i for i in range(t + 1, rows) if any(x % p for x in D[i][t + 1:])),
@@ -622,7 +622,7 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
     """Exact solve of A X = B over the ring; None when no solution exists.
 
     With D = U A V, the system is D Y = U B and X = V Y.  Over Z/n every
-    nonzero d_i divides n, so d_i y = c is solvable iff d_i | c."""
+    nonzero d_i is a divisor of n, so d_i y = c is solvable iff d_i | c."""
     if A.rows != B.rows:
         raise DimensionMismatch("solve: row mismatch")
     if A.ring != B.ring:

@@ -199,9 +199,6 @@ class TwoMor:
     def identity(f: OneMor) -> "TwoMor":
         return TwoMor(f, f, ModMor.zero(f.src.M0, f.dst.M1), check=False)
 
-    def inverse(self) -> "TwoMor":
-        return TwoMor(self.to, self.frm, -self.s, check=False)
-
     def is_null(self) -> bool:
         return self.to.f0.is_zero_mor() and self.to.f1.is_zero_mor()
 

@@ -34,7 +34,6 @@ from twohom.derived import (
     is_right_relative_two_exact,
     long_sequence,
     resolution_independence,
-    solve_two_cell,
 )
 
 T2 = FunctorSpec.tensor_with(FPModule.cyclic(ZZ, 2))
@@ -389,21 +388,6 @@ class TestTwoCellSolver:
         cell = find_null_homotopy(OneMor.identity(m))
         assert cell is None
 
-    def test_side_conditions(self):
-        # force a specific restriction along a map
-        zf = catalog.z_free()
-        idm = catalog.identity_mod()
-        f = OneMor(zf, idm, ModMor.zero(zf.M1, idm.M1),
-                   ModMor(zf.M0, idm.M0, Matrix.from_rows(ZZ, [[1]]),
-                          check=False))
-        target = ModMor(zf.M0, idm.M1, Matrix.from_rows(ZZ, [[-1]]),
-                        check=False)
-        cell = solve_two_cell(OneMor.identity(idm), OneMor.zero(idm, idm),
-                              extra=[(f.f0, target)])
-        assert cell is not None
-        from twohom.fpmod import compose as mcompose, equal_mor
-        assert equal_mor(mcompose(f.f0, cell.s), target)
-
 
 class TestLongSequence:
     def test_catalog_ladder(self):
@@ -425,6 +409,20 @@ class TestLongSequence:
         assert check_long_sequence(seq, detail)
         assert len(detail) == 4
         assert all(ok for _, ok, _ in detail)
+
+    def test_a_wrong_cell_raises_and_is_not_solved_for(self, monkeypatch):
+        """The connecting cells are the zig-zag's, checked as they are
+        built: with kernel_cell returning zero, the cell of delta∘v fails
+        its identities and long_sequence raises, with no solver call."""
+        calls = []
+        monkeypatch.setattr(derived, "kernel_cell",
+                            lambda hsrc, dst, blk: ModMor.zero(
+                                hsrc.kernel.incl.src, dst))
+        monkeypatch.setattr(derived, "find_null_homotopy",
+                            lambda w: calls.append(w) or find_null_homotopy(w))
+        with pytest.raises(fpmod.InvalidMorphism):
+            long_sequence(T2, *catalog.catalog_extension(), 1)
+        assert calls == []
 
     def test_zero_delta_breaks_exactness(self):
         import dataclasses

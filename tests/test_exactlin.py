@@ -26,6 +26,7 @@ from twohom.exactlin import (
     vstack,
 )
 from twohom.fpmod import FPModule, invariant_factors
+from test_golden_engine import cases
 
 
 def mat(rows, ring=ZZ):
@@ -106,6 +107,10 @@ class TestHNF:
             nz = [x for x in row if x]
             if nz:
                 assert 12 % nz[0] == 0
+        # and every Z/n input of the engine golden, which pins each H
+        for a, _ in cases():
+            if a.ring.is_modular:
+                assert_hermite_of(hnf(a), a)
 
 
 class TestSNF:
