@@ -369,7 +369,7 @@ class TestTwoCellSolver:
         for f, g, exists in _catalog_pairs(ring):
             cell = find_null_homotopy(f - g)
             if exists:
-                assert TwoMor(f, g, cell.s).s is cell.s  # checks both identities
+                TwoMor(f, g, cell.s)  # raises unless s carries F => G
             else:
                 assert cell is None
 
