@@ -516,6 +516,60 @@ def test_preimage_basis_keeps_the_howell_row_over_z4():
     assert incl.mat == two and K.rel == two and invariant_factors(K) == [2]
 
 
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+def test_the_start_kernel_has_a_closed_form(ring):
+    """The first kernel of every resolution: the (y, z) in R^g + R^h with
+    y + d z in the span of rel, i.e. preimage_basis([I_g | d], rel).  It
+    is the column span of [[-d, rel], [I_h, 0]].  Over Z a span has one
+    Hermite basis, so the two bases are equal; over Z/12 each spans the
+    other.  g runs up to 9, and h and r may be 0."""
+    from twohom.exactlin import block, preimage_basis
+
+    rng = random.Random(2210)
+    for _ in range(150):
+        g, h, r = rng.randint(0, 9), rng.randint(0, 5), rng.randint(0, 5)
+        d = Matrix(ring, g, h, [rng.randint(-4, 4) for _ in range(g * h)])
+        rel = Matrix(ring, g, r, [rng.randint(-4, 4) for _ in range(g * r)])
+        k = preimage_basis(hstack([Matrix.identity(ring, g), d]), rel)
+        closed = block([[-d, rel],
+                        [Matrix.identity(ring, h), Matrix.zeros(ring, h, r)]])
+        if ring.is_modular:
+            assert solve_many(closed, k) is not None
+            assert solve_many(k, closed) is not None
+        else:
+            assert k == column_basis(closed), (g, h, r)
+
+
+@pytest.mark.parametrize("n", [None, 6, 12], ids=["Z", "Z/6", "Z/12"])
+def test_a_row_step_is_the_dense_formula(n):
+    """_sub(M, i, j, q, n) makes row i the row i - q * row j, mod n over
+    Z/n, and changes nothing else: every other row keeps its list and
+    entries, and each entry of row i where row j is 0 keeps its very
+    object (over Z some entries are wider than a machine word)."""
+    from twohom.exactlin import _sub
+
+    rng = random.Random(2211)
+
+    def entry():
+        if n is not None:
+            return rng.choice([0, rng.randrange(n)])
+        return rng.choice([0, rng.randint(-9, 9), rng.randint(-2**80, 2**80)])
+
+    for _ in range(300):
+        k, m = rng.randint(0, 12), rng.randint(2, 5)
+        M = [[entry() for _ in range(k)] for _ in range(m)]
+        i, j = rng.sample(range(m), 2)
+        q = rng.randint(-5, 5)
+        rows, before = list(M), [list(row) for row in M]
+        dense = [a - q * b if n is None else (a - q * b) % n
+                 for a, b in zip(M[i], M[j])]
+        _sub(M, i, j, q, n)
+        assert M[i] == dense
+        assert all(M[x] is rows[x] and M[x] == before[x]
+                   for x in range(m) if x != i)
+        assert all(M[i][c] is before[i][c] for c in range(k) if not M[j][c])
+
+
 @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6), RingSpec.Zmod(12)],
                          ids=str)
 def test_logged_transforms_apply_as_their_products(ring):

@@ -5,7 +5,10 @@ Z/9 and Z/12 must give the same entries, in the same order, as when
 
 ``golden_engine.json`` holds the number of cases and one sha256 over every
 output.  Shapes run up to 9x9 and include 0x0, 0xk, kx0 and all-zero
-inputs.  Regenerate it, only when an engine output is meant to change,
+inputs.  A second sha256, ``kernel_sha256``, covers the Hermite bases of
+the untransformed echelon pass on the same cases: ``preimage_basis(A, B)``,
+which runs the remainder steps over Z and the Howell rows over Z/n before
+its Hermite pass, and ``column_basis(A)``.  Regenerate it, only when an engine output is meant to change,
 from the repository root with
 
     PYTHONPATH=src python tests/test_golden_engine.py
@@ -25,8 +28,8 @@ from pathlib import Path
 import pytest
 
 from twohom import exactlin
-from twohom.exactlin import (ZZ, Matrix, RingSpec, hnf, kernel_basis, snf,
-                             solve_many)
+from twohom.exactlin import (ZZ, Matrix, RingSpec, column_basis, hnf,
+                             kernel_basis, preimage_basis, snf, solve_many)
 
 GOLDEN = Path(__file__).with_name("golden_engine.json")
 RINGS = [ZZ, *(RingSpec.Zmod(n) for n in (6, 8, 9, 12))]
@@ -99,11 +102,26 @@ def engine_digest():
     return len(todo), h.hexdigest()
 
 
+def kernel_digest():
+    """sha256 of ``preimage_basis(a, b)`` and ``column_basis(a)`` on every
+    case, in case order."""
+    h = hashlib.sha256()
+    for a, b in cases():
+        h.update(f"{a.ring}|".encode())
+        _feed(h, preimage_basis(a, b))
+        _feed(h, column_basis(a))
+    return h.hexdigest()
+
+
 def test_engine_outputs_match_golden():
     golden = json.loads(GOLDEN.read_text())
     count, sha = engine_digest()
     assert count == golden["cases"]
     assert sha == golden["sha256"]
+
+
+def test_kernel_bases_match_golden():
+    assert kernel_digest() == json.loads(GOLDEN.read_text())["kernel_sha256"]
 
 
 def _fresh(a):
@@ -180,6 +198,7 @@ def test_want_names_only_the_forms():
 
 if __name__ == "__main__":
     count, sha = engine_digest()
-    GOLDEN.write_text(json.dumps({"cases": count, "sha256": sha},
+    GOLDEN.write_text(json.dumps({"cases": count, "sha256": sha,
+                                  "kernel_sha256": kernel_digest()},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote the digest of {count} cases to {GOLDEN}")
