@@ -4,19 +4,20 @@ Everything downstream (presented modules, 2-modules, homology, derived
 functors) reduces to the four primitives in this module: Hermite form,
 Smith form, exact linear solving and kernel generation.  A ``Matrix``
 stores Python ints in an object-dtype numpy array; the elimination runs on
-lists of rows of Python ints, so no value ever overflows.  Over Z/n entries
-are canonical representatives in [0, n).  ``Matrix(ring, rows, cols,
-entries)`` takes integers only, copies them and reduces them mod n.  All
-other matrices are made here, read-only and canonical, with the private
-keyword ``_canonical`` (a new array, reduced mod n once unless True);
-other modules cut blocks as views, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving
-and kernels read the Smith form over the ring itself (Z/n is a principal
-ideal ring), so nothing is lifted to Z.  Hermite bases come from one
-untransformed echelon pass: ``hnf`` of a row span, ``column_basis`` of a
-column span, and ``preimage_basis`` of the kernel of a module morphism,
-with Howell rows over Z/n (Howell 1986; Storjohann-Mulders, ESA 1998), and
-over Z by remainder steps, which keep entries small where xgcd mixing grew
-dense kernels to thousands of bits.
+lists of rows of Python ints, so no value ever overflows, and a row step
+changes its row in place at the pivot row's nonzeros, on rows that share
+no list.  Over Z/n entries are canonical representatives in [0, n).
+``Matrix(ring, rows, cols, entries)`` takes integers only, copies them and
+reduces them mod n.  All other matrices are made here, read-only and
+canonical, with the private keyword ``_canonical`` (a new array, reduced
+mod n once unless True); other modules cut blocks as views, ``m[a:b]`` or
+``m[a:b, c:d]``.  Solving and kernels read the Smith form over the ring
+itself (Z/n is a principal ideal ring), so nothing is lifted to Z.
+Hermite bases come from one untransformed echelon pass: ``hnf`` of a row
+span, ``column_basis`` of a column span, and ``preimage_basis`` of the
+kernel of a module morphism, with Howell rows over Z/n (Howell 1986;
+Storjohann-Mulders, ESA 1998), and over Z by remainder steps, which keep
+entries small where xgcd mixing grew dense kernels to thousands of bits.
 
 Transforms exist only for ``snf``, on demand: ``snf(A, want="DUV")``
 returns only the matrices that ``want`` names, in its order
@@ -362,14 +363,28 @@ def _swap(M, i, j, n):
     M[i], M[j] = M[j], M[i]
 
 
-def _sub(M, i, j, q, n):
-    """Row i -= q * row j.  Where row j is 0 the entry of row i is kept:
-    over Z/n it is already in [0, n)."""
-    x, y = M[i], M[j]
+def _nonzeros(row):
+    """(k, x) for each nonzero entry x = row[k]."""
+    return [(k, x) for k, x in enumerate(row) if x]
+
+
+def _sub_at(x, nz, q, n):
+    """x[k] -= q * b in place for each (k, b) in nz, the nonzeros of a
+    pivot row; the other entries of x are kept (over Z/n in [0, n)).  So
+    every row list that the engine eliminates or replays a log onto is a
+    fresh list that no other row or caller shares: ``tolist()`` rows, the
+    rows built here and their slices."""
     if n is None:
-        M[i] = [a - q * b if b else a for a, b in zip(x, y)]
+        for k, b in nz:
+            x[k] -= q * b
     else:
-        M[i] = [(a - q * b) % n if b else a for a, b in zip(x, y)]
+        for k, b in nz:
+            x[k] = (x[k] - q * b) % n
+
+
+def _sub(M, i, j, q, n):
+    """Row i -= q * row j."""
+    _sub_at(M[i], _nonzeros(M[j]), q, n)
 
 
 def _mix(M, i, j, s, t, u, v, n):
@@ -414,17 +429,22 @@ def _col_step(D, r, log, op, i, j, *args):
 
 def _clear_below(M, log, r, j, n):
     """Zero column j of M below row r against the pivot M[r][j]: subtract a
-    multiple of row r where the pivot is a factor, else mix by xgcd."""
+    multiple of row r where the pivot is a factor, else mix by xgcd.  The
+    nonzeros of row r are read once per state of that row."""
+    nz = None
     for i in range(r + 1, len(M)):
         b = M[i][j]
         if b == 0:
             continue
         a = M[r][j]
         if b % a == 0:
-            _step(M, log, _sub, i, r, b // a, n)
+            nz = nz or _nonzeros(M[r])
+            _sub_at(M[i], nz, b // a, n)
+            log.append((_sub, (i, r, b // a, n)))
         else:
             g, s, t = _xgcd(a, b)
             _step(M, log, _mix, r, i, s, t, -(b // g), a // g, n)
+            nz = None
 
 
 def _normalize(M, log, r, j, n):
@@ -474,21 +494,23 @@ class _Memo(dict):
 
 
 def _clear_by_remainders(M, r, j):
-    """Zero column j of the rows M below row r over Z, with M[r][j] of the
-    least nonzero |x| there: that row reduces the others modulo itself, the
-    row of the least remainder takes its place, and so on until only it is
-    left.  No entry grows as in xgcd mixing, which takes a row of each pair
-    to a combination with Bezout coefficients."""
+    """Zero column j of the rows M below row r over Z, with a = M[r][j] of
+    the least nonzero |x| there.  Each round row r reduces every row below
+    modulo itself, to remainders of |x| < |a| in column j, and the first
+    row of the least nonzero remainder swaps into row r; no remainder left
+    ends the rounds.  No entry grows as in xgcd mixing, which takes a row
+    of each pair to a combination with Bezout coefficients."""
     while True:
-        below = [i for i in range(r + 1, len(M)) if M[i][j]]
-        if not below:
+        a, nz, best = M[r][j], None, None
+        for i, x in enumerate(M[r + 1:], r + 1):
+            if x[j]:
+                nz = nz or _nonzeros(M[r])
+                _sub_at(x, nz, x[j] // a, None)
+                if x[j] and (best is None or abs(x[j]) < best[0]):
+                    best = abs(x[j]), i
+        if best is None:
             return
-        a = M[r][j]
-        for i in below:
-            _sub(M, i, r, M[i][j] // a, None)
-        i = _pivot(M, r, j, j + 1, None)[0]
-        if i != r:
-            _swap(M, r, i, None)
+        _swap(M, r, best[1], None)
 
 
 # a log that keeps nothing, for the steps of an untransformed pass
@@ -523,11 +545,12 @@ def _echelon(M, width, n, hermite):
             M.append([(n // g) * x % n for x in M[r]])
         if hermite:
             _normalize(M, _NO_LOG, r, j, n)
-            p = M[r][j]
+            p, nz = M[r][j], None
             for i in range(r):
                 q = M[i][j] // p
                 if q:
-                    _sub(M, i, r, q, n)
+                    nz = nz or _nonzeros(M[r])
+                    _sub_at(M[i], nz, q, n)
         r += 1
     return r
 
