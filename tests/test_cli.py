@@ -24,6 +24,11 @@ ROOT = Path(__file__).resolve().parents[1]
 CATALOG = str(ROOT / "catalog.json")
 
 
+def catalog_doc():
+    """A fresh copy of the catalog document, read through a closed file."""
+    return json.loads(Path(CATALOG).read_text(encoding="utf-8"))
+
+
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "twohom.cli", *argv],
                           capture_output=True, text=True)
@@ -45,7 +50,7 @@ class TestLoad:
             load_doc({"ring": {"kind": "Z"}, "objects": {}})
 
     def test_noncommuting_square_named(self, tmp_path):
-        doc = json.load(open(CATALOG))
+        doc = catalog_doc()
         doc["objects"]["badmor"] = {"type": "onemor", "src": "mul2",
                                     "dst": "mul2", "f1": [[1]], "f0": [[2]]}
         with pytest.raises(ValidationFailure) as err:
@@ -91,7 +96,7 @@ class TestDeferredResolutions:
         return seen
 
     def test_resolved_on_first_get_only(self, calls):
-        ws = load_doc(json.load(open(CATALOG)))
+        ws = load_doc(catalog_doc())
         assert len(calls) == 0
         res = ws.get("resZ", Resolution)
         assert isinstance(res, Resolution) and len(calls) == 1
@@ -109,7 +114,7 @@ class TestDeferredResolutions:
         {"type": "resolution", "of": "proj", "depth": 2},
     ], ids=["negative-depth", "of-a-onemor"])
     def test_bad_resolution_fails_the_load(self, tmp_path, spec):
-        doc = json.load(open(CATALOG))
+        doc = catalog_doc()
         doc["objects"]["badres"] = spec
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
@@ -221,7 +226,7 @@ class TestCommands:
             assert rep["pi0"] == [] and rep["pi1"] == []
 
     def test_incoherent_complex_rejected_at_load(self, tmp_path):
-        bad = json.load(open(CATALOG))
+        bad = catalog_doc()
         bad["objects"]["identity_mor"] = {
             "type": "onemor", "src": "Zfree", "dst": "Zfree",
             "f1": [], "f0": [[1]]}
@@ -338,7 +343,7 @@ class TestExitCodes:
                              ids=["longseq", "check-longseq"])
     def test_longseq_of_a_non_extension_is_1(self, tmp_path, argv):
         """Zero maps Z -> Z -> Z are no extension; horseshoe says so."""
-        doc = json.load(open(CATALOG))
+        doc = catalog_doc()
         doc["objects"].update({
             "z0": {"type": "onemor", "src": "Zfree", "dst": "Zfree",
                    "f1": [], "f0": [[0]]},
@@ -391,7 +396,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_validation_error_is_1(self, tmp_path):
-        doc = json.load(open(CATALOG))
+        doc = catalog_doc()
         doc["objects"]["badmor"] = {"type": "onemor", "src": "mul2",
                                     "dst": "mul2", "f1": [[1]], "f0": [[2]]}
         p = tmp_path / "bad2.json"
@@ -463,7 +468,7 @@ class TestLoadChecks:
     @pytest.mark.parametrize("which", sorted(BAD))
     def test_failing_map_is_named(self, tmp_path, which, capsys):
         obj, why = self.BAD[which]
-        doc = json.load(open(CATALOG))
+        doc = catalog_doc()
         doc["objects"].update(self.HELPERS)
         doc["objects"]["bad"] = obj
         p = tmp_path / "bad.json"
@@ -474,7 +479,7 @@ class TestLoadChecks:
         assert err == f"error: object 'bad': {why}\n"
 
     def test_helpers_are_valid(self, tmp_path, capsys):
-        doc = json.load(open(CATALOG))
+        doc = catalog_doc()
         doc["objects"].update(self.HELPERS)
         p = tmp_path / "ok.json"
         p.write_text(json.dumps(doc))
