@@ -14,6 +14,11 @@ F => G is a single map s: src.M0 -> dst.M1 with
 i.e. 0 = H + (d∘s, s∘d).  These sign conventions are fixed once; the
 relative-cokernel relation signs below are the unique ones making its
 differential well defined, which is a tested invariant.
+
+A composite (``compose``) or a zero 1-morphism (``OneMor.zero``) sets its
+endpoints at once, after the same checks, but makes the matrices of f1 and
+f0 on first read and keeps them: many serve only as a cell's source or
+target, and nothing reads them.
 """
 
 from __future__ import annotations
@@ -120,8 +125,8 @@ class OneMor:
 
     @staticmethod
     def zero(src: TwoModule, dst: TwoModule) -> "OneMor":
-        return OneMor(src, dst, ModMor.zero(src.M1, dst.M1),
-                      ModMor.zero(src.M0, dst.M0), check=False)
+        """The zero 1-morphism; its components are made on first read."""
+        return _LazyOneMor(src, dst, ())
 
     @staticmethod
     def identity(m: TwoModule) -> "OneMor":
@@ -145,6 +150,36 @@ class OneMor:
         return f"OneMor(f1={self.f1.mat.tolists()}, f0={self.f0.mat.tolists()})"
 
 
+class _LazyOneMor(OneMor):
+    """A composite of ``_parts == (f, g)``, or zero for ``_parts == ()``,
+    whose f1 and f0 are made on first read, into OneMor's own slots."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, src: TwoModule, dst: TwoModule, parts: tuple):
+        self.src, self.dst, self._parts = src, dst, parts
+
+    def _fill(self):
+        if self._parts:
+            f, g = self._parts
+            OneMor.f1.__set__(self, mcompose(f.f1, g.f1))
+            OneMor.f0.__set__(self, mcompose(f.f0, g.f0))
+        elif self._parts == ():
+            OneMor.f1.__set__(self, ModMor.zero(self.src.M1, self.dst.M1))
+            OneMor.f0.__set__(self, ModMor.zero(self.src.M0, self.dst.M0))
+        self._parts = None
+
+    @property
+    def f1(self) -> ModMor:
+        self._fill()
+        return OneMor.f1.__get__(self)
+
+    @property
+    def f0(self) -> ModMor:
+        self._fill()
+        return OneMor.f0.__get__(self)
+
+
 def _check_components(**components: ModMor):
     """Raise InvalidMorphism naming the first component that does not carry
     source relations into target relations."""
@@ -164,11 +199,10 @@ def one_mor_equal(f: OneMor, g: OneMor) -> bool:
 
 
 def compose(f: OneMor, g: OneMor) -> OneMor:
-    """f then g."""
+    """f then g; its components are multiplied on first read."""
     if f.dst != g.src:
         raise DimensionMismatch("non-composable 1-morphisms")
-    return OneMor(f.src, g.dst, mcompose(f.f1, g.f1), mcompose(f.f0, g.f0),
-                  check=False)
+    return _LazyOneMor(f.src, g.dst, (f, g))
 
 
 class TwoMor:

@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 
 import pytest
 
 from twohom import catalog
-from twohom.exactlin import Matrix, RingSpec, ZZ, block, hstack, vstack
+from twohom.exactlin import (DimensionMismatch, Matrix, RingSpec, ZZ, block,
+                              hstack, vstack)
 from twohom.fpmod import (
     FPModule,
     ModMor,
@@ -27,6 +29,7 @@ from twohom.twomod import (
     is_faithful,
     is_full,
     is_pi_trivial,
+    null_homotopy,
     one_mor_equal,
     pi0,
     pi0_mor,
@@ -512,3 +515,147 @@ def test_is_null_agrees_with_comparing_to_the_zero_one_morphism(ring, monkeypatc
 
     monkeypatch.setattr(OneMor, "zero", staticmethod(boom))
     assert [a.is_null() for a in cells] == verdicts
+
+
+# ---------------------------------------------------------------------------
+# composites and zero 1-morphisms make their matrices on first read
+# ---------------------------------------------------------------------------
+
+def _scalar(x, k):
+    """k times the identity of x: a 1-morphism on any 2-module."""
+    return OneMor(x, x, ModMor(x.M1, x.M1, Matrix.identity(x.ring, x.M1.gens)
+                               .scale(k), check=False),
+                  ModMor(x.M0, x.M0, Matrix.identity(x.ring, x.M0.gens)
+                         .scale(k), check=False), check=False)
+
+
+def _composable(ring):
+    """Seeded composable triples (f, g, h): stages of resolutions, scalars on
+    2-modules (some with no generators in M1) and both mixed."""
+    rng = random.Random(f"composable {ring}")
+    out = []
+    for _ in range(6):
+        x = _random_two_module_over(ring, rng)
+        res = resolve(x, 2)
+        out.append((res.f(1), res.f(0), res.f(-1)))
+        k = [rng.randint(-3, 3) for _ in range(3)]
+        out.append((res.f(0), _scalar(x, k[0]), _scalar(x, k[1])))
+        out.append(tuple(_scalar(x, j) for j in k))
+    assert any(f.src.M1.gens == 0 for f, _, _ in out)
+    assert any(f.src.M1.gens > 0 for f, _, _ in out)
+    return out
+
+
+def _eager(f, g):
+    return OneMor(f.src, g.dst, mcompose(f.f1, g.f1), mcompose(f.f0, g.f0),
+                  check=False)
+
+
+def _same(a, b):
+    """The same ModMor or OneMor, endpoints and matrices."""
+    if isinstance(a, OneMor):
+        return (a.src == b.src and a.dst == b.dst and _same(a.f1, b.f1)
+                and _same(a.f0, b.f0))
+    return (a.src == b.src and a.dst == b.dst and a.mat.ring == b.mat.ring
+            and a.mat.shape == b.mat.shape and a.mat.tolists() == b.mat.tolists())
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12], ids=str)
+def test_a_composite_equals_the_eager_products_whichever_is_read_first(ring):
+    for f, g, h in _composable(ring):
+        f0_first, f1_first = compose(f, g), compose(f, g)
+        assert _same(f0_first.f0, mcompose(f.f0, g.f0))
+        assert _same(f0_first.f1, mcompose(f.f1, g.f1))
+        assert _same(f1_first.f1, mcompose(f.f1, g.f1))
+        assert _same(f1_first.f0, mcompose(f.f0, g.f0))
+        assert _same(compose(compose(f, g), h), compose(f, compose(g, h)))
+        assert _same(compose(compose(f, g), h), _eager(_eager(f, g), h))
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12], ids=str)
+def test_a_zero_one_morphism_has_zero_components_of_the_right_shapes(ring):
+    for f, g, _ in _composable(ring):
+        z = OneMor.zero(f.src, g.dst)
+        assert (z.src, z.dst) == (f.src, g.dst)
+        for part, a, b in ((z.f1, f.src.M1, g.dst.M1), (z.f0, f.src.M0, g.dst.M0)):
+            assert (part.src, part.dst) == (a, b)
+            assert part.mat.shape == (b.gens, a.gens) and part.mat.is_zero()
+            assert part.mat.ring == ring
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12], ids=str)
+def test_lazy_and_eager_one_morphisms_behave_the_same(ring):
+    rng = random.Random(f"lazy ops {ring}")
+    for f, g, h in _composable(ring):
+        lazy, eager = compose(f, g), _eager(f, g)
+        zero = OneMor.zero(f.src, g.dst)
+        for x, y in ((lazy, eager), (eager, lazy), (lazy, lazy)):
+            assert _same(x + y, _eager(f, g) + _eager(f, g))
+            assert _same(x - y, zero)
+            assert _same(-x, -_eager(f, g))
+            assert one_mor_equal(x, y) and one_mor_equal(x - y, zero)
+        assert _same(lazy + zero, eager) and _same(zero + zero, zero)
+        assert one_mor_equal(zero, _eager(f, g) - eager)
+        src, dst = lazy.src, lazy.dst
+        s = ModMor(src.M0, dst.M1, Matrix(ring, dst.M1.gens, src.M0.gens,
+                                          _ints(rng, dst.M1.gens * src.M0.gens)),
+                   check=False)
+        for a, b in ((TwoMor(lazy, lazy, s, check=False),
+                      TwoMor(eager, eager, s, check=False)),
+                     (TwoMor(zero, lazy, s, check=False),
+                      TwoMor(_eager(zero, OneMor.identity(dst)), eager, s,
+                             check=False))):
+            wl, wl_eager = whisker_left(h, a), whisker_left(h, b)
+            assert _same(wl.s, wl_eager.s)
+            assert _same(wl.frm, wl_eager.frm) and _same(wl.to, wl_eager.to)
+        t = TwoMor(compose(g, h), compose(g, h), ModMor.zero(g.src.M0, h.dst.M1),
+                   check=False)
+        wr, wr_eager = whisker_right(t, f), whisker_right(
+            TwoMor(_eager(g, h), _eager(g, h), t.s, check=False), f)
+        assert _same(wr.s, wr_eager.s)
+        assert _same(wr.frm, wr_eager.frm) and _same(wr.to, wr_eager.to)
+
+
+def test_a_non_composable_pair_raises_at_the_call():
+    ext_f, _, ext_g = catalog.catalog_extension()
+    with pytest.raises(DimensionMismatch):
+        compose(ext_g, ext_f)
+    f, g, _ = _composable(ZZ)[0]
+    with pytest.raises(DimensionMismatch):
+        compose(g, f)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z12], ids=str)
+def test_composites_and_zero_maps_make_no_matrix_until_read(ring, monkeypatch):
+    made = Counter()
+    init, matmul = Matrix.__init__, Matrix.__matmul__
+
+    def counting_init(self, *args, **kwargs):
+        made["Matrix"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_matmul(self, other):
+        made["product"] += 1
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    for f, g, h in _composable(ring):
+        s = ModMor.zero(f.src.M0, g.dst.M1)
+        a = TwoMor.identity(g)
+        made.clear()
+        fg = compose(f, g)
+        z = OneMor.zero(f.src, h.dst)
+        null_homotopy(compose(f, g), s, check=False)
+        assert made == Counter()
+        # whisker_right multiplies its own cell only, not its 1-morphisms
+        whisker_right(a, f)
+        assert made == Counter(Matrix=1, product=1)
+        made.clear()
+        f0 = fg.f0
+        assert made == Counter(Matrix=2, product=2)
+        assert fg.f0 is f0 and fg.f1 is fg.f1
+        z1 = z.f1
+        assert made == Counter(Matrix=4, product=2)
+        assert z.f1 is z1 and z.f0 is z.f0
+        assert made == Counter(Matrix=4, product=2)
