@@ -14,7 +14,8 @@ uses the completion by two zero morphisms with canonical cells.
 Homology at n is the relative cokernel of the induced
 (alpha_{n+2}-bar, L'_{n+1}) over the relative kernel Ker(L_n, alpha_n);
 the construction witnesses are retained so induced maps and homotopy
-witnesses are computed on aligned presentations.
+witnesses are computed on aligned presentations.  pi_1 of the homology at
+n is read as pi_0 of the homology at n + 1, as the window law states.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .twomod import (
     TwoMor,
     compose,
     null_homotopy,
-    pi_profile,
+    pi0,
     relative_cokernel,
     relative_kernel,
     rk_compatible,
@@ -257,15 +258,22 @@ def validate_chain_homotopy(h: ChainHomotopy) -> Tuple[bool, str]:
 
 @dataclass
 class HomologyData:
-    """Homology 2-module at degree n with the relative kernel it is a
-    cokernel over."""
+    """Homology 2-module at degree n of the complex c, with the relative
+    kernel it is a cokernel over."""
 
     kernel: RelKernelResult        # Ker(L_n, alpha_n)
     module: TwoModule              # Coker(abar, L'_{n+1}).Q
+    c: Complex2
+    n: int
 
     @property
     def pi(self) -> Tuple[List[int], List[int]]:
-        return pi_profile(self.module)
+        """pi_profile(module), reading pi_1 H_n as pi_0 H_{n+1}: ker d_Q and
+        Ker(L_{n+1}, alpha_{n+1}) are one lattice in A_{n+1}.M0 (+) A_n.M1,
+        and H_n's relations N are that kernel's image of H_{n+1}'s d_Q.  So
+        it builds H_{n+1}, and raises what homology(c, n + 1) raises."""
+        return (invariant_factors(pi0(self.module)),
+                invariant_factors(pi0(self.c.homology(self.n + 1).module)))
 
 
 def _homology(c: Complex2, n: int) -> HomologyData:
@@ -281,7 +289,7 @@ def _homology(c: Complex2, n: int) -> HomologyData:
     lp, _ = rk_factorize(kr, e, psi, check=False)
     abar = null_homotopy(compose(c.diff(n + 2), lp), c.alpha_s(n + 2))
     cr = relative_cokernel(c.diff(n + 2), abar, lp, check=False)
-    return HomologyData(kr, cr.Q)
+    return HomologyData(kr, cr.Q, c, n)
 
 
 def homology(c: Complex2, n: int) -> HomologyData:

@@ -698,6 +698,8 @@ def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     if B.rows != A.rows or B.ring != A.ring:
         raise DimensionMismatch("preimage_basis: row or ring mismatch")
     t, g = A.shape
+    if g == 0:
+        return Matrix.zeros(A.ring, 0, 0)
     M = [a + [0] * i + [1] + [0] * (g - 1 - i)
          for i, a in enumerate(A.arr.T.tolist())]
     M += [b + [0] * g for b in B.arr.T.tolist()]

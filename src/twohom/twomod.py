@@ -24,6 +24,7 @@ target, and nothing reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from .exactlin import (DimensionMismatch, Matrix, RingSpec, block, block_diag,
@@ -476,15 +477,35 @@ class RelCokernelResult:
     Q.M0 = C.M0 and Q.M1 = (B.M0 (+) C.M1) / N where N is spanned by the
     columns (F.f0 a, phi.s a) and (d_B m, -G.f1 m); d_Q[b, c] =
     G.f0(b) + d_C(c).  That d_Q kills N is the tested well-definedness
-    invariant pinning the signs.
+    invariant pinning the signs.  ``p`` and ``pi`` are made on first read
+    and kept, as homology reads Q alone.
     """
 
     Q: TwoModule
-    p: OneMor
-    pi: TwoMor
     F: OneMor
     phi: TwoMor
     G: OneMor
+
+    p = property(lambda self: self._cells[0])     # OneMor C -> Q
+    pi = property(lambda self: self._cells[1])    # TwoMor p∘G => 0
+
+    @cached_property
+    def _cells(self) -> Tuple[OneMor, TwoMor]:
+        B, C, qm1 = self.G.src, self.G.dst, self.Q.M1
+        ring = C.ring
+        p = OneMor(C, self.Q,
+                   ModMor(C.M1, qm1,
+                          vstack([Matrix.zeros(ring, B.M0.gens, C.M1.gens),
+                                  Matrix.identity(ring, C.M1.gens)]), check=False),
+                   ModMor.identity(C.M0), check=False)
+        pi_s = ModMor(B.M0, qm1,
+                      vstack([-Matrix.identity(ring, B.M0.gens),
+                              Matrix.zeros(ring, C.M1.gens, B.M0.gens)]), check=False)
+        # unchecked, as proved here: pi_s = (-1, 0) carries B.M0's relations
+        # into Q.M1's; the degree-0 identity is G.f0 + d_Q∘pi_s = G.f0 - G.f0 =
+        # 0, and the degree-1 one is (0, G.f1) + pi_s∘d_B = -(d_B, -G.f1), a
+        # column block of N
+        return p, null_homotopy(compose(self.G, p), pi_s, check=False)
 
 
 def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
@@ -495,30 +516,15 @@ def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
         raise DimensionMismatch("relative cokernel of a non-composable pair")
     if check:
         _check_null_homotopy_of(phi, compose(F, G), "relative cokernel")
-    A, B, C = F.src, F.dst, G.dst
-    ring = A.ring
+    B, C = F.dst, G.dst
     amb = sum_module(B.M0, C.M1)
     n_cols = hstack([
         vstack([F.f0.mat, phi.s.mat]),
         vstack([B.d.mat, -G.f1.mat]),
     ])
-    qm1 = FPModule(ring, amb.gens, hstack([amb.rel, n_cols]))
+    qm1 = FPModule(B.ring, amb.gens, hstack([amb.rel, n_cols]))
     dq = ModMor(qm1, C.M0, hstack([G.f0.mat, C.d.mat]))  # checked: kills N
-    Q = TwoModule(qm1, C.M0, dq, check=False)
-    p = OneMor(C, Q,
-               ModMor(C.M1, qm1,
-                      vstack([Matrix.zeros(ring, B.M0.gens, C.M1.gens),
-                              Matrix.identity(ring, C.M1.gens)]), check=False),
-               ModMor.identity(C.M0), check=False)
-    pi_s = ModMor(B.M0, qm1,
-                  vstack([-Matrix.identity(ring, B.M0.gens),
-                          Matrix.zeros(ring, C.M1.gens, B.M0.gens)]), check=False)
-    # unchecked, as proved here: pi_s = (-1, 0) carries B.M0's relations
-    # into amb's; the degree-0 identity is G.f0 + d_Q∘pi_s = G.f0 - G.f0 =
-    # 0, and the degree-1 one is (0, G.f1) + pi_s∘d_B = -(d_B, -G.f1), a
-    # column block of N
-    pi = null_homotopy(compose(G, p), pi_s, check=False)
-    return RelCokernelResult(Q, p, pi, F, phi, G)
+    return RelCokernelResult(TwoModule(qm1, C.M0, dq, check=False), F, phi, G)
 
 
 def rc_compatible(res: RelCokernelResult, E: OneMor, psi: TwoMor) -> bool:

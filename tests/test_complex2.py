@@ -1,10 +1,12 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from twohom import catalog
+from twohom.cli import load
 from twohom.exactlin import Matrix, RingSpec, ZZ, kernel_basis
-from twohom.fpmod import FPModule, ModMor, invariant_factors
+from twohom.fpmod import FPModule, InvalidMorphism, ModMor, invariant_factors
 from twohom.twomod import (
     OneMor,
     TwoModule,
@@ -28,6 +30,8 @@ from twohom.complex2 import (
 )
 from twohom.derived import FunctorSpec, apply
 from twohom.resolution import resolve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_strict_free_complex(rng, length=3):
@@ -168,6 +172,67 @@ class TestWindowLaw:
                 for i in range(c.length + 1):
                     assert homology(c, i).pi == window_profile(c, i), i
         assert cells > 0
+
+
+def _pi_shift_complexes():
+    """Random strict complexes, the catalog's and the workspaces'
+    complexes, and augmented resolutions at depths 1-4 over Z and Z/12,
+    with nonzero cells and often truncated, and their images under
+    - (x) Z/k; with the count of each kind of augmented resolution."""
+    rng = random.Random(31)
+    out = [random_strict_free_complex(rng) for _ in range(20)]
+    out += [c for c, _, _ in catalog.homology_catalog()]
+    for path, names in (("catalog.json", ("C1", "C3")),
+                        ("tests/cli_small_workspace.json", ("K0", "K1", "K2"))):
+        ws = load(str(ROOT / path))
+        out += [ws.get(name) for name in names]
+    kinds = {"cells": 0, "truncated": 0}
+    for ring in (ZZ, RingSpec.Zmod(12)):
+        rng = random.Random(f"pi shift {ring}")
+        for depth in (1, 2, 3, 4):
+            for _ in range(3):
+                res = resolve(random_two_module(rng, ring), depth)
+                aug = res.augmented()
+                kinds["cells"] += not aug.alpha_s(2).mat.is_zero()
+                kinds["truncated"] += not res.terminated
+                zk = FPModule.cyclic(ring, rng.choice([2, 3, 4]))
+                out += [aug, apply(FunctorSpec.tensor_with(zk), aug)]
+    return out, kinds
+
+
+class TestPiShift:
+    """pi_1 of H_n is read as pi_0 of H_{n+1}.  These tests keep the pi_1
+    kernel of a homology 2-module under test, which the window law no
+    longer reaches."""
+
+    def test_pi_is_the_pi_profile_of_the_module(self):
+        complexes, kinds = _pi_shift_complexes()
+        assert kinds["cells"] > 0 and kinds["truncated"] > 0
+        for c in complexes:
+            for n in range(-1, c.length + 3):
+                h = homology(c, n)
+                assert h.pi == pi_profile(h.module), n
+
+    @staticmethod
+    def _incoherent_at_3():
+        """A_k = [Z --0--> Z] for k = 0..4, L_1 = L_3 = (1, 0), L_2 = L_4 =
+        0 and alpha_3 = 1, so alpha_3 after L_1 is 1, not 0."""
+        z = FPModule.free(ZZ, 1)
+        a = TwoModule(z, z, ModMor.zero(z, z))
+        one, zero = ModMor.identity(z), ModMor.zero(z, z)
+        ell = OneMor(a, a, one, zero)
+        return Complex2(ZZ, [a] * 5, [ell, OneMor.zero(a, a), ell,
+                                      OneMor.zero(a, a)], {3: one})
+
+    def test_pi_raises_what_the_next_homology_raises(self):
+        c = self._incoherent_at_3()
+        assert validate_complex(c) == (False, "coherence at n=3")
+        assert homology(c, 0).module is not None
+        with pytest.raises(InvalidMorphism) as want:
+            homology(self._incoherent_at_3(), 1)
+        with pytest.raises(InvalidMorphism) as got:
+            homology(c, 0).pi
+        assert str(got.value) == str(want.value)
 
 
 class TestInduced:

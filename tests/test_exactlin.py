@@ -517,6 +517,28 @@ def test_preimage_basis_keeps_the_howell_row_over_z4():
 
 
 @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+def test_preimage_basis_with_no_columns_runs_no_elimination(ring, monkeypatch):
+    from twohom import exactlin
+
+    calls = []
+    real = exactlin._echelon
+
+    def echelon(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exactlin, "_echelon", echelon)
+    for t in (0, 3):
+        for b in (0, 5):
+            B = Matrix(ring, t, b, range(1, t * b + 1))
+            assert exactlin.preimage_basis(Matrix.zeros(ring, t, 0), B).shape == (0, 0)
+    assert calls == []
+    # the counter sees the passes of a matrix with columns
+    exactlin.preimage_basis(Matrix.identity(ring, 3), Matrix.zeros(ring, 3, 0))
+    assert calls
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
 def test_the_start_kernel_has_a_closed_form(ring):
     """The first kernel of every resolution: the (y, z) in R^g + R^h with
     y + d z in the span of rel, i.e. preimage_basis([I_g | d], rel).  It

@@ -249,6 +249,38 @@ class TestRelativeCokernel:
         from twohom.twomod import one_mor_equal
         assert one_mor_equal(compose(rc.p, e2), rc.p)
 
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_p_and_pi_are_made_on_first_read(self, ring, monkeypatch):
+        """No Matrix of p or pi exists until one of them is read; the first
+        reads give the blocks (0; I) and (-I; 0), and later reads the same
+        objects."""
+        m1, m0 = FPModule.free(ring, 1), FPModule.free(ring, 2)
+        c = TwoModule(m1, m0, ModMor(m1, m0, Matrix.from_rows(ring, [[2], [3]])))
+        g = OneMor.identity(c)
+        f = OneMor.zero(TwoModule.zero(ring), c)
+        phi = zero_null_homotopy(compose(f, g))
+        made = []     # keeps every Matrix alive, so identity comparison holds
+        real = Matrix.__init__
+
+        def init(self, *args, **kwargs):
+            made.append(self)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matrix, "__init__", init)
+        rc = relative_cokernel(f, phi, g)
+        built = len(made)
+        p, pi = rc.p, rc.pi
+        for mat in (p.f1.mat, p.f0.mat, pi.s.mat):
+            assert not any(mat is m for m in made[:built])
+            assert any(mat is m for m in made[built:])
+        assert rc.p is p and rc.pi is pi
+        monkeypatch.undo()
+        assert p.f1.mat == vstack([Matrix.zeros(ring, 2, 1), Matrix.identity(ring, 1)])
+        assert p.f0.mat == Matrix.identity(ring, 2)
+        assert pi.s.mat == vstack([-Matrix.identity(ring, 2),
+                                   Matrix.zeros(ring, 1, 2)])
+        assert rc_compatible(rc, p, pi)
+
 
 class TestExactness:
     def test_catalog_middle(self):

@@ -6,7 +6,8 @@ unchecked with ``check=True`` instead, so a wrong proof raises
 InvalidMorphism.  It likewise runs every relative kernel, relative cokernel
 and relative-kernel factorization that the library makes with
 ``check=False`` with ``check=True``, so that the skipped null-homotopy and
-compatibility checks raise CompatibilityError on a wrong proof.  It counts
+compatibility checks raise CompatibilityError on a wrong proof, and reads
+the ``pi`` of every relative cokernel, which makes its p and pi.  It counts
 the hits, so that no site goes unexercised, and a call with ``check=False``
 from a site not listed fails the test.  The results then pass
 ``validate_resolution``, ``validate_complex`` and ``check_long_sequence``.
@@ -42,7 +43,7 @@ Z12 = RingSpec.Zmod(12)
 # the function that called it
 SITES = {
     ("twomod.py", "rk_factorize"),        # E' and psi'
-    ("twomod.py", "relative_cokernel"),   # the cell pi
+    ("twomod.py", "_cells"),              # p and the cell pi, on first read
     ("resolution.py", "lift_through"),    # sigma
     ("resolution.py", "stage"),           # the horseshoe's psi_a and psi_c
     ("derived.py", "one_mor"),            # T(F) for a 1-morphism F
@@ -83,7 +84,10 @@ def checked_sites(monkeypatch):
                     f = f.f_back
                 hits[(Path(f.f_code.co_filename).name, f.f_code.co_name,
                       _name)] += 1
-            return _real(*args)   # checked
+            res = _real(*args)   # checked
+            if _name == "relative_cokernel":
+                res.pi   # makes p and pi, at the _cells site
+            return res
 
         for mod in [m for n, m in sys.modules.items()
                     if n == "twohom" or n.startswith("twohom.")]:
@@ -172,7 +176,7 @@ def test_sites_hold_when_checked_on_seeded_inputs(ring, checked_sites):
     p, cover = free_cover(m)
     lift_through(p, cover, free_mor(p, m, Matrix.from_rows(ring, [[3]])))
     for f, phi, g in _extensions(ring):
-        relative_cokernel(f, phi, g)
+        relative_cokernel(f, phi, g).pi
         assert check_relative_two_exact(f, phi, g)
         for depth in (1, 2):
             assert check_long_sequence(long_sequence(t, f, phi, g, depth))
