@@ -47,12 +47,12 @@ def commands():
                 ["check", "exact", *triple], ["check", "extension", e]]
         for t in of("functor"):
             out.append(["check", "longseq", t, e])
-            out += [["longseq", t, e, "--depth", str(d)] for d in (1, 2)]
+            out += [["longseq", t, e, "--depth", str(d)] for d in (1, 2, 3)]
     out += [["homology", c, str(n)] for c in of("complex") for n in range(3)]
     for t in of("functor"):
         for m in of("twomodule"):
             out += [["derive", t, m, "--degrees", r]
-                    for r in ("0..1", "0..2", "1..2")]
+                    for r in ("0..1", "0..2", "1..2", "0..4")]
             out += [["derive", t, m, "--degrees", "0..1", "--depth", str(d)]
                     for d in range(4)]
     out += [["oracle", "tor", a, b, str(i)]
