@@ -399,14 +399,18 @@ def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
         _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
     A, B, C = F.src, F.dst, G.dst
     dom = sum_module(A.M0, B.M1)
-    theta = ModMor(dom, sum_module(B.M0, C.M1),
-                   block([[F.f0.mat, B.d.mat],
-                          [-phi.s.mat, G.f1.mat]]), check=False)
-    kmod, incl = kernel(theta)
+    if dom.gens:
+        theta = ModMor(dom, sum_module(B.M0, C.M1),
+                       block([[F.f0.mat, B.d.mat],
+                              [-phi.s.mat, G.f1.mat]]), check=False)
+        kmod, incl = kernel(theta)
+        dk = factor_through(incl, ModMor(A.M1, dom, vstack([A.d.mat, -F.f1.mat]),
+                                         check=False))
+    else:   # a zero ambient: K.M0 is zero, and so are incl and dk
+        kmod = FPModule.zero(A.ring)
+        incl, dk = ModMor.zero(kmod, dom), ModMor.zero(A.M1, kmod)
     to_a = ModMor(kmod, A.M0, incl.mat[:A.M0.gens], check=False)
     to_b = ModMor(kmod, B.M1, incl.mat[A.M0.gens:], check=False)
-    dk = factor_through(incl, ModMor(A.M1, dom,
-                                     vstack([A.d.mat, -F.f1.mat]), check=False))
     K = TwoModule(A.M1, kmod, dk, check=False)
     e = OneMor(K, A, ModMor.identity(A.M1), to_a, check=False)
     eps = null_homotopy(compose(e, F), to_b, check=False)

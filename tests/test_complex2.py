@@ -1,17 +1,26 @@
 import random
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from twohom import catalog
+from twohom import catalog, exactlin
 from twohom.cli import load
 from twohom.exactlin import Matrix, RingSpec, ZZ, kernel_basis
 from twohom.fpmod import FPModule, InvalidMorphism, ModMor, invariant_factors
 from twohom.twomod import (
     OneMor,
     TwoModule,
+    TwoMor,
+    compose as tcompose,
     is_equivalence,
+    is_pi_trivial,
+    one_mor_equal,
     pi_profile,
+    relative_kernel,
+    rk_factorize,
+    zero_null_homotopy,
 )
 from twohom.complex2 import (
     ChainHomotopy,
@@ -29,7 +38,7 @@ from twohom.complex2 import (
     window_profile,
 )
 from twohom.derived import FunctorSpec, apply
-from twohom.resolution import resolve
+from twohom.resolution import _extend, resolve
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -233,6 +242,150 @@ class TestPiShift:
         with pytest.raises(InvalidMorphism) as got:
             homology(c, 0).pi
         assert str(got.value) == str(want.value)
+
+
+def derive_input(rng, ring, g=8):
+    """A 2-module drawn as the derive workloads of ``bench/`` draw theirs:
+    M0 with g generators and about g/2 relations, M1 free of rank about
+    g/2, entries in [-4, 4]."""
+    r, h = g // 2 + rng.randint(-1, 1), g // 2 + rng.randint(-1, 1)
+
+    def mat(rows, cols):
+        return Matrix(ring, rows, cols,
+                      [rng.randint(-4, 4) for _ in range(rows * cols)])
+
+    m1, m0 = FPModule.free(ring, h), FPModule(ring, g, mat(g, r))
+    return TwoModule(m1, m0, ModMor(m1, m0, mat(g, h)))
+
+
+def stage_one_inputs(ring, count):
+    """Seeded derive inputs whose resolutions stop at stage 1: stage
+    kernel 1 is pi-trivial, and stage kernel 0 is not."""
+    rng = random.Random(f"stage one {ring}")
+    out = []
+    while len(out) < count:
+        m = derive_input(rng, ring)
+        k0, k1 = resolve(m, 1).kernels
+        if is_pi_trivial(k1.K) and not is_pi_trivial(k0.K):
+            out.append(m)
+    return out
+
+
+def is_zero_spot(c, n):
+    """Ker(L_n, alpha_n) and A_{n+1}.M0 have no generators, so H_n is the
+    zero 2-module and no elimination runs for it."""
+    k = homology(c, n).kernel.K
+    return not (k.M0.gens or k.M1.gens or c.module(n + 1).M0.gens)
+
+
+def _zero_spot_complexes(ring):
+    """Resolutions that stop at stage 1, before and after - (x) Z/k; strict
+    complexes padded with zero modules; and (complex, n) for the near
+    misses, where H_n != 0 although A_n = 0, with A_{n+1}.M0 != 0 or A_{n-1}.M1
+    != 0, or although A_n.M0 = 0 and the ambient of Ker(L_n, alpha_n) is
+    zero, with K.M1 = A_n.M1 != 0."""
+    out = []
+    for m, k in zip(stage_one_inputs(ring, 2), (2, 3)):
+        res = resolve(m, 3)
+        t = FunctorSpec.tensor_with(FPModule.cyclic(ring, k))
+        for c in (res.complex(), res.augmented()):
+            out += [c, apply(t, c)]
+    zero, free = TwoModule.zero(ring), TwoModule.free(ring, 1)
+    mul2 = OneMor(free, free, ModMor.zero(free.M1, free.M1),
+                  ModMor(free.M0, free.M0, Matrix.from_rows(ring, [[2]])))
+    out.append(Complex2.strict(
+        ring, [zero, free, free, zero, zero],
+        [OneMor.zero(free, zero), mul2, OneMor.zero(zero, free),
+         OneMor.zero(zero, zero)]))
+    r = FPModule.free(ring, 1)
+    shift = TwoModule(r, FPModule.zero(ring), ModMor.zero(r, FPModule.zero(ring)))
+    near = [(Complex2.strict(ring, [zero, free], [OneMor.zero(free, zero)]), 0),
+            (Complex2.strict(ring, [shift, zero], [OneMor.zero(zero, shift)]), 1),
+            (Complex2.strict(ring, [shift], []), 0)]
+    return out, near
+
+
+class TestZeroSpots:
+    """At a zero spot the relative kernel, homology and homology maps
+    return at once, with no elimination; the Tot window law, which shares
+    no code with those returns, pins their answers."""
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_homology_is_the_window_at_every_degree(self, ring):
+        complexes, near = _zero_spot_complexes(ring)
+        spots = 0
+        for c in complexes + [c for c, _ in near]:
+            for n in range(-1, c.length + 3):
+                h = homology(c, n)
+                assert h.pi == pi_profile(h.module) == window_profile(c, n), n
+                spots += is_zero_spot(c, n)
+        assert spots > 0
+        for c, n in near:
+            assert c.module(n).M0.gens == 0
+            assert not is_zero_spot(c, n)
+            assert pi_profile(homology(c, n).module) != ([], [])
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_relative_kernel_of_a_zero_ambient(self, ring):
+        """A = [R/4 --> 0], whose M0 has no generators but two (empty)
+        relations, B = [0 -> R/3] and C = [0 -> R/6]: A.M0 (+) B.M1 is
+        zero."""
+        a = TwoModule(FPModule.cyclic(ring, 4),
+                      FPModule(ring, 0, Matrix.zeros(ring, 0, 2)),
+                      ModMor.zero(FPModule.cyclic(ring, 4),
+                                  FPModule(ring, 0, Matrix.zeros(ring, 0, 2))))
+        b = TwoModule.discrete(FPModule.cyclic(ring, 3))
+        c = TwoModule.discrete(FPModule.cyclic(ring, 6))
+        f = OneMor(a, b, ModMor.zero(a.M1, b.M1), ModMor.zero(a.M0, b.M0))
+        g = OneMor(b, c, ModMor.zero(b.M1, c.M1),
+                   ModMor(b.M0, c.M0, Matrix.from_rows(ring, [[2]])))
+        res = relative_kernel(f, zero_null_homotopy(tcompose(f, g)), g)
+        assert res.incl.dst.gens == 0
+        assert res.K.M0.gens == 0 and res.K.M0 == FPModule.zero(ring)
+        assert res.K.M1 == a.M1
+        for m in (res.incl, res.to_a, res.to_b, res.K.d):
+            assert m.mat.is_zero()
+        # rebuilt checked, as the definition states them
+        TwoModule(res.K.M1, res.K.M0, res.K.d)
+        OneMor(res.K, a, res.e.f1, res.e.f0)
+        TwoMor(res.eps.frm, res.eps.to, res.eps.s)
+        assert res.eps.is_null()
+        assert one_mor_equal(res.eps.frm, tcompose(res.e, f))
+        rk_factorize(res, res.e, res.eps)    # checked
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_zero_stages_run_no_elimination(self, ring, monkeypatch):
+        """Extending a resolution that stopped at stage 1 to depth 3, and
+        the homology at its zero stages 2 and 3, call none of
+        preimage_basis, solve_many and snf."""
+        calls = Counter()
+        for name in ("preimage_basis", "solve_many", "snf"):
+            real = getattr(exactlin, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in [m for n, m in sys.modules.items()
+                        if n == "twohom" or n.startswith("twohom.")]:
+                if getattr(mod, name, None) is real:
+                    monkeypatch.setattr(mod, name, counted)
+        t = FunctorSpec.tensor_with(FPModule.cyclic(ring, 4))
+        m, = stage_one_inputs(ring, 1)
+        calls.clear()
+        res = resolve(m, 1)
+        assert res.terminated and calls["preimage_basis"] > 0
+        calls.clear()
+        res = _extend(res, 3)
+        assert calls == Counter()
+        assert res.depth == 3 and len(res.kernels) == 4
+        tc = apply(t, res.complex())
+        calls.clear()
+        for n in (2, 3):
+            assert is_zero_spot(tc, n)
+        assert calls == Counter()
+        homology(tc, 1)
+        assert calls["solve_many"] > 0
 
 
 class TestInduced:

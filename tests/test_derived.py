@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from twohom.twomod import (
     biproduct,
     compose,
     is_pi_trivial,
+    one_mor_equal,
     pi0_mor,
     pi1_mor,
     pi_profile,
@@ -684,3 +687,56 @@ def test_g20_derive_finishes_and_passes_the_window_law():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+class TestLongSequenceZeroSpots:
+    """At depth 3 the resolutions behind a long sequence have stopped, and
+    every u_i, v_i and delta_i with a zero homology 2-module at an end is
+    the zero 1-morphism, built with no factor_through."""
+
+    @staticmethod
+    def _sequences(ring, tmp_path):
+        """(name, sequence) for the catalog extension over Z and for every
+        extension of the cli-small workspace, with each of its functors."""
+        from twohom.cli import load
+
+        root = Path(__file__).resolve().parents[1]
+        out = []
+        if ring == ZZ:
+            out += [("catalog", long_sequence(T2, *catalog.catalog_extension(), 3))]
+        doc = json.loads((root / "tests" / "cli_small_workspace.json").read_text())
+        doc["ring"] = {"kind": "Z"} if ring == ZZ else {"kind": "Zmod", "n": ring.n}
+        path = tmp_path / "workspace.json"
+        path.write_text(json.dumps(doc))
+        ws = load(str(path))
+        objs = doc["objects"]
+        for e in sorted(k for k, v in objs.items() if v["type"] == "extension"):
+            for t in sorted(k for k, v in objs.items() if v["type"] == "functor"):
+                out.append((f"{e} {t}", long_sequence(ws.get(t), *ws.get(e), 3)))
+        return out
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_maps_at_zero_homology_are_zero(self, ring, tmp_path, monkeypatch):
+        from twohom import complex2
+
+        real, factored = complex2.factor_through, []
+        monkeypatch.setattr(complex2, "factor_through",
+                            lambda *args: factored.append(args) or real(*args))
+        seqs = self._sequences(ring, tmp_path)
+
+        def zero(m):
+            return not (m.M0.gens or m.M1.gens)
+
+        at_zero = elsewhere = 0
+        for name, seq in seqs:
+            for map_name, mor in seq.maps:
+                if zero(mor.src) or zero(mor.dst):
+                    assert one_mor_equal(mor, OneMor.zero(mor.src, mor.dst)), \
+                        (name, map_name)
+                    at_zero += 1
+                else:
+                    elsewhere += 1
+            assert check_long_sequence(seq), name
+        assert at_zero > 0
+        # one factorization per map between nonzero homology 2-modules
+        assert len(factored) == elsewhere
