@@ -253,12 +253,14 @@ def invariant_factors(m: FPModule) -> List[int]:
     the base ring itself, followed by one entry per generator beyond the
     rank: 0 over Z, and n over Z/n, where a free rank is the factor n.
     """
+    fill = m.ring.n if m.ring.is_modular else 0
+    if not (m.gens and m.rel.cols):     # the Smith form is empty
+        return [fill] * m.gens
     D, = snf(m.rel, "D")
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
     free = m.gens - sum(1 for d in diag if d != 0)
     # divisibility chain makes plain sorting canonical
-    return (sorted(d for d in diag if d not in (0, 1))
-            + [m.ring.n if m.ring.is_modular else 0] * free)
+    return sorted(d for d in diag if d not in (0, 1)) + [fill] * free
 
 
 def is_epi(f: ModMor) -> bool:

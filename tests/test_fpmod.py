@@ -223,6 +223,28 @@ class TestInvariantFactors:
         sub = FPModule(r4, 1, Matrix.from_rows(r4, [[2]]))
         assert invariant_factors(sub) == [2]
 
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+    def test_an_empty_smith_form_is_not_built(self, ring, monkeypatch):
+        """A module with no generators, or with no relations, has an empty
+        Smith form; its factors are read off the shape, as the Smith form
+        states them, with no snf call."""
+        from twohom import fpmod
+
+        fill = 12 if ring.is_modular else 0
+        mods = [(FPModule.zero(ring), []),
+                (FPModule(ring, 0, Matrix.zeros(ring, 0, 3)), []),
+                (FPModule.free(ring, 3), [fill] * 3)]
+        for mod, _ in mods:   # the Smith form of an empty matrix agrees
+            D, = fpmod.snf(mod.rel, "D")
+            assert D.rows == mod.gens and D.is_zero()
+
+        def boom(*args):
+            raise AssertionError("Smith form built")
+
+        monkeypatch.setattr(fpmod, "snf", boom)
+        for mod, want in mods:
+            assert invariant_factors(mod) == want
+
 
 def test_exactness_checker():
     two = ModMor(Z1, Z1, m([[2]]))
