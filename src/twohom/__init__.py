@@ -7,7 +7,7 @@ long 2-exact sequence of an extension) reduces to exact integer linear
 algebra and is cross-checked against independent matrix-level oracles.
 """
 
-from .exactlin import Matrix, RingSpec, ZZ, hnf, kernel_basis, snf, solve, solve_many
+from .exactlin import Matrix, RingSpec, ZZ, hnf, kernel_basis, snf, solve_many
 from .fpmod import (
     FPModule,
     ModMor,

@@ -162,10 +162,10 @@ class ChainMor:
             return self.lams[n]
         return ModMor.zero(self.src.module(n).M0, self.dst.module(n - 1).M1)
 
-    def lam(self, n: int, check: bool = False) -> TwoMor:
+    def lam(self, n: int) -> TwoMor:
         frm = compose(self.src.diff(n), self.f(n - 1))
         to = compose(self.f(n), self.dst.diff(n))
-        return TwoMor(frm, to, self.lam_s(n), check=check)
+        return TwoMor(frm, to, self.lam_s(n))
 
     def max_index(self) -> int:
         return max(self.src.length, self.dst.length)
@@ -187,7 +187,7 @@ def validate_chain_mor(m: ChainMor) -> Tuple[bool, str]:
     top = m.max_index() + 1
     for n in range(top + 1):
         try:
-            m.lam(n, check=True)
+            m.lam(n)
         except (InvalidMorphism, DimensionMismatch) as exc:
             return False, f"lambda[{n}]: {exc}"
     for n in range(top + 2):
@@ -225,11 +225,11 @@ class ChainHomotopy:
             return self.taus[n]
         return ModMor.zero(self.m.src.module(n).M0, self.m.dst.module(n).M1)
 
-    def tau(self, n: int, check: bool = False) -> TwoMor:
+    def tau(self, n: int) -> TwoMor:
         to = (compose(self.h(n), self.m.dst.diff(n + 1))
               + compose(self.m.src.diff(n), self.h(n - 1))
               + self.mp.f(n))
-        return TwoMor(self.m.f(n), to, self.tau_s(n), check=check)
+        return TwoMor(self.m.f(n), to, self.tau_s(n))
 
     def max_index(self) -> int:
         return max(self.m.max_index(), self.mp.max_index())
@@ -239,7 +239,7 @@ def validate_chain_homotopy(h: ChainHomotopy) -> Tuple[bool, str]:
     top = h.max_index() + 1
     for n in range(top + 1):
         try:
-            h.tau(n, check=True)
+            h.tau(n)
         except (InvalidMorphism, DimensionMismatch) as exc:
             return False, f"tau[{n}]: {exc}"
     src, dst = h.m.src, h.m.dst

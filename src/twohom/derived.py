@@ -41,7 +41,6 @@ from .twomod import (
     pi0_mor,
     pi1_mor,
     pi_profile,
-    relative_cokernel,
     relative_kernel,
 )
 from .complex2 import (
@@ -155,13 +154,17 @@ def find_null_homotopy(w: OneMor) -> Optional[TwoMor]:
     def eye(n):
         return Matrix.identity(ring, n)
 
-    # vec(s) solves d_Y * s = -w.f0 modulo rel0 and s * d_X = -w.f1 modulo
-    # rel1, each band with slack over the relations of its module
+    # vec(s) solves d_Y * s = -w.f0 modulo rel0, s * d_X = -w.f1 and (s is a
+    # module map) s * X.M0.rel = 0 modulo rel1, each band with slack
+    r = X.M0.rel.cols
     big = hstack([vstack([kron(eye(X.M0.gens), Y.d.mat),
-                          kron(X.d.mat.transpose(), eye(m1))]),
+                          kron(X.d.mat.transpose(), eye(m1)),
+                          kron(X.M0.rel.transpose(), eye(m1))]),
                   block_diag([kron(eye(X.M0.gens), Y.M0.rel),
-                              kron(eye(X.M1.gens), Y.M1.rel)])])
-    sol = solve_many(big, vstack([vec(-w.f0.mat), vec(-w.f1.mat)]))
+                              kron(eye(X.M1.gens), Y.M1.rel),
+                              kron(eye(r), Y.M1.rel)])])
+    sol = solve_many(big, vstack([vec(-w.f0.mat), vec(-w.f1.mat),
+                                  Matrix.zeros(ring, r * m1, 1)]))
     if sol is None:
         return None
     return null_homotopy(w, ModMor(X.M0, Y.M1, unvec(sol, m1, X.M0.gens),
@@ -282,16 +285,16 @@ def _right_exact_at_b_and_c(t: FunctorSpec, F: OneMor, phi: TwoMor,
                             G: OneMor) -> bool:
     """The B- and C-spot conditions on a triple known to be an extension.
 
-    Both constructions skip their checks of T(phi), as proved here: phi is
-    a null homotopy of G∘F, and T keeps composites and zero maps, so T(phi)
-    is one of T(G)∘T(F); compatibility with the plain kernel's cell is
-    vacuous."""
+    Only B is tested, as C holds: the extension's Coker(F, phi, G) is
+    pi-trivial, so its d_Q is an isomorphism, and for T = - (x) N,
+    Coker(TF, Tphi, TG) is T(Coker(F, phi, G)) up to the order of its
+    relation columns, so its d_Q, d_Q (x) N, is one too.  The comparison
+    skips its checks of T(phi), as proved here: T keeps composites and zero
+    maps, so T(phi) is a null homotopy of T(G)∘T(F); compatibility with the
+    plain kernel's cell is vacuous."""
     tf, tphi, tg = apply(t, (F, phi, G))
     cmp_mor, _ = comparison_into_kernel(tf, tphi, tg, check=False)
-    b_ok = (is_essentially_surjective(cmp_mor)
-            and is_epi(pi1_mor(cmp_mor)))
-    c_ok = is_pi_trivial(relative_cokernel(tf, tphi, tg, check=False).Q)
-    return b_ok and c_ok
+    return is_essentially_surjective(cmp_mor) and is_epi(pi1_mor(cmp_mor))
 
 
 def exactness_at_a_spot(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor

@@ -677,13 +677,6 @@ def _smith_rhs(A: Matrix, B: Matrix):
     return Y, diag
 
 
-def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
-    """Solve A x = b for a single column b; None when unsolvable."""
-    if b.cols != 1:
-        raise DimensionMismatch("solve expects a column")
-    return solve_many(A, b)
-
-
 def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     """The submodule {x : A x in colspan B} as the columns of its Hermite
     basis (the transposed row Hermite form, zero rows dropped).

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .exactlin import (DimensionMismatch, Matrix, RingSpec, block, block_diag,
                        hstack, vstack)
@@ -564,31 +564,20 @@ def rc_factorize(res: RelCokernelResult, E: OneMor, psi: TwoMor
 # ---------------------------------------------------------------------------
 
 def comparison_into_kernel(F: OneMor, phi: TwoMor, G: OneMor,
-                           psi_next: Optional[TwoMor] = None,
-                           H: Optional[OneMor] = None, check: bool = True
-                           ) -> Tuple[OneMor, RelKernelResult]:
-    """The canonical comparison A -> Ker(G, psi_next) induced by (F, phi).
-
-    With no following data the plain kernel of G is used (H = 0, psi_next
-    the canonical cell).  ``check=False`` skips the checks of phi that
-    ``rk_factorize`` makes, as the caller has proved them.
-    """
-    if H is None:
-        res = plain_kernel(G)
-    else:
-        res = relative_kernel(G, psi_next or zero_null_homotopy(compose(G, H)),
-                              H)
+                           check: bool = True) -> Tuple[OneMor, RelKernelResult]:
+    """The canonical comparison A -> Ker(G) induced by (F, phi), into the
+    plain kernel of G.  ``check=False`` skips the checks of phi that
+    ``rk_factorize`` makes, as the caller has proved them."""
+    res = plain_kernel(G)
     cmp_mor, _ = rk_factorize(res, F, phi, check=check)
     return cmp_mor, res
 
 
 def check_relative_two_exact(F: OneMor, phi: TwoMor, G: OneMor,
-                             psi_next: Optional[TwoMor] = None,
-                             H: Optional[OneMor] = None,
                              check: bool = True) -> bool:
     """2-exactness at the middle of (F, phi, G): the comparison into the
-    (relative) kernel of G is full and essentially surjective."""
-    cmp_mor, _ = comparison_into_kernel(F, phi, G, psi_next, H, check)
+    kernel of G is full and essentially surjective."""
+    cmp_mor, _ = comparison_into_kernel(F, phi, G, check)
     return is_full(cmp_mor) and is_essentially_surjective(cmp_mor)
 
 
@@ -598,12 +587,11 @@ def is_extension(F: OneMor, phi: TwoMor, G: OneMor) -> bool:
 
     Operationally: Ker(F, phi) is pi-trivial (left edge), the middle
     comparison is full + essentially surjective, and Coker(phi, G) is
-    pi-trivial (right edge, the dual comparison).
+    pi-trivial (right edge, the dual comparison).  The edges decide the
+    legs: pi1(Ker(F, phi)) = ker pi1(F), as incl∘d_K = (d_A, -F.f1) on
+    A.M1 with incl mono, and pi0(Coker(phi, G)) = coker pi0(G), as
+    d_Q = [G.f0 | d_C] into C.M0.
     """
-    if not is_faithful(F):
-        return False
-    if not is_essentially_surjective(G):
-        return False
     try:
         left = relative_kernel(F, phi, G)
     except CompatibilityError:

@@ -19,7 +19,6 @@ from twohom.exactlin import (
     kernel_basis,
     kron,
     snf,
-    solve,
     solve_many,
     unvec,
     vec,
@@ -215,14 +214,14 @@ def test_hnf_properties_hypothesis(a):
 
 class TestSolve:
     def test_solvable(self):
-        assert solve(mat([[2]]), Matrix.column(ZZ, [4])).tolists() == [[2]]
+        assert solve_many(mat([[2]]), Matrix.column(ZZ, [4])).tolists() == [[2]]
 
     def test_parity_obstruction(self):
-        assert solve(mat([[2]]), Matrix.column(ZZ, [3])) is None
+        assert solve_many(mat([[2]]), Matrix.column(ZZ, [3])) is None
 
     def test_mod5(self):
         r5 = RingSpec.Zmod(5)
-        x = solve(Matrix.from_rows(r5, [[2]]), Matrix.column(r5, [3]))
+        x = solve_many(Matrix.from_rows(r5, [[2]]), Matrix.column(r5, [3]))
         assert x.tolists() == [[4]]
 
     def test_soundness_and_enumeration_mod_n(self):
@@ -233,7 +232,7 @@ class TestSolve:
                 a = random_zmod(rng, n, r, c)
                 b = (random_zmod(rng, n, r, 1) if rng.random() < 0.5
                      else a @ random_zmod(rng, n, c, 1))
-                x = solve(a, b)
+                x = solve_many(a, b)
                 images = (all_columns(n, c) @ a.arr.T) % n
                 if x is None:
                     assert not (images == b.arr.T).all(axis=1).any()

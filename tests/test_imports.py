@@ -5,12 +5,17 @@ plain ``name = ...`` assignment in a function is read by that function.
 re-export them.  Names in quoted annotations count as used.  Tuple
 unpacking is exempt from the assignment check, since it may bind names
 only to discard them.
+
+The package's public surface, ``twohom.__all__``, is pinned as a list, so
+that a name added or removed shows in the diff of this file.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import twohom
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "twohom"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -46,6 +51,34 @@ def _used(tree: ast.Module) -> set:
             if isinstance(n, ast.Constant) and isinstance(n.value, str):
                 used |= _used(ast.parse(n.value, mode="eval"))
     return used
+
+
+# sorted(twohom.__all__): the re-exported names and the submodules that
+# the package imports
+PUBLIC = [
+    "ChainHomotopy", "ChainMor", "ComparisonLift", "Complex2",
+    "DerivedResult", "FPModule", "FunctorSpec", "HomologyData", "LongSeq",
+    "Matrix", "ModMor", "OneMor", "RelCokernelResult", "RelKernelResult",
+    "Resolution", "RingSpec", "TwoModule", "TwoMor", "ZZ", "apply",
+    "biproduct", "check_long_sequence", "check_projective_vanishing",
+    "check_relative_two_exact", "classical_tor_oracle", "cokernel", "compare",
+    "complex2", "compose", "derive", "derive_mor", "derived", "direct_sum",
+    "equal_mor", "exactlin", "fpmod", "free_cover", "hnf", "hom_basis",
+    "homology", "homotopy_between_lifts", "homotopy_equiv_witness",
+    "horseshoe", "hyper", "induced", "invariant_factors",
+    "is_essentially_surjective", "is_extension", "is_faithful", "is_full",
+    "is_right_relative_two_exact", "is_valid_mor", "kernel", "kernel_basis",
+    "lift_through", "long_sequence", "pi0", "pi1", "pi_profile",
+    "product_resolution", "rc_factorize", "relative_cokernel",
+    "relative_kernel", "resolution", "resolution_independence", "resolve",
+    "rk_factorize", "snf", "solve_many", "sum_module", "tensor", "tensor_mor",
+    "total", "twomod", "validate_chain_homotopy", "validate_chain_mor",
+    "validate_complex", "validate_resolution", "vcomp", "whisker_left",
+    "whisker_right"]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(twohom.__all__) == PUBLIC
 
 
 def test_modules_found():

@@ -65,7 +65,6 @@ CHECKED_CALLS = {
     ("twomod.py", "is_extension", "rk_factorize"),
     ("twomod.py", "is_extension", "relative_cokernel"),
     ("derived.py", "_right_exact_at_b_and_c", "rk_factorize"),
-    ("derived.py", "_right_exact_at_b_and_c", "relative_cokernel"),
 }
 # functions that only pass their caller's check on
 PASS_CHECK_ON = {"comparison_into_kernel", "check_relative_two_exact"}
