@@ -451,11 +451,11 @@ def _cmd_check(ws: Workspace, args) -> int:
         res_src = resolve(h.src, args.depth)
         res_dst = resolve(h.dst, args.depth)
         base = compare(h, res_src, res_dst)
-        other = perturb_lift(base, {0: Matrix.identity(
-            ws.ring, res_dst.module(1).M0.gens)
-            if res_dst.module(1).M0.gens == res_src.module(0).M0.gens
-            else Matrix.zeros(ws.ring, res_dst.module(1).M0.gens,
-                              res_src.module(0).M0.gens)})
+        # X_0: P_0(src) -> P_1(dst) with ones at (i, i), nonzero unless a
+        # stage is; every map between free stages is a module map
+        r, c = res_dst.module(1).M0.gens, res_src.module(0).M0.gens
+        other = perturb_lift(base, {0: Matrix(
+            ws.ring, r, c, [int(i == j) for i in range(r) for j in range(c)])})
         hom = homotopy_between_lifts(base, other)
         ok, rep["reason"] = validate_chain_homotopy(hom)
     elif what == "longseq":

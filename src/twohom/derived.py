@@ -33,15 +33,15 @@ from .twomod import (
     TwoMor,
     compose,
     check_relative_two_exact,
-    comparison_into_kernel,
     is_extension,
-    is_essentially_surjective,
     is_pi_trivial,
     null_homotopy,
     pi0_mor,
     pi1_mor,
     pi_profile,
+    plain_kernel,
     relative_kernel,
+    rk_factorize,
 )
 from .complex2 import (
     ChainHomotopy,
@@ -272,9 +272,10 @@ def is_right_relative_two_exact(t: FunctorSpec, F: OneMor, phi: TwoMor,
     """Does t keep the extension relative 2-exact at the B and C spots?
 
     At C: the relative cokernel of the transformed pair is pi-trivial.
-    At B: the comparison into the kernel of T(G) is essentially
-    surjective and pi1-epi (the pi0-mono half of fullness is the A-spot
-    condition, which right exactness does not promise).
+    At B: the comparison c into the kernel of T(G) is pi1-epi and
+    essentially surjective, the pi1 half of C, as pi1(Coker(Tphi, TG)) =
+    coker pi0(c) (the pi0-mono half of fullness is the A-spot condition,
+    which right exactness does not promise).
     """
     if not is_extension(F, phi, G):
         raise ValueError("testbed is not an extension")
@@ -285,16 +286,17 @@ def _right_exact_at_b_and_c(t: FunctorSpec, F: OneMor, phi: TwoMor,
                             G: OneMor) -> bool:
     """The B- and C-spot conditions on a triple known to be an extension.
 
-    Only B is tested, as C holds: the extension's Coker(F, phi, G) is
-    pi-trivial, so its d_Q is an isomorphism, and for T = - (x) N,
-    Coker(TF, Tphi, TG) is T(Coker(F, phi, G)) up to the order of its
-    relation columns, so its d_Q, d_Q (x) N, is one too.  The comparison
-    skips its checks of T(phi), as proved here: T keeps composites and zero
-    maps, so T(phi) is a null homotopy of T(G)∘T(F); compatibility with the
+    Only B's pi1-epi half is tested, as the rest holds: the extension's
+    Coker(F, phi, G) is pi-trivial, so its d_Q is an isomorphism, and for
+    T = - (x) N, Coker(TF, Tphi, TG) is T(Coker(F, phi, G)) up to the order
+    of its relation columns, so its d_Q, d_Q (x) N, is one too.  That is C,
+    and its pi1 is coker pi0(c), so c is essentially surjective.  c skips
+    its checks of T(phi), as proved here: T keeps composites and zero maps,
+    so T(phi) is a null homotopy of T(G)∘T(F); compatibility with the
     plain kernel's cell is vacuous."""
     tf, tphi, tg = apply(t, (F, phi, G))
-    cmp_mor, _ = comparison_into_kernel(tf, tphi, tg, check=False)
-    return is_essentially_surjective(cmp_mor) and is_epi(pi1_mor(cmp_mor))
+    c = rk_factorize(plain_kernel(tg), tf, tphi, check=False)[0]
+    return is_epi(pi1_mor(c))
 
 
 def exactness_at_a_spot(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor

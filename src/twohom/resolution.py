@@ -213,8 +213,9 @@ def validate_resolution(res: Resolution) -> Tuple[bool, str]:
     stages, and relative 2-exactness at each interior stage: pi-trivial
     homology of the augmented complex there.  Where the comparison L' into
     the stage kernel is full and essentially surjective, its plain cokernel
-    Q' is pi-trivial; the homology is Q' with more relations on M1, which
-    Q''s injective d_Q kills, so they hold in Q' already.  L' cannot be full
+    Q' is pi-trivial, as pi0(Q') = coker pi0(L') and pi1(Q') = pi0(Ker L');
+    the homology is Q' with more relations on M1, which Q''s injective d_Q
+    kills, so they hold in Q' already.  L' cannot be full
     where pi0 of the stage kernel has torsion, as over Z/n, although the
     resolution is exact.
     """

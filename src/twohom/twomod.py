@@ -563,46 +563,33 @@ def rc_factorize(res: RelCokernelResult, E: OneMor, psi: TwoMor
 # exactness
 # ---------------------------------------------------------------------------
 
-def comparison_into_kernel(F: OneMor, phi: TwoMor, G: OneMor,
-                           check: bool = True) -> Tuple[OneMor, RelKernelResult]:
-    """The canonical comparison A -> Ker(G) induced by (F, phi), into the
-    plain kernel of G.  ``check=False`` skips the checks of phi that
-    ``rk_factorize`` makes, as the caller has proved them."""
-    res = plain_kernel(G)
-    cmp_mor, _ = rk_factorize(res, F, phi, check=check)
-    return cmp_mor, res
-
-
-def check_relative_two_exact(F: OneMor, phi: TwoMor, G: OneMor,
-                             check: bool = True) -> bool:
-    """2-exactness at the middle of (F, phi, G): the comparison into the
-    kernel of G is full and essentially surjective."""
-    cmp_mor, _ = comparison_into_kernel(F, phi, G, check)
-    return is_full(cmp_mor) and is_essentially_surjective(cmp_mor)
+def check_relative_two_exact(F: OneMor, phi: TwoMor, G: OneMor) -> bool:
+    """2-exactness at the middle of (F, phi, G): the comparison
+    c: A -> Ker(G) is full and essentially surjective.  Ker(F, phi) is the
+    plain kernel of c, and pi0(Ker c), an extension of ker pi0(c) by
+    coker pi1(c), is zero exactly when c is full.  pi1(Coker(phi, G)) =
+    ker d_Q / N is Ker(G).M0 modulo the images of d_{Ker G} and c0, that
+    is coker pi0(c), zero exactly when c is essentially surjective."""
+    if invariant_factors(pi0(relative_kernel(F, phi, G).K)) != []:
+        return False
+    # unchecked, as relative_kernel has just checked that phi is a null
+    # homotopy of G∘F, which is all that the cokernel checks
+    return invariant_factors(pi1(relative_cokernel(F, phi, G, check=False).Q)) == []
 
 
 def is_extension(F: OneMor, phi: TwoMor, G: OneMor) -> bool:
     """Extension: faithful first leg, essentially surjective second leg,
-    2-exact at all three spots.
-
-    Operationally: Ker(F, phi) is pi-trivial (left edge), the middle
-    comparison is full + essentially surjective, and Coker(phi, G) is
-    pi-trivial (right edge, the dual comparison).  The edges decide the
-    legs: pi1(Ker(F, phi)) = ker pi1(F), as incl∘d_K = (d_A, -F.f1) on
-    A.M1 with incl mono, and pi0(Coker(phi, G)) = coker pi0(G), as
-    d_Q = [G.f0 | d_C] into C.M0.
-    """
+    2-exact at all three spots: Ker(F, phi) and Coker(phi, G) are
+    pi-trivial.  These edges decide the legs, as pi1(Ker(F, phi)) =
+    ker pi1(F) (incl∘d_K = (d_A, -F.f1) on A.M1 with incl mono) and
+    pi0(Coker(phi, G)) = coker pi0(G) (d_Q = [G.f0 | d_C] into C.M0), and
+    the middle spot, whose conditions are pi0(Ker(F, phi)) = 0 and
+    pi1(Coker(phi, G)) = 0 (check_relative_two_exact)."""
     try:
         left = relative_kernel(F, phi, G)
     except CompatibilityError:
         return False
-    if not is_pi_trivial(left.K):
-        return False
     # unchecked, as relative_kernel has just checked that phi is a null
-    # homotopy of G∘F, which is all that both constructions check: the
-    # plain kernel's cell maps into the zero 2-module, so compatibility
-    # with it is vacuous
-    if not check_relative_two_exact(F, phi, G, check=False):
-        return False
-    right = relative_cokernel(F, phi, G, check=False)
-    return is_pi_trivial(right.Q)
+    # homotopy of G∘F, which is all that the cokernel checks
+    return (is_pi_trivial(left.K)
+            and is_pi_trivial(relative_cokernel(F, phi, G, check=False).Q))

@@ -313,6 +313,23 @@ class TestCommands:
             assert code == 0, argv
             assert json.loads(out)["result"] is want
 
+    @pytest.mark.parametrize("leg", ["e3_F", "e4_G"])
+    def test_check_homotopy_perturbs_a_split_leg(self, leg, monkeypatch, capsys):
+        """The split legs' stages P_1(dst) and P_0(src) have unequal ranks,
+        and the perturbation X_0 between them is still nonzero."""
+        seen, real = [], twohom.cli.perturb_lift
+
+        def perturb(base, xs):
+            seen.append(xs[0])
+            return real(base, xs)
+
+        monkeypatch.setattr(twohom.cli, "perturb_lift", perturb)
+        ws = str(ROOT / "tests" / "cli_small_workspace.json")
+        assert main(["check", ws, "homotopy", leg]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] is True
+        (x0,) = seen
+        assert x0.rows != x0.cols and not x0.is_zero()
+
     def test_oracle(self):
         code, out, _ = run_cli("oracle", CATALOG, "tor", "Z4", "Z6", "1")
         assert json.loads(out)["invariants"] == [2]

@@ -1,13 +1,17 @@
 """Each 2-exactness condition is decided once, and the tests below pin the
 proofs that let the library drop its second tests.
 
-* ``is_extension`` tests the left edge, the middle spot and the right edge
-  only: pi1(Ker(F, phi)) = ker pi1(F) makes the left edge decide that F is
-  faithful, and pi0(Coker(phi, G)) = coker pi0(G) makes the right edge
-  decide that G is essentially surjective.
-* ``derived._right_exact_at_b_and_c`` tests the B spot only: for
-  T = identity or - (x) N, the relative cokernel of T applied to an
-  extension is pi-trivial.
+* ``check_relative_two_exact`` reads the middle spot off the triple's
+  relative kernel and cokernel: Ker(F, phi) is the plain kernel of the
+  comparison c: A -> Ker(G), so pi0(Ker(F, phi)) is zero exactly when c is
+  full, and pi1(Coker(phi, G)) = coker pi0(c).
+* ``is_extension`` tests the left and right edges only: pi1(Ker(F, phi)) =
+  ker pi1(F) makes the left edge decide that F is faithful,
+  pi0(Coker(phi, G)) = coker pi0(G) makes the right edge decide that G is
+  essentially surjective, and the two edges decide the middle spot as above.
+* ``derived._right_exact_at_b_and_c`` tests the pi1-epi half of the B spot
+  only: for T = identity or - (x) N, the relative cokernel of T applied to
+  an extension is pi-trivial, and its pi1 is coker pi0 of the comparison.
 * ``validate_resolution`` tests the homology of the augmented complex
   only: wherever the comparison into the relative stage kernel is full and
   essentially surjective, that homology is pi-trivial.
@@ -19,6 +23,7 @@ cells are checked to be module maps at the end.
 """
 
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,19 +31,20 @@ import pytest
 from test_derived import _cyclic_extension
 from test_resolution import _random_extension, _zp_extension
 from test_twomod import _random_two_module_over
-from twohom import catalog
+from twohom import catalog, twomod
 from twohom.cli import load
 from twohom.complex2 import validate_complex
-from twohom.derived import FunctorSpec, apply, find_null_homotopy
+from twohom.derived import (FunctorSpec, _right_exact_at_b_and_c, apply,
+                            find_null_homotopy)
 from twohom.exactlin import Matrix, RingSpec, ZZ, hstack, solve_many
 from twohom.fpmod import (FPModule, InvalidMorphism, ModMor, cokernel,
-                          invariant_factors, is_valid_mor, kernel)
+                          invariant_factors, is_epi, is_valid_mor, kernel)
 from twohom.resolution import _extend, resolve, validate_resolution
 from twohom.twomod import (OneMor, TwoModule, TwoMor, check_relative_two_exact,
                            compose, is_essentially_surjective, is_extension,
                            is_faithful, is_full, is_pi_trivial, pi0, pi0_mor,
-                           pi1, pi1_mor, relative_cokernel, relative_kernel,
-                           rk_factorize, zero_null_homotopy)
+                           pi1, pi1_mor, plain_kernel, relative_cokernel,
+                           relative_kernel, rk_factorize, zero_null_homotopy)
 
 Z4, Z9, Z12 = RingSpec.Zmod(4), RingSpec.Zmod(9), RingSpec.Zmod(12)
 WORKSPACE = Path(__file__).with_name("cli_small_workspace.json")
@@ -110,7 +116,41 @@ def _triples(ring):
 
 
 # ---------------------------------------------------------------------------
-# (a) is_extension: the edges decide the legs' conditions
+# (a) the middle spot is read off the relative kernel and cokernel
+# ---------------------------------------------------------------------------
+
+def _comparison(F, phi, G):
+    """The comparison A -> Ker(G) induced by (F, phi), checked."""
+    return rk_factorize(plain_kernel(G), F, phi)[0]
+
+
+def _parent_check_relative_two_exact(F, phi, G):
+    """The comparison into the kernel of G is full and essentially
+    surjective."""
+    c = _comparison(F, phi, G)
+    return is_full(c) and is_essentially_surjective(c)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Z4, Z12], ids=str)
+def test_the_edges_decide_the_middle_spot(ring):
+    verdicts = []
+    for F, phi, G in _triples(ring):
+        c = _comparison(F, phi, G)
+        left = relative_kernel(F, phi, G).K
+        right = relative_cokernel(F, phi, G).Q
+        # pi0(Ker(F, phi)) = pi0(Ker c) is zero exactly when c is full, and
+        # pi1(Coker(phi, G)) = coker pi0(c)
+        assert (invariant_factors(pi0(left)) == []) == is_full(c)
+        assert (invariant_factors(pi1(right))
+                == invariant_factors(cokernel(pi0_mor(c))[0]))
+        verdict = check_relative_two_exact(F, phi, G)
+        assert verdict == _parent_check_relative_two_exact(F, phi, G)
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# (b) is_extension: the edges decide the legs' conditions
 # ---------------------------------------------------------------------------
 
 def _parent_is_extension(F, phi, G):
@@ -118,7 +158,7 @@ def _parent_is_extension(F, phi, G):
     pi-trivial left edge, 2-exact middle, pi-trivial right edge."""
     return (is_faithful(F) and is_essentially_surjective(G)
             and is_pi_trivial(relative_kernel(F, phi, G).K)
-            and check_relative_two_exact(F, phi, G)
+            and _parent_check_relative_two_exact(F, phi, G)
             and is_pi_trivial(relative_cokernel(F, phi, G).Q))
 
 
@@ -145,8 +185,32 @@ def test_edges_decide_faithful_and_essentially_surjective(ring):
     assert 4 <= verdicts.count(True) < verdicts.count(False)
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls each construction receives from twomod."""
+    seen = Counter()
+    for name in ("relative_kernel", "relative_cokernel", "plain_kernel",
+                 "rk_factorize"):
+        def counting(*args, _real=getattr(twomod, name), _name=name, **kw):
+            seen[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(twomod, name, counting)
+    return seen
+
+
+@pytest.mark.parametrize("which", ["catalog", "cli-small"])
+def test_exactness_builds_no_comparison(which, calls):
+    F, phi, G = (catalog.catalog_extension() if which == "catalog"
+                 else load(str(WORKSPACE)).get("e0"))
+    assert twomod.is_extension(F, phi, G)
+    assert calls == Counter(relative_kernel=1, relative_cokernel=1)
+    calls.clear()
+    assert twomod.check_relative_two_exact(F, phi, G)
+    assert calls == Counter(relative_kernel=1, relative_cokernel=1)
+
+
 # ---------------------------------------------------------------------------
-# (b) right exactness: the C spot holds on every extension
+# (c) right exactness: the C spot holds on every extension
 # ---------------------------------------------------------------------------
 
 def _z3_extension(n):
@@ -176,11 +240,13 @@ def _extensions():
 
 
 def test_the_c_spot_holds_on_every_extension():
-    """The C-spot test that ``_right_exact_at_b_and_c`` does not run, on
-    every extension these tests build: the relative cokernel of T applied
-    to the extension is pi-trivial."""
+    """The tests that ``_right_exact_at_b_and_c`` does not run, on every
+    extension these tests build: the relative cokernel of T applied to the
+    extension is pi-trivial, so the comparison c into the kernel of T(G) is
+    essentially surjective, and the verdict is the parent's B-spot test."""
     exts = _extensions()
     assert len(exts) >= 30
+    verdicts = []
     for F, phi, G in exts:
         assert is_extension(F, phi, G)
         ring = F.src.ring
@@ -189,10 +255,16 @@ def test_the_c_spot_holds_on_every_extension():
         for t in functors:
             tf, tphi, tg = apply(t, (F, phi, G))
             assert is_pi_trivial(relative_cokernel(tf, tphi, tg).Q)
+            c = _comparison(tf, tphi, tg)
+            assert is_essentially_surjective(c)
+            verdict = _right_exact_at_b_and_c(t, F, phi, G)
+            assert verdict == is_epi(pi1_mor(c))
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------------------
-# (c), (d) validate_resolution: one criterion per spot
+# (d), (e) validate_resolution: one criterion per spot
 # ---------------------------------------------------------------------------
 
 def _relative_comparison_holds(res, i):

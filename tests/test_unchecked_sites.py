@@ -62,12 +62,10 @@ CHECKED_CALLS = {
     ("resolution.py", "_extend", "relative_kernel"),
     ("resolution.py", "stage", "rk_factorize"),
     ("twomod.py", "plain_kernel", "relative_kernel"),
-    ("twomod.py", "is_extension", "rk_factorize"),
     ("twomod.py", "is_extension", "relative_cokernel"),
+    ("twomod.py", "check_relative_two_exact", "relative_cokernel"),
     ("derived.py", "_right_exact_at_b_and_c", "rk_factorize"),
 }
-# functions that only pass their caller's check on
-PASS_CHECK_ON = {"comparison_into_kernel", "check_relative_two_exact"}
 
 
 @pytest.fixture
@@ -79,8 +77,6 @@ def checked_sites(monkeypatch):
         def construction(*args, check=True, _real=real, _name=name):
             if not check:
                 f = sys._getframe(1)
-                while f.f_code.co_name in PASS_CHECK_ON:
-                    f = f.f_back
                 hits[(Path(f.f_code.co_filename).name, f.f_code.co_name,
                       _name)] += 1
             res = _real(*args)   # checked
