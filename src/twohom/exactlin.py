@@ -3,16 +3,17 @@
 Everything downstream (presented modules, 2-modules, homology, derived
 functors) reduces to the four primitives in this module: Hermite form,
 Smith form, exact linear solving and kernel generation.  A ``Matrix``
-stores Python ints in an object-dtype numpy array; the elimination runs on
-lists of rows of Python ints, so no value ever overflows, and a row step
-changes its row in place at the pivot row's nonzeros, on rows that share
-no list.  Over Z/n entries are canonical representatives in [0, n).
+stores a tuple of row tuples of Python ints, so no value ever overflows;
+the elimination runs on lists of rows copied off it, and a row step changes
+its row in place at the pivot row's nonzeros, on rows that share no list.
+Over Z/n entries are canonical representatives in [0, n).
 ``Matrix(ring, rows, cols, entries)`` takes integers only, copies them and
-reduces them mod n.  All other matrices are made here, read-only and
-canonical, with the private keyword ``_canonical`` (a new array, reduced
-mod n once unless True); other modules cut blocks as views, ``m[a:b]`` or
-``m[a:b, c:d]``.  Solving and kernels read the Smith form over the ring
-itself (Z/n is a principal ideal ring), so nothing is lifted to Z.
+reduces them mod n.  All other matrices are made here, immutable and
+canonical, by ``_matrix`` with the private keyword ``_rows``; the results
+that can leave [0, n) are reduced by ``_mod`` first.  Other modules cut
+blocks by slicing, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving and kernels read
+the Smith form over the ring itself (Z/n is a principal ideal ring), so
+nothing is lifted to Z.
 Hermite bases come from one untransformed echelon pass: ``hnf`` of a row
 span, ``column_basis`` of a column span, and ``preimage_basis`` of the
 kernel of a module morphism, with Howell rows over Z/n (Howell 1986;
@@ -45,11 +46,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
-from operator import index
+from operator import add, index, sub
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -108,33 +108,25 @@ ZZ = RingSpec.Z()
 class Matrix:
     """Immutable exact matrix over a RingSpec.
 
-    Entries are stored row-major as Python ints; for Z/n they are the
-    canonical representatives in [0, n).
+    Entries are stored as a tuple of ``rows`` row tuples of ``cols`` Python
+    ints; for Z/n they are the canonical representatives in [0, n).
     """
 
-    __slots__ = ("ring", "rows", "cols", "_arr", "_hash", "_snf")
+    __slots__ = ("ring", "rows", "cols", "_rows", "_hash", "_snf")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries, *,
-                 _canonical: Optional[bool] = None):
+                 _rows: Optional[tuple] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        if _canonical is None:
-            if isinstance(entries, np.ndarray):
-                entries = entries.flat
-            flat = [index(x) for x in entries]
+        self.ring, self.rows, self.cols = ring, rows, cols
+        if _rows is None:  # an ndarray is read through .flat
+            flat = [index(x) for x in getattr(entries, "flat", entries)]
             if len(flat) != rows * cols:
                 raise DimensionMismatch(f"need {rows * cols} entries, "
                                         f"got {len(flat)}")
-            arr = np.array(flat, dtype=object).reshape((rows, cols))
-        else:  # private: an object array the package has just made
-            arr = entries
-        if not _canonical and ring.is_modular:
-            arr = arr % ring.n
-        arr.setflags(write=False)
-        self._arr = arr
+            _rows = tuple(map(tuple, _mod(ring, (
+                flat[i * cols:(i + 1) * cols] for i in range(rows)))))
+        self._rows = _rows
         self._hash = None
         self._snf = None
 
@@ -151,14 +143,12 @@ class Matrix:
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, np.zeros((rows, cols), dtype=object),
-                      _canonical=True)
+        return Matrix(ring, rows, cols, None, _rows=((0,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "Matrix":
-        arr = np.zeros((n, n), dtype=object)
-        np.fill_diagonal(arr, 1)
-        return Matrix(ring, n, n, arr, _canonical=True)
+        return Matrix(ring, n, n, None, _rows=tuple(
+            (0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     @staticmethod
     def column(ring: RingSpec, values: Sequence[int]) -> "Matrix":
@@ -167,28 +157,39 @@ class Matrix:
     # -- basic accessors -----------------------------------------------------
 
     @property
-    def arr(self) -> np.ndarray:
-        return self._arr
+    def arr(self):
+        """The entries as a new read-only object-dtype numpy array.  No
+        library code reads it, so ``import twohom`` loads no numpy; it stays
+        for callers that work in numpy, the benchmark's entry-size counter
+        among them, and for the tests' numpy references."""
+        import numpy as np
+        arr = np.array(self._rows, dtype=object).reshape(self.shape)
+        arr.setflags(write=False)
+        return arr
 
     def entry(self, i: int, j: int) -> int:
-        return self._arr[i, j]
+        return self._rows[i][j]
 
     def __getitem__(self, key) -> "Matrix":
-        """Rows ``m[a:b]`` or a block ``m[a:b, c:d]``: a read-only view."""
+        """Rows ``m[a:b]`` or a block ``m[a:b, c:d]``."""
         keys = key if isinstance(key, tuple) else (key,)
         if not (0 < len(keys) < 3 and all(type(k) is slice for k in keys)):
             raise TypeError(f"Matrix indices are slices, not {key!r}")
-        arr = self._arr[keys]
-        return Matrix(self.ring, *arr.shape, arr, _canonical=True)
+        rows = self._rows[keys[0]]
+        if len(keys) == 1:
+            return _matrix(self.ring, len(rows), self.cols, rows)
+        c = keys[1]
+        return _matrix(self.ring, len(rows), len(range(self.cols)[c]),
+                       (row[c] for row in rows))
 
     def col(self, j: int) -> "Matrix":
         return self[:, j:j + 1]
 
     def tolists(self):
-        return [[int(x) for x in row] for row in self._arr]
+        return list(map(list, self._rows))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self._arr.flat)
+        return not any(map(any, self._rows))
 
     @property
     def shape(self):
@@ -201,38 +202,44 @@ class Matrix:
             raise DimensionMismatch("ring mismatch")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Sums the nonzeros of other's rows times the nonzeros of each row
+        of self: most products have a sparse factor, often an identity."""
         self._same_ring(other)
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        if self.rows == 0 or other.cols == 0 or self.cols == 0:
-            return Matrix.zeros(self.ring, self.rows, other.cols)
-        return Matrix(self.ring, self.rows, other.cols,
-                      self._arr @ other._arr, _canonical=False)
+        nz, out = [_nonzeros(b) for b in other._rows], []
+        for row in self._rows:
+            out.append(acc := [0] * other.cols)
+            for a, bs in zip(row, nz):
+                if a:
+                    for k, b in bs:
+                        acc[k] += a * b
+        return _matrix(self.ring, self.rows, other.cols, _mod(self.ring, out))
+
+    def _entrywise(self, op, other: "Matrix", sign: str) -> "Matrix":
+        self._same_ring(other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shape mismatch in {sign}")
+        return _matrix(self.ring, self.rows, self.cols, _mod(self.ring, (
+            map(op, x, y) for x, y in zip(self._rows, other._rows))))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_ring(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in +")
-        return Matrix(self.ring, self.rows, self.cols, self._arr + other._arr,
-                      _canonical=False)
+        return self._entrywise(add, other, "+")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_ring(other)
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in -")
-        return Matrix(self.ring, self.rows, self.cols, self._arr - other._arr,
-                      _canonical=False)
+        return self._entrywise(sub, other, "-")
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, -self._arr, _canonical=False)
+        return self.scale(-1)
 
     def scale(self, k: int) -> "Matrix":
-        return Matrix(self.ring, self.rows, self.cols, self._arr * index(k),
-                      _canonical=False)
+        k = index(k)
+        return _matrix(self.ring, self.rows, self.cols, _mod(self.ring, (
+            map(k.__mul__, x) for x in self._rows)))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ring, self.cols, self.rows, self._arr.T, _canonical=True)
+        return _matrix(self.ring, self.cols, self.rows, zip(*self._rows))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -240,16 +247,27 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.ring == other.ring and self.shape == other.shape
-                and self._arr.tolist() == other._arr.tolist())
+                and self._rows == other._rows)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, self.rows, self.cols,
-                               tuple(self._arr.flat)))
+            self._hash = hash((self.ring, self.rows, self.cols, self._rows))
         return self._hash
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self.tolists()})"
+
+
+def _mod(ring: RingSpec, rows):
+    """The rows (iterables of ints), each reduced into [0, n) over Z/n."""
+    return (map(ring.n.__rmod__, x) for x in rows) if ring.is_modular else rows
+
+
+def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
+    """Matrix from rows of canonical ints (any iterables).  Data read off
+    columns has no rows for a rows x 0 matrix; its empty rows are added."""
+    return Matrix(ring, rows, cols, None,
+                  _rows=tuple(map(tuple, data)) or ((),) * rows)
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
@@ -261,8 +279,8 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.rows != rows or m.ring != ring for m in mats):
         raise DimensionMismatch("hstack mismatch")
     cols = sum(m.cols for m in mats)
-    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats], 1),
-                  _canonical=True)
+    return _matrix(ring, rows, cols,
+                   [sum(parts, ()) for parts in zip(*(m._rows for m in mats))])
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
@@ -274,8 +292,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
     if any(m.cols != cols or m.ring != ring for m in mats):
         raise DimensionMismatch("vstack mismatch")
     rows = sum(m.rows for m in mats)
-    return Matrix(ring, rows, cols, np.concatenate([m.arr for m in mats]),
-                  _canonical=True)
+    return _matrix(ring, rows, cols, chain.from_iterable(m._rows for m in mats))
 
 
 def block_diag(mats: Iterable[Matrix]) -> Matrix:
@@ -285,13 +302,12 @@ def block_diag(mats: Iterable[Matrix]) -> Matrix:
     ring = mats[0].ring
     rows = sum(m.rows for m in mats)
     cols = sum(m.cols for m in mats)
-    arr = np.zeros((rows, cols), dtype=object)
-    r = c = 0
+    data, c = [], 0
     for m in mats:
-        arr[r:r + m.rows, c:c + m.cols] = m.arr
-        r += m.rows
+        left, right = (0,) * c, (0,) * (cols - c - m.cols)
+        data += [left + row + right for row in m._rows]
         c += m.cols
-    return Matrix(ring, rows, cols, arr, _canonical=True)
+    return _matrix(ring, rows, cols, data)
 
 
 def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
@@ -300,14 +316,17 @@ def block(rows_of_blocks: Sequence[Sequence[Matrix]]) -> Matrix:
 
 def vec(m: Matrix) -> Matrix:
     """Column-major vectorization as a single column."""
-    return Matrix(m.ring, m.rows * m.cols, 1, m.arr.T.reshape(-1, 1), _canonical=True)
+    return _matrix(m.ring, m.rows * m.cols, 1,
+                   ((x,) for col in zip(*m._rows) for x in col))
 
 
 def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
     """Inverse of ``vec``: the first rows*cols entries of column v, read
     column-major into a rows x cols matrix."""
-    return Matrix(v.ring, rows, cols,
-                  v.arr[:rows * cols, 0].reshape((cols, rows)).T, _canonical=True)
+    flat = [x for x, in v._rows[:rows * cols]]
+    if len(flat) != rows * cols:
+        raise DimensionMismatch(f"unvec: {v.rows} entries, need {rows * cols}")
+    return _matrix(v.ring, rows, cols, (flat[i::rows] for i in range(rows)))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -316,7 +335,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     rows, cols = a.rows * b.rows, a.cols * b.cols
     if rows == 0 or cols == 0:
         return Matrix.zeros(a.ring, rows, cols)
-    return Matrix(a.ring, rows, cols, np.kron(a.arr, b.arr), _canonical=False)
+    return _matrix(a.ring, rows, cols, _mod(a.ring, (
+        [p * q for p in x for q in y] for x in a._rows for y in b._rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +392,7 @@ def _sub_at(x, nz, q, n):
     """x[k] -= q * b in place for each (k, b) in nz, the nonzeros of a
     pivot row; the other entries of x are kept (over Z/n in [0, n)).  So
     every row list that the engine eliminates or replays a log onto is a
-    fresh list that no other row or caller shares: ``tolist()`` rows, the
+    fresh list that no other row or caller shares: ``tolists()`` rows, the
     rows built here and their slices."""
     if n is None:
         for k, b in nz:
@@ -463,12 +483,6 @@ def _normalize(M, log, r, j, n):
         _step(M, log, _scale, r, u, n)
 
 
-def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
-    """Matrix from row lists, canonical as every row operation reduces."""
-    arr = np.array(data, dtype=object).reshape((rows, cols))
-    return Matrix(ring, rows, cols, arr, _canonical=True)
-
-
 class _Memo(dict):
     """What the Smith elimination leaves on its matrix: D under its letter,
     and in ``logs`` per transform letter (ring, size, log).  The first read
@@ -557,7 +571,7 @@ def _echelon(M, width, n, hermite):
 
 def hnf(A: Matrix) -> Matrix:
     """Row Hermite normal form H of A: H = U @ A for some invertible U."""
-    H = A.arr.tolist()
+    H = A.tolists()
     _echelon(H, A.cols, A.ring.n, True)
     return _matrix(A.ring, A.rows, A.cols, H)
 
@@ -570,7 +584,7 @@ def snf(A: Matrix, want: str = "DUV"):
     ring = A.ring
     n = ring.n if ring.is_modular else None
     rows, cols = A.rows, A.cols
-    D = A.arr.tolist()
+    D = A.tolists()
     ulog, vlog = [], []
     t = 0
     while t < min(rows, cols):
@@ -620,21 +634,21 @@ def det(A: Matrix) -> int:
     m = A.rows
     if m == 0:
         return A.ring.normalize(1)
-    M = A.arr.astype(object, copy=True)
+    M = A.tolists()
     sign = 1
     prev = 1
     for k in range(m - 1):
-        if M[k, k] == 0:
-            swap = next((i for i in range(k + 1, m) if M[i, k] != 0), None)
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, m) if M[i][k] != 0), None)
             if swap is None:
                 return A.ring.normalize(0)
-            M[[k, swap], :] = M[[swap, k], :]
+            M[k], M[swap] = M[swap], M[k]
             sign = -sign
         for i in range(k + 1, m):
             for j in range(k + 1, m):
-                M[i, j] = (M[i, j] * M[k, k] - M[i, k] * M[k, j]) // prev
-        prev = M[k, k]
-    return A.ring.normalize(sign * M[m - 1, m - 1])
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return A.ring.normalize(sign * M[m - 1][m - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +682,7 @@ def _smith_rhs(A: Matrix, B: Matrix):
     zero where d_i = 0 or past the diagonal.  Membership stops here, with
     no X built."""
     D, = snf(A, "D")
-    Y = A._snf.apply("U", B.arr.tolist())
+    Y = A._snf.apply("U", B.tolists())
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
     for i, row in enumerate(Y):
         d = diag[i] if i < len(diag) else 0
@@ -694,22 +708,22 @@ def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     if g == 0:
         return Matrix.zeros(A.ring, 0, 0)
     M = [a + [0] * i + [1] + [0] * (g - 1 - i)
-         for i, a in enumerate(A.arr.T.tolist())]
-    M += [b + [0] * g for b in B.arr.T.tolist()]
+         for i, a in enumerate(A.transpose().tolists())]
+    M += [b + [0] * g for b in B.transpose().tolists()]
     K = [row[t:] for row in M[_echelon(M, t, A.ring.n, False):]]
     return _hermite_columns(A.ring, K, g)
 
 
 def column_basis(mat: Matrix) -> Matrix:
     """The Hermite basis of the column span of mat, as columns."""
-    return _hermite_columns(mat.ring, mat.arr.T.tolist(), mat.rows)
+    return _hermite_columns(mat.ring, mat.transpose().tolists(), mat.rows)
 
 
 def _hermite_columns(ring: RingSpec, rows, width: int) -> Matrix:
     """The nonzero rows of the Hermite form of rows (lists of width ints,
     eliminated in place), as the columns of a width x rank matrix."""
     k = _echelon(rows, width, ring.n, True)
-    return _matrix(ring, width, k, [list(c) for c in zip(*rows[:k])])
+    return _matrix(ring, width, k, zip(*rows[:k]))
 
 
 def kernel_basis(A: Matrix) -> Matrix:

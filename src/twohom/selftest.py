@@ -106,7 +106,7 @@ def suite_normal_forms(seed: int = 0, cases: int = 200) -> Result:
             return ("normal-forms", False, "H and A span different rows")
         if not _is_hermite(h.tolists()):
             return ("normal-forms", False, "H not in Hermite form")
-        fresh = Matrix(ZZ, r, c, a.arr)   # no memo: eliminated anew
+        fresh = Matrix.from_rows(ZZ, a.tolists(), c)   # no memo: eliminated anew
         if snf(fresh, "D") != (d,):
             return ("normal-forms", False, "D differs without transforms")
     # no elapsed time in the detail, so the report stays byte-stable;
@@ -179,7 +179,7 @@ def suite_universal_properties(seed: int = 0, cases: int = 100) -> Result:
             return ("universal-properties", False, "pi incompatible with phi")
         # well-definedness: d_Q annihilates the relation subgroup
         img = rc.Q.d.mat @ rc.Q.M1.rel
-        if solve_many(rc.Q.M0.rel, Matrix(ZZ, img.rows, img.cols, img.arr)) is None:
+        if solve_many(rc.Q.M0.rel, Matrix.from_rows(ZZ, img.tolists(), img.cols)) is None:
             return ("universal-properties", False, "rc differential misses N")
         fac_c1 = rc_factorize(rc, rc.p, rc.pi)
         # triangle for the cokernel side: pi.s + psi'.s∘G.f0 = E'.f1∘pi.s

@@ -368,7 +368,7 @@ class RelKernelResult:
 
     K.M0 is the module of pairs (a, b) with F.f0(a) + d(b) = 0 and
     G.f1(b) = phi.s(a); ``incl`` embeds it into A.M0 (+) B.M1, and
-    ``to_a`` / ``to_b`` are its two row blocks (read-only views).
+    ``to_a`` / ``to_b`` are its two row blocks, cut by slicing.
     """
 
     K: TwoModule

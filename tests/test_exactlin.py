@@ -450,12 +450,12 @@ def test_scale_takes_an_integer_factor():
 
 def test_a_matrix_equals_itself_without_reading_its_entries():
     class Unreadable:
-        def tolist(self):
+        def __eq__(self, other):
             raise AssertionError("entries compared")
 
     a = mat([[1, 2], [3, 4]])
     b = mat([[1, 2], [3, 4]])
-    a._arr = Unreadable()
+    a._rows = Unreadable()
     assert a == a
     with pytest.raises(AssertionError):
         a == b

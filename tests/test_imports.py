@@ -183,10 +183,11 @@ def test_checker_flags_a_discarded_transform():
 
 
 def _canonical_keywords(tree: ast.Module) -> list:
-    """Line of each call that passes the private ``_canonical`` keyword."""
+    """Line of each call that passes the private ``_rows`` keyword, with
+    which exactlin makes a matrix of rows it has already reduced."""
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
-                  and any(k.arg == "_canonical" for k in node.keywords))
+                  and any(k.arg == "_rows" for k in node.keywords))
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
@@ -194,14 +195,14 @@ def _canonical_keywords(tree: ast.Module) -> list:
                          ids=lambda p: p.name)
 def test_only_exactlin_builds_matrices_from_raw_arrays(path):
     lines = _canonical_keywords(ast.parse(path.read_text(encoding="utf-8")))
-    assert not lines, (f"{path.name} passes _canonical at lines {lines}; "
+    assert not lines, (f"{path.name} passes _rows at lines {lines}; "
                        "cut blocks with Matrix slicing instead")
 
 
 def test_checker_flags_a_canonical_keyword():
     tree = ast.parse(
-        "m = Matrix(r, 1, 1, arr, _canonical=True)\n"    # flagged
+        "m = Matrix(r, 1, 1, None, _rows=((1,),))\n"     # flagged
         "m = Matrix(r, 1, 1, [1])\n"                      # public constructor
         "x = sol[:2]\n"                                   # a slice
-        "f(Matrix.zeros(r, 1, 1), _canonical=False)\n")  # flagged
+        "f(Matrix.zeros(r, 1, 1), _rows=rows)\n")        # flagged
     assert _canonical_keywords(tree) == [1, 4]
