@@ -275,7 +275,8 @@ class HomologyData:
         """pi_profile(module), reading pi_1 H_n as pi_0 H_{n+1}: ker d_Q and
         Ker(L_{n+1}, alpha_{n+1}) are one lattice in A_{n+1}.M0 (+) A_n.M1,
         and H_n's relations N are that kernel's image of H_{n+1}'s d_Q.  So
-        it builds H_{n+1}, and raises what homology(c, n + 1) raises."""
+        it builds H_{n+1}, and raises what homology(c, n + 1) raises; pi0
+        is kept on each module, so degree n + 1 reuses its Smith form."""
         return (invariant_factors(pi0(self.module)),
                 invariant_factors(pi0(self.c.homology(self.n + 1).module)))
 

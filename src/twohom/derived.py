@@ -86,7 +86,8 @@ def apply(t: FunctorSpec, x):
     One call maps each object reachable from x once, and a tuple is a
     diagram: its images share their endpoints (T(f).dst is T(g).src when
     f.dst is g.src), and a chain map lands on the images of its complexes,
-    so they share homology memos.  The identity functor returns x itself.
+    so they share homology memos; over a cyclic N a map keeps its matrix and
+    Smith memo (``kron(a, [1])`` is a).  The identity functor returns x.
     """
     if t.kind == "identity":
         return x

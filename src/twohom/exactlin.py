@@ -332,6 +332,8 @@ def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
 def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.ring != b.ring:
         raise DimensionMismatch("ring mismatch in kron")
+    if b._rows == ((1,),):  # a (x) [1] is a, and a keeps its Smith memo
+        return a
     rows, cols = a.rows * b.rows, a.cols * b.cols
     if rows == 0 or cols == 0:
         return Matrix.zeros(a.ring, rows, cols)
@@ -576,6 +578,23 @@ def hnf(A: Matrix) -> Matrix:
     return _matrix(A.ring, A.rows, A.cols, H)
 
 
+def _smith_prefix(D, m, n):
+    """The number of leading rows t < m of D already in Smith form: row t
+    is zero but for a normalized d_t at (t, t) (d_t > 0 over Z, d_t =
+    gcd(d_t, n) over Z/n), column t is zero below it, and d_t divides
+    every entry of the trailing block.  On such a row the elimination picks
+    (t, t), logs no step and changes nothing, so ``snf`` starts past them."""
+    s = 0
+    while (s < m and D[s][s] > 0 and (n is None or n % D[s][s] == 0)
+           and not any(D[s][s + 1:]) and not any(row[s] for row in D[s + 1:])):
+        s += 1
+    # g is the gcd of row t's trailing block: d_{t+1}, .., d_{s-1}, rows s..
+    g = gcd(*chain.from_iterable(row[s:] for row in D[s:])) if s else 0
+    for t in reversed(range(s)):  # s ends at the first row d_t fails
+        s, g = (t if g % D[t][t] else s), gcd(g, D[t][t])
+    return s
+
+
 def snf(A: Matrix, want: str = "DUV"):
     """Smith normal form: the matrices named by want, in that order, of D,
     U and V with D = U @ A @ V."""
@@ -586,7 +605,7 @@ def snf(A: Matrix, want: str = "DUV"):
     rows, cols = A.rows, A.cols
     D = A.tolists()
     ulog, vlog = [], []
-    t = 0
+    t = _smith_prefix(D, min(rows, cols), n)
     while t < min(rows, cols):
         pivot = _pivot(D, t, t, cols, n)
         if pivot is None:

@@ -54,7 +54,7 @@ class CompatibilityError(ValueError):
 class TwoModule:
     """A 2-term complex [M1 --d--> M0] of presented modules."""
 
-    __slots__ = ("M1", "M0", "d", "_pi1")
+    __slots__ = ("M1", "M0", "d", "_pi0", "_pi1")
 
     def __init__(self, M1: FPModule, M0: FPModule, d: ModMor, check: bool = True):
         if d.src != M1 or d.dst != M0:
@@ -64,7 +64,7 @@ class TwoModule:
         self.M1 = M1
         self.M0 = M0
         self.d = d
-        self._pi1 = None
+        self._pi0 = self._pi1 = None
 
     @property
     def ring(self) -> RingSpec:
@@ -279,8 +279,11 @@ def whisker_right(a: TwoMor, h: OneMor) -> TwoMor:
 # ---------------------------------------------------------------------------
 
 def pi0(m: TwoModule) -> FPModule:
-    """Objects up to isomorphism: cokernel of the structure map."""
-    return cokernel(m.d)[0]
+    """Objects up to isomorphism: cokernel of the structure map, kept on m,
+    so all its reads share one relation matrix and its Smith form."""
+    if m._pi0 is None:
+        m._pi0 = cokernel(m.d)[0]
+    return m._pi0
 
 
 def _pi1_data(m: TwoModule) -> Tuple[FPModule, ModMor]:
