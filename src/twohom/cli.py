@@ -390,7 +390,7 @@ def _cmd_compare(ws: Workspace, args) -> int:
     rep = {"command": "compare", "morphism": args.morphism,
            "lift": {str(n): lift.hs[n].f0.mat.tolists()
                     for n in sorted(lift.hs)},
-           "eps0": lift.eps_s[0].mat.tolists()}
+           "eps0": lift.eps0.mat.tolists()}
     _emit(rep, [f"H_{n} = {m}" for n, m in rep["lift"].items()], args)
     return 0
 
@@ -427,7 +427,7 @@ def _cmd_longseq(ws: Workspace, args) -> int:
                           "pi1": pi1_mor(mor).mat.tolists()}
         records.append(rec)
     rep = {"command": "longseq", "depth": args.depth, "exact": ok,
-           "spots": [{"pair": d[0], "ok": d[1]} for d in detail],
+           "spots": [{"pair": pair, "ok": spot_ok} for pair, spot_ok in detail],
            "sequence": records,
            "endpoints_asserted": False}
     _emit(rep, [f"{r['spot']}: {r['pi0_name']}" for r in records]

@@ -412,7 +412,7 @@ def hyper(tc: TotalComplex, k: int) -> FPModule:
     """Homology of the total complex at k (kernel mod image)."""
     K, incl = kernel(tc.d(k))
     h = factor_through(incl, tc.d(k + 1))
-    return cokernel(h)[0]
+    return cokernel(h)
 
 
 def window_profile(c: Complex2, i: int) -> Tuple[List[int], List[int]]:

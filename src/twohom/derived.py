@@ -51,7 +51,6 @@ from .complex2 import (
     homology_map,
     induced,
     kernel_cell,
-    pair_block,
 )
 from .resolution import Resolution, compare, horseshoe, resolve
 
@@ -333,7 +332,7 @@ def classical_tor_oracle(m0: FPModule, n: FPModule, i: int) -> List[int]:
     t2 = tensor_mor(d2, n)
     k, incl = kernel(t1)
     img = factor_through(incl, t2)
-    return invariant_factors(cokernel(img)[0])
+    return invariant_factors(cokernel(img))
 
 
 # ---------------------------------------------------------------------------
@@ -360,34 +359,17 @@ class LongSeq:
     cells: List[TwoMor]                  # cells[k]: maps[k+1]∘maps[k] => 0
 
 
-def _corner(m: Matrix, rows: int, cols: int) -> Matrix:
-    """The top-right rows x cols block of m."""
-    return m[:rows, m.cols - cols:]
-
-
-def _zigzag_block(tk: Complex2, tp: Complex2, tq: Complex2, n: int) -> Matrix:
-    """The pair block (q, b) |-> (h_n q, t_n q - h_{n-1}.f1 b) built from the
-    off-diagonal blocks h, t of the split complex TK."""
-    p1 = tp.module(n - 2).M1.gens
-    q0 = tq.module(n).M0.gens
-    return pair_block(_corner(tk.diff(n).f0.mat, tp.module(n - 1).M0.gens, q0),
-                      _corner(tk.alpha_s(n).mat, p1, q0),
-                      -_corner(tk.diff(n - 1).f1.mat, p1, tq.module(n - 1).M1.gens))
-
-
-def _connecting(tk: Complex2, tp: Complex2, tq: Complex2, i: int) -> OneMor:
-    """The matrix-level zig-zag delta_i: H_i(TQ) -> H_{i-1}(TP); its degree-1
-    block is minus its degree-0 block at i+1."""
-    return homology_map(tq.homology(i), tp.homology(i - 1),
-                        _zigzag_block(tk, tp, tq, i),
-                        -_zigzag_block(tk, tp, tq, i + 1))
-
-
 def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
                   depth: int) -> LongSeq:
     """Horseshoe resolutions of the extension (``horseshoe`` checks it),
     apply the functor, take homology, connect with the matrix zig-zag, and
-    store explicit null homotopies for every consecutive composite."""
+    store explicit null homotopies for every consecutive composite.
+
+    The stages are free, so a pair (a, b) of an ambient module has no b,
+    and every block below reads degree 0 alone: TK's differential is
+    [[F^P_n, h_n], [0, F^Q_n]], delta_i is q |-> h_i q on cycles and
+    -h_{i+1} on classes (Weibel 1.3.1, 2.2.8), delta∘v is null by the
+    P-coordinates of a cycle of TK and u∘delta by minus its Q-coordinates."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     A, C = F.src, G.dst
@@ -398,63 +380,35 @@ def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,
         raise ValueError("functor is not right relative 2-exact on this extension")
     tp, tk, tq, ti, tpr = apply(t, (res_a.complex(), res_b.complex(),
                                     res_c.complex(), i_mor, p_mor))
-    ring = tp.ring
+    p0 = lambda n: tp.module(n).M0.gens
+    # h_n, the top-right block of TK's differential
+    h = lambda n: tk.diff(n).f0.mat[:p0(n - 1), p0(n):]
 
     entries: List[LongSeqEntry] = []
     maps: List[Tuple[str, OneMor]] = []
     cells: List[TwoMor] = []
-
-    u: Dict[int, OneMor] = {}
-    v: Dict[int, OneMor] = {}
-    delta: Dict[int, OneMor] = {}
+    u = induced(ti, depth)
     for i in range(depth, -1, -1):
-        u[i] = induced(ti, i)
-        v[i] = induced(tpr, i)
-    for i in range(depth, 0, -1):
-        delta[i] = _connecting(tk, tp, tq, i)
-
-    def vu_cell(i: int) -> TwoMor:
-        return null_homotopy(compose(u[i], v[i]),
-                             ModMor.zero(u[i].src.M0, v[i].dst.M1))
-
-    def dv_cell(i: int) -> TwoMor:
-        hk = tk.homology(i)
-        hp = tp.homology(i - 1)
-        gp0 = tp.module(i).M0.gens
-        gk0 = tk.module(i).M0.gens
-        gp1 = tp.module(i - 1).M1.gens
-        gk1 = tk.module(i - 1).M1.gens
-        # onto the P-coordinates of both parts of the ambient pair
-        blk = block_diag([_corner(Matrix.identity(ring, gk0), gp0, gk0),
-                          _corner(Matrix.identity(ring, gk1), gp1, gk1)])
-        return null_homotopy(compose(v[i], delta[i]),
-                             kernel_cell(hk, hp.module.M1, blk))
-
-    def ud_cell(i: int) -> TwoMor:
-        hq = tq.homology(i)
-        hk = tk.homology(i - 1)
-        gq0 = tq.module(i).M0.gens
-        gk0 = tk.module(i).M0.gens
-        gq1 = tq.module(i - 1).M1.gens
-        gk1 = tk.module(i - 1).M1.gens
-        # minus the inclusion of the Q-coordinates
-        blk = -block_diag([_corner(Matrix.identity(ring, gk0), gk0, gq0),
-                           _corner(Matrix.identity(ring, gk1), gk1, gq1)])
-        return null_homotopy(compose(delta[i], u[i - 1]),
-                             kernel_cell(hq, hk.module.M1, blk))
-
-    for i in range(depth, -1, -1):
-        entries.append(LongSeqEntry("A", i, tp.homology(i)))
-        maps.append((f"u_{i}", u[i]))
-        entries.append(LongSeqEntry("B", i, tk.homology(i)))
-        maps.append((f"v_{i}", v[i]))
-        entries.append(LongSeqEntry("C", i, tq.homology(i)))
-        cells.append(vu_cell(i))
+        v = induced(tpr, i)
+        entries += [LongSeqEntry("A", i, tp.homology(i)),
+                    LongSeqEntry("B", i, tk.homology(i)),
+                    LongSeqEntry("C", i, tq.homology(i))]
+        maps += [(f"u_{i}", u), (f"v_{i}", v)]
+        cells.append(null_homotopy(compose(u, v),
+                                   ModMor.zero(u.src.M0, v.dst.M1)))
         if i > 0:
-            maps.append((f"delta_{i}", delta[i]))
-            cells.append(dv_cell(i))
-            cells.append(ud_cell(i))
-
+            delta = homology_map(tq.homology(i), tp.homology(i - 1),
+                                 h(i), -h(i + 1))
+            u = induced(ti, i - 1)
+            eye = Matrix.identity(tp.ring, tk.module(i).M0.gens)
+            maps.append((f"delta_{i}", delta))
+            cells += [
+                null_homotopy(compose(v, delta), kernel_cell(
+                    tk.homology(i), tp.homology(i - 1).module.M1,
+                    eye[:p0(i)])),
+                null_homotopy(compose(delta, u), kernel_cell(
+                    tq.homology(i), tk.homology(i - 1).module.M1,
+                    -eye[:, p0(i):]))]
     return LongSeq(t, depth, entries, maps, cells)
 
 
@@ -477,6 +431,6 @@ def check_long_sequence(seq: LongSeq, detail: Optional[list] = None) -> bool:
         g_name, g_mor = seq.maps[k + 1]
         ok = check_relative_two_exact(f_mor, seq.cells[k], g_mor)
         if detail is not None:
-            detail.append((f"{f_name}|{g_name}", ok, ""))
+            detail.append((f"{f_name}|{g_name}", ok))
         ok_all = ok_all and ok
     return ok_all

@@ -175,11 +175,11 @@ def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     return K, ModMor(K, f.src, cols, check=False)
 
 
-def cokernel(f: ModMor) -> Tuple[FPModule, ModMor]:
-    """Cokernel: target generators with the image columns added as relations."""
-    Q = FPModule(f.src.ring, f.dst.gens, hstack([f.dst.rel, f.mat]))
-    proj = ModMor(f.dst, Q, Matrix.identity(f.src.ring, f.dst.gens), check=False)
-    return Q, proj
+def cokernel(f: ModMor) -> FPModule:
+    """Cokernel: target generators with the image columns added as
+    relations.  Its projection from f.dst is the identity matrix on those
+    generators, so it is not returned."""
+    return FPModule(f.src.ring, f.dst.gens, hstack([f.dst.rel, f.mat]))
 
 
 def factor_through(incl: ModMor, g: ModMor) -> ModMor:
@@ -264,8 +264,7 @@ def invariant_factors(m: FPModule) -> List[int]:
 
 
 def is_epi(f: ModMor) -> bool:
-    Q, _ = cokernel(f)
-    return Q.is_trivial()
+    return cokernel(f).is_trivial()
 
 
 def is_mono(f: ModMor) -> bool:

@@ -242,13 +242,14 @@ def validate_resolution(res: Resolution) -> Tuple[bool, str]:
 @dataclass
 class ComparisonLift:
     """Chain-level lift of h: M -> N across two resolutions, with the
-    cells eps_n: G_n∘H_n => H_{n-1}∘F_n (only eps_0 can be nonzero here)."""
+    cells eps_n: G_n∘H_n => H_{n-1}∘F_n.  Only eps_0 can be nonzero: for
+    n >= 1 it lands in the degree-1 part of a free stage, which is zero."""
 
     h: OneMor
     res_src: Resolution
     res_dst: Resolution
     hs: Dict[int, OneMor]
-    eps_s: Dict[int, ModMor]
+    eps0: ModMor
 
     def lift(self, n: int) -> OneMor:
         """H_n, with H_{-1} = h; zero off range."""
@@ -261,19 +262,12 @@ class ComparisonLift:
     def eps(self, n: int) -> TwoMor:
         frm = compose(self.lift(n), self.res_dst.f(n))
         to = compose(self.res_src.f(n), self.lift(n - 1))
-        s = self.eps_s.get(n)
-        if s is None:
-            s = ModMor.zero(frm.src.M0, frm.dst.M1)
+        s = self.eps0 if n == 0 else ModMor.zero(frm.src.M0, frm.dst.M1)
         return TwoMor(frm, to, s, check=False)
 
     def as_chain_mor(self) -> ChainMor:
-        lams = {n: -self.eps_s[n].mat for n in self.eps_s if n >= 1}
-        return ChainMor(self.res_src.complex(), self.res_dst.complex(),
-                        dict(self.hs),
-                        {n: ModMor(self.res_src.module(n).M0,
-                                   self.res_dst.module(n - 1).M1,
-                                   m, check=False)
-                         for n, m in lams.items()})
+        return ChainMor.strict(self.res_src.complex(), self.res_dst.complex(),
+                               self.hs)
 
 
 def compare(h: OneMor, res_src: Resolution, res_dst: Resolution
@@ -283,26 +277,22 @@ def compare(h: OneMor, res_src: Resolution, res_dst: Resolution
         raise ResolutionError("compare endpoints do not match the resolutions")
     depth = max(res_src.depth, res_dst.depth)
     res_src, res_dst = _extend(res_src, depth), _extend(res_dst, depth)
-    out = ComparisonLift(h, res_src, res_dst, {}, {})
-    hs, eps_s = out.hs, out.eps_s
-    hs[0], sigma0 = lift_through(res_src.module(0),
-                                 compose(res_src.aug, h), res_dst.aug)
-    eps_s[0] = sigma0.s
+    h0, sigma0 = lift_through(res_src.module(0), compose(res_src.aug, h),
+                              res_dst.aug)
+    out = ComparisonLift(h, res_src, res_dst, {0: h0}, sigma0.s)
+    hs, eps = out.hs, out.eps(0)
     for n in range(1, depth + 1):
         e_cand = compose(res_src.f(n), hs[n - 1])
         # psi: G_{n-1}∘(H_{n-1}∘F_n) => 0 from the previous cell and alpha
-        s = (mcompose(res_src.f(n).f0, eps_s[n - 1])
+        s = (mcompose(res_src.f(n).f0, eps.s)
              + mcompose(res_src.cell(n).s, out.lift(n - 2).f1))
         psi = null_homotopy(compose(e_cand, res_dst.f(n - 1)), s)
-        kernel = res_dst.kernels[n - 1]
-        t_n, _ = rk_factorize(kernel, e_cand, psi)
-        ln, sigma = lift_through(res_src.module(n), t_n,
-                                 res_dst.witnesses[n - 1])
-        hs[n] = ln
-        s_n = mcompose(sigma.s, kernel.e.f1)
-        eps_s[n] = s_n
-        # cell endpoint sanity: G_n∘H_n => H_{n-1}∘F_n must validate
-        TwoMor(compose(ln, res_dst.f(n)), compose(res_src.f(n), hs[n - 1]), s_n)
+        t_n, _ = rk_factorize(res_dst.kernels[n - 1], e_cand, psi)
+        hs[n], _ = lift_through(res_src.module(n), t_n,
+                                res_dst.witnesses[n - 1])
+        # sanity: G_n∘H_n => H_{n-1}∘F_n must validate on the zero cell
+        eps = out.eps(n)
+        TwoMor(eps.frm, eps.to, eps.s)
     return out
 
 
@@ -338,7 +328,6 @@ def perturb_lift(l: ComparisonLift, xs: Dict[int, Matrix]) -> ComparisonLift:
     res_src, res_dst = l.res_src, l.res_dst
     depth = max(res_src.depth, res_dst.depth)
     hs: Dict[int, OneMor] = {}
-    eps_s = dict(l.eps_s)
     xmor: Dict[int, ModMor] = {}
     for n, m in xs.items():
         xmor[n] = ModMor(res_src.module(n).M0, res_dst.module(n + 1).M0, m,
@@ -352,10 +341,10 @@ def perturb_lift(l: ComparisonLift, xs: Dict[int, Matrix]) -> ComparisonLift:
               + mcompose(res_src.f(n).f0, x(n - 1)))
         hs[n] = free_mor(res_src.module(n), res_dst.module(n), f0.mat)
     # eps_0 picks up aug_cell_dst ∘ X_0
-    eps_s[0] = l.eps_s[0] + mcompose(x(0), ModMor(
+    eps0 = l.eps0 + mcompose(x(0), ModMor(
         res_dst.module(1).M0, res_dst.target.M1, res_dst.aug_cell_s.mat,
         check=False))
-    out = ComparisonLift(l.h, res_src, res_dst, hs, eps_s)
+    out = ComparisonLift(l.h, res_src, res_dst, hs, eps0)
     for n in range(0, depth + 1):
         out.eps(n)  # endpoint sanity
     return out

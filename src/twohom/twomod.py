@@ -282,7 +282,7 @@ def pi0(m: TwoModule) -> FPModule:
     """Objects up to isomorphism: cokernel of the structure map, kept on m,
     so all its reads share one relation matrix and its Smith form."""
     if m._pi0 is None:
-        m._pi0 = cokernel(m.d)[0]
+        m._pi0 = cokernel(m.d)
     return m._pi0
 
 

@@ -411,7 +411,7 @@ class TestLongSequence:
         detail = []
         assert check_long_sequence(seq, detail)
         assert len(detail) == 4
-        assert all(ok for _, ok, _ in detail)
+        assert all(ok for _, ok in detail)
 
     def test_a_wrong_cell_raises_and_is_not_solved_for(self, monkeypatch):
         """The connecting cells are the zig-zag's, checked as they are

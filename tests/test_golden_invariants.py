@@ -150,7 +150,7 @@ def engine_records():
         out.append([str(a.ring), [D.entry(i, i) for i in range(min(a.shape))],
                     solve_many(a, b) is not None,
                     invariant_factors(kernel(f)[0]),
-                    invariant_factors(cokernel(f)[0])])
+                    invariant_factors(cokernel(f))])
     return out
 
 

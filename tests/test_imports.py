@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-plain ``name = ...`` assignment in a function is read by that function.
+"""Every name a library module imports is used in that module, every
+plain ``name = ...`` assignment in a function is read by that function,
+and every private ``_name`` function, class or module-level constant is
+read somewhere in the library outside its own definition.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them.  Names in quoted annotations count as used.  Tuple
@@ -11,6 +13,7 @@ that a name added or removed shows in the diff of this file.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -145,6 +148,72 @@ def test_checker_flags_a_dead_assignment():
         "    return w + g()\n")
     assert [(f, n) for f, n, _ in _dead_assignments(tree)] == [
         ("f", "ring"), ("g", "u")]
+
+
+def _reads(tree: ast.AST):
+    """Every name a subtree reads: loaded names, attributes, imported names
+    and the names in quoted annotations."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+    for ann in _annotations(tree):
+        for n in ast.walk(ann):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                yield from _reads(ast.parse(n.value, mode="eval"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _unreferenced_private(trees: dict) -> list:
+    """(module, name, line) of each private function, class or module-level
+    constant that no module reads outside its own definition."""
+    defs = []
+    for mod, tree in trees.items():
+        defs += [(mod, n.name, n.lineno, n) for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)) and _private(n.name)]
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            defs += [(mod, t.id, node.lineno, None) for t in targets
+                     if isinstance(t, ast.Name) and _private(t.id)]
+    read = Counter(name for tree in trees.values() for name in _reads(tree))
+    return sorted((mod, name, line) for mod, name, line, node in defs
+                  if read[name] == (Counter(_reads(node))[name] if node else 0))
+
+
+def test_no_unreferenced_private_name():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    dead = _unreferenced_private(trees)
+    assert not dead, f"private names that nothing references: {dead}"
+
+
+def test_checker_flags_an_unreferenced_private_name():
+    trees = {"a.py": ast.parse(
+        "_LIMIT = 3\n"                  # read by b.py
+        "_UNUSED = 4\n"                 # flagged
+        "def _helper(x):\n"             # read by f
+        "    return x\n"
+        "def _connecting(n):\n"         # flagged: only it calls itself
+        "    return _connecting(n - 1)\n"
+        "class _Stage:\n"               # read in a quoted annotation
+        "    def _step(self):\n"        # read as an attribute
+        "        return 1\n"
+        "    def _dead(self):\n"        # flagged
+        "        return 2\n"
+        "def f(s: '_Stage'):\n"
+        "    return _helper(s._step())\n"),
+        "b.py": ast.parse("from .a import _LIMIT\n")}
+    assert _unreferenced_private(trees) == [
+        ("a.py", "_UNUSED", 2), ("a.py", "_connecting", 5), ("a.py", "_dead", 10)]
 
 
 def _discarded_transforms(tree: ast.Module) -> list:
