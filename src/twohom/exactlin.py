@@ -571,6 +571,18 @@ def _echelon(M, width, n, hermite):
     return r
 
 
+def unit_pivot_rows(A: Matrix) -> set:
+    """The rows of A on which one untransformed echelon pass over A's
+    columns puts a unit pivot (|x| = 1 over Z, gcd(x, n) = 1 over Z/n).
+    The pivot's combination of columns is zero above it, so it solves for
+    its row in terms of the rows below."""
+    n = A.ring.n
+    M = A.transpose().tolists()
+    rank = _echelon(M, A.rows, n, False)
+    pivots = (next((j, x) for j, x in enumerate(row) if x) for row in M[:rank])
+    return {j for j, x in pivots if (abs(x) if n is None else gcd(x, n)) == 1}
+
+
 def hnf(A: Matrix) -> Matrix:
     """Row Hermite normal form H of A: H = U @ A for some invertible U."""
     H = A.tolists()

@@ -17,10 +17,10 @@ is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
 
 Every resolution comes out of one stage loop, ``_extend``, started from a
 depth-0 resolution: stage n covers stage kernel n - 1.  ``resolve`` covers
-it freely; ``horseshoe`` covers the middle of an extension by P_n (+) Q_n,
-with the covers of the ends carried in through the maps of stage kernels
-(Weibel, Horseshoe Lemma 2.2.8), and ``product_resolution`` is the
-horseshoe of a split extension.
+it by ``free_cover``; ``horseshoe`` covers the middle of an extension by
+P_n (+) Q_n, with the covers of the ends carried in through the maps of
+stage kernels (Weibel, Horseshoe Lemma 2.2.8), and ``product_resolution``
+is the horseshoe of a split extension.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactlin import Matrix, hstack, solve_many
+from .exactlin import Matrix, hstack, solve_many, unit_pivot_rows
 from .fpmod import (
     ModMor,
     compose as mcompose,
@@ -47,6 +47,7 @@ from .twomod import (
     is_extension,
     is_pi_trivial,
     null_homotopy,
+    pi0,
     relative_kernel,
     rk_factorize,
     whisker_right,
@@ -65,9 +66,15 @@ def free_mor(p: TwoModule, dst: TwoModule, f0: Matrix) -> OneMor:
 
 
 def free_cover(m: TwoModule) -> Tuple[TwoModule, OneMor]:
-    """The canonical essentially surjective cover [0 -> R^{gens}] -> m."""
-    p = TwoModule.free(m.ring, m.M0.gens)
-    return p, free_mor(p, m, Matrix.identity(m.ring, m.M0.gens))
+    """The essentially surjective cover [0 -> R^k] -> m by the generators
+    of M0 that no unit pivot of pi0(m)'s relations solves for in terms of
+    later ones.  Any two resolutions are homotopy equivalent (Weibel,
+    Comparison Theorem 2.2.6), so no derived answer depends on the cover."""
+    g, solved = m.M0.gens, unit_pivot_rows(pi0(m).rel)
+    keep = [j for j in range(g) if j not in solved]
+    p = TwoModule.free(m.ring, len(keep))
+    return p, free_mor(p, m, Matrix(m.ring, g, len(keep), [
+        int(j == k) for j in range(g) for k in keep]))
 
 
 def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
@@ -199,9 +206,10 @@ def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
 def resolve(m: TwoModule, depth: int) -> Resolution:
     """Build a projective resolution of m to the given depth.
 
-    Each stage freely covers the relative kernel of the previous
-    differential.  Resolution stops at the first pi-trivial stage kernel:
-    every later stage is zero, and ``terminated`` is set.
+    Each stage is the small free cover (``free_cover``) of the relative
+    kernel of the previous differential.  Resolution stops at the first
+    pi-trivial stage kernel: every later stage is zero, and ``terminated``
+    is set.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")

@@ -44,14 +44,90 @@ class TestFreeCover:
         assert is_essentially_surjective(f)
 
     def test_pi0_trivial_target(self):
+        # [Z --id--> Z]: d's column is a unit relation, so no generator stays
         p, f = free_cover(catalog.identity_mod())
-        assert p.M0.gens == 1
+        assert p.is_free() and p.M0.gens == 0
         assert is_essentially_surjective(f)
 
     def test_shift_gets_empty_cover(self):
         p, f = free_cover(catalog.shift_mod())
         assert p.M0.gens == 0
         assert is_essentially_surjective(f)
+
+    @staticmethod
+    def _cover(ring, rel, d=()):
+        """The generators that free_cover keeps of M0 = R^g / rel, with d
+        the columns of the structure map from a free M1; the cover must be
+        essentially surjective onto identity columns of those generators."""
+        g = len(rel[0] if rel else d[0])
+
+        def columns(cs):
+            return Matrix(ring, g, len(cs), [c[i] for i in range(g) for c in cs])
+
+        m0, m1 = FPModule(ring, g, columns(rel)), FPModule.free(ring, len(d))
+        m = TwoModule(m1, m0, ModMor(m1, m0, columns(d)))
+        p, f = free_cover(m)
+        assert p.is_free() and is_essentially_surjective(f)
+        cols = list(zip(*f.f0.mat.tolists()))
+        keep = [c.index(1) for c in cols]
+        assert all(sorted(c) == [0] * (g - 1) + [1] for c in cols)
+        assert keep == sorted(keep)
+        return keep, m
+
+    @staticmethod
+    def _needs_all(m, keep):
+        """No proper subset of the kept generators covers m: dropping any
+        one of them leaves a cover that is not essentially surjective."""
+        for j in keep:
+            rest = [k for k in keep if k != j]
+            p = TwoModule.free(m.ring, len(rest))
+            f = OneMor(p, m, ModMor.zero(p.M1, m.M1), ModMor(p.M0, m.M0, Matrix(
+                m.ring, m.M0.gens, len(rest),
+                [int(i == k) for i in range(m.M0.gens) for k in rest])))
+            assert not is_essentially_surjective(f)
+
+    @pytest.mark.parametrize("unit", [1, -1])
+    def test_unit_pivot_over_z_drops_its_generator(self, unit):
+        keep, m = self._cover(ZZ, [[unit, 3]])
+        assert keep == [1]
+        self._needs_all(m, keep)
+
+    def test_unit_pivot_mod_12_drops_its_generator(self):
+        # 5 is a unit mod 12 although it is no +-1
+        keep, m = self._cover(RingSpec.Zmod(12), [[5, 2]])
+        assert keep == [1]
+        self._needs_all(m, keep)
+
+    def test_unit_relation_from_the_structure_map(self):
+        # d's column g0 + 2 g1 is a relation of pi0, as rel's columns are
+        keep, _ = self._cover(ZZ, [[0, 4]], d=[[1, 2]])
+        assert keep == [1]
+
+    def test_non_unit_pivot_over_z_is_kept(self):
+        # Z^2 / (2, 3) is Z, yet neither generator alone generates it
+        keep, m = self._cover(ZZ, [[2, 3]])
+        assert keep == [0, 1]
+        self._needs_all(m, keep)
+
+    def test_non_unit_pivot_mod_12_is_kept(self):
+        # gcd(4, 12) = 4: the pivot is no unit, and its Howell row 3 * (4, 3)
+        # = (0, 9) pivots on 9, no unit either
+        keep, m = self._cover(RingSpec.Zmod(12), [[4, 3]])
+        assert keep == [0, 1]
+        self._needs_all(m, keep)
+
+    def test_generator_solved_through_a_later_solved_generator(self):
+        # g0 = g1 and g1 = -2 g2: g0 reaches the kept g2 only through g1
+        for ring in (ZZ, RingSpec.Zmod(12)):
+            keep, m = self._cover(ring, [[1, -1, 0], [0, 1, 2]])
+            assert keep == [2]
+            self._needs_all(m, keep)
+
+    def test_unit_pivot_made_by_elimination(self):
+        # no relation has a unit at g0, but (3, 1, 0) - (2, 1, 1) does
+        keep, m = self._cover(ZZ, [[2, 1, 1], [3, 1, 0]])
+        assert keep == [2]
+        self._needs_all(m, keep)
 
 
 class TestLiftThrough:

@@ -678,6 +678,10 @@ def test_composites_and_zero_maps_make_no_matrix_until_read(ring, monkeypatch):
     for f, g, h in _composable(ring):
         s = ModMor.zero(f.src.M0, g.dst.M1)
         a = TwoMor.identity(g)
+        # f may be a composite that resolve never read (an F_1 from an
+        # empty P_1); whisker_right would fill it on first read, so read it
+        # here, and the count below is whisker_right's own cell
+        f.f0, f.f1
         made.clear()
         fg = compose(f, g)
         z = OneMor.zero(f.src, h.dst)
