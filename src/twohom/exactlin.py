@@ -533,7 +533,7 @@ def _clear_by_remainders(M, r, j):
 _NO_LOG = deque(maxlen=0)
 
 
-def _echelon(M, width, n, hermite):
+def _echelon(M, width, n, hermite, keep=None):
     """Bring columns 0..width-1 of the rows M to row echelon form and return
     the rank r: rows r.. are zero there.  With hermite each pivot is
     normalized and the entries above it are reduced, which makes the
@@ -542,13 +542,17 @@ def _echelon(M, width, n, hermite):
     hermite the row of a pivot a over Z/n times n / gcd(a, n), zero in
     column j, joins the rows below: the Howell step (Howell 1986;
     Storjohann-Mulders 1998), after which the rows from r on span every
-    combination of M that is zero in columns 0..j."""
+    combination of M that is zero in columns 0..j.  With a list keep, a
+    column whose cleared pivot a is no unit (|a| = 1 over Z, gcd(a, n) = 1
+    over Z/n), or that has none, is appended to keep, and the pivot's row
+    stays among the rows below: so rows r.. are zero off keep, and span
+    every combination of M that is."""
     r = 0
     for j in range(width):
-        if r >= len(M):
-            break
         pivot = _pivot(M, r, j, j + 1, n)
         if pivot is None:
+            if keep is not None:
+                keep.append(j)
             continue
         if pivot[0] != r:
             _swap(M, r, pivot[0], n)
@@ -556,7 +560,11 @@ def _echelon(M, width, n, hermite):
             _clear_by_remainders(M, r, j)
         else:
             _clear_below(M, _NO_LOG, r, j, n)
-        g = 1 if n is None or hermite else gcd(M[r][j], n)
+        a = M[r][j]
+        if keep is not None and (abs(a) if n is None else gcd(a, n)) != 1:
+            keep.append(j)   # row r stays in the pass
+            continue
+        g = 1 if n is None or hermite else gcd(a, n)
         if g > 1:
             M.append([(n // g) * x % n for x in M[r]])
         if hermite:
@@ -571,16 +579,28 @@ def _echelon(M, width, n, hermite):
     return r
 
 
-def unit_pivot_rows(A: Matrix) -> set:
-    """The rows of A on which one untransformed echelon pass over A's
-    columns puts a unit pivot (|x| = 1 over Z, gcd(x, n) = 1 over Z/n).
-    The pivot's combination of columns is zero above it, so it solves for
-    its row in terms of the rows below."""
-    n = A.ring.n
-    M = A.transpose().tolists()
-    rank = _echelon(M, A.rows, n, False)
-    pivots = (next((j, x) for j, x in enumerate(row) if x) for row in M[:rank])
-    return {j for j, x in pivots if (abs(x) if n is None else gcd(x, n)) == 1}
+def unit_cover(A: Matrix, t: int):
+    """(keep, K) for A = [rel | d], whose last t columns are d.  keep lists
+    the generators (rows of A) that one untransformed pass over the rows
+    of A^T (``_echelon`` with keep) finds no unit pivot for, and K is the
+    Hermite basis, as columns, of the pairs (x, y) with C x + d y in the
+    span of rel, for C the columns of the identity at keep.
+
+    A unit pivot solves its generator for later ones and kept earlier
+    ones, so C covers R^g / A.  A kept generator's column is minus its
+    coordinate in x, which the pass carries along.  Each row (w, y) of the
+    pass keeps w - d y in the span of rel, as the row of d's column i
+    starts as (d_i, e_i); the rows past the rank are zero off keep, so
+    they are the pairs (-w at keep, y), and they span all of them."""
+    n, g, s = A.ring.n, A.rows, A.cols - t
+    M = [row + [0] * t for row in A.transpose().tolists()]
+    for i, row in enumerate(M[s:]):
+        row[g + i] = 1
+    keep = []
+    rank = _echelon(M, g, n, False, keep)
+    K = [list(row) for row in _mod(A.ring, (
+        [-row[j] for j in keep] + row[g:] for row in M[rank:]))]
+    return keep, _hermite_columns(A.ring, K, len(keep) + t)
 
 
 def hnf(A: Matrix) -> Matrix:

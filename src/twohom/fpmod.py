@@ -170,9 +170,14 @@ def kernel(f: ModMor) -> Tuple[FPModule, ModMor]:
     with the Howell rows over Z/n (Howell 1986; Storjohann-Mulders 1998),
     so no Smith form is built.
     """
-    cols = preimage_basis(f.mat, f.dst.rel)
-    K = FPModule(f.src.ring, cols.cols, preimage_basis(cols, f.src.rel))
-    return K, ModMor(K, f.src, cols, check=False)
+    return submodule(f.src, preimage_basis(f.mat, f.dst.rel))
+
+
+def submodule(m: FPModule, cols: Matrix) -> Tuple[FPModule, ModMor]:
+    """The submodule of m generated by the columns cols, with its mono
+    inclusion: its relations are m's pulled back, as in ``kernel``."""
+    K = FPModule(m.ring, cols.cols, preimage_basis(cols, m.rel))
+    return K, ModMor(K, m, cols, check=False)
 
 
 def cokernel(f: ModMor) -> FPModule:

@@ -17,9 +17,12 @@ is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
 
 Every resolution comes out of one stage loop, ``_extend``, started from a
 depth-0 resolution: stage n covers stage kernel n - 1.  ``resolve`` covers
-it by ``free_cover``; ``horseshoe`` covers the middle of an extension by
-P_n (+) Q_n, with the covers of the ends carried in through the maps of
-stage kernels (Weibel, Horseshoe Lemma 2.2.8), and ``product_resolution``
+it by ``free_cover``, whose one pass over pi0's relations (``unit_cover``)
+keeps the generators it finds no unit pivot for and gives stage kernel n
+as well, so no second elimination builds it.  ``horseshoe`` covers the
+middle of an extension by P_n (+) Q_n, with the covers of the ends carried
+in through the maps of stage kernels (Weibel, Horseshoe Lemma 2.2.8), and
+its stage kernels go through ``relative_kernel``; ``product_resolution``
 is the horseshoe of a split extension.
 """
 
@@ -28,11 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exactlin import Matrix, hstack, solve_many, unit_pivot_rows
+from .exactlin import Matrix, hstack, solve_many, unit_cover
 from .fpmod import (
+    FPModule,
     ModMor,
     compose as mcompose,
     equal_mor,
+    submodule,
+    sum_module,
 )
 from .complex2 import ChainHomotopy, ChainMor, Complex2, validate_complex
 from .twomod import (
@@ -41,6 +47,7 @@ from .twomod import (
     RelKernelResult,
     TwoModule,
     TwoMor,
+    _relative_kernel,
     biproduct,
     compose,
     is_essentially_surjective,
@@ -67,14 +74,32 @@ def free_mor(p: TwoModule, dst: TwoModule, f0: Matrix) -> OneMor:
 
 def free_cover(m: TwoModule) -> Tuple[TwoModule, OneMor]:
     """The essentially surjective cover [0 -> R^k] -> m by the generators
-    of M0 that no unit pivot of pi0(m)'s relations solves for in terms of
-    later ones.  Any two resolutions are homotopy equivalent (Weibel,
-    Comparison Theorem 2.2.6), so no derived answer depends on the cover."""
-    g, solved = m.M0.gens, unit_pivot_rows(pi0(m).rel)
-    keep = [j for j in range(g) if j not in solved]
+    of M0 that one pass over pi0(m)'s relations [rel | d] finds no unit
+    pivot for.  A unit pivot solves its generator for later ones and kept
+    earlier ones; a kept generator's entries stay in the pass as its
+    coordinate, so a relation (2, 1) keeps g0 alone.  Any two resolutions
+    are homotopy equivalent (Weibel, Comparison Theorem 2.2.6), so no
+    derived answer depends on the cover."""
+    return _free_stage(m)[:2]
+
+
+Pairs = Tuple[FPModule, ModMor]
+
+
+def _free_stage(m: TwoModule) -> Tuple[TwoModule, OneMor, Pairs]:
+    """(P, cover, (kmod, incl)): free_cover's P and cover, and the pairs
+    (x, y) of P.M0 (+) M1 with cover(x) + d(y) = 0 in M0, read off the
+    same pass (``unit_cover``).  They are the module of pairs of the stage
+    kernel of the cover: at the start d is the target's and the kernel's
+    theta is [cover | d]; past it M1 = 0, and theta is the previous stage
+    kernel's mono inclusion after the cover, which kills x exactly when
+    cover(x) is zero in that kernel's M0."""
+    g = m.M0.gens
+    keep, cols = unit_cover(pi0(m).rel, m.M1.gens)
     p = TwoModule.free(m.ring, len(keep))
-    return p, free_mor(p, m, Matrix(m.ring, g, len(keep), [
-        int(j == k) for j in range(g) for k in keep]))
+    return (p, free_mor(p, m, Matrix(m.ring, g, len(keep), [
+        int(j == k) for j in range(g) for k in keep])),
+        submodule(sum_module(p.M0, m.M1), cols))
 
 
 def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
@@ -150,12 +175,15 @@ class Resolution:
         return self._augmented
 
 
-def _start(target: TwoModule, p0: TwoModule, aug: OneMor) -> Resolution:
+def _start(target: TwoModule, p0: TwoModule, aug: OneMor,
+           pairs: Optional[Pairs] = None) -> Resolution:
     """The depth-0 resolution of target whose augmentation is the
-    essentially surjective aug: P_0 -> target."""
+    essentially surjective aug: P_0 -> target.  pairs, if given, is
+    stage kernel 0's module of pairs, read off the cover's pass."""
     c = Complex2(target.ring, [target, p0], [aug])
     # unchecked, as c.alpha(1) is the zero cell of that very composite
-    k0 = relative_kernel(aug, c.alpha(1), c.diff(0), check=False)
+    k0 = (_relative_kernel(aug, c.alpha(1), c.diff(0), *pairs) if pairs
+          else relative_kernel(aug, c.alpha(1), c.diff(0), check=False))
     return Resolution(c, [k0], [], is_pi_trivial(k0.K))
 
 
@@ -169,7 +197,9 @@ def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
     relative kernel of F_{n-1}: ``stage(n, Ker_{n-1})`` returns P_n and its
     essentially surjective cover of Ker_{n-1}, the free cover when stage is
     None.  Once a stage kernel is pi-trivial the resolution has terminated
-    and every further stage is zero."""
+    and every further stage is zero.  A free cover's pass gives its stage
+    kernel's module of pairs too (``_free_stage``); a stage's cover made
+    elsewhere goes through ``relative_kernel``."""
     if depth <= res.depth:
         return res
     c = res.augmented()
@@ -177,12 +207,12 @@ def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
     kernels, witnesses = list(res.kernels), list(res.witnesses)
     terminated = res.terminated
     for n in range(res.depth + 1, depth + 1):
-        prev_k = kernels[n - 1]
+        prev_k, pairs = kernels[n - 1], None
         if terminated:
             pn = TwoModule.zero(c.ring)
             cover = OneMor.zero(pn, prev_k.K)
         elif stage is None:
-            pn, cover = free_cover(prev_k.K)
+            pn, cover, pairs = _free_stage(prev_k.K)
         else:
             pn, cover = stage(n, prev_k)
         mods.append(pn)
@@ -196,8 +226,9 @@ def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
         cell = whisker_right(prev_k.eps, cover)
         if n == 1:
             alphas[2] = cell.s
-        kernels.append(relative_kernel(diffs[n], cell, diffs[n - 1],
-                                       check=False))
+        kernels.append(
+            _relative_kernel(diffs[n], cell, diffs[n - 1], *pairs) if pairs
+            else relative_kernel(diffs[n], cell, diffs[n - 1], check=False))
         terminated = terminated or is_pi_trivial(kernels[-1].K)
     return Resolution(Complex2(c.ring, mods, diffs, alphas), kernels,
                       witnesses, terminated)
@@ -213,7 +244,7 @@ def resolve(m: TwoModule, depth: int) -> Resolution:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    return _extend(_start(m, *free_cover(m)), depth)
+    return _extend(_start(m, *_free_stage(m)), depth)
 
 
 def validate_resolution(res: Resolution) -> Tuple[bool, str]:

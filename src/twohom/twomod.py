@@ -402,16 +402,23 @@ def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
         _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
     A, B, C = F.src, F.dst, G.dst
     dom = sum_module(A.M0, B.M1)
-    if dom.gens:
-        theta = ModMor(dom, sum_module(B.M0, C.M1),
-                       block([[F.f0.mat, B.d.mat],
-                              [-phi.s.mat, G.f1.mat]]), check=False)
-        kmod, incl = kernel(theta)
-        dk = factor_through(incl, ModMor(A.M1, dom, vstack([A.d.mat, -F.f1.mat]),
-                                         check=False))
-    else:   # a zero ambient: K.M0 is zero, and so are incl and dk
+    if not dom.gens:   # a zero ambient: K.M0 is zero, and so is incl
         kmod = FPModule.zero(A.ring)
-        incl, dk = ModMor.zero(kmod, dom), ModMor.zero(A.M1, kmod)
+        return _relative_kernel(F, phi, G, kmod, ModMor.zero(kmod, dom))
+    theta = ModMor(dom, sum_module(B.M0, C.M1),
+                   block([[F.f0.mat, B.d.mat],
+                          [-phi.s.mat, G.f1.mat]]), check=False)
+    return _relative_kernel(F, phi, G, *kernel(theta))
+
+
+def _relative_kernel(F: OneMor, phi: TwoMor, G: OneMor, kmod: FPModule,
+                     incl: ModMor) -> RelKernelResult:
+    """The relative kernel of F along phi whose module of pairs is kmod,
+    embedded in A.M0 (+) B.M1 by incl: the kernel of theta, however it was
+    found, with the relations of that sum pulled back."""
+    A, B = F.src, F.dst
+    dk = ModMor.zero(A.M1, kmod) if not kmod.gens else factor_through(
+        incl, ModMor(A.M1, incl.dst, vstack([A.d.mat, -F.f1.mat]), check=False))
     to_a = ModMor(kmod, A.M0, incl.mat[:A.M0.gens], check=False)
     to_b = ModMor(kmod, B.M1, incl.mat[A.M0.gens:], check=False)
     K = TwoModule(A.M1, kmod, dk, check=False)

@@ -8,23 +8,34 @@ integer unimodular matrix is invertible mod n too), so the pi-profiles of
 L_0..L_2 must be equal.  ``free_cover`` keeps the generators that no unit
 pivot of pi0's relations solves for, so which generators it keeps depends
 on their order and on the relations; this test guards that the answers do
-not.  Each query runs under an alarm, so a presentation that stalls an
-elimination fails the test instead of hanging it.
+not.  The catalog's 2-modules, over Z and Z/12, are re-presented after a
+redundant generator is added, killed by a relation, and the catalog's
+extension over Z is carried along the isomorphisms, so that its long
+sequence must keep its entries' pi-profiles and its exactness verdict.  Each query
+runs under an alarm, so a presentation that stalls an elimination fails
+the test instead of hanging it.
 """
 
+import json
 import random
 import signal
+from pathlib import Path
 
 import pytest
 
 from test_complex2 import derive_input
-from twohom.derived import FunctorSpec, derived_complex
-from twohom.exactlin import Matrix, RingSpec, ZZ, det, hstack
-from twohom.fpmod import FPModule, ModMor
-from twohom.twomod import TwoModule
+from twohom.cli import load_doc
+from twohom.derived import (FunctorSpec, check_long_sequence, derived_complex,
+                            long_sequence)
+from twohom.exactlin import (Matrix, RingSpec, ZZ, det, hstack, solve_many,
+                             vstack)
+from twohom.fpmod import FPModule, ModMor, equal_mor
+from twohom.twomod import OneMor, TwoModule, compose, null_homotopy
 
 QUERY_LIMIT_S = 10
 CASES = [(ZZ, 6), (RingSpec.Zmod(12), 4)]
+CATALOG = Path(__file__).resolve().parents[1] / "catalog.json"
+CATALOG_RINGS = [None, {"kind": "Zmod", "n": 12}]
 
 
 def unimodular(rng, size):
@@ -52,19 +63,92 @@ def represent(m, rng):
     return TwoModule(m1, m0, ModMor(m1, m0, P @ m.d.mat @ R))
 
 
-def profiles(t, m):
-    """The pi-profiles of L_0..L_2 at depth 4, under the alarm."""
+def represent_iso(m, rng):
+    """m with a redundant generator g' = c . gens, killed by the relation
+    (c, -1), then re-presented as by ``represent``; with the strict
+    isomorphism f: m -> m' and its inverse g, each as its pair (f1, f0)."""
+    ring, g, r, h = m.ring, m.M0.gens, m.M0.rel.cols, m.M1.gens
+    c = [rng.randint(-2, 2) for _ in range(g)]
+    rel = hstack([vstack([m.M0.rel, Matrix.zeros(ring, 1, r)]),
+                  Matrix(ring, g + 1, 1, c + [-1])])
+    d = vstack([m.d.mat, Matrix.zeros(ring, 1, h)])
+    P, Q, R = (unimodular(rng, k) for k in (g + 1, r + 1, h))
+    Pm, Qm, Rm = (Matrix(ring, len(u), len(u), sum(u, [])) for u in (P, Q, R))
+    rel = Pm @ rel @ Qm
+    extra = rel @ Matrix(ring, r + 1, 1, [rng.randint(-2, 2) for _ in range(r + 1)])
+    m0, m1 = FPModule(ring, g + 1, hstack([rel, extra])), FPModule.free(ring, h)
+    rep = TwoModule(m1, m0, ModMor(m1, m0, Pm @ d @ Rm))
+    up = vstack([Matrix.identity(ring, g), Matrix.zeros(ring, 1, g)])
+    down = hstack([Matrix.identity(ring, g), Matrix(ring, g, 1, c)])
+    return rep, (inverse(ring, R), Pm @ up), (Rm, down @ inverse(ring, P))
+
+
+def inverse(ring, rows):
+    """The inverse over ring of the integer unimodular matrix rows."""
+    k = len(rows)
+    inv = solve_many(Matrix(ZZ, k, k, sum(rows, [])), Matrix.identity(ZZ, k))
+    return Matrix(ring, k, k, sum(inv.tolists(), []))
+
+
+def carry_extension(ext, isos):
+    """The extension (F, phi, G) of A -> B -> C carried along the
+    isomorphisms of isos, keyed by the objects: F' = f_B F g_A, G' = f_C G
+    g_B and phi' = f_C.f1 phi g_A.f0, each checked."""
+    F, phi, G = ext
+
+    def carry(h):
+        (a, _, g), (b, f, _) = isos[id(h.src)], isos[id(h.dst)]
+        return OneMor(a, b, ModMor(a.M1, b.M1, f[0] @ h.f1.mat @ g[0]),
+                      ModMor(a.M0, b.M0, f[1] @ h.f0.mat @ g[1]))
+
+    F2, G2 = carry(F), carry(G)
+    (a, _, g_a), (c, f_c, _) = isos[id(F.src)], isos[id(G.dst)]
+    return F2, null_homotopy(compose(F2, G2), ModMor(
+        a.M0, c.M1, f_c[0] @ phi.s.mat @ g_a[1])), G2
+
+
+def under_alarm(what, run):
+    """run(), which fails with a TimeoutError after QUERY_LIMIT_S."""
     def too_slow(signum, frame):
-        raise TimeoutError(f"a derive query took over {QUERY_LIMIT_S} s")
+        raise TimeoutError(f"a {what} query took over {QUERY_LIMIT_S} s")
 
     old = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(QUERY_LIMIT_S)
     try:
-        _, tc = derived_complex(t, m, 2, 4)
-        return [tc.homology(i).pi for i in range(3)]
+        return run()
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def profiles(t, m):
+    """The pi-profiles of L_0..L_2 at depth 4, the guarded depth of a
+    ``derive`` table of those degrees, under the alarm."""
+    def run():
+        _, tc = derived_complex(t, m, 2, 4)
+        return [tc.homology(i).pi for i in range(3)]
+    return under_alarm("derive", run)
+
+
+def longseq(t, ext, depth):
+    """The entries' pi-profiles and the exactness verdict of the long
+    sequence of ext at depth, under the alarm."""
+    def run():
+        seq = long_sequence(t, *ext, depth)
+        return ([(e.label, e.degree, e.homology.pi) for e in seq.entries],
+                check_long_sequence(seq))
+    return under_alarm("longseq", run)
+
+
+def catalog(ring_doc):
+    """The catalog loaded over its ring or the ring of ring_doc, and the
+    names of its objects of a kind."""
+    doc = json.loads(CATALOG.read_text())
+    if ring_doc is not None:
+        doc["ring"] = ring_doc
+    objs = doc["objects"]
+    return load_doc(doc), lambda kind: sorted(
+        k for k, v in objs.items() if v["type"] == kind)
 
 
 def test_unimodular_has_determinant_plus_or_minus_one():
@@ -83,3 +167,48 @@ def test_derived_profiles_do_not_depend_on_the_presentation(ring, k):
         want = profiles(t, m)
         for _ in range(3):
             assert profiles(t, represent(m, rng)) == want, g
+
+
+@pytest.mark.parametrize("ring_doc", CATALOG_RINGS, ids=["Z", "Z/12"])
+def test_represent_iso_gives_strict_inverse_isomorphisms(ring_doc):
+    ws, of = catalog(ring_doc)
+    rng = random.Random(f"isomorphisms {ring_doc}")
+    for m in map(ws.get, of("twomodule")):
+        rep, f, g = represent_iso(m, rng)
+        there = OneMor(m, rep, ModMor(m.M1, rep.M1, f[0]),
+                       ModMor(m.M0, rep.M0, f[1]))
+        back = OneMor(rep, m, ModMor(rep.M1, m.M1, g[0]),
+                      ModMor(rep.M0, m.M0, g[1]))
+        for h in (compose(there, back), compose(back, there)):
+            assert equal_mor(h.f1, ModMor.identity(h.src.M1))
+            assert equal_mor(h.f0, ModMor.identity(h.src.M0))
+
+
+@pytest.mark.parametrize("ring_doc", CATALOG_RINGS, ids=["Z", "Z/12"])
+def test_catalog_derive_tables_do_not_depend_on_the_presentation(ring_doc):
+    ws, of = catalog(ring_doc)
+    rng = random.Random(f"re-present the catalog {ring_doc}")
+    for name in of("twomodule"):
+        m = ws.get(name)
+        reps = [represent_iso(m, rng)[0] for _ in range(3)]
+        for t in map(ws.get, of("functor")):
+            want = profiles(t, m)
+            for rep in reps:
+                assert profiles(t, rep) == want, name
+
+
+def test_catalog_long_sequence_does_not_depend_on_the_presentation():
+    """Over Z: over Z/12 the catalog's F = 2 is no extension's first map."""
+    ws, of = catalog(None)
+    rng = random.Random("re-present the catalog extension")
+    for name in of("extension"):
+        ext = ws.get(name)
+        ends = {id(m): m for h in (ext[0], ext[2]) for m in (h.src, h.dst)}
+        for _ in range(3):
+            isos = {k: represent_iso(m, rng) for k, m in ends.items()}
+            carried = carry_extension(ext, isos)
+            for t in map(ws.get, of("functor")):
+                for depth in (1, 2):
+                    want = longseq(t, ext, depth)
+                    assert want[1]
+                    assert longseq(t, carried, depth) == want, (name, depth)

@@ -110,10 +110,23 @@ class TestFreeCover:
         self._needs_all(m, keep)
 
     def test_non_unit_pivot_mod_12_is_kept(self):
-        # gcd(4, 12) = 4: the pivot is no unit, and its Howell row 3 * (4, 3)
-        # = (0, 9) pivots on 9, no unit either
+        # gcd(4, 12) = 4: the pivot is no unit, so g0 stays and its row
+        # (4, 3) stays in the pass, where gcd(3, 12) = 3 is no unit either
         keep, m = self._cover(RingSpec.Zmod(12), [[4, 3]])
         assert keep == [0, 1]
+        self._needs_all(m, keep)
+
+    def test_unit_after_a_non_unit_pivot_over_z_drops_its_generator(self):
+        # g0's pivot 2 is no unit, so g0 stays and its row stays in the
+        # pass, where the unit 1 solves g1 = -2 g0
+        keep, m = self._cover(ZZ, [[2, 1]])
+        assert keep == [0]
+        self._needs_all(m, keep)
+
+    def test_unit_after_a_non_unit_pivot_mod_12_drops_its_generator(self):
+        # gcd(4, 12) = 4 keeps g0, and the unit 1 solves g1 = -4 g0
+        keep, m = self._cover(RingSpec.Zmod(12), [[4, 1]])
+        assert keep == [0]
         self._needs_all(m, keep)
 
     def test_generator_solved_through_a_later_solved_generator(self):

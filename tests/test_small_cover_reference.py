@@ -2,13 +2,16 @@
 
 ``free_cover`` covers a 2-module by the generators of M0 that no unit pivot
 of pi0's relations solves for.  The reference below is the cover it
-replaced: every generator of M0, by the identity.  Any two projective
-resolutions are homotopy equivalent (Weibel, Comparison Theorem 2.2.6), so
-under both covers every resolution must validate, the pi-profiles of
-L_0..L_2 must agree, and every long sequence must pass its check with the
-same pi-profiles in its entries.  The small cover is never larger, and it
-is strictly smaller where a relation of pi0 has a unit as its first
-nonzero entry, as the echelon pass then puts a unit pivot on it.
+replaced: every generator of M0, by the identity.  The stage loop takes
+its free covers from ``resolution._free_stage``, whose pass also gives the
+stage kernel; the reference patches it with the identity cover and no
+kernel, so its stage kernels go through ``relative_kernel``.  Any two
+projective resolutions are homotopy equivalent (Weibel, Comparison
+Theorem 2.2.6), so under both covers every resolution must validate, the
+pi-profiles of L_0..L_2 must agree, and every long sequence must pass its
+check with the same pi-profiles in its entries.  The small cover is never
+larger, and it is strictly smaller where a relation of pi0 has a unit as
+its first nonzero entry, as the echelon pass then puts a unit pivot on it.
 """
 
 import json
@@ -41,11 +44,22 @@ def identity_cover(m: TwoModule):
 
 
 def under_both(monkeypatch, run):
-    """run() with the small cover, then with the identity cover."""
+    """run() with the small cover, then with the identity cover, whose
+    stage kernels must go through ``relative_kernel``."""
     small = run()
     with monkeypatch.context() as mp:
-        mp.setattr(resolution, "free_cover", identity_cover)
-        return small, run()
+        calls = []
+
+        def relative_kernel(*args, _real=resolution.relative_kernel, **kw):
+            calls.append(args)
+            return _real(*args, **kw)
+
+        mp.setattr(resolution, "_free_stage",
+                   lambda m: (*identity_cover(m), None))
+        mp.setattr(resolution, "relative_kernel", relative_kernel)
+        ref = run()
+        assert calls
+        return small, ref
 
 
 def has_unit_relation(m: TwoModule) -> bool:

@@ -7,14 +7,20 @@ InvalidMorphism.  It likewise runs every relative kernel, relative cokernel
 and relative-kernel factorization that the library makes with
 ``check=False`` with ``check=True``, so that the skipped null-homotopy and
 compatibility checks raise CompatibilityError on a wrong proof, and reads
-the ``pi`` of every relative cokernel, which makes its p and pi.  It counts
-the hits, so that no site goes unexercised, and a call with ``check=False``
-from a site not listed fails the test.  The results then pass
-``validate_resolution``, ``validate_complex`` and ``check_long_sequence``.
-The inputs are the catalog, the cli-small workspace, and seeded 2-modules
-and extensions over Z and Z/12.
+the ``pi`` of every relative cokernel, which makes its p and pi.  Each
+stage kernel that the stage loop reads off a free cover's pass, with no
+elimination of its own, it compares with the checked relative kernel on
+the same cover: over Z they are equal matrix for matrix, and over Z/n,
+where a Hermite basis is not unique, they are the same submodule with the
+same pi-profile.  It counts the hits, so that no site goes unexercised,
+and a call with ``check=False`` from a site not listed fails the test.
+The results then pass ``validate_resolution``, ``validate_complex`` and
+``check_long_sequence``.  The inputs are the catalog, the cli-small
+workspace, and seeded 2-modules and extensions over Z and Z/12; the stage
+kernels are also read on seeded derive inputs over Z, Z/4 and Z/12.
 """
 
+import json
 import random
 import sys
 from collections import Counter
@@ -22,21 +28,22 @@ from pathlib import Path
 
 import pytest
 
-from twohom import catalog, twomod
-from twohom.cli import load
+from test_complex2 import derive_input
+from twohom import catalog, resolution, twomod
+from twohom.cli import load, load_doc
 from twohom.complex2 import homology, validate_complex
 from twohom.derived import (FunctorSpec, apply, check_long_sequence,
                             long_sequence)
-from twohom.exactlin import Matrix, RingSpec, ZZ
+from twohom.exactlin import Matrix, RingSpec, ZZ, hstack, solve_many
 from twohom.fpmod import FPModule, ModMor
 from twohom.resolution import (compare, free_cover, free_mor, lift_through,
                                resolve, validate_resolution)
 from twohom.twomod import (OneMor, TwoModule, TwoMor, check_relative_two_exact,
-                           compose, plain_kernel, relative_cokernel,
+                           compose, pi_profile, plain_kernel, relative_cokernel,
                            zero_null_homotopy)
 
 ROOT = Path(__file__).resolve().parents[1]
-Z12 = RingSpec.Zmod(12)
+Z4, Z12 = RingSpec.Zmod(4), RingSpec.Zmod(12)
 
 # (file, function) of each site that builds a 1- or 2-morphism unchecked,
 # as it proves the condition; a cell made through null_homotopy counts for
@@ -60,6 +67,8 @@ CHECKED_CALLS = {
     ("complex2.py", "_homology", "relative_cokernel"),
     ("resolution.py", "_start", "relative_kernel"),
     ("resolution.py", "_extend", "relative_kernel"),
+    ("resolution.py", "_start", "_relative_kernel"),   # off the cover's pass
+    ("resolution.py", "_extend", "_relative_kernel"),
     ("resolution.py", "stage", "rk_factorize"),
     ("twomod.py", "plain_kernel", "relative_kernel"),
     ("twomod.py", "is_extension", "relative_cokernel"),
@@ -68,9 +77,41 @@ CHECKED_CALLS = {
 }
 
 
+def _kernel_mats(k):
+    return [k.K.M1.rel, k.K.M0.rel, k.K.d.mat, k.incl.mat, k.to_a.mat,
+            k.to_b.mat, k.e.f1.mat, k.e.f0.mat, k.eps.s.mat]
+
+
+def _contains(a, b):
+    """Does the span of a's columns, modulo a.dst's relations, hold b's?"""
+    return solve_many(hstack([a.mat, a.dst.rel]), b.mat) is not None
+
+
+def _assert_same_stage_kernel(got, ref):
+    """The stage kernel read off the pass against the checked one."""
+    if got.incl.mat.ring.is_modular:
+        assert got.incl.dst == ref.incl.dst
+        assert _contains(got.incl, ref.incl) and _contains(ref.incl, got.incl)
+        assert pi_profile(got.K) == pi_profile(ref.K)
+    else:
+        assert _kernel_mats(got) == _kernel_mats(ref)
+
+
 @pytest.fixture
 def checked_sites(monkeypatch):
     hits = Counter()
+
+    # the stage kernels that the stage loop reads off a free cover's pass
+    def stage_kernel(F, phi, G, *pairs, _real=twomod._relative_kernel,
+                     _checked=twomod.relative_kernel):
+        f = sys._getframe(1)
+        hits[(Path(f.f_code.co_filename).name, f.f_code.co_name,
+              "_relative_kernel")] += 1
+        got = _real(F, phi, G, *pairs)
+        _assert_same_stage_kernel(got, _checked(F, phi, G, check=True))
+        return got
+
+    monkeypatch.setattr(resolution, "_relative_kernel", stage_kernel)
     for name in ("relative_kernel", "relative_cokernel", "rk_factorize"):
         real = getattr(twomod, name)
 
@@ -191,3 +232,35 @@ def test_sites_hold_when_checked_on_the_workspaces(checked_sites):
         f, phi, g = ws.get(e)
         assert check_long_sequence(long_sequence(ws.get(t), f, phi, g, 2))
     _assert_all_hit(checked_sites)
+
+
+def _stage_kernel_inputs():
+    """Seeded derive inputs over Z, Z/4 and Z/12, the catalog's 2-modules
+    over Z and Z/12, and the cli-small workspace's."""
+    mods = []
+    for ring in (ZZ, Z4, Z12):
+        rng = random.Random(f"stage kernels {ring}")
+        mods += [derive_input(rng, ring, g) for g in (5, 6, 7, 8)]
+    for path, ring_doc in ((ROOT / "catalog.json", None),
+                           (ROOT / "catalog.json", {"kind": "Zmod", "n": 12}),
+                           (ROOT / "tests" / "cli_small_workspace.json", None)):
+        doc = json.loads(path.read_text())
+        if ring_doc is not None:
+            doc["ring"] = ring_doc
+        ws = load_doc(doc)
+        mods += [ws.get(k) for k, v in sorted(doc["objects"].items())
+                 if v["type"] == "twomodule"]
+    return mods
+
+
+def test_stage_kernels_off_the_pass_are_the_relative_kernels(checked_sites):
+    rings = set()
+    for m in _stage_kernel_inputs():
+        res = resolve(m, 3)
+        ok, why = validate_resolution(res)
+        assert ok, why
+        rings.add(m.ring)
+    assert rings == {ZZ, Z4, Z12}
+    assert checked_sites[("resolution.py", "_start", "_relative_kernel")]
+    assert checked_sites[("resolution.py", "_extend", "_relative_kernel")]
+    assert set(checked_sites) - SITES <= CHECKED_CALLS
