@@ -68,7 +68,9 @@ class Complex2:
         if len(diffs) != len(modules) - 1:
             raise DimensionMismatch("need one differential per adjacent pair")
         for n, d in enumerate(diffs, start=1):
-            if d.src != modules[n] or d.dst != modules[n - 1]:
+            src, dst = modules[n], modules[n - 1]
+            if ((d.src is not src and d.src != src)
+                    or (d.dst is not dst and d.dst != dst)):
                 raise DimensionMismatch(f"differential {n} endpoints")
         self.ring = ring
         self.modules = list(modules)

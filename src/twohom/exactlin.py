@@ -9,11 +9,16 @@ its row in place at the pivot row's nonzeros, on rows that share no list.
 Over Z/n entries are canonical representatives in [0, n).
 ``Matrix(ring, rows, cols, entries)`` takes integers only, copies them and
 reduces them mod n.  All other matrices are made here, immutable and
-canonical, by ``_matrix`` with the private keyword ``_rows``; the results
-that can leave [0, n) are reduced by ``_mod`` first.  Other modules cut
-blocks by slicing, ``m[a:b]`` or ``m[a:b, c:d]``.  Solving and kernels read
-the Smith form over the ring itself (Z/n is a principal ideal ring), so
-nothing is lifted to Z.
+canonical, with the private keyword ``_rows``: most by ``_matrix``, and
+the results that can leave [0, n) are reduced by ``_mod`` first.  As rows
+are immutable, a row slice ``m[a:b]`` and ``vstack`` share the row tuples
+of their blocks, ``hstack`` builds each row once, and a stack of one
+block is that block.  Other modules cut blocks by slicing, ``m[a:b]`` or
+``m[a:b, c:d]``.  Every ring check here, and every endpoint check
+downstream, tests identity before equality, as the endpoints of one
+computation are almost always the same objects; shape checks compare
+``rows`` and ``cols``.  Solving and kernels read the Smith form over the
+ring itself (Z/n is a principal ideal ring), so nothing is lifted to Z.
 Hermite bases come from one untransformed echelon pass: ``hnf`` of a row
 span, ``column_basis`` of a column span, and ``preimage_basis`` of the
 kernel of a module morphism, with Howell rows over Z/n (Howell 1986;
@@ -176,8 +181,8 @@ class Matrix:
         if not (0 < len(keys) < 3 and all(type(k) is slice for k in keys)):
             raise TypeError(f"Matrix indices are slices, not {key!r}")
         rows = self._rows[keys[0]]
-        if len(keys) == 1:
-            return _matrix(self.ring, len(rows), self.cols, rows)
+        if len(keys) == 1:  # the rows are immutable, so they are shared
+            return Matrix(self.ring, len(rows), self.cols, None, _rows=rows)
         c = keys[1]
         return _matrix(self.ring, len(rows), len(range(self.cols)[c]),
                        (row[c] for row in rows))
@@ -198,7 +203,7 @@ class Matrix:
     # -- algebra -------------------------------------------------------------
 
     def _same_ring(self, other: "Matrix"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise DimensionMismatch("ring mismatch")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -219,7 +224,7 @@ class Matrix:
 
     def _entrywise(self, op, other: "Matrix", sign: str) -> "Matrix":
         self._same_ring(other)
-        if self.shape != other.shape:
+        if self.rows != other.rows or self.cols != other.cols:
             raise DimensionMismatch(f"shape mismatch in {sign}")
         return _matrix(self.ring, self.rows, self.cols, _mod(self.ring, (
             map(op, x, y) for x, y in zip(self._rows, other._rows))))
@@ -246,8 +251,8 @@ class Matrix:
             return True
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.ring == other.ring and self.shape == other.shape
-                and self._rows == other._rows)
+        return (self.ring == other.ring and self.rows == other.rows
+                and self.cols == other.cols and self._rows == other._rows)
 
     def __hash__(self):
         if self._hash is None:
@@ -271,28 +276,38 @@ def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
+    """The blocks side by side; a single block is itself, as matrices are
+    immutable."""
     mats = list(mats)
     if not mats:
         raise ValueError("hstack of nothing")
-    rows = mats[0].rows
-    ring = mats[0].ring
-    if any(m.rows != rows or m.ring != ring for m in mats):
-        raise DimensionMismatch("hstack mismatch")
-    cols = sum(m.cols for m in mats)
-    return _matrix(ring, rows, cols,
-                   [sum(parts, ()) for parts in zip(*(m._rows for m in mats))])
+    first = mats[0]
+    if len(mats) == 1:
+        return first
+    ring, rows, cols = first.ring, first.rows, 0
+    for m in mats:
+        if m.rows != rows or (m.ring is not ring and m.ring != ring):
+            raise DimensionMismatch("hstack mismatch")
+        cols += m.cols
+    return Matrix(ring, rows, cols, None, _rows=tuple(
+        [sum(parts, ()) for parts in zip(*(m._rows for m in mats))]))
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
+    """The blocks one above the other, sharing their row tuples; a single
+    block is itself."""
     mats = list(mats)
     if not mats:
         raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    ring = mats[0].ring
-    if any(m.cols != cols or m.ring != ring for m in mats):
-        raise DimensionMismatch("vstack mismatch")
-    rows = sum(m.rows for m in mats)
-    return _matrix(ring, rows, cols, chain.from_iterable(m._rows for m in mats))
+    first = mats[0]
+    if len(mats) == 1:
+        return first
+    ring, cols, data = first.ring, first.cols, ()
+    for m in mats:
+        if m.cols != cols or (m.ring is not ring and m.ring != ring):
+            raise DimensionMismatch("vstack mismatch")
+        data += m._rows
+    return Matrix(ring, len(data), cols, None, _rows=data)
 
 
 def block_diag(mats: Iterable[Matrix]) -> Matrix:
@@ -330,7 +345,7 @@ def unvec(v: Matrix, rows: int, cols: int) -> Matrix:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise DimensionMismatch("ring mismatch in kron")
     if b._rows == ((1,),):  # a (x) [1] is a, and a keeps its Smith memo
         return a
@@ -713,7 +728,7 @@ def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
     nonzero d_i is a divisor of n, so d_i y = c is solvable iff d_i | c."""
     if A.rows != B.rows:
         raise DimensionMismatch("solve: row mismatch")
-    if A.ring != B.ring:
+    if A.ring is not B.ring and A.ring != B.ring:
         raise DimensionMismatch("solve: ring mismatch")
     if B.cols == 0:
         return Matrix.zeros(A.ring, A.cols, 0)
@@ -753,7 +768,7 @@ def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     is zero there: over Z as Z has no zero divisors, over Z/n by the
     Howell rows that the pass appends (``_echelon``).  So their last
     A.cols entries generate the submodule."""
-    if B.rows != A.rows or B.ring != A.ring:
+    if B.rows != A.rows or (B.ring is not A.ring and B.ring != A.ring):
         raise DimensionMismatch("preimage_basis: row or ring mismatch")
     t, g = A.shape
     if g == 0:

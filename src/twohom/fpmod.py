@@ -59,7 +59,7 @@ class FPModule:
         if self.rel.rows != self.gens:
             raise DimensionMismatch(
                 f"relation matrix has {self.rel.rows} rows for {self.gens} generators")
-        if self.rel.ring != self.ring:
+        if self.rel.ring is not self.ring and self.rel.ring != self.ring:
             raise DimensionMismatch("relation matrix over the wrong ring")
 
     @staticmethod
@@ -96,10 +96,12 @@ class ModMor:
     __slots__ = ("src", "dst", "mat")
 
     def __init__(self, src: FPModule, dst: FPModule, mat: Matrix, check: bool = True):
-        if mat.shape != (dst.gens, src.gens):
+        if mat.rows != dst.gens or mat.cols != src.gens:
             raise DimensionMismatch(
                 f"matrix {mat.shape} for morphism {src.gens} -> {dst.gens}")
-        if mat.ring != src.ring or src.ring != dst.ring:
+        ring = src.ring
+        if ((mat.ring is not ring and mat.ring != ring)
+                or (dst.ring is not ring and dst.ring != ring)):
             raise DimensionMismatch("ring mismatch in morphism")
         self.src = src
         self.dst = dst
@@ -135,7 +137,8 @@ class ModMor:
 
 
 def _same_endpoints(f: ModMor, g: ModMor):
-    if f.src != g.src or f.dst != g.dst:
+    if ((f.src is not g.src and f.src != g.src)
+            or (f.dst is not g.dst and f.dst != g.dst)):
         raise DimensionMismatch("morphisms with different endpoints")
 
 
@@ -154,7 +157,7 @@ def equal_mor(f: ModMor, g: ModMor) -> bool:
 
 def compose(f: ModMor, g: ModMor) -> ModMor:
     """g after f (f then g)."""
-    if f.dst != g.src:
+    if f.dst is not g.src and f.dst != g.src:
         raise DimensionMismatch("non-composable morphisms")
     return ModMor(f.src, g.dst, g.mat @ f.mat, check=False)
 
@@ -193,7 +196,7 @@ def factor_through(incl: ModMor, g: ModMor) -> ModMor:
     ``incl`` is typically a kernel inclusion; completeness of the solve
     makes the factorization exact whenever it exists.
     """
-    if g.dst != incl.dst:
+    if g.dst is not incl.dst and g.dst != incl.dst:
         raise DimensionMismatch("factor_through endpoint mismatch")
     sol = solve_many(hstack([incl.mat, incl.dst.rel]), g.mat)
     if sol is None:
@@ -203,7 +206,7 @@ def factor_through(incl: ModMor, g: ModMor) -> ModMor:
 
 def sum_module(m: FPModule, n: FPModule) -> FPModule:
     """The module m (+) n alone: the block-diagonal presentation."""
-    if m.ring != n.ring:
+    if m.ring is not n.ring and m.ring != n.ring:
         raise DimensionMismatch("direct sum over different rings")
     return FPModule(m.ring, m.gens + n.gens, block_diag([m.rel, n.rel]))
 
@@ -230,7 +233,7 @@ def direct_sum(m: FPModule, n: FPModule):
 
 def tensor(m: FPModule, n: FPModule) -> FPModule:
     """Tensor product presentation: generator (i, j) has index i*n.gens + j."""
-    if m.ring != n.ring:
+    if m.ring is not n.ring and m.ring != n.ring:
         raise DimensionMismatch("tensor over different rings")
     ring = m.ring
     gens = m.gens * n.gens
@@ -283,7 +286,7 @@ def is_iso(f: ModMor) -> bool:
 
 def is_exact_at(f: ModMor, g: ModMor) -> bool:
     """Exactness of  src(f) -> mid -> dst(g)  at the middle module."""
-    if f.dst != g.src:
+    if f.dst is not g.src and f.dst != g.src:
         raise DimensionMismatch("non-composable pair in exactness check")
     if not compose(f, g).is_zero_mor():
         return False

@@ -110,7 +110,7 @@ def lift_through(p: TwoModule, t: OneMor, e: OneMor) -> Tuple[OneMor, TwoMor]:
     """
     if not p.is_free():
         raise ResolutionError("lift_through needs a free source")
-    if t.src != p or t.dst != e.dst:
+    if (t.src is not p and t.src != p) or (t.dst is not e.dst and t.dst != e.dst):
         raise ResolutionError("lift_through endpoint mismatch")
     b, c = e.src, e.dst
     system = hstack([e.f0.mat, c.d.mat, c.M0.rel])
@@ -312,7 +312,8 @@ class ComparisonLift:
 def compare(h: OneMor, res_src: Resolution, res_dst: Resolution
             ) -> ComparisonLift:
     """Lift h: M -> N to a morphism of resolutions, degree by degree."""
-    if h.src != res_src.target or h.dst != res_dst.target:
+    if ((h.src is not res_src.target and h.src != res_src.target)
+            or (h.dst is not res_dst.target and h.dst != res_dst.target)):
         raise ResolutionError("compare endpoints do not match the resolutions")
     depth = max(res_src.depth, res_dst.depth)
     res_src, res_dst = _extend(res_src, depth), _extend(res_dst, depth)
@@ -415,7 +416,8 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
     if not is_extension(F, phi, G):
         raise ResolutionError("horseshoe requires an extension")
     A, B, C = F.src, F.dst, G.dst
-    if res_a.target != A or res_c.target != C:
+    if ((res_a.target is not A and res_a.target != A)
+            or (res_c.target is not C and res_c.target != C)):
         raise ResolutionError("resolutions do not resolve the extension ends")
     depth = max(res_a.depth, res_c.depth)
     res_a, res_c = _extend(res_a, depth), _extend(res_c, depth)

@@ -57,7 +57,7 @@ class TwoModule:
     __slots__ = ("M1", "M0", "d", "_pi0", "_pi1")
 
     def __init__(self, M1: FPModule, M0: FPModule, d: ModMor, check: bool = True):
-        if d.src != M1 or d.dst != M0:
+        if (d.src is not M1 and d.src != M1) or (d.dst is not M0 and d.dst != M0):
             raise DimensionMismatch("structure map endpoints do not match")
         if check:
             _check_components(d=d)
@@ -108,9 +108,11 @@ class OneMor:
 
     def __init__(self, src: TwoModule, dst: TwoModule, f1: ModMor, f0: ModMor,
                  check: bool = True):
-        if f1.src != src.M1 or f1.dst != dst.M1:
+        if ((f1.src is not src.M1 and f1.src != src.M1)
+                or (f1.dst is not dst.M1 and f1.dst != dst.M1)):
             raise DimensionMismatch("f1 endpoints")
-        if f0.src != src.M0 or f0.dst != dst.M0:
+        if ((f0.src is not src.M0 and f0.src != src.M0)
+                or (f0.dst is not dst.M0 and f0.dst != dst.M0)):
             raise DimensionMismatch("f0 endpoints")
         if check:
             _check_components(f1=f1, f0=f0)
@@ -190,7 +192,8 @@ def _check_components(**components: ModMor):
 
 
 def _same_hom(f: OneMor, g: OneMor):
-    if f.src != g.src or f.dst != g.dst:
+    if ((f.src is not g.src and f.src != g.src)
+            or (f.dst is not g.dst and f.dst != g.dst)):
         raise DimensionMismatch("mismatched hom-set")
 
 
@@ -201,7 +204,7 @@ def one_mor_equal(f: OneMor, g: OneMor) -> bool:
 
 def compose(f: OneMor, g: OneMor) -> OneMor:
     """f then g; its components are multiplied on first read."""
-    if f.dst != g.src:
+    if f.dst is not g.src and f.dst != g.src:
         raise DimensionMismatch("non-composable 1-morphisms")
     return _LazyOneMor(f.src, g.dst, (f, g))
 
@@ -213,7 +216,8 @@ class TwoMor:
 
     def __init__(self, frm: OneMor, to: OneMor, s: ModMor, check: bool = True):
         _same_hom(frm, to)
-        if s.src != frm.src.M0 or s.dst != frm.dst.M1:
+        m0, m1 = frm.src.M0, frm.dst.M1
+        if (s.src is not m0 and s.src != m0) or (s.dst is not m1 and s.dst != m1):
             raise DimensionMismatch("homotopy component endpoints")
         if check:
             _check_components(s=s)
@@ -260,7 +264,7 @@ def vcomp(a: TwoMor, b: TwoMor) -> TwoMor:
 
 def whisker_left(h: OneMor, a: TwoMor) -> TwoMor:
     """h∘a : compose(frm, h) => compose(to, h) for a: frm => to into h.src."""
-    if a.frm.dst != h.src:
+    if a.frm.dst is not h.src and a.frm.dst != h.src:
         raise DimensionMismatch("whisker_left endpoints")
     return TwoMor(compose(a.frm, h), compose(a.to, h),
                   mcompose(a.s, h.f1), check=False)
@@ -268,7 +272,7 @@ def whisker_left(h: OneMor, a: TwoMor) -> TwoMor:
 
 def whisker_right(a: TwoMor, h: OneMor) -> TwoMor:
     """a∘h : compose(h, frm) => compose(h, to) for h into a's source."""
-    if h.dst != a.frm.src:
+    if h.dst is not a.frm.src and h.dst != a.frm.src:
         raise DimensionMismatch("whisker_right endpoints")
     return TwoMor(compose(h, a.frm), compose(h, a.to),
                   mcompose(h.f0, a.s), check=False)
@@ -346,7 +350,7 @@ class BiproductResult:
 
 def biproduct(a: TwoModule, b: TwoModule) -> BiproductResult:
     """Degreewise direct sum with the canonical injections/projections."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise DimensionMismatch("biproduct over different rings")
     s1, i1a, i1b, p1a, p1b = direct_sum(a.M1, b.M1)
     s0, i0a, i0b, p0a, p0b = direct_sum(a.M0, b.M0)
@@ -396,7 +400,7 @@ def relative_kernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
                     ) -> RelKernelResult:
     """Relative kernel of  A --F--> B --G--> C  along phi: G∘F => 0; with
     ``check=False`` the caller has proved phi a null homotopy of G∘F."""
-    if F.dst != G.src:
+    if F.dst is not G.src and F.dst != G.src:
         raise DimensionMismatch("relative kernel of a non-composable pair")
     if check:
         _check_null_homotopy_of(phi, compose(F, G), "relative kernel")
@@ -450,7 +454,7 @@ def rk_factorize(res: RelKernelResult, E: OneMor, psi: TwoMor,
     (E.f0(k), psi.s(k)).  With ``check=False`` the caller has proved psi a
     null homotopy of F∘E compatible with the kernel's cell.
     """
-    if E.dst != res.F.src:
+    if E.dst is not res.F.src and E.dst != res.F.src:
         raise DimensionMismatch("factorization target mismatch")
     if check:
         _check_null_homotopy_of(psi, compose(E, res.F), "rk_factorize")
@@ -526,7 +530,7 @@ def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True
                       ) -> RelCokernelResult:
     """Relative cokernel of  A --F--> B --G--> C  along phi: G∘F => 0; with
     ``check=False`` the caller has proved phi a null homotopy of G∘F."""
-    if F.dst != G.src:
+    if F.dst is not G.src and F.dst != G.src:
         raise DimensionMismatch("relative cokernel of a non-composable pair")
     if check:
         _check_null_homotopy_of(phi, compose(F, G), "relative cokernel")
@@ -555,7 +559,7 @@ def rc_factorize(res: RelCokernelResult, E: OneMor, psi: TwoMor
     Returns (E', psi') with psi': E'∘p => E; E' agrees with E on objects
     and sends the class [b, c] to -psi.s(b) + E.f1(c).
     """
-    if E.src != res.G.dst:
+    if E.src is not res.G.dst and E.src != res.G.dst:
         raise DimensionMismatch("factorization source mismatch")
     _check_null_homotopy_of(psi, compose(res.G, E), "rc_factorize")
     if not rc_compatible(res, E, psi):

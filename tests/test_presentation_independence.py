@@ -11,9 +11,14 @@ on their order and on the relations; this test guards that the answers do
 not.  The catalog's 2-modules, over Z and Z/12, are re-presented after a
 redundant generator is added, killed by a relation, and the catalog's
 extension over Z is carried along the isomorphisms, so that its long
-sequence must keep its entries' pi-profiles and its exactness verdict.  Each query
-runs under an alarm, so a presentation that stalls an elimination fails
-the test instead of hanging it.
+sequence must keep its entries' pi-profiles and its exactness verdict.
+Over both rings, the extensions of the catalog and of the cli-small
+workspace are carried the same way, and must keep the pi-profiles of
+their relative kernel and cokernel and their ``check extension`` verdict;
+the catalog's complexes are carried module by module, and must keep the
+pi-profiles of their homology.  Each query runs under an alarm, so a
+presentation that stalls an elimination fails the test instead of hanging
+it.
 """
 
 import json
@@ -25,16 +30,20 @@ import pytest
 
 from test_complex2 import derive_input
 from twohom.cli import load_doc
+from twohom.complex2 import Complex2, validate_complex
 from twohom.derived import (FunctorSpec, check_long_sequence, derived_complex,
                             long_sequence)
 from twohom.exactlin import (Matrix, RingSpec, ZZ, det, hstack, solve_many,
                              vstack)
 from twohom.fpmod import FPModule, ModMor, equal_mor
-from twohom.twomod import OneMor, TwoModule, compose, null_homotopy
+from twohom.twomod import (OneMor, TwoModule, compose, is_extension,
+                            null_homotopy, pi_profile, relative_cokernel,
+                            relative_kernel)
 
 QUERY_LIMIT_S = 10
 CASES = [(ZZ, 6), (RingSpec.Zmod(12), 4)]
 CATALOG = Path(__file__).resolve().parents[1] / "catalog.json"
+CLI_SMALL = Path(__file__).with_name("cli_small_workspace.json")
 CATALOG_RINGS = [None, {"kind": "Zmod", "n": 12}]
 
 
@@ -107,6 +116,22 @@ def carry_extension(ext, isos):
         a.M0, c.M1, f_c[0] @ phi.s.mat @ g_a[1])), G2
 
 
+def carry_complex(c, rng):
+    """The complex c with each module re-presented by ``represent_iso``,
+    its differentials L'_n = f_{n-1} L_n g_n and its cells' maps
+    f_{n-2}.f1 alpha_n g_n.f0 carried along."""
+    isos = [represent_iso(m, rng) for m in c.modules]
+    diffs = []
+    for n, L in enumerate(c.diffs, start=1):
+        (a, _, g), (b, f, _) = isos[n], isos[n - 1]
+        diffs.append(OneMor(a, b, ModMor(a.M1, b.M1, f[0] @ L.f1.mat @ g[0]),
+                            ModMor(a.M0, b.M0, f[1] @ L.f0.mat @ g[1])))
+    alphas = {n: ModMor(isos[n][0].M0, isos[n - 2][0].M1,
+                        isos[n - 2][1][0] @ s.mat @ isos[n][2][1])
+              for n, s in c.alphas.items()}
+    return Complex2(c.ring, [rep for rep, _, _ in isos], diffs, alphas)
+
+
 def under_alarm(what, run):
     """run(), which fails with a TimeoutError after QUERY_LIMIT_S."""
     def too_slow(signum, frame):
@@ -140,10 +165,27 @@ def longseq(t, ext, depth):
     return under_alarm("longseq", run)
 
 
-def catalog(ring_doc):
-    """The catalog loaded over its ring or the ring of ring_doc, and the
-    names of its objects of a kind."""
-    doc = json.loads(CATALOG.read_text())
+def relative_profiles(ext):
+    """The pi-profiles of the relative kernel and the relative cokernel of
+    the extension ext, and its ``check extension`` verdict, under the
+    alarm."""
+    def run():
+        return (pi_profile(relative_kernel(*ext).K),
+                pi_profile(relative_cokernel(*ext).Q), is_extension(*ext))
+    return under_alarm("relative (co)kernel", run)
+
+
+def homology_profiles(c):
+    """The pi-profiles of the homology of c in degrees 0..length + 1,
+    under the alarm."""
+    return under_alarm("homology", lambda: [
+        c.homology(n).pi for n in range(c.length + 2)])
+
+
+def catalog(ring_doc, path=CATALOG):
+    """The document at path (the catalog) loaded over its ring or the ring
+    of ring_doc, and the names of its objects of a kind."""
+    doc = json.loads(path.read_text())
     if ring_doc is not None:
         doc["ring"] = ring_doc
     objs = doc["objects"]
@@ -212,3 +254,36 @@ def test_catalog_long_sequence_does_not_depend_on_the_presentation():
                     want = longseq(t, ext, depth)
                     assert want[1]
                     assert longseq(t, carried, depth) == want, (name, depth)
+
+
+@pytest.mark.parametrize("ring_doc", CATALOG_RINGS, ids=["Z", "Z/12"])
+@pytest.mark.parametrize("path", [CATALOG, CLI_SMALL], ids=["catalog", "cli-small"])
+def test_relative_kernels_and_cokernels_do_not_depend_on_the_presentation(
+        path, ring_doc):
+    """Also the ``check extension`` verdict: over Z/12 the catalog's is
+    false, as its F = 2 is no longer faithful."""
+    ws, of = catalog(ring_doc, path)
+    rng = random.Random(f"re-present the extensions of {path.name} {ring_doc}")
+    verdicts = set()
+    for name in of("extension"):
+        ext = ws.get(name)
+        want = relative_profiles(ext)
+        verdicts.add(want[2])
+        ends = {id(m): m for h in (ext[0], ext[2]) for m in (h.src, h.dst)}
+        for _ in range(3):
+            isos = {k: represent_iso(m, rng) for k, m in ends.items()}
+            assert relative_profiles(carry_extension(ext, isos)) == want, name
+    assert verdicts == ({False} if path == CATALOG and ring_doc else {True})
+
+
+@pytest.mark.parametrize("ring_doc", CATALOG_RINGS, ids=["Z", "Z/12"])
+def test_catalog_homology_does_not_depend_on_the_presentation(ring_doc):
+    ws, of = catalog(ring_doc)
+    rng = random.Random(f"re-present the catalog complexes {ring_doc}")
+    for name in of("complex"):
+        c = ws.get(name)
+        want = homology_profiles(c)
+        for _ in range(3):
+            carried = carry_complex(c, rng)
+            assert validate_complex(carried)[0], name
+            assert homology_profiles(carried) == want, name
