@@ -81,13 +81,14 @@ class Workspace:
         self.objects = objects
 
     def get(self, name: str, kinds=None, where: str = "this command"):
-        if name not in self.objects:
+        obj = self.objects.get(name)
+        if obj is None:
             raise ValidationFailure(f"unknown object {name!r}")
-        obj = self.objects[name]
-        if (isinstance(obj, partial) and kinds is not None
-                and issubclass(Resolution, kinds)):
+        if kinds is None or type(obj) is kinds:
+            return obj
+        if isinstance(obj, partial) and issubclass(Resolution, kinds):
             obj = self.objects[name] = obj()    # a resolution, on first use
-        if kinds is not None and not isinstance(obj, kinds):
+        if not isinstance(obj, kinds):
             raise ValidationFailure(
                 f"object {name!r} has the wrong type for {where}")
         return obj
@@ -121,6 +122,32 @@ def _opt_int(x, where: str) -> Optional[int]:
 
 def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
                   cols: Optional[int] = None, where: str = "") -> Matrix:
+    """The matrix of the list of rows data, of the declared shape where one
+    is given; with no entries the declared shape wins (e.g. a 1x0
+    structure map).  One loop reads rows of JSON ints; any other data is
+    read, or refused with its reason, by ``_read_matrix``."""
+    if type(data) is list:
+        flat = []
+        c = len(data[0]) if data and type(data[0]) is list else 0
+        for row in data:
+            if type(row) is not list or len(row) != c:
+                break
+            flat += row
+        else:
+            if not flat:
+                return Matrix.zeros(ring, len(data) if rows is None else rows,
+                                    c if cols is None else cols)
+            if ((rows is None or rows == len(data))
+                    and (cols is None or cols == c)
+                    and all(type(x) is int for x in flat)):
+                return Matrix(ring, len(data), c, flat)
+    return _read_matrix(ring, data, rows, cols, where)
+
+
+def _read_matrix(ring: RingSpec, data, rows: Optional[int],
+                 cols: Optional[int], where: str) -> Matrix:
+    """``_parse_matrix`` of any data: decimal strings are read, and a
+    malformed matrix is a ParseFailure that names its first fault."""
     if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
         raise ParseFailure(f"{where}: matrix must be a list of rows")
     r = len(data)
@@ -128,18 +155,14 @@ def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
     if any(len(row) != c for row in data):
         raise ParseFailure(f"{where}: ragged matrix")
     if r * c == 0:
-        # no entries: the declared shape wins (e.g. a 1x0 structure map)
         return Matrix.zeros(ring, rows if rows is not None else r,
                             cols if cols is not None else c)
     if rows is not None and r != rows:
         raise ParseFailure(f"{where}: expected {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise ParseFailure(f"{where}: expected {cols} cols, got {c}")
-    # the JSON parser has read every number; only decimal strings and
-    # non-integers go through _as_int, and Matrix copies the ints once
-    flat = [x if type(x) is int else _as_int(x, where)
-            for row in data for x in row]
-    return Matrix(ring, r, c, flat)
+    return Matrix(ring, r, c, [x if type(x) is int else _as_int(x, where)
+                               for row in data for x in row])
 
 
 def _parse_ring(doc) -> RingSpec:
@@ -184,13 +207,14 @@ def load_doc(doc: dict) -> Workspace:
     if not isinstance(raw_objects, dict):
         raise ParseFailure("objects must be a mapping")
     ws = Workspace(ring, {})
-    resolving: List[str] = []
+    objects, resolving = ws.objects, []
 
     def build(ref, kinds, where: str):
         """The object that ``where`` names by ``ref``, of one of ``kinds``."""
-        if not isinstance(ref, str):
-            raise ParseFailure(f"{where}: object names are strings, got {ref!r}")
-        if ref not in ws.objects:
+        obj = objects.get(ref) if isinstance(ref, str) else None
+        if obj is None:     # not built yet: every check, then the build
+            if not isinstance(ref, str):
+                raise ParseFailure(f"{where}: object names are strings, got {ref!r}")
             if ref in resolving:
                 raise ParseFailure(f"cyclic reference through {ref!r}")
             if ref not in raw_objects:
@@ -201,7 +225,9 @@ def load_doc(doc: dict) -> Workspace:
             except (InvalidMorphism, DimensionMismatch, CompatibilityError) as exc:
                 raise ValidationFailure(f"object {ref!r}: {exc}") from exc
             resolving.pop()
-            ws.objects[ref] = obj
+            objects[ref] = obj
+        if kinds is None or type(obj) is kinds:
+            return obj
         return ws.get(ref, kinds, where)
 
     for name in raw_objects:
@@ -210,12 +236,15 @@ def load_doc(doc: dict) -> Workspace:
 
 
 def _field(spec, key: str, where: str):
+    """spec[key]; a spec that is no mapping, or has no key, is refused."""
+    try:
+        return spec[key]
+    except (KeyError, TypeError):
+        pass
     if not isinstance(spec, dict):
         raise ParseFailure(f"{where}: expected a mapping, got "
                            f"{type(spec).__name__}")
-    if key not in spec:
-        raise ParseFailure(f"{where}: missing field {key!r}")
-    return spec[key]
+    raise ParseFailure(f"{where}: missing field {key!r}")
 
 
 def _build_object(ring: RingSpec, name: str, spec, build):

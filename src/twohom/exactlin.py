@@ -24,6 +24,9 @@ span, ``column_basis`` of a column span, and ``preimage_basis`` of the
 kernel of a module morphism, with Howell rows over Z/n (Howell 1986;
 Storjohann-Mulders, ESA 1998), and over Z by remainder steps, which keep
 entries small where xgcd mixing grew dense kernels to thousands of bits.
+Membership in a column span (``_in_span``) reduces each column against the
+rows of the same pass over the transpose, kept in the matrix's memo beside
+its Smith form; the Howell rows make that reduction exact over Z/n.
 
 Transforms exist only for ``snf``, on demand: ``snf(A, want="DUV")``
 returns only the matrices that ``want`` names, in its order
@@ -117,23 +120,27 @@ class Matrix:
     ints; for Z/n they are the canonical representatives in [0, n).
     """
 
-    __slots__ = ("ring", "rows", "cols", "_rows", "_hash", "_snf")
+    __slots__ = ("ring", "rows", "cols", "_rows", "_hash", "_snf", "_span")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries, *,
                  _rows: Optional[tuple] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.ring, self.rows, self.cols = ring, rows, cols
-        if _rows is None:  # an ndarray is read through .flat
-            flat = [index(x) for x in getattr(entries, "flat", entries)]
+        if _rows is None:
+            if type(entries) is not list:  # an ndarray is read through .flat
+                entries = getattr(entries, "flat", entries)
+            flat = list(map(index, entries))
             if len(flat) != rows * cols:
                 raise DimensionMismatch(f"need {rows * cols} entries, "
                                         f"got {len(flat)}")
-            _rows = tuple(map(tuple, _mod(ring, (
-                flat[i * cols:(i + 1) * cols] for i in range(rows)))))
+            if ring.n is not None:
+                flat = list(map(ring.n.__rmod__, flat))
+            # zip over cols copies of one iterator reads flat off by rows
+            _rows = tuple(zip(*[iter(flat)] * cols)) if cols else ((),) * rows
         self._rows = _rows
         self._hash = None
-        self._snf = None
+        self._snf = self._span = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -724,29 +731,16 @@ def det(A: Matrix) -> int:
 def solve_many(A: Matrix, B: Matrix) -> Optional[Matrix]:
     """Exact solve of A X = B over the ring; None when no solution exists.
 
-    With D = U A V, the system is D Y = U B and X = V Y.  Over Z/n every
-    nonzero d_i is a divisor of n, so d_i y = c is solvable iff d_i | c."""
+    With D = U A V, the system is D Y = U B and X = V Y: solvable iff each
+    row of U B is divisible by its d_i, and zero where d_i = 0 or past the
+    diagonal.  Over Z/n every nonzero d_i is a divisor of n, so d_i y = c
+    is solvable iff d_i | c."""
     if A.rows != B.rows:
         raise DimensionMismatch("solve: row mismatch")
     if A.ring is not B.ring and A.ring != B.ring:
         raise DimensionMismatch("solve: ring mismatch")
     if B.cols == 0:
         return Matrix.zeros(A.ring, A.cols, 0)
-    smith = _smith_rhs(A, B)
-    if smith is None:
-        return None
-    Y, diag = smith
-    # Z/n: 0 <= y // d <= y < n
-    Xp = [[y // diag[i] for y in Y[i]] if i < len(diag) and diag[i]
-          else [0] * B.cols for i in range(A.cols)]
-    return _matrix(A.ring, A.cols, B.cols, A._snf.apply("V", Xp))
-
-
-def _smith_rhs(A: Matrix, B: Matrix):
-    """(U B, the Smith diagonal of A) when A X = B is solvable, else None:
-    D Y = U B is solvable iff each row of U B is divisible by its d_i, and
-    zero where d_i = 0 or past the diagonal.  Membership stops here, with
-    no X built."""
     D, = snf(A, "D")
     Y = A._snf.apply("U", B.tolists())
     diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
@@ -754,7 +748,51 @@ def _smith_rhs(A: Matrix, B: Matrix):
         d = diag[i] if i < len(diag) else 0
         if any(row) if d == 0 else any(y % d for y in row):
             return None
-    return Y, diag
+    # Z/n: 0 <= y // d <= y < n
+    Xp = [[y // diag[i] for y in Y[i]] if i < len(diag) and diag[i]
+          else [0] * B.cols for i in range(A.cols)]
+    return _matrix(A.ring, A.cols, B.cols, A._snf.apply("V", Xp))
+
+
+def _in_span(A: Matrix, B: Matrix) -> bool:
+    """Does every column of B lie in the column span of A?
+
+    Each column x is reduced against the echelon rows of A^T
+    (``_span_rows``) in pivot order: the pivot a of a row clears the entry
+    v of x in its column iff a | v over Z, iff gcd(a, n) | v over Z/n, and
+    x lies in the span iff every pivot clears it and nothing is left.
+    Over Z/n any multiple of the row that clears v serves, as the Howell
+    rows make the rows past a pivot span every combination of A^T that is
+    zero up to its column."""
+    n, span = A.ring.n, _span_rows(A)
+    for x in map(list, zip(*B._rows)):
+        for p, g, w, nz in span:
+            v = x[p]
+            if v:
+                if v % g:
+                    return False
+                _sub_at(x, nz, v // g * w, n)
+        if any(x):
+            return False
+    return True
+
+
+def _span_rows(A: Matrix) -> list:
+    """The nonzero rows of one untransformed echelon pass over the rows of
+    A^T (with Howell rows over Z/n), kept on A: per row (p, g, w, its
+    nonzeros), for its pivot a at p.  Over Z g = a and w = 1; over Z/n
+    g = gcd(a, n) and w (a / g) = 1 mod n / g.  So (v / g) w times the
+    row clears an entry v at p that g divides."""
+    if A._span is None:
+        n, M = A.ring.n, [list(col) for col in zip(*A._rows)]
+        span = []
+        for row in M[:_echelon(M, A.rows, n, False)]:
+            nz = _nonzeros(row)
+            p, a = nz[0]
+            g = a if n is None else gcd(a, n)
+            span.append((p, g, 1 if n is None else pow(a // g, -1, n // g), nz))
+        A._span = span
+    return A._span
 
 
 def preimage_basis(A: Matrix, B: Matrix) -> Matrix:

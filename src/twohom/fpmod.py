@@ -2,8 +2,9 @@
 
 A module is R^gens / columnspan(rel); a morphism is a matrix on
 generators that carries relations into relations.  Submodule membership,
-morphism equality and every universal-property factorization reduce to
-one primitive: exact solving against a relation matrix.
+and so morphism validity and equality, reduces columns against the
+echelon rows of the relation matrix (Howell rows over Z/n); every
+universal-property factorization is an exact solve, off its Smith form.
 """
 
 from __future__ import annotations
@@ -78,10 +79,12 @@ class FPModule:
         return FPModule(ring, 1, Matrix.from_rows(ring, [[order]]))
 
     def contains(self, cols: Matrix) -> bool:
-        """Do the given columns lie in the relation span?"""
+        """Do the given columns lie in the relation span?  Each is reduced
+        against the echelon rows of rel, with Howell rows over Z/n, which
+        stay in rel's memo (``exactlin._in_span``); no Smith form is built."""
         if cols.rows != self.gens:
             raise DimensionMismatch("membership test on wrong-length columns")
-        return cols.is_zero() or exactlin._smith_rhs(self.rel, cols) is not None
+        return cols.is_zero() or exactlin._in_span(self.rel, cols)
 
     def is_trivial(self) -> bool:
         return invariant_factors(self) == []

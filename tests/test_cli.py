@@ -400,6 +400,66 @@ class TestExitCodes:
         assert err.startswith("parse error:") and name in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name, obj, code, err", [
+        ("A", {"type": "matrix", "entries": [[1, 2], [3]]},
+         2, "parse error: A: ragged matrix"),
+        ("A", {"type": "matrix", "entries": [[1], 2]},
+         2, "parse error: A: matrix must be a list of rows"),
+        ("A", {"type": "matrix", "entries": 5},
+         2, "parse error: A: matrix must be a list of rows"),
+        ("A", {"type": "matrix", "entries": [[1]], "rows": 2},
+         2, "parse error: A: expected 2 rows, got 1"),
+        ("A", {"type": "matrix", "entries": [[1, 2]], "cols": 3},
+         2, "parse error: A: expected 3 cols, got 2"),
+        ("T", {"type": "twomodule", "M1": {"gens": 1}, "M0": {"gens": 1},
+               "d": [[1, 2]]},
+         2, "parse error: T.d: expected 1 cols, got 2"),
+        ("R", {"type": "module", "gens": 2, "relations": [[2]]},
+         2, "parse error: R: expected 2 rows, got 1"),
+        ("A", {"type": "matrix", "entries": [[1, True]]},
+         2, "parse error: A: booleans are not ring elements"),
+        ("T", {"type": "twomodule", "M1": {"gens": 1, "relations": [[False]]},
+               "M0": {"gens": 1}, "d": [[1]]},
+         2, "parse error: T.M1: booleans are not ring elements"),
+        ("A", {"type": "matrix", "entries": [["x1"]]},
+         2, "parse error: A: bad integer 'x1'"),
+        ("A", {"type": "matrix", "entries": [[1.5]]},
+         2, "parse error: A: bad integer 1.5"),
+        ("A", {"type": "matrix", "entries": [], "rows": -1},
+         1, "error: negative dimensions"),
+        ("F", {"type": "onemor", "src": 3, "dst": "Z", "f1": [], "f0": [[1]]},
+         2, "parse error: object 'F': object names are strings, got 3"),
+        ("F", {"type": "onemor", "src": "nope", "dst": "Z",
+               "f1": [], "f0": [[1]]},
+         1, "error: unknown object 'nope'"),
+        ("F", {"type": "onemor", "src": "M", "dst": "Z",
+               "f1": [], "f0": [[1]]},
+         1, "error: object 'M' has the wrong type for object 'F'"),
+        ("F", {"type": "onemor", "src": "F", "dst": "Z",
+               "f1": [], "f0": [[1]]},
+         2, "parse error: cyclic reference through 'F'"),
+        ("R", {"type": "module"}, 2, "parse error: R: missing field 'gens'"),
+        ("R", 5, 2, "parse error: object 'R': expected a mapping, got int"),
+        ("R", {}, 2, "parse error: object 'R': missing field 'type'"),
+    ], ids=["ragged", "row-not-a-list", "entries-not-a-list", "rows-mismatch",
+            "cols-mismatch", "d-cols-mismatch", "relation-rows-mismatch",
+            "boolean", "inline-boolean", "non-numeric-string", "float",
+            "negative-rows", "reference-not-a-string", "unknown-reference",
+            "wrong-kind-reference", "cyclic-reference", "missing-gens",
+            "object-not-a-mapping", "missing-type"])
+    def test_malformed_object_message(self, tmp_path, capsys, name, obj,
+                                      code, err):
+        """The exact exit code and reason of each malformed object."""
+        doc = {"format": 1, "ring": {"kind": "Z"},
+               "objects": {"Z": {"type": "twomodule", "M1": {"gens": 0},
+                                 "M0": {"gens": 1}, "d": [[]]},
+                           "M": {"type": "matrix", "entries": [[1]]},
+                           name: obj}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["pi", str(bad), "Z"]) == code
+        assert capsys.readouterr() == ("", err + "\n")
+
     @pytest.mark.parametrize("n", [1, 0, -3, "x", None])
     def test_bad_modulus_is_2(self, tmp_path, n):
         """A Zmod ring without a modulus >= 2 is a parse failure that names

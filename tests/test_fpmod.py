@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twohom.exactlin import Matrix, RingSpec, ZZ
+from twohom.exactlin import (DimensionMismatch, Matrix, RingSpec, ZZ, hstack,
+                             vstack)
 from twohom.fpmod import (
     FPModule,
     InvalidMorphism,
@@ -438,8 +439,9 @@ def test_dense_z_kernels_finish(n):
 
 
 class TestContains:
-    """Membership decides solvability off the Smith diagonal, with no
-    solution built; it answers as solving does."""
+    """Membership reduces each column against the echelon rows of the
+    relation matrix, with Howell rows over Z/n; it answers as solving, off
+    the Smith form, does."""
 
     @staticmethod
     def agree(rel, cols):
@@ -449,7 +451,8 @@ class TestContains:
         assert got == (solve_many(rel, cols) is not None)
         return got
 
-    @pytest.mark.parametrize("n", [0, 6, 8, 12], ids=["Z", "Z/6", "Z/8", "Z/12"])
+    @pytest.mark.parametrize("n", [0, 4, 6, 8, 9, 12],
+                             ids=["Z", "Z/4", "Z/6", "Z/8", "Z/9", "Z/12"])
     def test_agrees_with_solving_on_seeded_inputs(self, n):
         ring = RingSpec.Zmod(n) if n else ZZ
         rng = random.Random(f"contains {n}")
@@ -475,3 +478,55 @@ class TestContains:
 
         answers = [self.agree(a, b) for a, b in cases()]
         assert True in answers and False in answers
+
+    def test_a_multiple_of_a_relation_by_a_zero_divisor(self):
+        """Over Z/4, (0, 2) = 2 (2, 1) lies in the span of (2, 1): only the
+        Howell row 2 (2, 1) = (0, 2) of the pivot 2 shows it."""
+        z4 = RingSpec.Zmod(4)
+        rel = Matrix.from_rows(z4, [[2], [1]])
+        assert self.agree(rel, Matrix.from_rows(z4, [[0], [2]]))
+        assert not self.agree(rel, Matrix.from_rows(z4, [[0], [1]]))
+        assert self.agree(rel, Matrix.from_rows(z4, [[2, 0], [1, 2]]))
+        assert not self.agree(rel, Matrix.from_rows(z4, [[0, 0], [2, 3]]))
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6)], ids=["Z", "Z/6"])
+    def test_zero_columns_and_zero_generators(self, ring):
+        """No relations span only zero; no generators hold only zero; a zero
+        relation column spans nothing more."""
+        none = Matrix.zeros(ring, 2, 0)
+        assert self.agree(none, Matrix.zeros(ring, 2, 3))
+        assert not self.agree(none, Matrix.from_rows(ring, [[0], [1]]))
+        assert self.agree(Matrix.zeros(ring, 0, 3), Matrix.zeros(ring, 0, 2))
+        assert FPModule.zero(ring).contains(Matrix.zeros(ring, 0, 4))
+        rel = Matrix.from_rows(ring, [[0, 3, 0], [0, 0, 0]])
+        assert self.agree(rel, Matrix.from_rows(ring, [[3], [0]]))
+        assert not self.agree(rel, Matrix.from_rows(ring, [[1], [0]]))
+        assert not self.agree(rel, Matrix.from_rows(ring, [[0], [2]]))
+        with pytest.raises(DimensionMismatch):
+            FPModule(ring, 2, rel).contains(Matrix.zeros(ring, 3, 1))
+
+    @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=["Z", "Z/12"])
+    def test_the_echelon_rows_are_built_once_per_relation_matrix(
+            self, ring, monkeypatch):
+        """Every membership test on one relation matrix reads one echelon
+        pass, kept on that matrix and built with no Smith form; a row slice
+        or a stack of it is another matrix, with no rows of its own yet."""
+        import twohom.exactlin as exactlin
+
+        passes, smith = [], []
+        real_echelon, real_snf = exactlin._echelon, exactlin.snf
+        monkeypatch.setattr(exactlin, "_echelon",
+                            lambda *a: passes.append(1) or real_echelon(*a))
+        monkeypatch.setattr(exactlin, "snf",
+                            lambda *a: smith.append(1) or real_snf(*a))
+        rel = Matrix.from_rows(ring, [[2, 4, 0], [0, 6, 3], [1, 1, 1]])
+        mod = FPModule(ring, 3, rel)
+        for cols in ([[2], [0], [1]], [[1], [0], [0]], [[6, 4], [9, 6], [3, 2]]):
+            mod.contains(Matrix.from_rows(ring, cols))
+        f = ModMor(mod, mod, Matrix.identity(ring, 3))
+        assert equal_mor(f, f) and f.is_zero_mor() is False
+        assert (len(passes), smith) == (1, [])
+        stacks = [rel[0:3], vstack([rel, rel]), hstack([rel, rel])]
+        assert all(s._span is None for s in stacks)
+        assert FPModule(ring, 3, rel[0:3]).contains(rel[:, 0:1])
+        assert len(passes) == 2
