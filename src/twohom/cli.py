@@ -123,46 +123,31 @@ def _opt_int(x, where: str) -> Optional[int]:
 def _parse_matrix(ring: RingSpec, data, rows: Optional[int] = None,
                   cols: Optional[int] = None, where: str = "") -> Matrix:
     """The matrix of the list of rows data, of the declared shape where one
-    is given; with no entries the declared shape wins (e.g. a 1x0
-    structure map).  One loop reads rows of JSON ints; any other data is
-    read, or refused with its reason, by ``_read_matrix``."""
-    if type(data) is list:
-        flat = []
-        c = len(data[0]) if data and type(data[0]) is list else 0
-        for row in data:
-            if type(row) is not list or len(row) != c:
-                break
-            flat += row
-        else:
-            if not flat:
-                return Matrix.zeros(ring, len(data) if rows is None else rows,
-                                    c if cols is None else cols)
-            if ((rows is None or rows == len(data))
-                    and (cols is None or cols == c)
-                    and all(type(x) is int for x in flat)):
-                return Matrix(ring, len(data), c, flat)
-    return _read_matrix(ring, data, rows, cols, where)
-
-
-def _read_matrix(ring: RingSpec, data, rows: Optional[int],
-                 cols: Optional[int], where: str) -> Matrix:
-    """``_parse_matrix`` of any data: decimal strings are read, and a
-    malformed matrix is a ParseFailure that names its first fault."""
-    if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
+    is given; a malformed matrix is a ParseFailure that names its first
+    fault."""
+    if not isinstance(data, list):
         raise ParseFailure(f"{where}: matrix must be a list of rows")
+    c = len(data[0]) if data and isinstance(data[0], list) else 0
+    flat = []
+    for row in data:
+        if not isinstance(row, list) or len(row) != c:
+            if any(not isinstance(r, list) for r in data):
+                raise ParseFailure(f"{where}: matrix must be a list of rows")
+            raise ParseFailure(f"{where}: ragged matrix")
+        flat += row
     r = len(data)
-    c = len(data[0]) if r else 0
-    if any(len(row) != c for row in data):
-        raise ParseFailure(f"{where}: ragged matrix")
-    if r * c == 0:
+    if not flat:
+        # no entries: the declared shape wins (e.g. a 1x0 structure map)
         return Matrix.zeros(ring, rows if rows is not None else r,
                             cols if cols is not None else c)
     if rows is not None and r != rows:
         raise ParseFailure(f"{where}: expected {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise ParseFailure(f"{where}: expected {cols} cols, got {c}")
-    return Matrix(ring, r, c, [x if type(x) is int else _as_int(x, where)
-                               for row in data for x in row])
+    # the JSON parser has read every number; only decimal strings and
+    # non-integers go through _as_int, and Matrix copies the ints once
+    return Matrix(ring, r, c,
+                  [x if type(x) is int else _as_int(x, where) for x in flat])
 
 
 def _parse_ring(doc) -> RingSpec:
@@ -207,14 +192,13 @@ def load_doc(doc: dict) -> Workspace:
     if not isinstance(raw_objects, dict):
         raise ParseFailure("objects must be a mapping")
     ws = Workspace(ring, {})
-    objects, resolving = ws.objects, []
+    resolving: List[str] = []
 
     def build(ref, kinds, where: str):
         """The object that ``where`` names by ``ref``, of one of ``kinds``."""
-        obj = objects.get(ref) if isinstance(ref, str) else None
-        if obj is None:     # not built yet: every check, then the build
-            if not isinstance(ref, str):
-                raise ParseFailure(f"{where}: object names are strings, got {ref!r}")
+        if not isinstance(ref, str):
+            raise ParseFailure(f"{where}: object names are strings, got {ref!r}")
+        if ref not in ws.objects:
             if ref in resolving:
                 raise ParseFailure(f"cyclic reference through {ref!r}")
             if ref not in raw_objects:
@@ -225,9 +209,7 @@ def load_doc(doc: dict) -> Workspace:
             except (InvalidMorphism, DimensionMismatch, CompatibilityError) as exc:
                 raise ValidationFailure(f"object {ref!r}: {exc}") from exc
             resolving.pop()
-            objects[ref] = obj
-        if kinds is None or type(obj) is kinds:
-            return obj
+            ws.objects[ref] = obj
         return ws.get(ref, kinds, where)
 
     for name in raw_objects:

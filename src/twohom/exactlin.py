@@ -127,17 +127,13 @@ class Matrix:
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.ring, self.rows, self.cols = ring, rows, cols
-        if _rows is None:
-            if type(entries) is not list:  # an ndarray is read through .flat
-                entries = getattr(entries, "flat", entries)
-            flat = list(map(index, entries))
+        if _rows is None:  # an ndarray is read through .flat
+            flat = [index(x) for x in getattr(entries, "flat", entries)]
             if len(flat) != rows * cols:
                 raise DimensionMismatch(f"need {rows * cols} entries, "
                                         f"got {len(flat)}")
-            if ring.n is not None:
-                flat = list(map(ring.n.__rmod__, flat))
-            # zip over cols copies of one iterator reads flat off by rows
-            _rows = tuple(zip(*[iter(flat)] * cols)) if cols else ((),) * rows
+            _rows = tuple(map(tuple, _mod(ring, (
+                flat[i * cols:(i + 1) * cols] for i in range(rows)))))
         self._rows = _rows
         self._hash = None
         self._snf = self._span = None
