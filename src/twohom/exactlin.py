@@ -12,9 +12,9 @@ reduces them mod n.  All other matrices are made here, immutable and
 canonical, with the private keyword ``_rows``: most by ``_matrix``, and
 the results that can leave [0, n) are reduced by ``_mod`` first.  As rows
 are immutable, a row slice ``m[a:b]`` and ``vstack`` share the row tuples
-of their blocks, ``hstack`` builds each row once, and a stack of one
-block is that block.  Other modules cut blocks by slicing, ``m[a:b]`` or
-``m[a:b, c:d]``.  Every ring check here, and every endpoint check
+of their blocks, ``hstack`` builds each row once, and an ``hstack`` of
+one block is that block.  Other modules cut blocks by slicing, ``m[a:b]``
+or ``m[a:b, c:d]``.  Every ring check here, and every endpoint check
 downstream, tests identity before equality, as the endpoints of one
 computation are almost always the same objects; shape checks compare
 ``rows`` and ``cols``.  Solving and kernels read the Smith form over the
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 from math import gcd
 from operator import add, index, sub
 from typing import Iterable, Optional, Sequence
@@ -120,7 +119,7 @@ class Matrix:
     ints; for Z/n they are the canonical representatives in [0, n).
     """
 
-    __slots__ = ("ring", "rows", "cols", "_rows", "_hash", "_snf", "_span")
+    __slots__ = ("ring", "rows", "cols", "_rows", "_snf", "_span")
 
     def __init__(self, ring: RingSpec, rows: int, cols: int, entries, *,
                  _rows: Optional[tuple] = None):
@@ -135,7 +134,6 @@ class Matrix:
             _rows = tuple(map(tuple, _mod(ring, (
                 flat[i * cols:(i + 1) * cols] for i in range(rows)))))
         self._rows = _rows
-        self._hash = None
         self._snf = self._span = None
 
     # -- construction helpers ------------------------------------------------
@@ -258,9 +256,7 @@ class Matrix:
                 and self.cols == other.cols and self._rows == other._rows)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.rows, self.cols, self._rows))
-        return self._hash
+        return hash((self.ring, self.rows, self.cols, self._rows))
 
     def __repr__(self):
         return f"Matrix({self.ring}, {self.rows}x{self.cols}, {self.tolists()})"
@@ -297,15 +293,11 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
 
 
 def vstack(mats: Iterable[Matrix]) -> Matrix:
-    """The blocks one above the other, sharing their row tuples; a single
-    block is itself."""
+    """The blocks one above the other, sharing their row tuples."""
     mats = list(mats)
     if not mats:
         raise ValueError("vstack of nothing")
-    first = mats[0]
-    if len(mats) == 1:
-        return first
-    ring, cols, data = first.ring, first.cols, ()
+    ring, cols, data = mats[0].ring, mats[0].cols, ()
     for m in mats:
         if m.cols != cols or (m.ring is not ring and m.ring != ring):
             raise DimensionMismatch("vstack mismatch")
@@ -628,23 +620,6 @@ def hnf(A: Matrix) -> Matrix:
     return _matrix(A.ring, A.rows, A.cols, H)
 
 
-def _smith_prefix(D, m, n):
-    """The number of leading rows t < m of D already in Smith form: row t
-    is zero but for a normalized d_t at (t, t) (d_t > 0 over Z, d_t =
-    gcd(d_t, n) over Z/n), column t is zero below it, and d_t divides
-    every entry of the trailing block.  On such a row the elimination picks
-    (t, t), logs no step and changes nothing, so ``snf`` starts past them."""
-    s = 0
-    while (s < m and D[s][s] > 0 and (n is None or n % D[s][s] == 0)
-           and not any(D[s][s + 1:]) and not any(row[s] for row in D[s + 1:])):
-        s += 1
-    # g is the gcd of row t's trailing block: d_{t+1}, .., d_{s-1}, rows s..
-    g = gcd(*chain.from_iterable(row[s:] for row in D[s:])) if s else 0
-    for t in reversed(range(s)):  # s ends at the first row d_t fails
-        s, g = (t if g % D[t][t] else s), gcd(g, D[t][t])
-    return s
-
-
 def snf(A: Matrix, want: str = "DUV"):
     """Smith normal form: the matrices named by want, in that order, of D,
     U and V with D = U @ A @ V."""
@@ -654,8 +629,7 @@ def snf(A: Matrix, want: str = "DUV"):
     n = ring.n if ring.is_modular else None
     rows, cols = A.rows, A.cols
     D = A.tolists()
-    ulog, vlog = [], []
-    t = _smith_prefix(D, min(rows, cols), n)
+    ulog, vlog, t = [], [], 0
     while t < min(rows, cols):
         pivot = _pivot(D, t, t, cols, n)
         if pivot is None:

@@ -336,6 +336,21 @@ def test_matrix_immutability_and_hash():
     with pytest.raises(ValueError):
         a.arr[0, 0] = 9
     assert hash(a) == hash(mat([[1, 2], [3, 4]]))
+    z12 = RingSpec.Zmod(12)
+    twins = [(a, mat([[1, 2], [3, 4]])),
+             (Matrix(z12, 2, 2, [13, -1, 24, 5]), mat([[1, 11], [0, 5]], z12)),
+             (Matrix.zeros(ZZ, 0, 3), Matrix(ZZ, 0, 3, [])),
+             (Matrix.zeros(ZZ, 3, 0), Matrix(ZZ, 3, 0, [])),
+             (Matrix.zeros(z12, 0, 2), mat([[1, 2]], z12)[:0])]
+    table = {x: k for k, (x, _) in enumerate(twins)}
+    assert len(table) == len(twins)
+    for k, (x, y) in enumerate(twins):
+        assert x == y and x is not y and hash(x) == hash(y)
+        assert table[y] == k
+    # the same entries over another ring or in another shape are other keys
+    for other in (mat([[1, 2], [3, 4]], RingSpec.Zmod(5)),
+                  Matrix.zeros(ZZ, 0, 2), Matrix.zeros(ZZ, 2, 0)):
+        assert other not in table
 
 
 def assert_read_only_canonical(m):

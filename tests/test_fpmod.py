@@ -255,6 +255,40 @@ def test_exactness_checker():
     assert not is_exact_at(ModMor.zero(Z1, Z1), proj)
 
 
+@pytest.mark.parametrize("n", [0, 4, 12], ids=["Z", "Z/4", "Z/12"])
+def test_exactness_agrees_with_solving_and_builds_no_smith_form(n, monkeypatch):
+    """Exactness at B of f: R^k -> B and the projection g: B -> B / im(h),
+    for f = h, a multiple of h or h less a column, agrees with solving
+    [f | rel B] for g's kernel generators, and the check builds no Smith
+    form."""
+    import twohom.exactlin as exactlin
+    import twohom.fpmod as fpmod
+    from twohom.exactlin import solve_many
+
+    ring = RingSpec.Zmod(n) if n else ZZ
+    rng = random.Random(f"exact {n}")
+    pairs = []
+    for _ in range(40):
+        b, r, k = rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 3)
+        B = FPModule(ring, b, Matrix(ring, b, r, [rng.randint(-6, 6)
+                                                  for _ in range(b * r)]))
+        h = Matrix(ring, b, k, [rng.randint(-6, 6) for _ in range(b * k)])
+        g = ModMor(B, cokernel(ModMor(FPModule.free(ring, k), B, h)),
+                   Matrix.identity(ring, b))
+        for mat in (h, h.scale(rng.choice([2, 3])), h[:, 1:]):
+            f = ModMor(FPModule.free(ring, mat.cols), B, mat)
+            want = solve_many(hstack([f.mat, B.rel]), kernel(g)[1].mat) is not None
+            pairs.append((f, g, want))
+
+    def boom(*args):
+        raise AssertionError("Smith form built")
+
+    monkeypatch.setattr(exactlin, "snf", boom)
+    monkeypatch.setattr(fpmod, "snf", boom)
+    assert [is_exact_at(f, g) for f, g, _ in pairs] == [w for _, _, w in pairs]
+    assert {w for _, _, w in pairs} == {True, False}
+
+
 def test_mono_epi():
     assert is_mono(ModMor(Z1, Z1, m([[2]])))
     assert not is_epi(ModMor(Z1, Z1, m([[2]])))

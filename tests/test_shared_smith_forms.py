@@ -1,16 +1,15 @@
-"""Smith forms that are shared or skipped, with byte-identical results.
+"""Smith forms of matrices that start in Smith form, and shared Smith forms.
 
-Three cuts keep every output as it was:
-
-* ``snf`` starts its elimination past the leading rows that are already in
-  Smith form (``exactlin._smith_prefix``); on such rows the loop would pick
-  the diagonal entry, log no step and change nothing.
+* ``snf`` of a matrix whose leading rows are already in Smith form, or
+  nearly so, passes an oracle that shares no code with it: plain products,
+  sympy's determinants and, over Z, sympy's invariant factors.
 * ``pi0(m)`` is kept on the 2-module, so every read of it shares one
   relation matrix and so one Smith memo.
 * ``kron(a, [1])`` is ``a`` itself.
 """
 
 import random
+from math import gcd
 
 import pytest
 
@@ -24,7 +23,7 @@ from twohom.twomod import pi0, pi_profile
 RINGS = [ZZ, RingSpec.Zmod(4), RingSpec.Zmod(12)]
 
 
-def with_prefix(ring, diag, block):
+def with_leading_rows(ring, diag, block):
     """The matrix with diag on the leading diagonal, zero elsewhere in those
     rows and columns, and the rows of block past it."""
     k = len(diag)
@@ -37,21 +36,15 @@ def with_prefix(ring, diag, block):
     return Matrix.from_rows(ring, raw, cols)
 
 
-def smith_rows(A):
-    """D, U and V of a fresh copy of A (no memo), as rows of ints."""
-    fresh = Matrix.from_rows(A.ring, A.tolists(), A.cols)
-    return tuple(m._rows for m in snf(fresh))
-
-
 def random_block(rng, ring, rows, cols, factor=1):
     bound = 9 if ring.n is None else ring.n
     return [[factor * rng.randint(-bound, bound) for _ in range(cols)]
             for _ in range(rows)]
 
 
-def prefix_cases():
+def leading_smith_cases():
     """(ring, matrix) with leading Smith rows that hold or break each
-    condition of the prefix: a normalized divisibility chain over a block
+    condition of a Smith form: a normalized divisibility chain over a block
     of its multiples, a random block, and negative, unnormalized,
     non-dividing pivots and stray entries in a pivot's row or column."""
     rng = random.Random(29)
@@ -62,25 +55,25 @@ def prefix_cases():
                   [[1, 2], [2], [1, 1]] if n == 4 else [[1, 2, 6], [3], [2, 4]])
         for diag in chains:
             for rows, cols in [(3, 3), (2, 4), (4, 2), (0, 0), (1, 3)]:
-                # multiples of the last d: the whole prefix is skipped
-                out.append((ring, with_prefix(ring, diag, random_block(
+                # multiples of the last d: every leading row is in Smith form
+                out.append((ring, with_leading_rows(ring, diag, random_block(
                     rng, ring, rows, cols, diag[-1]))))
-                # a random block: only the rows whose d divides it
-                out.append((ring, with_prefix(ring, diag, random_block(
+                # a random block, which the leading d need not divide
+                out.append((ring, with_leading_rows(ring, diag, random_block(
                     rng, ring, rows, cols))))
         bad = ([[-2, 4], [2, -4], [2, 3], [4, 2], [6, 4]] if n is None else
                [[3, 2], [2, 3], [2, 1]] if n == 4 else
                [[5, 2], [8, 4], [2, 3], [4, 6], [9, 3], [7]])
         for diag in bad:
             for rows, cols in [(2, 2), (3, 1), (0, 0)]:
-                out.append((ring, with_prefix(ring, diag, random_block(
+                out.append((ring, with_leading_rows(ring, diag, random_block(
                     rng, ring, rows, cols, diag[-1]))))
         # a stray entry right of a pivot or below it
         for i, j in [(0, 1), (1, 0), (1, 2), (2, 1)]:
-            raw = with_prefix(ring, [1, 2, 4], [[4, 8]]).tolists()
+            raw = with_leading_rows(ring, [1, 2, 4], [[4, 8]]).tolists()
             raw[i][j] = 2
             out.append((ring, Matrix.from_rows(ring, raw)))
-        # random matrices, where the prefix is mostly empty
+        # random matrices, mostly with no leading Smith row
         for _ in range(6):
             r, c = rng.randint(1, 5), rng.randint(1, 5)
             out.append((ring, Matrix.from_rows(
@@ -88,40 +81,63 @@ def prefix_cases():
     return out
 
 
-CASES = prefix_cases()
+CASES = leading_smith_cases()
+
+
+def check_snf(A):
+    """U A V = D by plain products, U and V have unit determinants (sympy),
+    D is diagonal with a normalized divisibility chain and its zeros last,
+    and over Z its diagonal is sympy's invariant factors."""
+    pytest.importorskip("sympy")
+    from sympy import ZZ as SZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
+    def domain(rows, shape):
+        return DomainMatrix([[SZZ(x) for x in r] for r in rows], shape, SZZ)
+
+    n, (rows, cols) = A.ring.n, A.shape
+    D, U, V = (m.tolists() for m in snf(A))
+    a = A.tolists()
+    uav = [[A.ring.normalize(sum(U[i][p] * a[p][q] * V[q][j]
+                                 for p in range(rows) for q in range(cols)))
+            for j in range(cols)] for i in range(rows)]
+    assert uav == D, A
+    for T in (U, V):
+        t = int(domain(T, (len(T), len(T))).det())
+        assert t in (1, -1) if n is None else gcd(t, n) == 1, A
+    diag = [D[i][i] for i in range(min(rows, cols))]
+    assert all(D[i][j] == 0 for i in range(rows) for j in range(cols)
+               if i != j), A
+    nonzero = [x for x in diag if x]
+    assert diag[:len(nonzero)] == nonzero, A
+    assert all(x > 0 if n is None else n % x == 0 for x in nonzero), A
+    assert all(y % x == 0 for x, y in zip(nonzero, nonzero[1:])), A
+    if n is None:
+        assert diag == [int(x) for x in invariant_factors(
+            domain(a, (rows, cols)))], A
 
 
 @pytest.mark.parametrize("k", range(len(CASES)))
-def test_smith_prefix_leaves_d_u_and_v_as_the_full_elimination(k, monkeypatch):
-    ring, A = CASES[k]
-    skipped = smith_rows(A)
-    monkeypatch.setattr(exactlin, "_smith_prefix", lambda *args: 0)
-    assert skipped == smith_rows(A), A
+def test_snf_of_leading_smith_rows_passes_an_independent_oracle(k):
+    check_snf(CASES[k][1])
 
 
-@pytest.mark.parametrize("ring, diag, block, expect", [
-    (ZZ, [1, 2, 6], [[12, 0], [6, 18]], 3),
-    (ZZ, [1, 2, 6], [[12, 0], [4, 18]], 2),   # 6 does not divide 4
-    (ZZ, [1, 4, 6], [[12]], 1),               # 4 does not divide 6
-    (ZZ, [-1, 2], [[2]], 0),                  # negative
-    (ZZ, [2, 2], [[0, 0]], 2),
-    (ZZ, [0, 2], [[2]], 0),                   # zero
-    (RingSpec.Zmod(12), [2, 4], [[8]], 2),
-    (RingSpec.Zmod(12), [1, 8], [[0]], 1),    # 8 is not gcd(8, 12)
-    (RingSpec.Zmod(12), [5], [[0]], 0),       # 5 is not gcd(5, 12)
-    (RingSpec.Zmod(12), [3, 4], [[0]], 0),    # 3 does not divide 4
-    (RingSpec.Zmod(4), [2], [[1]], 0),        # 2 does not divide 1
+@pytest.mark.parametrize("ring, diag, block", [
+    (ZZ, [1, 2, 6], [[12, 0], [6, 18]]),
+    (ZZ, [1, 2, 6], [[12, 0], [4, 18]]),   # 6 does not divide 4
+    (ZZ, [1, 4, 6], [[12]]),               # 4 does not divide 6
+    (ZZ, [-1, 2], [[2]]),                  # negative
+    (ZZ, [2, 2], [[0, 0]]),
+    (ZZ, [0, 2], [[2]]),                   # zero
+    (RingSpec.Zmod(12), [2, 4], [[8]]),
+    (RingSpec.Zmod(12), [1, 8], [[0]]),    # 8 is not gcd(8, 12)
+    (RingSpec.Zmod(12), [5], [[0]]),       # 5 is not gcd(5, 12)
+    (RingSpec.Zmod(12), [3, 4], [[0]]),    # 3 does not divide 4
+    (RingSpec.Zmod(4), [2], [[1]]),        # 2 does not divide 1
 ])
-def test_smith_prefix_counts_the_rows_in_smith_form(ring, diag, block, expect):
-    A = with_prefix(ring, diag, block)
-    assert exactlin._smith_prefix(A.tolists(), min(A.shape), ring.n) == expect
-
-
-def test_smith_prefix_reads_a_stray_entry_in_a_row_or_column():
-    for i, j, expect in [(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, 1)]:
-        raw = with_prefix(ZZ, [1, 2, 4], [[4, 8]]).tolists()
-        raw[i][j] = 2
-        assert exactlin._smith_prefix(raw, 3, None) == expect, (i, j)
+def test_snf_of_leading_rows_that_fail_one_condition(ring, diag, block):
+    check_snf(with_leading_rows(ring, diag, block))
 
 
 @pytest.mark.parametrize("ring", RINGS)
