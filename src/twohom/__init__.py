@@ -51,7 +51,6 @@ from .complex2 import (
     ChainMor,
     Complex2,
     HomologyData,
-    homology,
     homotopy_equiv_witness,
     hyper,
     induced,
@@ -64,7 +63,6 @@ from .resolution import (
     ComparisonLift,
     Resolution,
     compare,
-    free_cover,
     homotopy_between_lifts,
     horseshoe,
     lift_through,

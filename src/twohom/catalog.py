@@ -10,14 +10,6 @@ from .twomod import OneMor, TwoModule, compose, zero_null_homotopy
 from .complex2 import Complex2
 
 
-def free_module(rank: int) -> FPModule:
-    return FPModule.free(ZZ, rank)
-
-
-def cyclic(n: int) -> FPModule:
-    return FPModule.cyclic(ZZ, n)
-
-
 def z_free() -> TwoModule:
     """[0 -> Z]"""
     return TwoModule.free(ZZ, 1)
@@ -25,31 +17,31 @@ def z_free() -> TwoModule:
 
 def z_mod(n: int) -> TwoModule:
     """[0 -> Z/n]"""
-    return TwoModule.discrete(cyclic(n))
+    return TwoModule.discrete(FPModule.cyclic(ZZ, n))
 
 
 def mul_two() -> TwoModule:
     """[Z --2--> Z]"""
-    f = free_module(1)
+    f = FPModule.free(ZZ, 1)
     return TwoModule(f, f, ModMor(f, f, Matrix.from_rows(ZZ, [[2]])))
 
 
 def zero_map_mod() -> TwoModule:
     """[Z --0--> Z]"""
-    f = free_module(1)
+    f = FPModule.free(ZZ, 1)
     return TwoModule(f, f, ModMor.zero(f, f))
 
 
 def identity_mod() -> TwoModule:
     """[Z --id--> Z]"""
-    f = free_module(1)
+    f = FPModule.free(ZZ, 1)
     return TwoModule(f, f, ModMor.identity(f))
 
 
 def shift_mod() -> TwoModule:
     """[Z -> 0]"""
-    return TwoModule(free_module(1), FPModule.zero(ZZ),
-                     ModMor.zero(free_module(1), FPModule.zero(ZZ)))
+    return TwoModule(FPModule.free(ZZ, 1), FPModule.zero(ZZ),
+                     ModMor.zero(FPModule.free(ZZ, 1), FPModule.zero(ZZ)))
 
 
 def pi_catalog():
@@ -93,14 +85,14 @@ def catalog_extension():
 def complex_mul2() -> Complex2:
     """([0->Z] --*2--> [0->Z]) in degrees 1, 0."""
     f = times_two()
-    return Complex2.strict(ZZ, [f.dst, f.src], [f])
+    return Complex2(ZZ, [f.dst, f.src], [f])
 
 
 def complex_to_zero() -> Complex2:
     """([0->Z] --> 0) in degrees 1, 0."""
     z = TwoModule.zero(ZZ)
     a = z_free()
-    return Complex2.strict(ZZ, [z, a], [OneMor.zero(a, z)])
+    return Complex2(ZZ, [z, a], [OneMor.zero(a, z)])
 
 
 def homology_catalog():

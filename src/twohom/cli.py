@@ -43,7 +43,7 @@ from .twomod import (
     relative_kernel,
     zero_null_homotopy,
 )
-from .complex2 import Complex2, homology, validate_complex
+from .complex2 import Complex2, validate_complex
 from .resolution import (
     Resolution,
     compare,
@@ -565,8 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                ws.get(a.G, OneMor)).Q,
                lambda a: {}, lambda a, p0, p1: f"Coker({a.phi}, {a.G}): {p0}")
     s = pi_command("homology", ["complex"],
-                   lambda ws, a: homology(ws.get(a.complex, Complex2),
-                                          a.n).module,
+                   lambda ws, a: ws.get(a.complex, Complex2).homology(a.n).module,
                    lambda a: {"complex": a.complex, "degree": a.n},
                    lambda a, p0, p1: f"H_{a.n}: pi0 = {p0}, pi1 = {p1}")
     s.add_argument("n", type=int)

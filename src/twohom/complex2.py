@@ -79,11 +79,6 @@ class Complex2:
         self._zero = TwoModule.zero(ring)
         self._hom: Dict[int, "HomologyData"] = {}
 
-    @staticmethod
-    def strict(ring: RingSpec, modules: List[TwoModule], diffs: List[OneMor]
-               ) -> "Complex2":
-        return Complex2(ring, modules, diffs, {})
-
     @property
     def length(self) -> int:
         return len(self.modules) - 1
@@ -140,10 +135,6 @@ class ChainMor:
         self.dst = dst
         self.fs = dict(fs)
         self.lams: Dict[int, ModMor] = dict(lams or {})
-
-    @staticmethod
-    def strict(src: Complex2, dst: Complex2, fs: Dict[int, OneMor]) -> "ChainMor":
-        return ChainMor(src, dst, fs, {})
 
     @staticmethod
     def identity(c: Complex2) -> "ChainMor":
@@ -277,7 +268,7 @@ class HomologyData:
         """pi_profile(module), reading pi_1 H_n as pi_0 H_{n+1}: ker d_Q and
         Ker(L_{n+1}, alpha_{n+1}) are one lattice in A_{n+1}.M0 (+) A_n.M1,
         and H_n's relations N are that kernel's image of H_{n+1}'s d_Q.  So
-        it builds H_{n+1}, and raises what homology(c, n + 1) raises; pi0
+        it builds H_{n+1}, and raises what c.homology(n + 1) raises; pi0
         is kept on each module, so degree n + 1 reuses its Smith form."""
         return (invariant_factors(pi0(self.module)),
                 invariant_factors(pi0(self.c.homology(self.n + 1).module)))
@@ -308,10 +299,6 @@ def _homology(c: Complex2, n: int) -> HomologyData:
 
 def _is_zero(m: TwoModule) -> bool:
     return not (m.M0.gens or m.M1.gens)
-
-
-def homology(c: Complex2, n: int) -> HomologyData:
-    return c.homology(n)
 
 
 def pair_block(f0: Matrix, s: Matrix, f1: Matrix) -> Matrix:

@@ -416,13 +416,13 @@ def check_long_sequence(seq: LongSeq, detail: Optional[list] = None) -> bool:
     """Run the middle-spot 2-exactness check at every interior spot,
     using the stored null homotopy of each consecutive composite.
 
-    Each spot is a composable pair with its cell, so the check is the
-    comparison into the kernel of the outgoing map.  (The relative
-    refinement against the *following* cell is not well posed here: the
-    maps of a derived long sequence are canonical only up to 2-isomorphic
-    twists, and a compatible cell pair need not exist for the canonical
-    representatives, while the pair-level comparison is representative-
-    independent.)
+    Each interior spot is a composable pair (f, g) with its cell, and runs
+    ``check_relative_two_exact(f, cell, g)``: pi0 of Ker(f, cell) and pi1
+    of Coker(cell, g) are zero.  (The relative refinement against the
+    *following* cell is not well posed here: the maps of a derived long
+    sequence are canonical only up to 2-isomorphic twists, and a
+    compatible cell pair need not exist for the canonical representatives,
+    while the pair-level comparison is representative-independent.)
     """
     ok_all = True
     n_maps = len(seq.maps)

@@ -156,10 +156,6 @@ class Matrix:
         return Matrix(ring, n, n, None, _rows=tuple(
             (0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
-    @staticmethod
-    def column(ring: RingSpec, values: Sequence[int]) -> "Matrix":
-        return Matrix(ring, len(values), 1, values)
-
     # -- basic accessors -----------------------------------------------------
 
     @property

@@ -17,7 +17,7 @@ is the kernel of F_n relative to ``cell(n)``: F_{n-1}∘F_n => 0.
 
 Every resolution comes out of one stage loop, ``_extend``, started from a
 depth-0 resolution: stage n covers stage kernel n - 1.  ``resolve`` covers
-it by ``free_cover``, whose one pass over pi0's relations (``unit_cover``)
+it by ``_free_stage``, whose one pass over pi0's relations (``unit_cover``)
 keeps the generators it finds no unit pivot for and gives stage kernel n
 as well, so no second elimination builds it.  ``horseshoe`` covers the
 middle of an extension by P_n (+) Q_n, with the covers of the ends carried
@@ -72,28 +72,23 @@ def free_mor(p: TwoModule, dst: TwoModule, f0: Matrix) -> OneMor:
                   ModMor(p.M0, dst.M0, f0, check=False), check=False)
 
 
-def free_cover(m: TwoModule) -> Tuple[TwoModule, OneMor]:
-    """The essentially surjective cover [0 -> R^k] -> m by the generators
-    of M0 that one pass over pi0(m)'s relations [rel | d] finds no unit
-    pivot for.  A unit pivot solves its generator for later ones and kept
-    earlier ones; a kept generator's entries stay in the pass as its
-    coordinate, so a relation (2, 1) keeps g0 alone.  Any two resolutions
-    are homotopy equivalent (Weibel, Comparison Theorem 2.2.6), so no
-    derived answer depends on the cover."""
-    return _free_stage(m)[:2]
-
-
 Pairs = Tuple[FPModule, ModMor]
 
 
 def _free_stage(m: TwoModule) -> Tuple[TwoModule, OneMor, Pairs]:
-    """(P, cover, (kmod, incl)): free_cover's P and cover, and the pairs
-    (x, y) of P.M0 (+) M1 with cover(x) + d(y) = 0 in M0, read off the
-    same pass (``unit_cover``).  They are the module of pairs of the stage
-    kernel of the cover: at the start d is the target's and the kernel's
-    theta is [cover | d]; past it M1 = 0, and theta is the previous stage
-    kernel's mono inclusion after the cover, which kills x exactly when
-    cover(x) is zero in that kernel's M0."""
+    """(P, cover, (kmod, incl)): the essentially surjective cover
+    [0 -> R^k] -> m by the generators of M0 that one pass over pi0(m)'s
+    relations [rel | d] (``unit_cover``) finds no unit pivot for, and the
+    pairs (x, y) of P.M0 (+) M1 with cover(x) + d(y) = 0 in M0, read off
+    the same pass.  A unit pivot solves its generator for later ones and
+    kept earlier ones; a kept generator's entries stay in the pass as its
+    coordinate, so a relation (2, 1) keeps g0 alone.  Any two resolutions
+    are homotopy equivalent (Weibel, Comparison Theorem 2.2.6), so no
+    derived answer depends on the cover.  The pairs are the module of
+    pairs of the stage kernel of the cover: at the start d is the target's
+    and the kernel's theta is [cover | d]; past it M1 = 0, and theta is the
+    previous stage kernel's mono inclusion after the cover, which kills x
+    exactly when cover(x) is zero in that kernel's M0."""
     g = m.M0.gens
     keep, cols = unit_cover(pi0(m).rel, m.M1.gens)
     p = TwoModule.free(m.ring, len(keep))
@@ -138,8 +133,8 @@ class Resolution:
     def __init__(self, augmented: Complex2, kernels: List[RelKernelResult],
                  witnesses: List[OneMor], terminated: bool):
         self._augmented = augmented
-        self._complex = Complex2.strict(augmented.ring, augmented.modules[1:],
-                                        augmented.diffs[1:])
+        self._complex = Complex2(augmented.ring, augmented.modules[1:],
+                                 augmented.diffs[1:])
         self.kernels = kernels
         self.witnesses = witnesses
         self.terminated = terminated
@@ -237,7 +232,7 @@ def _extend(res: Resolution, depth: int, stage: Optional[Stage] = None
 def resolve(m: TwoModule, depth: int) -> Resolution:
     """Build a projective resolution of m to the given depth.
 
-    Each stage is the small free cover (``free_cover``) of the relative
+    Each stage is the small free cover (``_free_stage``) of the relative
     kernel of the previous differential.  Resolution stops at the first
     pi-trivial stage kernel: every later stage is zero, and ``terminated``
     is set.
@@ -305,8 +300,7 @@ class ComparisonLift:
         return TwoMor(frm, to, s, check=False)
 
     def as_chain_mor(self) -> ChainMor:
-        return ChainMor.strict(self.res_src.complex(), self.res_dst.complex(),
-                               self.hs)
+        return ChainMor(self.res_src.complex(), self.res_dst.complex(), self.hs)
 
 
 def compare(h: OneMor, res_src: Resolution, res_dst: Resolution
@@ -471,8 +465,8 @@ def horseshoe(F: OneMor, phi: TwoMor, G: OneMor,
     res_b = _extend(_start(B, bps[0].total, aug), depth, stage)
     # strict block chain morphisms P -> K and K -> Q: stage n of res_b is
     # bps[n].total, or the zero module equal to it once both ends terminated
-    i_mor = ChainMor.strict(res_a.complex(), res_b.complex(),
-                            {n: bp.inj1 for n, bp in enumerate(bps)})
-    p_mor = ChainMor.strict(res_b.complex(), res_c.complex(),
-                            {n: bp.proj2 for n, bp in enumerate(bps)})
+    i_mor = ChainMor(res_a.complex(), res_b.complex(),
+                     {n: bp.inj1 for n, bp in enumerate(bps)})
+    p_mor = ChainMor(res_b.complex(), res_c.complex(),
+                     {n: bp.proj2 for n, bp in enumerate(bps)})
     return res_b, i_mor, p_mor

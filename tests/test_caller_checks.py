@@ -16,7 +16,7 @@ import json
 import pytest
 
 from twohom.cli import main
-from twohom.complex2 import Complex2, homology, validate_complex
+from twohom.complex2 import Complex2, validate_complex
 from twohom.exactlin import Matrix, ZZ
 from twohom.fpmod import FPModule, ModMor
 from twohom.twomod import (
@@ -132,4 +132,4 @@ def test_homology_of_an_incoherent_complex_raises():
                  {2: ModMor(zf.M0, shift.M1, Matrix.from_rows(ZZ, [[1]]))})
     assert validate_complex(c) == (False, "coherence at n=3")
     with pytest.raises(CompatibilityError):
-        homology(c, 2)
+        c.homology(2)

@@ -27,7 +27,6 @@ from twohom.complex2 import (
     ChainMor,
     Complex2,
     compose_chain,
-    homology,
     homotopy_equiv_witness,
     hyper,
     induced,
@@ -63,7 +62,7 @@ def random_strict_free_complex(rng, length=3):
                             ModMor(mods[n].M0, mods[n - 1].M0, mat, check=False),
                             check=False))
         prev = mat
-    return Complex2.strict(ZZ, mods, diffs)
+    return Complex2(ZZ, mods, diffs)
 
 
 def random_two_module(rng, ring):
@@ -82,7 +81,7 @@ def random_two_module(rng, ring):
 
 class TestValidation:
     def test_zero_complex(self):
-        c = Complex2.strict(ZZ, [TwoModule.zero(ZZ)], [])
+        c = Complex2(ZZ, [TwoModule.zero(ZZ)], [])
         ok, _ = validate_complex(c)
         assert ok
 
@@ -93,7 +92,7 @@ class TestValidation:
     def test_broken_square_reported(self):
         zf = catalog.z_free()
         t = catalog.times_two()
-        c = Complex2.strict(ZZ, [zf, zf, zf], [t, OneMor.identity(zf)])
+        c = Complex2(ZZ, [zf, zf, zf], [t, OneMor.identity(zf)])
         ok, why = validate_complex(c)
         assert not ok
         assert "alpha[2]" in why
@@ -110,34 +109,34 @@ class TestValidation:
 class TestHomology:
     def test_catalog_values(self):
         for c, n, expected in catalog.homology_catalog():
-            assert homology(c, n).pi == expected
+            assert c.homology(n).pi == expected
 
     def test_zero_differentials_preserve_pi(self):
         zm = catalog.zero_map_mod()
-        c = Complex2.strict(ZZ, [zm], [])
-        assert homology(c, 0).pi == pi_profile(zm)
+        c = Complex2(ZZ, [zm], [])
+        assert c.homology(0).pi == pi_profile(zm)
 
     def test_right_edge_completion(self):
         c = catalog.complex_to_zero()
-        assert homology(c, 0).pi == ([], [0])
-        assert homology(c, 1).pi == ([0], [])
+        assert c.homology(0).pi == ([], [0])
+        assert c.homology(1).pi == ([0], [])
 
     def test_beyond_length_trivial(self):
         c = catalog.complex_mul2()
-        assert homology(c, 5).pi == ([], [])
+        assert c.homology(5).pi == ([], [])
 
 
 class TestWindowLaw:
     def test_catalog(self):
         for c, n, _ in catalog.homology_catalog():
-            assert homology(c, n).pi == window_profile(c, n)
+            assert c.homology(n).pi == window_profile(c, n)
 
     def test_random_strict_free(self):
         rng = random.Random(13)
         for _ in range(100):
             c = random_strict_free_complex(rng)
             for i in range(c.length + 1):
-                assert homology(c, i).pi == window_profile(c, i)
+                assert c.homology(i).pi == window_profile(c, i)
 
     def test_total_square_zero_with_cells(self):
         # a complex with nonzero alpha built from a resolution of [Z -> 0]
@@ -150,7 +149,7 @@ class TestWindowLaw:
 
     def test_contractible_square_has_vanishing_hyper(self):
         # [Z -id-> Z] as a one-module complex: all hyper vanish
-        c = Complex2.strict(ZZ, [catalog.identity_mod()], [])
+        c = Complex2(ZZ, [catalog.identity_mod()], [])
         tc = total(c)
         for k in range(3):
             assert invariant_factors(hyper(tc, k)) == []
@@ -179,7 +178,7 @@ class TestWindowLaw:
             for c in (aug, apply(FunctorSpec.tensor_with(zk), aug)):
                 cells += not c.alpha_s(2).mat.is_zero()
                 for i in range(c.length + 1):
-                    assert homology(c, i).pi == window_profile(c, i), i
+                    assert c.homology(i).pi == window_profile(c, i), i
         assert cells > 0
 
 
@@ -219,7 +218,7 @@ class TestPiShift:
         assert kinds["cells"] > 0 and kinds["truncated"] > 0
         for c in complexes:
             for n in range(-1, c.length + 3):
-                h = homology(c, n)
+                h = c.homology(n)
                 assert h.pi == pi_profile(h.module), n
 
     @staticmethod
@@ -236,11 +235,11 @@ class TestPiShift:
     def test_pi_raises_what_the_next_homology_raises(self):
         c = self._incoherent_at_3()
         assert validate_complex(c) == (False, "coherence at n=3")
-        assert homology(c, 0).module is not None
+        assert c.homology(0).module is not None
         with pytest.raises(InvalidMorphism) as want:
-            homology(self._incoherent_at_3(), 1)
+            self._incoherent_at_3().homology(1)
         with pytest.raises(InvalidMorphism) as got:
-            homology(c, 0).pi
+            c.homology(0).pi
         assert str(got.value) == str(want.value)
 
 
@@ -274,7 +273,7 @@ def stage_one_inputs(ring, count):
 def is_zero_spot(c, n):
     """Ker(L_n, alpha_n) and A_{n+1}.M0 have no generators, so H_n is the
     zero 2-module and no elimination runs for it."""
-    k = homology(c, n).kernel.K
+    k = c.homology(n).kernel.K
     return not (k.M0.gens or k.M1.gens or c.module(n + 1).M0.gens)
 
 
@@ -293,15 +292,15 @@ def _zero_spot_complexes(ring):
     zero, free = TwoModule.zero(ring), TwoModule.free(ring, 1)
     mul2 = OneMor(free, free, ModMor.zero(free.M1, free.M1),
                   ModMor(free.M0, free.M0, Matrix.from_rows(ring, [[2]])))
-    out.append(Complex2.strict(
+    out.append(Complex2(
         ring, [zero, free, free, zero, zero],
         [OneMor.zero(free, zero), mul2, OneMor.zero(zero, free),
          OneMor.zero(zero, zero)]))
     r = FPModule.free(ring, 1)
     shift = TwoModule(r, FPModule.zero(ring), ModMor.zero(r, FPModule.zero(ring)))
-    near = [(Complex2.strict(ring, [zero, free], [OneMor.zero(free, zero)]), 0),
-            (Complex2.strict(ring, [shift, zero], [OneMor.zero(zero, shift)]), 1),
-            (Complex2.strict(ring, [shift], []), 0)]
+    near = [(Complex2(ring, [zero, free], [OneMor.zero(free, zero)]), 0),
+            (Complex2(ring, [shift, zero], [OneMor.zero(zero, shift)]), 1),
+            (Complex2(ring, [shift], []), 0)]
     return out, near
 
 
@@ -316,14 +315,14 @@ class TestZeroSpots:
         spots = 0
         for c in complexes + [c for c, _ in near]:
             for n in range(-1, c.length + 3):
-                h = homology(c, n)
+                h = c.homology(n)
                 assert h.pi == pi_profile(h.module) == window_profile(c, n), n
                 spots += is_zero_spot(c, n)
         assert spots > 0
         for c, n in near:
             assert c.module(n).M0.gens == 0
             assert not is_zero_spot(c, n)
-            assert pi_profile(homology(c, n).module) != ([], [])
+            assert pi_profile(c.homology(n).module) != ([], [])
 
     @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
     def test_relative_kernel_of_a_zero_ambient(self, ring):
@@ -384,7 +383,7 @@ class TestZeroSpots:
         for n in (2, 3):
             assert is_zero_spot(tc, n)
         assert calls == Counter()
-        homology(tc, 1)
+        tc.homology(1)
         assert calls["solve_many"] > 0
 
 
@@ -409,14 +408,14 @@ class TestInduced:
             c = random_strict_free_complex(rng, length=2)
             # scalar chain endomorphisms commute strictly
             k1, k2 = rng.randint(-2, 2), rng.randint(-2, 2)
-            f = ChainMor.strict(c, c, {
+            f = ChainMor(c, c, {
                 n: OneMor(c.module(n), c.module(n),
                           ModMor.zero(c.module(n).M1, c.module(n).M1),
                           ModMor(c.module(n).M0, c.module(n).M0,
                                  Matrix.identity(ZZ, c.module(n).M0.gens).scale(k1),
                                  check=False), check=False)
                 for n in range(c.length + 1)})
-            g = ChainMor.strict(c, c, {
+            g = ChainMor(c, c, {
                 n: OneMor(c.module(n), c.module(n),
                           ModMor.zero(c.module(n).M1, c.module(n).M1),
                           ModMor(c.module(n).M0, c.module(n).M0,
@@ -450,7 +449,7 @@ class TestInduced:
         for _ in range(20):
             c = random_strict_free_complex(rng, length=2)
             k = rng.randint(-3, 3)
-            f = ChainMor.strict(c, c, {
+            f = ChainMor(c, c, {
                 n: OneMor(c.module(n), c.module(n),
                           ModMor.zero(c.module(n).M1, c.module(n).M1),
                           ModMor(c.module(n).M0, c.module(n).M0,
@@ -496,7 +495,7 @@ class TestHomotopyWitness:
             um = u.get(n - 1, OneMor.zero(c.module(n - 1), c.module(n)))
             from twohom.twomod import compose as tcompose
             fs[n] = ident.f(n) - tcompose(un, c.diff(n + 1)) - tcompose(c.diff(n), um)
-        other = ChainMor.strict(c, c, fs)
+        other = ChainMor(c, c, fs)
         ok, why = validate_chain_mor(other)
         assert ok, why
         h = ChainHomotopy(ident, other, u, {})
@@ -529,7 +528,7 @@ class TestHomotopyWitness:
                 um = u.get(n - 1, OneMor.zero(c.module(n - 1), c.module(n)))
                 fs[n] = (ident.f(n) - tcompose(un, c.diff(n + 1))
                          - tcompose(c.diff(n), um))
-            other = ChainMor.strict(c, c, fs)
+            other = ChainMor(c, c, fs)
             h = ChainHomotopy(ident, other, u, {})
             ok, why = validate_chain_homotopy(h)
             assert ok, why
@@ -600,7 +599,7 @@ class TestNonStrictData:
             def cx(k):
                 ell = OneMor(a, b, ModMor.zero(a.M1, b.M1),
                              ModMor(a.M0, b.M0, Matrix.from_rows(ring, [[k]])))
-                return Complex2.strict(ring, [b, a], [ell])
+                return Complex2(ring, [b, a], [ell])
 
             c, d = cx(0), cx(1)
             ids = {0: OneMor.identity(b), 1: OneMor.identity(a)}
@@ -634,7 +633,7 @@ class TestFunctorImage:
         fs = {n: ident.f(n) - tcompose(u.get(n, OneMor.zero(c.module(n), c.module(n + 1))), c.diff(n + 1))
               - tcompose(c.diff(n), u.get(n - 1, OneMor.zero(c.module(n - 1), c.module(n))))
               for n in range(c.length + 1)}
-        h = ChainHomotopy(ident, ChainMor.strict(c, c, fs), u, {})
+        h = ChainHomotopy(ident, ChainMor(c, c, fs), u, {})
         t = FunctorSpec.tensor_with(FPModule.cyclic(ZZ, 2))
         th = apply(t, h)
         ok, why = validate_chain_homotopy(th)

@@ -214,14 +214,14 @@ def test_hnf_properties_hypothesis(a):
 
 class TestSolve:
     def test_solvable(self):
-        assert solve_many(mat([[2]]), Matrix.column(ZZ, [4])).tolists() == [[2]]
+        assert solve_many(mat([[2]]), Matrix(ZZ, 1, 1, [4])).tolists() == [[2]]
 
     def test_parity_obstruction(self):
-        assert solve_many(mat([[2]]), Matrix.column(ZZ, [3])) is None
+        assert solve_many(mat([[2]]), Matrix(ZZ, 1, 1, [3])) is None
 
     def test_mod5(self):
         r5 = RingSpec.Zmod(5)
-        x = solve_many(Matrix.from_rows(r5, [[2]]), Matrix.column(r5, [3]))
+        x = solve_many(Matrix.from_rows(r5, [[2]]), Matrix(r5, 1, 1, [3]))
         assert x.tolists() == [[4]]
 
     def test_soundness_and_enumeration_mod_n(self):
@@ -258,7 +258,7 @@ class TestKernel:
     def test_torsion_generator_mod4(self):
         r4 = RingSpec.Zmod(4)
         k = kernel_basis(Matrix.from_rows(r4, [[2]]))
-        assert solve_many(k, Matrix.column(r4, [2])) is not None
+        assert solve_many(k, Matrix(r4, 1, 1, [2])) is not None
 
     def test_completeness_exhaustive_mod_n(self):
         rng = random.Random(4)
@@ -431,7 +431,7 @@ def test_public_constructor_takes_integers_only():
     with pytest.raises(TypeError):
         Matrix(ZZ, 2, 2, np.array([[1.5, 2], [3, 4]]))
     with pytest.raises(TypeError):
-        Matrix.column(ZZ, [1, 2.5])
+        Matrix(ZZ, 2, 1, [1, 2.5])
     for ring in (ZZ, RingSpec.Zmod(6)):
         with pytest.raises(TypeError):
             ring.normalize(1.5)
@@ -440,7 +440,7 @@ def test_public_constructor_takes_integers_only():
     m = Matrix(RingSpec.Zmod(6), 1, 3, [np.int64(-1), True, False])
     assert m.tolists() == [[5, 1, 0]]
     assert_read_only_canonical(m)
-    assert_read_only_canonical(Matrix.column(ZZ, [np.int64(7), True]))
+    assert_read_only_canonical(Matrix(ZZ, 2, 1, [np.int64(7), True]))
 
 
 def test_zmod_takes_an_integer_modulus():

@@ -166,7 +166,7 @@ def _rc(twin):
 
 def _complex(modules):
     f = catalog.times_two()
-    return Complex2.strict(ZZ, modules(f), [f])
+    return Complex2(ZZ, modules(f), [f])
 
 
 def _lift(twin):

@@ -66,9 +66,9 @@ PUBLIC = [
     "biproduct", "check_long_sequence", "check_projective_vanishing",
     "check_relative_two_exact", "classical_tor_oracle", "cokernel", "compare",
     "complex2", "compose", "derive", "derive_mor", "derived", "direct_sum",
-    "equal_mor", "exactlin", "fpmod", "free_cover", "hnf", "hom_basis",
-    "homology", "homotopy_between_lifts", "homotopy_equiv_witness",
-    "horseshoe", "hyper", "induced", "invariant_factors",
+    "equal_mor", "exactlin", "fpmod", "hnf", "hom_basis",
+    "homotopy_between_lifts", "homotopy_equiv_witness", "horseshoe", "hyper",
+    "induced", "invariant_factors",
     "is_essentially_surjective", "is_extension", "is_faithful", "is_full",
     "is_right_relative_two_exact", "is_valid_mor", "kernel", "kernel_basis",
     "lift_through", "long_sequence", "pi0", "pi1", "pi_profile",

@@ -5,10 +5,10 @@ relations by a unimodular Q and M1's generators by a unimodular R, so that
 rel' = P rel Q and d' = P d R, and appends one relation that is a
 combination of the others.  The result is isomorphic to the input (an
 integer unimodular matrix is invertible mod n too), so the pi-profiles of
-L_0..L_2 must be equal.  ``free_cover`` keeps the generators that no unit
-pivot of pi0's relations solves for, so which generators it keeps depends
-on their order and on the relations; this test guards that the answers do
-not.  The catalog's 2-modules, over Z and Z/12, are re-presented after a
+L_0..L_2 must be equal.  ``resolve``'s cover keeps the generators that no
+unit pivot of pi0's relations solves for, so which generators it keeps
+depends on their order and on the relations; this test guards that the
+answers do not.  The catalog's 2-modules, over Z and Z/12, are re-presented after a
 redundant generator is added, killed by a relation, and the catalog's
 extension over Z is carried along the isomorphisms, so that its long
 sequence must keep its entries' pi-profiles and its exactness verdict.

@@ -26,7 +26,6 @@ from twohom.complex2 import (
 from twohom.resolution import (
     ResolutionError,
     compare,
-    free_cover,
     homotopy_between_lifts,
     horseshoe,
     lift_through,
@@ -37,26 +36,32 @@ from twohom.resolution import (
 )
 
 
+def first_cover(m):
+    """P_0 and the augmentation P_0 -> m of m's resolution: its free cover."""
+    res = resolve(m, 0)
+    return res.module(0), res.aug
+
+
 class TestFreeCover:
     def test_z2(self):
-        p, f = free_cover(catalog.z_mod(2))
+        p, f = first_cover(catalog.z_mod(2))
         assert p.is_free() and p.M0.gens == 1
         assert is_essentially_surjective(f)
 
     def test_pi0_trivial_target(self):
         # [Z --id--> Z]: d's column is a unit relation, so no generator stays
-        p, f = free_cover(catalog.identity_mod())
+        p, f = first_cover(catalog.identity_mod())
         assert p.is_free() and p.M0.gens == 0
         assert is_essentially_surjective(f)
 
     def test_shift_gets_empty_cover(self):
-        p, f = free_cover(catalog.shift_mod())
+        p, f = first_cover(catalog.shift_mod())
         assert p.M0.gens == 0
         assert is_essentially_surjective(f)
 
     @staticmethod
     def _cover(ring, rel, d=()):
-        """The generators that free_cover keeps of M0 = R^g / rel, with d
+        """The generators that the free cover keeps of M0 = R^g / rel, with d
         the columns of the structure map from a free M1; the cover must be
         essentially surjective onto identity columns of those generators."""
         g = len(rel[0] if rel else d[0])
@@ -66,7 +71,7 @@ class TestFreeCover:
 
         m0, m1 = FPModule(ring, g, columns(rel)), FPModule.free(ring, len(d))
         m = TwoModule(m1, m0, ModMor(m1, m0, columns(d)))
-        p, f = free_cover(m)
+        p, f = first_cover(m)
         assert p.is_free() and is_essentially_surjective(f)
         cols = list(zip(*f.f0.mat.tolists()))
         keep = [c.index(1) for c in cols]
@@ -220,7 +225,7 @@ class TestResolve:
             rank = rng.randint(0, 2)
             p = TwoModule.free(ZZ, rank)
             tgt = catalog.z_mod(rng.choice([2, 3, 4]))
-            cover, f = free_cover(tgt)
+            cover, f = first_cover(tgt)
             t0 = Matrix(ZZ, 1, rank, [rng.randint(-4, 4) for _ in range(rank)])
             t = OneMor(p, tgt, ModMor.zero(p.M1, tgt.M1),
                        ModMor(p.M0, tgt.M0, t0, check=False))

@@ -1,6 +1,6 @@
 """Small covers against the identity cover.
 
-``free_cover`` covers a 2-module by the generators of M0 that no unit pivot
+``resolve`` covers a 2-module by the generators of M0 that no unit pivot
 of pi0's relations solves for.  The reference below is the cover it
 replaced: every generator of M0, by the identity.  The stage loop takes
 its free covers from ``resolution._free_stage``, whose pass also gives the

@@ -31,13 +31,13 @@ import pytest
 from test_complex2 import derive_input
 from twohom import catalog, resolution, twomod
 from twohom.cli import load, load_doc
-from twohom.complex2 import homology, validate_complex
+from twohom.complex2 import validate_complex
 from twohom.derived import (FunctorSpec, apply, check_long_sequence,
                             long_sequence)
 from twohom.exactlin import Matrix, RingSpec, ZZ, hstack, solve_many
 from twohom.fpmod import FPModule, ModMor
-from twohom.resolution import (compare, free_cover, free_mor, lift_through,
-                               resolve, validate_resolution)
+from twohom.resolution import (compare, free_mor, lift_through, resolve,
+                               validate_resolution)
 from twohom.twomod import (OneMor, TwoModule, TwoMor, check_relative_two_exact,
                            compose, pi_profile, plain_kernel, relative_cokernel,
                            zero_null_homotopy)
@@ -193,7 +193,7 @@ def _check_resolution(res, t):
         ok, why = validate_complex(c)
         assert ok, why
         for i in range(c.length + 1):
-            homology(c, i)
+            c.homology(i)
 
 
 @pytest.mark.parametrize("ring", [ZZ, Z12], ids=["Z", "Z/12"])
@@ -209,7 +209,8 @@ def test_sites_hold_when_checked_on_seeded_inputs(ring, checked_sites):
     # a lift with a nonzero cell: 1 = 3 x + 2 y, through [R -2-> R]'s cover by 3
     r = FPModule.free(ring, 1)
     m = TwoModule(r, r, ModMor(r, r, Matrix.from_rows(ring, [[2]])))
-    p, cover = free_cover(m)
+    res = resolve(m, 0)
+    p, cover = res.module(0), res.aug
     lift_through(p, cover, free_mor(p, m, Matrix.from_rows(ring, [[3]])))
     for f, phi, g in _extensions(ring):
         relative_cokernel(f, phi, g).pi
@@ -224,7 +225,7 @@ def test_sites_hold_when_checked_on_the_workspaces(checked_sites):
     for name in ("C1", "C3"):
         c = ws.get(name)
         for i in range(c.length + 1):
-            homology(c, i)
+            c.homology(i)
     for name in ("Zfree", "Zmod2", "mul2", "shift"):
         _check_resolution(resolve(ws.get(name), 3), ws.get("T2"))
     ws = load(str(ROOT / "tests" / "cli_small_workspace.json"))
