@@ -31,11 +31,15 @@ its Smith form; the Howell rows make that reduction exact over Z/n.
 Transforms exist only for ``snf``, on demand: ``snf(A, want="DUV")``
 returns only the matrices that ``want`` names, in its order
 (``snf(A, "D")`` is ``(D,)``).  The elimination runs on D alone and logs
-each row and column operation.  Solving applies the logs to B and to the
-solution of the diagonal system, and kernels apply V's log to a selector
-of columns, so neither builds U or V; they are built only when read, by
-applying the log to the identity.  The form and the logs stay in the
-matrix's memo, so no matrix is eliminated twice, whatever is asked first.
+its operations: one entry per swap, mix or scaling, and one per run of
+subtractions against one pivot between two mixes.  A row run, rows
+i -= q_i row r, replays reading row r's nonzeros once.  A column run,
+columns j -= q_j column t, is logged as its transpose, row t -= the sum of
+q_j row j, and replays as one sum per column.  Solving applies the logs to B and to the solution of the diagonal system,
+and kernels apply V's log to a selector of columns, so neither builds U or
+V; they are built only when read, by applying the log to the identity.
+The form and the logs stay in the matrix's memo, so no matrix is
+eliminated twice, whatever is asked first.
 
 Conventions (fixed so that outputs are bit-reproducible):
 
@@ -55,7 +59,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from operator import add, index, sub
+from operator import add, index, mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -415,6 +419,24 @@ def _sub(M, i, j, q, n):
     _sub_at(M[i], _nonzeros(M[j]), q, n)
 
 
+def _sub_rows(M, r, run, n):
+    """Row i -= q * row r for each (i, q) in run, rows i other than r:
+    the nonzeros of row r are read once."""
+    nz = _nonzeros(M[r])
+    for i, q in run:
+        _sub_at(M[i], nz, q, n)
+
+
+def _sub_sum(M, t, js, qs, n):
+    """Row t -= the sum of q * row j over (j, q) in zip(js, qs), rows j
+    other than t, one column at a time; an entry whose sum is 0 is kept."""
+    x = M[t]
+    for k, col in enumerate(zip(*map(M.__getitem__, js))):
+        s = sum(map(mul, qs, col))
+        if s:
+            x[k] = x[k] - s if n is None else (x[k] - s) % n
+
+
 def _mix(M, i, j, s, t, u, v, n):
     """Rows i, j <- (s*Ri + t*Rj, u*Ri + v*Rj)."""
     x, y = M[i], M[j]
@@ -438,41 +460,53 @@ def _step(M, log, op, *args):
 
 
 def _col_step(D, r, log, op, i, j, *args):
-    """Apply to columns i, j of rows r.. of D (zero above r) what op does
-    to rows i, j, and log its transpose as a row operation: the log applied
-    last first to X gives V @ X."""
+    """Apply to columns i, j of rows r.. of D (zero above r) what op, a
+    swap or a mix, does to rows i, j, and log its transpose as a row
+    operation: the log applied last first to X gives V @ X.  Subtractions
+    of column t run through ``_col_subs``, one entry per run."""
     n = args[-1]
-    s, t, u, v = ((0, 1, 1, 0) if op is _swap else
-                  (1, -args[0], 0, 1) if op is _sub else args[:4])
-    # as in _sub: column i -= q * column j leaves rows with 0 in column j
-    for row in [row for row in D[r:] if row[j]] if op is _sub else D[r:]:
+    s, t, u, v = (0, 1, 1, 0) if op is _swap else args[:4]
+    for row in D[r:]:
         x, y = row[i], row[j]
         if n is None:
             row[i], row[j] = s * x + t * y, u * x + v * y
         else:
             row[i], row[j] = (s * x + t * y) % n, (u * x + v * y) % n
-    log.append((op, (j, i) + args if op is _sub else
-                (i, j, s, u, t, v, n) if op is _mix else (i, j) + args))
+    log.append((op, (i, j, s, u, t, v, n) if op is _mix else (i, j) + args))
+
+
+def _col_subs(D, t, log, run, n):
+    """Column j -= q * column t of rows t.. of D for each (j, q) in run, j
+    past t, in one pass over the rows nonzero in column t; the transpose,
+    row t -= the sum of q * row j, is logged as one entry."""
+    if run:
+        for row in D[t:]:
+            if row[t]:
+                _sub_at(row, run, row[t], n)
+        log.append((_sub_sum, (t, *zip(*run), n)))
 
 
 def _clear_below(M, log, r, j, n):
     """Zero column j of M below row r against the pivot M[r][j]: subtract a
     multiple of row r where the pivot is a factor, else mix by xgcd.  The
-    nonzeros of row r are read once per state of that row."""
-    nz = None
+    subtractions between two mixes run as one ``_sub_rows`` step, which
+    reads the nonzeros of row r once."""
+    run = []
     for i in range(r + 1, len(M)):
         b = M[i][j]
         if b == 0:
             continue
         a = M[r][j]
         if b % a == 0:
-            nz = nz or _nonzeros(M[r])
-            _sub_at(M[i], nz, b // a, n)
-            log.append((_sub, (i, r, b // a, n)))
+            run.append((i, b // a))
         else:
+            if run:
+                _step(M, log, _sub_rows, r, run, n)
             g, s, t = _xgcd(a, b)
             _step(M, log, _mix, r, i, s, t, -(b // g), a // g, n)
-            nz = None
+            run = []
+    if run:
+        _step(M, log, _sub_rows, r, run, n)
 
 
 def _normalize(M, log, r, j, n):
@@ -637,18 +671,23 @@ def snf(A: Matrix, want: str = "DUV"):
             _col_step(D, t, vlog, _swap, t, pj, n)
         while True:
             _clear_below(D, ulog, t, t, n)
-            # row t right of the pivot, by column operations
+            # row t right of the pivot, by column operations; the
+            # subtractions between two mixes run as one pass
+            run = []
             for j in range(t + 1, cols):
                 b = D[t][j]
                 if b == 0:
                     continue
                 a = D[t][t]
                 if b % a == 0:
-                    _col_step(D, t, vlog, _sub, j, t, b // a, n)
+                    run.append((j, b // a))
                 else:
+                    _col_subs(D, t, vlog, run, n)
                     g, s, tt = _xgcd(a, b)
                     _col_step(D, t, vlog, _mix, t, j, s, tt, -(b // g),
                               a // g, n)
+                    run = []
+            _col_subs(D, t, vlog, run, n)
             if all(D[i][t] == 0 for i in range(t + 1, rows)):
                 break
         # fold in any entry that is no multiple of the pivot, then redo

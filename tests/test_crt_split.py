@@ -11,6 +11,10 @@ over Z/4 and 0 over Z/3.  Each answer is pi(M) and the pi-profiles of L_0..L_2, 
 ``derived_complex(t, m, 2, 4)``, the depth the library guards.  The
 Howell rows of the Z/n echelon pass carry this: without them the Z/12
 answers stop matching the Z/4 and Z/3 ones.
+
+Over a prime p of n the ring is a field, so every answer is a vector space
+read off ranks, which a Gaussian elimination mod p in this file computes
+with no code of the library's.
 """
 
 import random
@@ -92,3 +96,55 @@ def test_answers_split_over_the_prime_powers(n, powers, coeff):
             assert profile == tuple(merge([p[k][deg] for p in parts])
                                     for deg in range(2)), (
                 f"g = {raw[0]}", ["pi(M)", "L_0", "L_1", "L_2"][k])
+
+
+def rank_mod(p, rows):
+    """The rank over Z/p of a list of integer rows, by Gaussian elimination
+    on copies reduced mod p."""
+    rows, rank = [[x % p for x in row] for row in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            if f:
+                rows[i] = [(x - f * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod():
+    assert rank_mod(2, [[1, 1], [1, 1]]) == 1
+    assert rank_mod(3, [[3, 6], [0, 0]]) == 0
+    assert rank_mod(5, [[1, 2], [3, 4]]) == 2
+    assert rank_mod(2, [[1, 2], [3, 4]]) == 1
+    assert rank_mod(7, []) == 0
+
+
+PRIMES = [(p, n, coeff) for n, _, coeff in RINGS
+          for p in (2, 3, 5) if n % p == 0]
+
+
+@pytest.mark.parametrize("p, n, coeff", PRIMES,
+                         ids=[f"Z/{p} of Z/{n}" for p, n, _ in PRIMES])
+def test_answers_over_a_prime_are_dimensions(p, n, coeff):
+    """Over Z/p, M is d: (Z/p)^h -> (Z/p)^g / rel, so pi_0(M) has dimension
+    a = g - rank[rel | d] and pi_1(M), the y with d y in the span of rel,
+    b = h - rank[rel | d] + rank(rel).  N = Z/coeff is Z/p when p divides
+    coeff, and then - (x) N is the identity: L_0 = pi(M), L_1 has pi_0 of
+    dimension b and L_2 = 0.  Otherwise N = 0 and every L_i = 0."""
+    zero = ([], [])
+    for raw in raw_inputs(n):
+        g, r, h, rel, d = raw
+        rel_rows = [rel[i * r:(i + 1) * r] for i in range(g)]
+        both = rank_mod(p, [x + d[i * h:(i + 1) * h]
+                            for i, x in enumerate(rel_rows)])
+        a, b = g - both, h - both + rank_mod(p, rel_rows)
+        pi = ([p] * a, [p] * b)
+        want = ([pi, pi, ([p] * b, []), zero] if coeff % p == 0
+                else [pi, zero, zero, zero])
+        assert answer(p, coeff, raw) == want, f"g = {g}"

@@ -606,6 +606,109 @@ def test_a_row_step_is_the_dense_formula(n):
         assert all(M[i][c] is before[i][c] for c in range(k) if not M[j][c])
 
 
+@pytest.mark.parametrize("n", [None, 6, 12], ids=["Z", "Z/6", "Z/12"])
+def test_a_batched_step_is_its_single_steps(n):
+    """A logged run is the single steps it batches.  ``_sub_rows(M, r,
+    run, n)`` gives the rows of ``_sub(M, i, r, q, n)`` for each (i, q) of
+    the run, and ``_sub_sum(M, t, js, qs, n)``, the transpose of a run of
+    column subtractions, gives those of ``_sub(M, t, j, q, n)`` for each
+    (j, q) of zip(js, qs).  ``_col_subs`` applies column j -= q * column t
+    to rows t.. of D and logs that transpose as one entry.  Every row
+    outside a run keeps its list and entries, and an empty run changes
+    nothing and logs nothing."""
+    from twohom.exactlin import _col_subs, _sub, _sub_rows, _sub_sum
+
+    rng = random.Random(2212)
+
+    def entry():
+        if n is not None:
+            return rng.choice([0, rng.randrange(n)])
+        return rng.choice([0, rng.randint(-9, 9), rng.randint(-2**80, 2**80)])
+
+    empty = 0
+    for _ in range(300):
+        k, m = rng.randint(0, 12), rng.randint(2, 6)
+        M = [[entry() for _ in range(k)] for _ in range(m)]
+        r = rng.randrange(m)
+        others = rng.sample([x for x in range(m) if x != r],
+                            rng.randint(0, m - 1))
+        run = [(i, rng.randint(-5, 5)) for i in others]
+        empty += not run
+        for batched, single, changed in [
+                (lambda A: _sub_rows(A, r, run, n),
+                 lambda B: [_sub(B, i, r, q, n) for i, q in run], others),
+                (lambda A: _sub_sum(A, r, [j for j, _ in run],
+                                    [q for _, q in run], n),
+                 lambda B: [_sub(B, r, j, q, n) for j, q in run],
+                 [r] if run else [])]:
+            A, B = [list(row) for row in M], [list(row) for row in M]
+            rows = list(A)
+            batched(A)
+            single(B)
+            assert A == B
+            assert all(A[x] is rows[x] and A[x] == M[x]
+                       for x in range(m) if x not in changed)
+        # _col_subs on the columns of D, with q_j for each column j past t
+        t = rng.randrange(k) if k else 0
+        cols = [(j, rng.randint(-5, 5)) for j in range(t + 1, k)
+                if rng.random() < 0.5]
+        D, log = [list(row) for row in M], []
+        _col_subs(D, t, log, cols, n)
+        dense = [row if x < t else [
+            c - q * row[t] if n is None else (c - q * row[t]) % n
+            for c, q in zip(row, [dict(cols).get(j, 0) for j in range(k)])]
+            for x, row in enumerate(M)]
+        assert D == dense
+        assert log == ([(_sub_sum, (t, *zip(*cols), n))] if cols else [])
+    assert empty > 10
+
+
+# runs of multiples of the pivot 2 end at the entry 3, in column 0 and in
+# row 0 of the transpose
+FLUSHED = [[2, 4, 6, 8], [4, 6, 10, 14], [3, 8, 12, 20], [6, 10, 14, 22]]
+
+
+def test_a_run_is_flushed_before_a_mix():
+    """Below the pivot 2, column 0 of A holds a multiple of 2 before an
+    entry that is none, and so does row 0 of A^T right of it.  So the
+    first row run of A and the first column run of A^T are logged right
+    before a mix, not after it.  Both forms are the quotients of the
+    determinantal divisors, and U A V = D."""
+    from twohom.exactlin import _mix, _sub_rows, _sub_sum
+
+    dk = _determinantal_divisors(FLUSHED)
+    for a, key, run in [(mat(FLUSHED), "U", _sub_rows),
+                        (mat(FLUSHED).transpose(), "V", _sub_sum)]:
+        d, u, v = snf(a)
+        assert u @ a @ v == d
+        assert [d.entry(i, i) for i in range(4)] == [
+            dk[k] // dk[k - 1] for k in range(1, 5)]
+        assert [op for op, _ in a._snf.logs[key][2]][:2] == [run, _mix]
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+def test_logs_apply_as_their_products_on_dense_inputs(ring):
+    """As below, on seeded dense n x n matrices, n = 10..22, with entries in
+    [-9, 9] over Z and any residue over Z/12: the inputs of the dense
+    Smith workload, whose logs hold long runs.  FLUSHED and its transpose
+    join them, as their runs end at a mix."""
+    rng = random.Random(2213)
+    inputs = [Matrix(ring, n, n, [rng.randint(-9, 9) if ring == ZZ
+                                  else rng.randrange(12)
+                                  for _ in range(n * n)])
+              for n in range(10, 23)]
+    inputs += [mat(FLUSHED, ring), mat(FLUSHED, ring).transpose()]
+    for a in inputs:
+        n = a.rows
+        d, u, v = snf(a)
+        assert u @ a @ v == d
+        for key, T in [("U", u), ("V", v)]:
+            k = rng.randint(0, 3)
+            x = Matrix(ring, n, k,
+                       [rng.randint(-99, 99) for _ in range(n * k)])
+            assert a._snf.apply(key, x.tolists()) == (T @ x).tolists()
+
+
 @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6), RingSpec.Zmod(12)],
                          ids=str)
 def test_logged_transforms_apply_as_their_products(ring):
