@@ -469,24 +469,19 @@ def _cmd_check(ws: Workspace, args) -> int:
             ws.ring, r, c, [int(i == j) for i in range(r) for j in range(c)])})
         hom = homotopy_between_lifts(base, other)
         ok, rep["reason"] = validate_chain_homotopy(hom)
-    elif what == "longseq":
-        # check longseq <functor> <extension>
+    else:  # check longseq <functor> <extension>
         t = ws.get(args.F, FunctorSpec)
         if args.phi is None:
             raise ValidationFailure("check longseq needs <functor> <extension>")
         f, phi, g = ws.get(args.phi, tuple)
         seq = long_sequence(t, f, phi, g, args.depth)
         ok = check_long_sequence(seq)
-    else:
-        raise ValidationFailure(f"unknown check {what!r}")
     rep["result"] = ok
     _emit(rep, [f"check {what}: {ok}"], args)
     return 0
 
 
 def _cmd_oracle(ws: Workspace, args) -> int:
-    if args.kind != "tor":
-        raise ValidationFailure("only `oracle tor` is available")
     m0 = ws.get(args.M0, FPModule)
     n = ws.get(args.N, FPModule)
     inv = classical_tor_oracle(m0, n, args.i)

@@ -33,9 +33,11 @@ returns only the matrices that ``want`` names, in its order
 (``snf(A, "D")`` is ``(D,)``).  The elimination runs on D alone and logs
 its operations: one entry per swap, mix or scaling, and one per run of
 subtractions against one pivot between two mixes.  A row run, rows
-i -= q_i row r, replays reading row r's nonzeros once.  A column run,
-columns j -= q_j column t, is logged as its transpose, row t -= the sum of
-q_j row j, and replays as one sum per column.  Solving applies the logs to B and to the solution of the diagonal system,
+i -= q_i row r, replays reading row r's nonzeros once; the fold of a row
+with an entry that is no multiple of the pivot into the pivot row is a
+run of one pair.  A column run, columns j -= q_j column t, is logged as
+its transpose, row t -= the sum of q_j row j, and replays as one sum per
+column.  Solving applies the logs to B and to the solution of the diagonal system,
 and kernels apply V's log to a selector of columns, so neither builds U or
 V; they are built only when read, by applying the log to the identity.
 The form and the logs stay in the matrix's memo, so no matrix is
@@ -344,10 +346,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         raise DimensionMismatch("ring mismatch in kron")
     if b._rows == ((1,),):  # a (x) [1] is a, and a keeps its Smith memo
         return a
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    if rows == 0 or cols == 0:
-        return Matrix.zeros(a.ring, rows, cols)
-    return _matrix(a.ring, rows, cols, _mod(a.ring, (
+    return _matrix(a.ring, a.rows * b.rows, a.cols * b.cols, _mod(a.ring, (
         [p * q for p in x for q in y] for x in a._rows for y in b._rows)))
 
 
@@ -412,11 +411,6 @@ def _sub_at(x, nz, q, n):
     else:
         for k, b in nz:
             x[k] = (x[k] - q * b) % n
-
-
-def _sub(M, i, j, q, n):
-    """Row i -= q * row j."""
-    _sub_at(M[i], _nonzeros(M[j]), q, n)
 
 
 def _sub_rows(M, r, run, n):
@@ -696,7 +690,7 @@ def snf(A: Matrix, want: str = "DUV"):
             (i for i in range(t + 1, rows) if any(x % p for x in D[i][t + 1:])),
             None)
         if offender is not None:
-            _step(D, ulog, _sub, t, offender, -1, n)
+            _step(D, ulog, _sub_rows, offender, [(t, -1)], n)
             continue  # re-run elimination at the same t
         _normalize(D, ulog, t, t, n)
         t += 1

@@ -308,11 +308,8 @@ def hom_basis(src: FPModule, dst: FPModule) -> List[Matrix]:
     n_t = dst.gens * src.gens
     if n_t == 0:
         return []
-    if src.rel.cols == 0:
-        basis = Matrix.identity(ring, n_t)
-    else:
-        basis = kernel_basis(hstack([
-            kron(src.rel.transpose(), Matrix.identity(ring, dst.gens)),
-            kron(Matrix.identity(ring, src.rel.cols), dst.rel)]))
+    basis = kernel_basis(hstack([
+        kron(src.rel.transpose(), Matrix.identity(ring, dst.gens)),
+        kron(Matrix.identity(ring, src.rel.cols), dst.rel)]))
     mats = (unvec(basis.col(j), dst.gens, src.gens) for j in range(basis.cols))
     return [t for t in mats if not t.is_zero()]

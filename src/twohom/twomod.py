@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Tuple
 
-from .exactlin import (DimensionMismatch, Matrix, RingSpec, block, block_diag,
-                       hstack, vstack)
+from .exactlin import (DimensionMismatch, RingSpec, block, block_diag, hstack,
+                       vstack)
 from .fpmod import (
     FPModule,
     InvalidMorphism,
@@ -510,15 +510,10 @@ class RelCokernelResult:
     @cached_property
     def _cells(self) -> Tuple[OneMor, TwoMor]:
         B, C, qm1 = self.G.src, self.G.dst, self.Q.M1
-        ring = C.ring
-        p = OneMor(C, self.Q,
-                   ModMor(C.M1, qm1,
-                          vstack([Matrix.zeros(ring, B.M0.gens, C.M1.gens),
-                                  Matrix.identity(ring, C.M1.gens)]), check=False),
+        _, i_b, i_c, _, _ = direct_sum(B.M0, C.M1)
+        p = OneMor(C, self.Q, ModMor(C.M1, qm1, i_c.mat, check=False),
                    ModMor.identity(C.M0), check=False)
-        pi_s = ModMor(B.M0, qm1,
-                      vstack([-Matrix.identity(ring, B.M0.gens),
-                              Matrix.zeros(ring, C.M1.gens, B.M0.gens)]), check=False)
+        pi_s = ModMor(B.M0, qm1, -i_b.mat, check=False)
         # unchecked, as proved here: pi_s = (-1, 0) carries B.M0's relations
         # into Q.M1's; the degree-0 identity is G.f0 + d_Q∘pi_s = G.f0 - G.f0 =
         # 0, and the degree-1 one is (0, G.f1) + pi_s∘d_B = -(d_B, -G.f1), a

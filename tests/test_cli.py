@@ -495,6 +495,70 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "bad degree range" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["check", CATALOG, "bogus", "x"],
+        ["oracle", CATALOG, "ext", "Z4", "Z6", "1"]], ids=["check", "oracle"])
+    def test_unknown_kind_is_refused_by_the_parser(self, argv, capsys):
+        """The kinds of check and oracle are argparse choices: another one
+        exits 2 before the document is read."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"invalid choice: '{argv[2]}'" in err
+
+    @pytest.mark.parametrize("doc, err", [
+        ({"format": 1, "objects": {}},
+         "document needs a ring: {'kind': 'Z'|'Zmod', ...}"),
+        ({"format": 1, "ring": {"kind": "Q"}, "objects": {}},
+         "unknown ring kind 'Q'"),
+        ({"format": 1, "ring": {"kind": "Zmod", "n": 1}, "objects": {}},
+         "ring: Zmod modulus must be >= 2, got 1"),
+        ([{"format": 1}], "document must be a JSON object"),
+        ({"format": 1, "ring": {"kind": "Z"}, "objects": ["A"]},
+         "objects must be a mapping"),
+        ({"format": 1, "ring": {"kind": "Z"},
+          "objects": {"C": {"type": "complex", "items": {"module": "Z"}}}},
+         "object 'C': items must be a list"),
+        ({"format": 1, "ring": {"kind": "Z"},
+          "objects": {"T": {"type": "functor", "kind": "hom"}}},
+         "object 'T': unknown functor kind"),
+        ({"format": 1, "ring": {"kind": "Z"},
+          "objects": {"X": {"type": "vector"}}},
+         "object 'X': unknown type 'vector'"),
+    ], ids=["no-ring", "unknown-ring-kind", "modulus-below-2",
+            "not-an-object", "objects-not-a-mapping", "items-not-a-list",
+            "unknown-functor-kind", "unknown-type"])
+    def test_parse_failure_message(self, tmp_path, capsys, doc, err):
+        """The exact reason of each document the loader refuses, exit 2."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["pi", str(bad), "X"]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {err}\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["exact", "two"], "check exact needs <F> <phi> <G>"),
+        (["exact", "two", "phi"], "check exact needs <F> <phi> <G>"),
+        (["longseq", "T2"], "check longseq needs <functor> <extension>"),
+    ], ids=["exact-alone", "exact-without-G", "longseq-alone"])
+    def test_check_without_its_operands_is_1(self, capsys, argv, err):
+        assert main(["check", CATALOG, *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    def test_a_complex_without_items_is_the_zero_complex(self, tmp_path,
+                                                         capsys):
+        """"items": [] loads as the zero complex, whose homology is zero."""
+        doc = {"format": 1, "ring": {"kind": "Z"},
+               "objects": {"C": {"type": "complex", "items": []}}}
+        c = load_doc(doc).get("C", complex2.Complex2)
+        assert c.length == 0 and c.diffs == []
+        assert c.module(0) == TwoModule.zero(c.ring)
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        assert main(["homology", str(path), "C", "0"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["pi0"], rep["pi1"]) == ([], [])
+
 
 class TestLoadChecks:
     """Each map of a document is checked once, by the object that holds it,

@@ -576,13 +576,22 @@ def test_the_start_kernel_has_a_closed_form(ring):
             assert k == column_basis(closed), (g, h, r)
 
 
+def dense_sub(M, i, j, q, n):
+    """Row i of the list of rows M becomes the new list row i - q * row j,
+    entry by entry, reduced mod n over Z/n: the reference for the engine's
+    row steps, sharing no code with them."""
+    M[i] = [a - q * b if n is None else (a - q * b) % n
+            for a, b in zip(M[i], M[j])]
+
+
 @pytest.mark.parametrize("n", [None, 6, 12], ids=["Z", "Z/6", "Z/12"])
 def test_a_row_step_is_the_dense_formula(n):
-    """_sub(M, i, j, q, n) makes row i the row i - q * row j, mod n over
-    Z/n, and changes nothing else: every other row keeps its list and
-    entries, and each entry of row i where row j is 0 keeps its very
-    object (over Z some entries are wider than a machine word)."""
-    from twohom.exactlin import _sub
+    """The one-pair run _sub_rows(M, j, [(i, q)], n) makes row i the row
+    i - q * row j, mod n over Z/n, and changes nothing else: every other
+    row keeps its list and entries, and each entry of row i where row j
+    is 0 keeps its very object (over Z some entries are wider than a
+    machine word)."""
+    from twohom.exactlin import _sub_rows
 
     rng = random.Random(2211)
 
@@ -597,10 +606,10 @@ def test_a_row_step_is_the_dense_formula(n):
         i, j = rng.sample(range(m), 2)
         q = rng.randint(-5, 5)
         rows, before = list(M), [list(row) for row in M]
-        dense = [a - q * b if n is None else (a - q * b) % n
-                 for a, b in zip(M[i], M[j])]
-        _sub(M, i, j, q, n)
-        assert M[i] == dense
+        dense = [list(row) for row in M]
+        dense_sub(dense, i, j, q, n)
+        _sub_rows(M, j, [(i, q)], n)
+        assert M == dense
         assert all(M[x] is rows[x] and M[x] == before[x]
                    for x in range(m) if x != i)
         assert all(M[i][c] is before[i][c] for c in range(k) if not M[j][c])
@@ -609,14 +618,14 @@ def test_a_row_step_is_the_dense_formula(n):
 @pytest.mark.parametrize("n", [None, 6, 12], ids=["Z", "Z/6", "Z/12"])
 def test_a_batched_step_is_its_single_steps(n):
     """A logged run is the single steps it batches.  ``_sub_rows(M, r,
-    run, n)`` gives the rows of ``_sub(M, i, r, q, n)`` for each (i, q) of
-    the run, and ``_sub_sum(M, t, js, qs, n)``, the transpose of a run of
-    column subtractions, gives those of ``_sub(M, t, j, q, n)`` for each
-    (j, q) of zip(js, qs).  ``_col_subs`` applies column j -= q * column t
+    run, n)`` gives the rows of the dense row i -= q * row r for each
+    (i, q) of the run, and ``_sub_sum(M, t, js, qs, n)``, the transpose of
+    a run of column subtractions, gives those of row t -= q * row j for
+    each (j, q) of zip(js, qs).  ``_col_subs`` applies column j -= q * column t
     to rows t.. of D and logs that transpose as one entry.  Every row
     outside a run keeps its list and entries, and an empty run changes
     nothing and logs nothing."""
-    from twohom.exactlin import _col_subs, _sub, _sub_rows, _sub_sum
+    from twohom.exactlin import _col_subs, _sub_rows, _sub_sum
 
     rng = random.Random(2212)
 
@@ -636,10 +645,10 @@ def test_a_batched_step_is_its_single_steps(n):
         empty += not run
         for batched, single, changed in [
                 (lambda A: _sub_rows(A, r, run, n),
-                 lambda B: [_sub(B, i, r, q, n) for i, q in run], others),
+                 lambda B: [dense_sub(B, i, r, q, n) for i, q in run], others),
                 (lambda A: _sub_sum(A, r, [j for j, _ in run],
                                     [q for _, q in run], n),
-                 lambda B: [_sub(B, r, j, q, n) for j, q in run],
+                 lambda B: [dense_sub(B, r, j, q, n) for j, q in run],
                  [r] if run else [])]:
             A, B = [list(row) for row in M], [list(row) for row in M]
             rows = list(A)
@@ -661,6 +670,23 @@ def test_a_batched_step_is_its_single_steps(n):
         assert D == dense
         assert log == ([(_sub_sum, (t, *zip(*cols), n))] if cols else [])
     assert empty > 10
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(36)], ids=str)
+def test_the_offender_fold_is_a_one_pair_run(ring):
+    """diag(2, 3) is diagonal, but 3 is no multiple of the pivot 2, so snf
+    folds row 1 into row 0, row 0 -= -1 * row 1, and eliminates again.
+    The U log holds that fold as the one-pair ``_sub_rows`` run, and
+    D = diag(1, 6) = U A V with U and V invertible."""
+    from twohom.exactlin import _sub_rows
+
+    a = mat([[2, 0], [0, 3]], ring)
+    d, u, v = snf(a)
+    assert d == mat([[1, 0], [0, 6]], ring)
+    assert u @ a @ v == d
+    assert (_sub_rows, (1, [(0, -1)], ring.n)) in a._snf.logs["U"][2]
+    for t in (u, v):
+        assert (abs(det(t)) if ring == ZZ else gcd(det(t), ring.n)) == 1
 
 
 # runs of multiples of the pivot 2 end at the entry 3, in column 0 and in
