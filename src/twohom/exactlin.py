@@ -9,21 +9,25 @@ its row in place at the pivot row's nonzeros, on rows that share no list.
 Over Z/n entries are canonical representatives in [0, n).
 ``Matrix(ring, rows, cols, entries)`` takes integers only, copies them and
 reduces them mod n.  All other matrices are made here, immutable and
-canonical, with the private keyword ``_rows``: most by ``_matrix``, and
-the results that can leave [0, n) are reduced by ``_mod`` first.  As rows
-are immutable, a row slice ``m[a:b]`` and ``vstack`` share the row tuples
-of their blocks, ``hstack`` builds each row once, and an ``hstack`` of
-one block is that block.  Other modules cut blocks by slicing, ``m[a:b]``
-or ``m[a:b, c:d]``.  Every ring check here, and every endpoint check
-downstream, tests identity before equality, as the endpoints of one
-computation are almost always the same objects; shape checks compare
-``rows`` and ``cols``.  Solving and kernels read the Smith form over the
+canonical, with their row tuples as the private fifth argument,
+``Matrix(ring, rows, cols, None, row_tuples)``, positional because a
+keyword argument sends the call down CPython's slower class-call path:
+most by ``_matrix``, and the results that can leave [0, n) are reduced by
+``_mod`` first.  As rows are immutable, a row slice ``m[a:b]`` and
+``vstack`` share the row tuples of their blocks, ``hstack`` builds each
+row once, and an ``hstack`` of one block is that block.  Other modules
+cut blocks by slicing, ``m[a:b]`` or ``m[a:b, c:d]``.  Every ring check
+here, and every endpoint check downstream, tests identity before
+equality, as the endpoints of one computation are almost always the same
+objects; shape checks compare ``rows`` and ``cols``.  Solving and kernels read the Smith form over the
 ring itself (Z/n is a principal ideal ring), so nothing is lifted to Z.
 Hermite bases come from one untransformed echelon pass: ``hnf`` of a row
 span, ``column_basis`` of a column span, and ``preimage_basis`` of the
-kernel of a module morphism, with Howell rows over Z/n (Howell 1986;
-Storjohann-Mulders, ESA 1998), and over Z by remainder steps, which keep
-entries small where xgcd mixing grew dense kernels to thousands of bits.
+kernel of a module morphism; a pass over columns reads them straight off
+the rows (``_columns``), with no transposed matrix built.  Over Z/n the
+pass adds Howell rows (Howell 1986; Storjohann-Mulders, ESA 1998), and
+over Z it runs by remainder steps, which keep entries small where xgcd
+mixing grew dense kernels to thousands of bits.
 Membership in a column span (``_in_span``) reduces each column against the
 rows of the same pass over the transpose, kept in the matrix's memo beside
 its Smith form; the Howell rows make that reduction exact over Z/n.
@@ -127,7 +131,7 @@ class Matrix:
 
     __slots__ = ("ring", "rows", "cols", "_rows", "_snf", "_span")
 
-    def __init__(self, ring: RingSpec, rows: int, cols: int, entries, *,
+    def __init__(self, ring: RingSpec, rows: int, cols: int, entries,
                  _rows: Optional[tuple] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
@@ -155,11 +159,11 @@ class Matrix:
 
     @staticmethod
     def zeros(ring: RingSpec, rows: int, cols: int) -> "Matrix":
-        return Matrix(ring, rows, cols, None, _rows=((0,) * cols,) * rows)
+        return Matrix(ring, rows, cols, None, ((0,) * cols,) * rows)
 
     @staticmethod
     def identity(ring: RingSpec, n: int) -> "Matrix":
-        return Matrix(ring, n, n, None, _rows=tuple(
+        return Matrix(ring, n, n, None, tuple(
             (0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)))
 
     # -- basic accessors -----------------------------------------------------
@@ -185,7 +189,7 @@ class Matrix:
             raise TypeError(f"Matrix indices are slices, not {key!r}")
         rows = self._rows[keys[0]]
         if len(keys) == 1:  # the rows are immutable, so they are shared
-            return Matrix(self.ring, len(rows), self.cols, None, _rows=rows)
+            return Matrix(self.ring, len(rows), self.cols, None, rows)
         c = keys[1]
         return _matrix(self.ring, len(rows), len(range(self.cols)[c]),
                        (row[c] for row in rows))
@@ -273,7 +277,7 @@ def _matrix(ring: RingSpec, rows: int, cols: int, data) -> Matrix:
     """Matrix from rows of canonical ints (any iterables).  Data read off
     columns has no rows for a rows x 0 matrix; its empty rows are added."""
     return Matrix(ring, rows, cols, None,
-                  _rows=tuple(map(tuple, data)) or ((),) * rows)
+                  tuple(map(tuple, data)) or ((),) * rows)
 
 
 def hstack(mats: Iterable[Matrix]) -> Matrix:
@@ -290,7 +294,7 @@ def hstack(mats: Iterable[Matrix]) -> Matrix:
         if m.rows != rows or (m.ring is not ring and m.ring != ring):
             raise DimensionMismatch("hstack mismatch")
         cols += m.cols
-    return Matrix(ring, rows, cols, None, _rows=tuple(
+    return Matrix(ring, rows, cols, None, tuple(
         [sum(parts, ()) for parts in zip(*(m._rows for m in mats))]))
 
 
@@ -304,7 +308,7 @@ def vstack(mats: Iterable[Matrix]) -> Matrix:
         if m.cols != cols or (m.ring is not ring and m.ring != ring):
             raise DimensionMismatch("vstack mismatch")
         data += m._rows
-    return Matrix(ring, len(data), cols, None, _rows=data)
+    return Matrix(ring, len(data), cols, None, data)
 
 
 def block_diag(mats: Iterable[Matrix]) -> Matrix:
@@ -627,7 +631,7 @@ def unit_cover(A: Matrix, t: int):
     starts as (d_i, e_i); the rows past the rank are zero off keep, so
     they are the pairs (-w at keep, y), and they span all of them."""
     n, g, s = A.ring.n, A.rows, A.cols - t
-    M = [row + [0] * t for row in A.transpose().tolists()]
+    M = [col + [0] * t for col in _columns(A)]
     for i, row in enumerate(M[s:]):
         row[g + i] = 1
     keep = []
@@ -764,7 +768,7 @@ def _in_span(A: Matrix, B: Matrix) -> bool:
     rows make the rows past a pivot span every combination of A^T that is
     zero up to its column."""
     n, span = A.ring.n, _span_rows(A)
-    for x in map(list, zip(*B._rows)):
+    for x in _columns(B):
         for p, g, w, nz in span:
             v = x[p]
             if v:
@@ -783,7 +787,7 @@ def _span_rows(A: Matrix) -> list:
     g = gcd(a, n) and w (a / g) = 1 mod n / g.  So (v / g) w times the
     row clears an entry v at p that g divides."""
     if A._span is None:
-        n, M = A.ring.n, [list(col) for col in zip(*A._rows)]
+        n, M = A.ring.n, _columns(A)
         span = []
         for row in M[:_echelon(M, A.rows, n, False)]:
             nz = _nonzeros(row)
@@ -811,15 +815,24 @@ def preimage_basis(A: Matrix, B: Matrix) -> Matrix:
     if g == 0:
         return Matrix.zeros(A.ring, 0, 0)
     M = [a + [0] * i + [1] + [0] * (g - 1 - i)
-         for i, a in enumerate(A.transpose().tolists())]
-    M += [b + [0] * g for b in B.transpose().tolists()]
+         for i, a in enumerate(_columns(A))]
+    M += [b + [0] * g for b in _columns(B)]
     K = [row[t:] for row in M[_echelon(M, t, A.ring.n, False):]]
     return _hermite_columns(A.ring, K, g)
 
 
 def column_basis(mat: Matrix) -> Matrix:
     """The Hermite basis of the column span of mat, as columns."""
-    return _hermite_columns(mat.ring, mat.transpose().tolists(), mat.rows)
+    return _hermite_columns(mat.ring, _columns(mat), mat.rows)
+
+
+def _columns(A: Matrix) -> list:
+    """The columns of A as new lists, read off its rows with no transposed
+    matrix built: A.cols empty ones when A has no rows, as A^T has, where
+    ``zip`` yields none."""
+    if A.rows:
+        return list(map(list, zip(*A._rows)))
+    return [[] for _ in range(A.cols)]
 
 
 def _hermite_columns(ring: RingSpec, rows, width: int) -> Matrix:

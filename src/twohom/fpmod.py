@@ -1,6 +1,7 @@
 """Finitely presented modules over Z or Z/n and their morphisms.
 
-A module is R^gens / columnspan(rel); a morphism is a matrix on
+A module is R^gens / columnspan(rel), a slotted ``FPModule`` value that
+checks its shape and ring once when made; a morphism is a matrix on
 generators that carries relations into relations.  Submodule membership,
 and so morphism validity and equality, reduces columns against the
 echelon rows of the relation matrix (Howell rows over Z/n); every
@@ -9,7 +10,6 @@ universal-property factorization is an exact solve, off its Smith form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 from . import exactlin
@@ -39,15 +39,22 @@ class FactorError(ValueError):
     """A factorization required by a universal property has no solution."""
 
 
-@dataclass(frozen=True)
 class FPModule:
-    """R^gens modulo the column span of ``rel`` (one column per relation)."""
+    """R^gens modulo the column span of ``rel`` (one column per relation).
 
-    ring: RingSpec
-    gens: int
-    rel: Matrix
+    A slotted value, never changed once made, like ``Matrix``: modules
+    with equal fields are equal and hash equal."""
 
-    # frozen: the dataclass still makes the field hash, which agrees
+    __slots__ = ("ring", "gens", "rel")
+
+    def __init__(self, ring: RingSpec, gens: int, rel: Matrix):
+        if rel.rows != gens:
+            raise DimensionMismatch(
+                f"relation matrix has {rel.rows} rows for {gens} generators")
+        if rel.ring is not ring and rel.ring != ring:
+            raise DimensionMismatch("relation matrix over the wrong ring")
+        self.ring, self.gens, self.rel = ring, gens, rel
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -56,12 +63,8 @@ class FPModule:
         return ((self.ring, self.gens, self.rel)
                 == (other.ring, other.gens, other.rel))
 
-    def __post_init__(self):
-        if self.rel.rows != self.gens:
-            raise DimensionMismatch(
-                f"relation matrix has {self.rel.rows} rows for {self.gens} generators")
-        if self.rel.ring is not self.ring and self.rel.ring != self.ring:
-            raise DimensionMismatch("relation matrix over the wrong ring")
+    def __hash__(self):
+        return hash((self.ring, self.gens, self.rel))
 
     @staticmethod
     def free(ring: RingSpec, rank: int) -> "FPModule":

@@ -20,6 +20,7 @@ with no code of the library's.
 import random
 import signal
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -148,3 +149,42 @@ def test_answers_over_a_prime_are_dimensions(p, n, coeff):
         want = ([pi, pi, ([p] * b, []), zero] if coeff % p == 0
                 else [pi, zero, zero, zero])
         assert answer(p, coeff, raw) == want, f"g = {g}"
+
+
+def inputs_with_relations(p):
+    """(g0, rel0, g1, rel1, d) per size in the derive shapes, where M1 has
+    up to g1/2 relations rel1 too; the columns d rel1 close rel0, so that
+    d carries relations into relations."""
+    rng = random.Random(f"rank oracle {p}")
+    out = []
+    for g0 in SIZES:
+        r0, g1 = g0 // 2 + rng.randint(-1, 1), g0 // 2 + rng.randint(-1, 1)
+        r1 = rng.randint(0, g1 // 2)
+        rel1 = [[rng.randint(-4, 4) for _ in range(r1)] for _ in range(g1)]
+        d = [[rng.randint(-4, 4) for _ in range(g1)] for _ in range(g0)]
+        rel0 = [[rng.randint(-4, 4) for _ in range(r0)]
+                + [sum(map(mul, row, col)) for col in zip(*rel1)]
+                for row in d]
+        out.append((g0, rel0, g1, rel1, d))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pi_over_a_prime_has_the_rank_dimensions(p):
+    """Over Z/p, pi_0(M) is the cokernel of d: M1 -> M0 and pi_1(M) its
+    kernel, vector spaces of dimensions g0 - rank[rel0 | d] and
+    (g1 - rank rel1) - (rank[rel0 | d] - rank rel0), read off
+    ``rank_mod``; here M1 has relations, which the derive inputs above
+    leave out."""
+    ring = RingSpec.Zmod(p)
+
+    def module(g, rows):
+        return FPModule(ring, g, Matrix(ring, g, len(rows[0]), sum(rows, [])))
+
+    for g0, rel0, g1, rel1, d in inputs_with_relations(p):
+        m0, m1 = module(g0, rel0), module(g1, rel1)
+        m = TwoModule(m1, m0, ModMor(m1, m0, Matrix(ring, g0, g1, sum(d, []))))
+        both = rank_mod(p, [x + y for x, y in zip(rel0, d)])
+        a = g0 - both
+        b = (g1 - rank_mod(p, rel1)) - (both - rank_mod(p, rel0))
+        assert pi_profile(m) == ([p] * a, [p] * b), f"g0 = {g0}"

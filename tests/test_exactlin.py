@@ -413,6 +413,46 @@ def test_column_basis_is_the_transposed_hermite_form(ring):
         assert column_basis(a) == h[:k].transpose(), (rows, cols)
 
 
+def _column_reader_answers(ring):
+    """unit_cover, preimage_basis, column_basis and FPModule.contains on
+    0 x k, k x 0 and 0 x 0 inputs, built afresh so that no memo is shared."""
+    from twohom.exactlin import preimage_basis, unit_cover
+
+    rng = random.Random(39)
+
+    def rand(r, c):
+        return Matrix(ring, r, c, [rng.randint(-7, 7) for _ in range(r * c)])
+
+    out = []
+    for r, c in [(0, 3), (3, 0), (0, 0), (3, 2)]:
+        out.append(column_basis(rand(r, c)))
+        out += [unit_cover(rand(r, c), t) for t in range(c + 1)]
+        out += [preimage_basis(rand(r, c), rand(r, k)) for k in (0, 2)]
+        out += [FPModule(ring, r, rand(r, c)).contains(cols)
+                for k in (0, 2) for cols in (rand(r, k), Matrix.zeros(ring, r, k))]
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+def test_column_readers_on_empty_shapes_match_the_transpose_route(
+        ring, monkeypatch):
+    """The column readers take A's columns off its rows, where a matrix
+    with no rows yields no columns from zip; A^T has A.cols empty rows.
+    Each answer equals the one read through A.transpose().tolists()."""
+    from twohom import exactlin
+
+    fresh = _column_reader_answers(ring)
+    routed = []
+
+    def transpose_route(a):
+        routed.append(a.shape)
+        return a.transpose().tolists()
+
+    monkeypatch.setattr(exactlin, "_columns", transpose_route)
+    assert _column_reader_answers(ring) == fresh
+    assert (0, 3) in routed and (3, 0) in routed and (0, 0) in routed
+
+
 @pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(6)], ids=str)
 def test_public_constructor_copies_its_input(ring):
     for src in (np.array([[1, -2], [3, 4]], dtype=object),

@@ -327,6 +327,30 @@ def test_equal_modules_hash_alike():
         RingSpec.Zmod(6), [[2, 0], [0, 3]]))
 
 
+@pytest.mark.parametrize("ring", [ZZ, RingSpec.Zmod(12)], ids=str)
+def test_a_module_is_a_slotted_value(ring):
+    import copy
+    import pickle
+
+    rel = [[2, 0, -1], [0, 3, 7]]
+    a = FPModule(ring, 2, Matrix.from_rows(ring, rel))
+    b = FPModule(ring=ring, gens=2, rel=Matrix.from_rows(ring, rel))
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((ring, 2, a.rel))
+    assert not hasattr(a, "__dict__")
+    reduced = rel if ring is ZZ else [[2, 0, 11], [0, 3, 7]]
+    assert repr(a) == f"FPModule({ring}, gens=2, rel={reduced})"
+    assert repr(FPModule.free(ring, 1)) == f"FPModule({ring}, gens=1, rel=[[]])"
+    assert repr(FPModule.zero(ring)) == f"FPModule({ring}, gens=0, rel=[])"
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+    with pytest.raises(DimensionMismatch, match="3 rows for 2 generators"):
+        FPModule(ring, 2, Matrix.zeros(ring, 3, 1))
+    other = ZZ if ring.is_modular else RingSpec.Zmod(12)
+    with pytest.raises(DimensionMismatch, match="wrong ring"):
+        FPModule(ring, 2, Matrix.zeros(other, 2, 1))
+
+
 def _old_kernel_generators(f):
     """The Smith-form path Z kernels took before: syzygies of
     [f.mat | dst.rel] from kernel_basis, projected to source coordinates,

@@ -252,11 +252,19 @@ def test_checker_flags_a_discarded_transform():
 
 
 def _canonical_keywords(tree: ast.Module) -> list:
-    """Line of each call that passes the private ``_rows`` keyword, with
-    which exactlin makes a matrix of rows it has already reduced."""
+    """Line of each call that passes canonical rows: the private ``_rows``
+    keyword, or a fifth positional argument to ``Matrix(...)`` (a starred
+    argument may be one), with which exactlin makes a matrix of rows it
+    has already reduced."""
+    def fifth(node):
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        return name == "Matrix" and (len(node.args) >= 5 or any(
+            isinstance(a, ast.Starred) for a in node.args))
+
     return sorted(node.lineno for node in ast.walk(tree)
                   if isinstance(node, ast.Call)
-                  and any(k.arg == "_rows" for k in node.keywords))
+                  and (any(k.arg == "_rows" for k in node.keywords)
+                       or fifth(node)))
 
 
 @pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
@@ -264,8 +272,8 @@ def _canonical_keywords(tree: ast.Module) -> list:
                          ids=lambda p: p.name)
 def test_only_exactlin_builds_matrices_from_raw_arrays(path):
     lines = _canonical_keywords(ast.parse(path.read_text(encoding="utf-8")))
-    assert not lines, (f"{path.name} passes _rows at lines {lines}; "
-                       "cut blocks with Matrix slicing instead")
+    assert not lines, (f"{path.name} passes canonical rows at lines "
+                       f"{lines}; cut blocks with Matrix slicing instead")
 
 
 def test_checker_flags_a_canonical_keyword():
@@ -273,5 +281,9 @@ def test_checker_flags_a_canonical_keyword():
         "m = Matrix(r, 1, 1, None, _rows=((1,),))\n"     # flagged
         "m = Matrix(r, 1, 1, [1])\n"                      # public constructor
         "x = sol[:2]\n"                                   # a slice
-        "f(Matrix.zeros(r, 1, 1), _rows=rows)\n")        # flagged
-    assert _canonical_keywords(tree) == [1, 4]
+        "f(Matrix.zeros(r, 1, 1), _rows=rows)\n"         # flagged
+        "m = Matrix(r, 1, 1, None, ((1,),))\n"           # flagged: positional
+        "m = exactlin.Matrix(r, 1, 1, None, rows)\n"     # flagged: positional
+        "m = Matrix(*parts)\n"                            # flagged: may be five
+        "m = f(r, 1, 1, None, rows)\n")                   # not a Matrix
+    assert _canonical_keywords(tree) == [1, 4, 5, 6, 7]
