@@ -60,7 +60,6 @@ from .derived import (
     derived_complex,
     long_sequence,
 )
-from . import selftest
 
 
 class ParseFailure(ValueError):
@@ -492,6 +491,9 @@ def _cmd_oracle(ws: Workspace, args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    # imported here, so that the other commands do not load the suites
+    from . import selftest
+
     results = selftest.run_all(args.seed)
     ok_all = all(ok for _, ok, _, _ in results)
     rep = {"command": "selftest", "seed": args.seed,

@@ -24,7 +24,6 @@ n is read as pi_0 of the homology at n + 1, as the window law states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exactlin import DimensionMismatch, Matrix, RingSpec, block
@@ -253,15 +252,17 @@ def validate_chain_homotopy(h: ChainHomotopy) -> Tuple[bool, str]:
 # homology
 # ---------------------------------------------------------------------------
 
-@dataclass
 class HomologyData:
     """Homology 2-module at degree n of the complex c, with the relative
     kernel it is a cokernel over."""
 
-    kernel: RelKernelResult        # Ker(L_n, alpha_n)
-    module: TwoModule              # Coker(abar, L'_{n+1}).Q
-    c: Complex2
-    n: int
+    __slots__ = ("kernel", "module", "c", "n")
+
+    def __init__(self, kernel: RelKernelResult, module: TwoModule,
+                 c: Complex2, n: int):
+        self.kernel = kernel         # Ker(L_n, alpha_n)
+        self.module = module         # Coker(abar, L'_{n+1}).Q
+        self.c, self.n = c, n
 
     @property
     def pi(self) -> Tuple[List[int], List[int]]:
@@ -351,14 +352,17 @@ def homotopy_equiv_witness(h: ChainHomotopy, n: int) -> TwoMor:
 # total-complex oracle
 # ---------------------------------------------------------------------------
 
-@dataclass
 class TotalComplex:
     """Module-level total complex: T_k = A_k.M0 (+) A_{k-1}.M1 with the
     square-zero differential assembled from L, d and the alpha cells."""
 
-    ring: RingSpec
-    modules: List[FPModule]        # T_0 .. T_{N+1}
-    diffs: List[ModMor]            # D_1 .. D_{N+1}
+    __slots__ = ("ring", "modules", "diffs")
+
+    def __init__(self, ring: RingSpec, modules: List[FPModule],
+                 diffs: List[ModMor]):
+        self.ring = ring
+        self.modules = modules       # T_0 .. T_{N+1}
+        self.diffs = diffs           # D_1 .. D_{N+1}
 
     def t(self, k: int) -> FPModule:
         if 0 <= k < len(self.modules):

@@ -10,7 +10,6 @@ horseshoe resolution survives tensoring on the nose).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exactlin import (Matrix, ZZ, block_diag, hstack, kernel_basis,
@@ -55,18 +54,43 @@ from .complex2 import (
 from .resolution import Resolution, compare, horseshoe, resolve
 
 
-@dataclass(frozen=True)
 class FunctorSpec:
-    """Identity, or tensoring with a fixed presented module."""
+    """Identity (``kind`` "identity"), or tensoring with a fixed presented
+    module (``kind`` "tensor").
 
-    kind: str  # "identity" | "tensor"
-    module: Optional[FPModule] = None
+    A slotted value that refuses assignment: functors with equal fields are
+    equal and hash equal."""
 
-    def __post_init__(self):
-        if self.kind not in ("identity", "tensor"):
-            raise ValueError(f"unknown functor kind {self.kind!r}")
-        if self.kind == "tensor" and self.module is None:
+    __slots__ = ("kind", "module")
+
+    def __init__(self, kind: str, module: Optional[FPModule] = None):
+        if kind not in ("identity", "tensor"):
+            raise ValueError(f"unknown functor kind {kind!r}")
+        if kind == "tensor" and module is None:
             raise ValueError("tensor functor needs a module")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "module", module)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as assignment refuses
+        return FunctorSpec, (self.kind, self.module)
+
+    def __eq__(self, other):
+        if other.__class__ is not FunctorSpec:
+            return NotImplemented
+        return (self.kind, self.module) == (other.kind, other.module)
+
+    def __hash__(self):
+        return hash((self.kind, self.module))
+
+    def __repr__(self):
+        return f"FunctorSpec(kind={self.kind!r}, module={self.module!r})"
 
     @staticmethod
     def identity() -> "FunctorSpec":
@@ -175,13 +199,13 @@ def find_null_homotopy(w: OneMor) -> Optional[TwoMor]:
 # derived objects and morphisms
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DerivedResult:
-    module: TwoModule
-    functor: FunctorSpec
-    degree: int
-    resolution: Resolution
-    homology: HomologyData
+    __slots__ = ("module", "functor", "degree", "resolution", "homology")
+
+    def __init__(self, module: TwoModule, functor: FunctorSpec, degree: int,
+                 resolution: Resolution, homology: HomologyData):
+        self.module, self.functor, self.degree = module, functor, degree
+        self.resolution, self.homology = resolution, homology
 
     @property
     def pi(self):
@@ -220,13 +244,15 @@ def derive_mor(t: FunctorSpec, h: OneMor, i: int,
     return induced(tchain, i)
 
 
-@dataclass
 class IndependenceWitness:
-    forward: OneMor
-    backward: OneMor
-    pi0_iso: bool
-    pi1_iso: bool
-    invariants_match: bool
+    __slots__ = ("forward", "backward", "pi0_iso", "pi1_iso",
+                 "invariants_match")
+
+    def __init__(self, forward: OneMor, backward: OneMor, pi0_iso: bool,
+                 pi1_iso: bool, invariants_match: bool):
+        self.forward, self.backward = forward, backward
+        self.pi0_iso, self.pi1_iso = pi0_iso, pi1_iso
+        self.invariants_match = invariants_match
 
     @property
     def certified(self) -> bool:
@@ -339,24 +365,27 @@ def classical_tor_oracle(m0: FPModule, n: FPModule, i: int) -> List[int]:
 # the long sequence
 # ---------------------------------------------------------------------------
 
-@dataclass
 class LongSeqEntry:
-    label: str           # "A", "B" or "C"
-    degree: int
-    homology: HomologyData
+    __slots__ = ("label", "degree", "homology")
+
+    def __init__(self, label: str, degree: int, homology: HomologyData):
+        self.label = label           # "A", "B" or "C"
+        self.degree, self.homology = degree, homology
 
 
-@dataclass
 class LongSeq:
     """The long sequence ... -> L_iT(A) -> L_iT(B) -> L_iT(C) -omega->
     L_{i-1}T(A) -> ... with the stored null homotopies of consecutive
     composites."""
 
-    functor: FunctorSpec
-    depth: int
-    entries: List[LongSeqEntry]
-    maps: List[Tuple[str, OneMor]]       # maps[k]: entries[k] -> entries[k+1]
-    cells: List[TwoMor]                  # cells[k]: maps[k+1]∘maps[k] => 0
+    __slots__ = ("functor", "depth", "entries", "maps", "cells")
+
+    def __init__(self, functor: FunctorSpec, depth: int,
+                 entries: List[LongSeqEntry], maps: List[Tuple[str, OneMor]],
+                 cells: List[TwoMor]):
+        self.functor, self.depth, self.entries = functor, depth, entries
+        self.maps = maps             # maps[k]: entries[k] -> entries[k+1]
+        self.cells = cells           # cells[k]: maps[k+1]∘maps[k] => 0
 
 
 def long_sequence(t: FunctorSpec, F: OneMor, phi: TwoMor, G: OneMor,

@@ -63,7 +63,6 @@ Conventions (fixed so that outputs are bit-reproducible):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd
 from operator import add, index, mul, sub
 from typing import Iterable, Optional, Sequence
@@ -73,32 +72,51 @@ class DimensionMismatch(ValueError):
     """Raised when matrix shapes are incompatible."""
 
 
-@dataclass(frozen=True)
 class RingSpec:
-    """Base ring: the integers, or the integers mod n (n >= 2)."""
+    """Base ring: the integers (``kind`` "Z"), or the integers mod n
+    (``kind`` "Zmod", n >= 2).
 
-    kind: str  # "Z" | "Zmod"
-    n: Optional[int] = None
+    A slotted value that refuses assignment: rings with equal fields are
+    equal and hash equal."""
 
-    def __post_init__(self):
-        if self.kind not in ("Z", "Zmod"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "Zmod":
-            if self.n is None:
+    __slots__ = ("kind", "n")
+
+    def __init__(self, kind: str, n: Optional[int] = None):
+        if kind not in ("Z", "Zmod"):
+            raise ValueError(f"unknown ring kind {kind!r}")
+        if kind == "Zmod":
+            if n is None:
                 raise ValueError("Zmod modulus must be an integer >= 2")
-            object.__setattr__(self, "n", index(self.n))  # TypeError if not
-            if self.n < 2:
+            n = index(n)  # TypeError if not
+            if n < 2:
                 raise ValueError("Zmod modulus must be an integer >= 2")
-        elif self.n is not None:
+        elif n is not None:
             raise ValueError("Z takes no modulus")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
 
-    # frozen: the dataclass still makes the field hash, which agrees
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as assignment refuses
+        return RingSpec, (self.kind, self.n)
+
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, RingSpec):
             return NotImplemented
         return self.kind == other.kind and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.kind, self.n))
+
+    def __repr__(self):
+        return f"RingSpec(kind={self.kind!r}, n={self.n!r})"
 
     @staticmethod
     def Z() -> "RingSpec":

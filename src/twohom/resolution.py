@@ -28,7 +28,6 @@ is the horseshoe of a split extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .exactlin import Matrix, hstack, solve_many, unit_cover
@@ -273,17 +272,17 @@ def validate_resolution(res: Resolution) -> Tuple[bool, str]:
 # comparison lifts between resolutions
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ComparisonLift:
     """Chain-level lift of h: M -> N across two resolutions, with the
     cells eps_n: G_n∘H_n => H_{n-1}∘F_n.  Only eps_0 can be nonzero: for
     n >= 1 it lands in the degree-1 part of a free stage, which is zero."""
 
-    h: OneMor
-    res_src: Resolution
-    res_dst: Resolution
-    hs: Dict[int, OneMor]
-    eps0: ModMor
+    __slots__ = ("h", "res_src", "res_dst", "hs", "eps0")
+
+    def __init__(self, h: OneMor, res_src: Resolution, res_dst: Resolution,
+                 hs: Dict[int, OneMor], eps0: ModMor):
+        self.h, self.res_src, self.res_dst = h, res_src, res_dst
+        self.hs, self.eps0 = hs, eps0
 
     def lift(self, n: int) -> OneMor:
         """H_n, with H_{-1} = h; zero off range."""

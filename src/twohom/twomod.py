@@ -23,8 +23,6 @@ target, and nothing reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Tuple
 
 from .exactlin import (DimensionMismatch, RingSpec, block, block_diag, hstack,
@@ -339,13 +337,13 @@ def is_equivalence(f: OneMor) -> bool:
 # biproduct
 # ---------------------------------------------------------------------------
 
-@dataclass
 class BiproductResult:
-    total: TwoModule
-    inj1: OneMor
-    inj2: OneMor
-    proj1: OneMor
-    proj2: OneMor
+    __slots__ = ("total", "inj1", "inj2", "proj1", "proj2")
+
+    def __init__(self, total: TwoModule, inj1: OneMor, inj2: OneMor,
+                 proj1: OneMor, proj2: OneMor):
+        self.total, self.inj1, self.inj2 = total, inj1, inj2
+        self.proj1, self.proj2 = proj1, proj2
 
 
 def biproduct(a: TwoModule, b: TwoModule) -> BiproductResult:
@@ -369,7 +367,6 @@ def biproduct(a: TwoModule, b: TwoModule) -> BiproductResult:
 # relative kernel
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RelKernelResult:
     """Kernel of F relative to phi: G∘F => 0.
 
@@ -378,15 +375,14 @@ class RelKernelResult:
     ``to_a`` / ``to_b`` are its two row blocks, cut by slicing.
     """
 
-    K: TwoModule
-    e: OneMor
-    eps: TwoMor
-    incl: ModMor
-    to_a: ModMor
-    to_b: ModMor
-    F: OneMor
-    phi: TwoMor
-    G: OneMor
+    __slots__ = ("K", "e", "eps", "incl", "to_a", "to_b", "F", "phi", "G")
+
+    def __init__(self, K: TwoModule, e: OneMor, eps: TwoMor, incl: ModMor,
+                 to_a: ModMor, to_b: ModMor, F: OneMor, phi: TwoMor,
+                 G: OneMor):
+        self.K, self.e, self.eps = K, e, eps
+        self.incl, self.to_a, self.to_b = incl, to_a, to_b
+        self.F, self.phi, self.G = F, phi, G
 
 
 def _check_null_homotopy_of(phi: TwoMor, comp: OneMor, what: str):
@@ -488,7 +484,6 @@ def unique_cell(fac1: Tuple[OneMor, TwoMor],
 # relative cokernel
 # ---------------------------------------------------------------------------
 
-@dataclass
 class RelCokernelResult:
     """Cokernel of G relative to phi: G∘F => 0.
 
@@ -499,16 +494,19 @@ class RelCokernelResult:
     and kept, as homology reads Q alone.
     """
 
-    Q: TwoModule
-    F: OneMor
-    phi: TwoMor
-    G: OneMor
+    __slots__ = ("Q", "F", "phi", "G", "_made")
 
-    p = property(lambda self: self._cells[0])     # OneMor C -> Q
-    pi = property(lambda self: self._cells[1])    # TwoMor p∘G => 0
+    def __init__(self, Q: TwoModule, F: OneMor, phi: TwoMor, G: OneMor):
+        self.Q, self.F, self.phi, self.G = Q, F, phi, G
+        self._made = None
 
-    @cached_property
+    p = property(lambda self: self._cells()[0])     # OneMor C -> Q
+    pi = property(lambda self: self._cells()[1])    # TwoMor p∘G => 0
+
     def _cells(self) -> Tuple[OneMor, TwoMor]:
+        """(p, pi), made on first read and kept in the ``_made`` slot."""
+        if self._made is not None:
+            return self._made
         B, C, qm1 = self.G.src, self.G.dst, self.Q.M1
         _, i_b, i_c, _, _ = direct_sum(B.M0, C.M1)
         p = OneMor(C, self.Q, ModMor(C.M1, qm1, i_c.mat, check=False),
@@ -518,7 +516,8 @@ class RelCokernelResult:
         # into Q.M1's; the degree-0 identity is G.f0 + d_Q∘pi_s = G.f0 - G.f0 =
         # 0, and the degree-1 one is (0, G.f1) + pi_s∘d_B = -(d_B, -G.f1), a
         # column block of N
-        return p, null_homotopy(compose(self.G, p), pi_s, check=False)
+        self._made = p, null_homotopy(compose(self.G, p), pi_s, check=False)
+        return self._made
 
 
 def relative_cokernel(F: OneMor, phi: TwoMor, G: OneMor, check: bool = True

@@ -816,10 +816,8 @@ def test_distinct_rings_and_non_rings_are_unequal():
 
 
 def test_a_ring_is_frozen():
-    import dataclasses
-
     r = RingSpec.Zmod(6)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.n = 7
     assert r == RingSpec.Zmod(6)
 

@@ -10,9 +10,16 @@ only to discard them.
 
 The package's public surface, ``twohom.__all__``, is pinned as a list, so
 that a name added or removed shows in the diff of this file.
+
+Every CLI command is a fresh process, so what ``import twohom`` loads is
+paid by each one: it loads neither ``dataclasses`` nor ``inspect``, and
+``import twohom.cli`` leaves the selftest suites unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -82,6 +89,32 @@ PUBLIC = [
 
 def test_public_surface_is_pinned():
     assert sorted(twohom.__all__) == PUBLIC
+
+
+def _newly_loaded(module: str) -> set:
+    """The modules that importing ``module`` loads in a fresh interpreter,
+    against a snapshot of ``sys.modules`` taken in that interpreter just
+    before, so that what start-up preloads does not count."""
+    code = ("import sys; before = set(sys.modules); import %s; "
+            "print(' '.join(sorted(set(sys.modules) - before)))" % module)
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    return set(out.stdout.split())
+
+
+def test_import_loads_no_dataclass_machinery():
+    loaded = _newly_loaded("twohom")
+    assert {"twohom", "twohom.exactlin", "twohom.derived"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}, sorted(loaded)
+
+
+def test_cli_import_leaves_the_selftest_suites_unloaded():
+    loaded = _newly_loaded("twohom.cli")
+    assert "twohom.cli" in loaded
+    assert not loaded & {"twohom.selftest", "twohom.catalog"}, sorted(loaded)
 
 
 def test_modules_found():
